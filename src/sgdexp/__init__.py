@@ -8,8 +8,6 @@ from .corruption import (
     ResidualSignAdversary,
     SignFlip,
     Uniform,
-    corrupt,
-    corruption_rate_audit,
 )
 from .datasets import (
     DatasetMatrix,

@@ -102,55 +102,22 @@ class AdditiveOblivious:
 CorruptionSpec = Union[NoCorruption, SignFlip, ResidualSignAdversary, AdditiveOblivious]
 
 
-def relu(u: float) -> float:
-    return u if u > 0.0 else 0.0
+def apply_channel(spec: CorruptionSpec, clean, xi, nu=None, pred=None):
+    """Responses after the channel, elementwise over arrays of draws.
 
-
-def corrupt(
-    spec: CorruptionSpec,
-    clean_y: float,
-    rng: np.random.Generator,
-    a=None,
-    x_true=None,
-    x_iter=None,
-    relu_model: bool = False,
-):
-    """Pass one clean response through the corruption channel.
-
-    Returns ``(y, was_corrupted)``.  The corruption indicator is drawn
-    first; additive noise (when applicable) is drawn only on corrupted
-    calls.  ResidualSignAdversary requires ``a`` and ``x_iter`` since it
-    reflects about the prediction at the current iterate.
+    ``xi`` holds the uniform [0, 1) indicator draws (a response is
+    corrupted where xi < p), ``nu`` the noise-law draws of oblivious
+    channels and ``pred`` the prediction at the current iterate, which
+    only the residual-sign adversary reads.
     """
-    if isinstance(spec, ResidualSignAdversary) and x_iter is None:
-        raise ValueError("ResidualSignAdversary requires the current iterate x_iter")
     p = spec.p
     if p == 0.0:
-        return clean_y, False
-    was = bool(rng.random() < p)
-    if not was:
-        return clean_y, False
+        return clean
+    hit = xi < p
     if isinstance(spec, SignFlip):
-        return -clean_y, True
+        return np.where(hit, -clean, clean)
     if isinstance(spec, ResidualSignAdversary):
-        m = float(np.dot(x_iter, a))
-        if relu_model:
-            m = relu(m)
-        return 2.0 * m - clean_y, True
-    if isinstance(spec, AdditiveOblivious):
-        return clean_y + float(spec.law.draw(rng)), True
-    # NoCorruption has p == 0 and never reaches here.
-    raise TypeError(f"unknown corruption spec {spec!r}")
-
-
-def corruption_rate_audit(spec: CorruptionSpec, n_trials: int, rng: np.random.Generator) -> float:
-    """Empirical fraction of corrupted draws over n_trials channel calls."""
-    if n_trials < 1000:
-        raise ValueError("n_trials must be at least 1000")
-    a = np.array([1.0])
-    x0 = np.zeros(1)
-    hits = 0
-    for _ in range(n_trials):
-        _, was = corrupt(spec, 1.0, rng, a=a, x_true=x0, x_iter=x0)
-        hits += was
-    return hits / n_trials
+        if pred is None:
+            raise ValueError("ResidualSignAdversary requires the prediction at the current iterate")
+        return np.where(hit, 2.0 * pred - clean, clean)
+    return clean + np.where(hit, nu, 0.0)

@@ -155,7 +155,6 @@ def load_red_wine(path, z_score: bool = True, center_response: bool = True) -> D
     if len(header) == 1 and ";" in header[0]:
         # Raw UCI export: semicolon separated, prose column names.
         raw_header, _ = _parse_table(path, ";")
-        renames = {name: _UCI_WINE_NAMES.get(name.strip().strip('"'), name) for name in raw_header}
         tmp_features = [n.strip().strip('"') for n in raw_header]
         mapped = [_UCI_WINE_NAMES.get(n, n) for n in tmp_features]
         missing = [f for f in RED_WINE_FEATURES + [RED_WINE_RESPONSE] if f not in mapped]

@@ -346,6 +346,35 @@ def _state_vector(
     return math.sqrt(u_norm_sq) * direction
 
 
+def _one_step_mean(u, lam, model, adversary, n_samples, rng, chunk, value):
+    """Mean and standard error of value(Y') over n_samples one-step draws from state u.
+
+    Each draw is Y' = lam^2 ||u - s a||^2 with a fresh measurement a and
+    realized sign s, sampled ``chunk`` at a time.  The sums are shifted
+    by the first value so the variance does not cancel catastrophically.
+    """
+    total = 0.0
+    total_sq = 0.0
+    shift = None
+    remaining = n_samples
+    while remaining > 0:
+        m = min(chunk, remaining)
+        A, _ = sample_block(model, rng, m)
+        s = _realized_signs(A @ u, adversary, rng)
+        w = u[None, :] - s[:, None] * A
+        vals = value(lam * lam * np.einsum("ij,ij->i", w, w))
+        if shift is None:
+            shift = float(vals[0])
+        vals -= shift
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+        remaining -= m
+
+    mean_c = total / n_samples
+    var = max(total_sq / n_samples - mean_c * mean_c, 0.0) * n_samples / (n_samples - 1)
+    return shift + mean_c, math.sqrt(var / n_samples)
+
+
 def mc_drift_linear_term(
     u_norm_sq: float,
     p: float,
@@ -380,29 +409,9 @@ def mc_drift_linear_term(
         )
     u = _state_vector(u_norm_sq, d, rng, direction)
     y0 = float(np.dot(u, u))
-
-    total = 0.0
-    total_sq = 0.0
-    shift = None
-    remaining = n_samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        A, _ = sample_block(model, rng, m)
-        dots = A @ u
-        s = _realized_signs(dots, adversary, rng)
-        w = u[None, :] - s[:, None] * A
-        dy = lam * lam * np.einsum("ij,ij->i", w, w) - y0
-        if shift is None:
-            shift = float(dy[0])  # anchors the variance accumulator
-        dy -= shift
-        total += dy.sum()
-        total_sq += (dy * dy).sum()
-        remaining -= m
-
-    mean_c = total / n_samples
-    est = shift + mean_c
-    var = max(total_sq / n_samples - mean_c * mean_c, 0.0) * n_samples / (n_samples - 1)
-    se = math.sqrt(var / n_samples)
+    est, se = _one_step_mean(
+        u, lam, model, adversary, n_samples, rng, chunk, lambda y1: y1 - y0
+    )
     ceiling = (1.5 + lam * lam) - 2.0 * lam * lam * (1.0 - 2.0 * p) * ctilde / (
         math.sqrt(d) * math.sqrt(2.0 * ls1)
     )
@@ -444,30 +453,10 @@ def mc_drift_c2(
             f"state ||u||^2 = {u_norm_sq:.6g} must lie below a = {params.a:.6g}"
         )
     u = _state_vector(u_norm_sq, d, rng, direction)
-
-    total = 0.0
-    total_sq = 0.0
-    shift = None
-    remaining = n_samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        A, _ = sample_block(model, rng, m)
-        dots = A @ u
-        s = _realized_signs(dots, adversary, rng)
-        w = u[None, :] - s[:, None] * A
-        y1 = lam * lam * np.einsum("ij,ij->i", w, w)
-        vals = np.exp(params.eta * (y1 - params.a))
-        if shift is None:
-            shift = float(vals[0])  # anchors the variance accumulator
-        vals -= shift
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        remaining -= m
-
-    mean_c = total / n_samples
-    est = shift + mean_c
-    var = max(total_sq / n_samples - mean_c * mean_c, 0.0) * n_samples / (n_samples - 1)
-    se = math.sqrt(var / n_samples)
+    est, se = _one_step_mean(
+        u, lam, model, adversary, n_samples, rng, chunk,
+        lambda y1: np.exp(params.eta * (y1 - params.a)),
+    )
     return DriftTermReport(
         estimate=est,
         stderr=se,

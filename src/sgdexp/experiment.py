@@ -187,25 +187,34 @@ def run_experiment(config: ExperimentConfig, validate_steps: bool = True) -> lis
     return trajectories
 
 
+#: Checkpoint field behind each config metric name.
+METRIC_FIELDS = {"relative_error": "relative_error", "clean_l2_loss": "clean_loss"}
+
+
 def aggregate_mean(trajectories, metric: str = "relative_error"):
     """Pointwise mean of a checkpoint metric across seeds, per solver.
 
-    Returns {solver: (ks, means)} with ks shared across that solver's
-    trajectories.
+    ``metric`` is a config metric name or a Checkpoint field.  Returns
+    {solver: (ks, means)} in sorted solver order, with ks shared across
+    that solver's trajectories.  Missing values count as NaN and are
+    left out of the mean; a solver with no value at all is left out.
     """
+    field = METRIC_FIELDS.get(metric, metric)
     by_solver = {}
     for traj in trajectories:
         by_solver.setdefault(traj.solver, []).append(traj)
     out = {}
-    for solver, trajs in by_solver.items():
+    for solver in sorted(by_solver):
+        trajs = by_solver[solver]
         ks = [cp.k for cp in trajs[0].checkpoints]
         for t in trajs[1:]:
             if [cp.k for cp in t.checkpoints] != ks:
                 raise ValueError(f"trajectories of {solver!r} have mismatched checkpoints")
         values = np.array(
-            [[getattr(cp, metric) for cp in t.checkpoints] for t in trajs], dtype=float
+            [[getattr(cp, field) for cp in t.checkpoints] for t in trajs], dtype=float
         )
-        out[solver] = (np.array(ks), values.mean(axis=0))
+        if not np.all(np.isnan(values)):
+            out[solver] = (np.array(ks), np.nanmean(values, axis=0))
     return out
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .experiment import aggregate_mean
 from .solvers import Checkpoint, Trajectory
 
 CSV_HEADER = ["solver", "seed", "k", "relative_error", "clean_loss", "elapsed_seconds"]
@@ -124,34 +125,16 @@ def read_results_csv(path) -> list:
     ]
 
 
-def _mean_series(trajectories, metric):
-    """Across-seed mean metric per solver; skips solvers lacking the metric."""
-    by_solver = {}
-    for traj in trajectories:
-        by_solver.setdefault(traj.solver, []).append(traj)
-    series = {}
-    for solver in sorted(by_solver):
-        trajs = by_solver[solver]
-        ks = [cp.k for cp in trajs[0].checkpoints]
-        vals = []
-        for t in trajs:
-            vals.append([getattr(cp, metric) for cp in t.checkpoints])
-        arr = np.array(vals, dtype=float)
-        if np.all(np.isnan(arr)):
-            continue
-        series[solver] = (np.array(ks, dtype=float), np.nanmean(arr, axis=0))
-    return series
-
-
 def emit_plot(trajectories, path, metric: str = "relative_error", title: str = ""):
     """Write a semilog-y SVG line chart: one polyline per solver.
 
-    Values are averaged across seeds at each checkpoint; nonpositive
-    values are clamped to 1e-16 for the log scale.
+    ``metric`` is a config metric name or a Checkpoint field.  Values
+    are averaged across seeds at each checkpoint (``aggregate_mean``);
+    nonpositive values are clamped to 1e-16 for the log scale.
     """
     if not trajectories:
         raise ValueError("no trajectories to plot")
-    series = _mean_series(trajectories, metric)
+    series = aggregate_mean(trajectories, metric)
     if not series:
         raise ValueError(f"no trajectory carries metric {metric!r}")
 

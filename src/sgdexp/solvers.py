@@ -26,7 +26,7 @@ from .corruption import (
     CorruptionSpec,
     NoCorruption,
     ResidualSignAdversary,
-    SignFlip,
+    apply_channel,
 )
 from .measurement import (
     DatasetRows,
@@ -243,6 +243,53 @@ def _require_unit(a: np.ndarray) -> None:
         raise ValueError(f"measurement vector must be unit norm, got ||a|| = {norm!r}")
 
 
+# The rule table.  Every function below works on an (S,) lane axis; the
+# engine in ``run_batch`` and the single-step views share it, so the
+# views compute exactly the engine's arithmetic.
+
+
+def _dots(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<x_s, a_s> per lane for (S, d) iterates and measurements."""
+    return np.einsum("sd,sd->s", x, a)
+
+
+def _decay(schedule: str, lam: Optional[float], k: int) -> float:
+    """Step decay at step k: 1 (const), (k+1)^{-1/2} (root) or lam^{-k} (exp).
+
+    A scalar pow per step: numpy's vectorized lam ** -k differs from it
+    in the last bit for a few percent of k.
+    """
+    if schedule == "exp":
+        return lam ** (-float(k))
+    if schedule == "root":
+        return (k + 1) ** (-0.5)
+    return 1.0
+
+
+def _sign_coef(dot, y, step, gate: bool):
+    """Sign rule: returns (step * sign(y - pred), sign(y - pred)), sign(0) = 0.
+
+    With ``gate`` (the ``_relu`` methods) pred = max(dot, 0) and lanes
+    with dot < 0 get sign 0, so they do not move.
+    """
+    if gate:
+        sgn = np.sign(y - np.maximum(dot, 0.0)) * (dot >= 0.0)
+    else:
+        sgn = np.sign(y - dot)
+    return step * sgn, sgn
+
+
+def _tron_coef(dot, y, eta):
+    """GLM-Tron residual rule eta (y - max(0, dot)); no activity gate."""
+    return eta * (y - np.maximum(dot, 0.0))
+
+
+def _view(state: SolverState, a: np.ndarray, coef_of_dot) -> SolverState:
+    """One step of a rule on a single lane: x' = x + coef(<x, a>) a."""
+    coef = coef_of_dot(_dots(state.x[None, :], a[None, :]))
+    return SolverState(x=state.x + coef[0] * a, k=state.k + 1)
+
+
 def step_sgd_exp_linear(
     state: SolverState, a: np.ndarray, y: float, G: float, lam: float
 ) -> SolverState:
@@ -252,9 +299,8 @@ def step_sgd_exp_linear(
         raise ValueError("G must be positive")
     if not lam > 1:
         raise ValueError("lam must exceed 1")
-    s = np.sign(y - float(np.dot(state.x, a)))
-    x_new = state.x + (G * lam ** (-state.k) * s) * a
-    return SolverState(x=x_new, k=state.k + 1)
+    step = G * _decay("exp", lam, state.k)
+    return _view(state, a, lambda dot: _sign_coef(dot, y, step, False)[0])
 
 
 def step_sgd_exp_relu(
@@ -266,12 +312,8 @@ def step_sgd_exp_relu(
         raise ValueError("G must be positive")
     if not lam > 1:
         raise ValueError("lam must exceed 1")
-    dot = float(np.dot(state.x, a))
-    if dot < 0.0:
-        return SolverState(x=state.x.copy(), k=state.k + 1)
-    s = np.sign(y - max(dot, 0.0))
-    x_new = state.x + (G * lam ** (-state.k) * s) * a
-    return SolverState(x=x_new, k=state.k + 1)
+    step = G * _decay("exp", lam, state.k)
+    return _view(state, a, lambda dot: _sign_coef(dot, y, step, True)[0])
 
 
 def step_sgd_root(
@@ -281,15 +323,8 @@ def step_sgd_root(
     _require_unit(a)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    dot = float(np.dot(state.x, a))
-    if relu:
-        if dot < 0.0:
-            return SolverState(x=state.x.copy(), k=state.k + 1)
-        s = np.sign(y - max(dot, 0.0))
-    else:
-        s = np.sign(y - dot)
-    x_new = state.x + (gamma * (state.k + 1) ** (-0.5) * s) * a
-    return SolverState(x=x_new, k=state.k + 1)
+    step = gamma * _decay("root", None, state.k)
+    return _view(state, a, lambda dot: _sign_coef(dot, y, step, relu)[0])
 
 
 def step_glmtron(
@@ -308,20 +343,10 @@ def step_glmtron(
         raise ValueError(f"glmtron schedule must be one of {GLMTRON_SCHEDULES}")
     if m < 1:
         raise ValueError("m must be at least 1")
-    eta = _glmtron_eta(schedule, m, lam, state.k)
-    pred = max(float(np.dot(state.x, a)), 0.0)
-    x_new = state.x + (eta * (y - pred)) * a
-    return SolverState(x=x_new, k=state.k + 1)
-
-
-def _glmtron_eta(schedule: str, m: int, lam: Optional[float], k: int) -> float:
-    if schedule == "const":
-        return 1.0 / m
-    if schedule == "root":
-        return (k + 1) ** (-0.5) / m
-    if lam is None or not lam > 1.0:
+    if schedule == "exp" and (lam is None or not lam > 1.0):
         raise ValueError("glmtron exp schedule requires lam > 1")
-    return lam ** (-k) / m
+    eta = _decay(schedule, lam, state.k) / m
+    return _view(state, a, lambda dot: _tron_coef(dot, y, eta))
 
 
 def _spawn_streams(seed: int):
@@ -415,8 +440,6 @@ def run_batch(
     noise_rngs = [g[3] for g in gens]
 
     corr = stream.corruption
-    p = corr.p
-    is_flip = isinstance(corr, SignFlip)
     is_adversary = isinstance(corr, ResidualSignAdversary)
     is_oblivious = isinstance(corr, AdditiveOblivious)
 
@@ -455,6 +478,29 @@ def run_batch(
 
     step_viol = np.zeros(S, dtype=int)
     gate_viol = np.zeros(S, dtype=int)
+
+    # The method's rule, picked once; the step-law and gate audits cover the sign family.
+    if is_tron:
+
+        def coef_at(k, a, dot, y):
+            return _tron_coef(dot, y, _decay(spec.schedule, spec.lam, k) / spec.m)
+
+    else:
+        scale, schedule = (G_vec, "exp") if is_exp else (gamma_vec, "root")
+
+        def coef_at(k, a, dot, y):
+            nonlocal step_viol, gate_viol
+            stepk = scale * _decay(schedule, spec.lam, k)
+            coef, sgn = _sign_coef(dot, y, stepk, relu_solver)
+            if validate_steps:
+                if is_exp:
+                    dn = np.abs(coef) * np.linalg.norm(a, axis=1)
+                    moved = sgn != 0.0
+                    bad = np.where(moved, np.abs(dn - stepk) > 1e-12 * stepk, dn != 0.0)
+                    step_viol += bad
+                if relu_solver:
+                    gate_viol += (dot < 0.0) & (coef != 0.0)
+            return coef
 
     checkpoints = [[] for _ in range(S)]
     snaps, snap_ks = ([], []) if record_iterates else (None, None)
@@ -506,50 +552,18 @@ def run_batch(
             if relu_response:
                 np.maximum(clean, 0.0, out=clean)
 
+        # Only the adversary reads the iterate; every other channel runs once per block.
+        Y = None if is_adversary else apply_channel(corr, clean, XI, NU)
+
         for j in range(n):
             a = A[:, j, :]
-            dot = np.einsum("sd,sd->s", x, a)
-            pred_model = np.maximum(dot, 0.0) if relu_response else dot
-
-            y = clean[:, j]
-            if p > 0.0:
-                hit = XI[:, j] < p
-                if is_flip:
-                    y = np.where(hit, -y, y)
-                elif is_adversary:
-                    y = np.where(hit, 2.0 * pred_model - y, y)
-                elif is_oblivious:
-                    y = y + np.where(hit, NU[:, j], 0.0)
-
-            if is_tron:
-                pred = np.maximum(dot, 0.0)
-                eta = _glmtron_eta(spec.schedule, spec.m, spec.lam, k)
-                coef = eta * (y - pred)
+            dot = _dots(x, a)
+            if Y is None:
+                pred = np.maximum(dot, 0.0) if relu_response else dot
+                y = apply_channel(corr, clean[:, j], XI[:, j], pred=pred)
             else:
-                if relu_solver:
-                    pred = np.maximum(dot, 0.0)
-                    gate = dot >= 0.0
-                    sgn = np.sign(y - pred) * gate
-                else:
-                    sgn = np.sign(y - dot)
-                stepk = (
-                    G_vec * spec.lam ** (-float(k))
-                    if is_exp
-                    else gamma_vec * (k + 1) ** (-0.5)
-                )
-                coef = stepk * sgn
-                if validate_steps:
-                    if is_exp:
-                        dn = np.abs(coef) * np.linalg.norm(a, axis=1)
-                        moved = sgn != 0.0
-                        bad = np.where(
-                            moved, np.abs(dn - stepk) > 1e-12 * stepk, dn != 0.0
-                        )
-                        step_viol += bad
-                    if relu_solver:
-                        gate_viol += (dot < 0.0) & (coef != 0.0)
-
-            x += coef[:, None] * a
+                y = Y[:, j]
+            x += coef_at(k, a, dot, y)[:, None] * a
             k += 1
 
             if track_hit:

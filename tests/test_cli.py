@@ -1,10 +1,13 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgdexp.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture()
@@ -135,6 +138,13 @@ def test_drift_check(tmp_path, capsys):
     assert payload["K"] == 200
 
 
+def test_drift_check_readme_example(tmp_path):
+    config = str(CONFIGS / "oblivious_high_p.json")
+    code = main(["drift-check", config, "--ctilde", "0.7979", "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert (tmp_path / "drift_report.json").exists()
+
+
 def test_drift_check_window_violation_exits_nonzero(config_path, capsys):
     # lam = 1.01 at p=0.2, d=6 is far outside the admissible window
     code = main(["drift-check", str(config_path), "--ctilde", "0.8", "--quiet"])
@@ -180,3 +190,56 @@ def test_plot_from_csv(config_path, tmp_path):
     assert code == 0
     root = ET.parse(svg).getroot()
     assert len([e for e in root.iter() if e.tag.endswith("polyline")]) == 1
+
+
+@pytest.fixture()
+def dataset_config_path(tmp_path):
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((40, 3))
+    y = A @ np.array([1.0, -2.0, 0.5])
+    lines = ["f1,f2,f3,y"] + [
+        ",".join(format(v, ".17g") for v in [*row, resp]) for row, resp in zip(A, y)
+    ]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    path = tmp_path / "dataset.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 3,
+                "horizon": 300,
+                "seeds": [1, 2],
+                "checkpoint_every": 100,
+                "measurement": {
+                    "kind": "dataset_rows",
+                    "path": str(tmp_path / "data.csv"),
+                    "features": ["f1", "f2", "f3"],
+                    "response": "y",
+                },
+                "corruption": {"kind": "sign_flip", "p": 0.2},
+                "solvers": [
+                    {"name": "sgd-exp", "method": "sgd_exp_linear", "lam": 1.01, "G": 1.0}
+                ],
+                "metrics": ["clean_l2_loss"],
+            }
+        )
+    )
+    return path
+
+
+def test_run_dataset_config_clean_loss(dataset_config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(dataset_config_path), "--out-dir", str(out), "--quiet"]) == 0
+    assert (out / "results.csv").exists()
+    assert (out / "results.manifest.json").exists()
+    root = ET.parse(out / "results.svg").getroot()
+    assert len([e for e in root.iter() if e.tag.endswith("polyline")]) == 1
+
+
+def test_sweep_dataset_config_clean_loss(dataset_config_path, tmp_path):
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(dataset_config_path), "--p", "0.1,0.2", "--out-dir", str(out), "--quiet"])
+    assert code == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "solver,p,k,mean_value,n_seeds,metric"
+    assert len(lines) == 1 + 2 * 4
+    assert all(line.endswith(",2,clean_l2_loss") for line in lines[1:])

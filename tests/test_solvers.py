@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdexp.corruption import NoCorruption, SignFlip
-from sgdexp.measurement import GaussianSphere
+from sgdexp.corruption import (
+    AdditiveOblivious,
+    Gaussian,
+    NoCorruption,
+    ResidualSignAdversary,
+    SignFlip,
+    apply_channel,
+)
+from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block
 from sgdexp.solvers import (
     SolverSpec,
     SolverState,
     StreamSpec,
+    _dots,
     recommend_G,
     recommend_lambda,
     run,
@@ -384,3 +392,90 @@ class TestScaleEquivariance:
         base = self._run_scripted(1.0)
         scaled = self._run_scripted(3.0)
         assert np.allclose(scaled, 3.0 * base, rtol=1e-12)
+
+
+_REPLAY_T = 300
+_VIEWS = {
+    "sgd_exp_linear": lambda st, a, y, sp: step_sgd_exp_linear(st, a, y, sp.G, sp.lam),
+    "sgd_exp_relu": lambda st, a, y, sp: step_sgd_exp_relu(st, a, y, sp.G, sp.lam),
+    "sgd_root_linear": lambda st, a, y, sp: step_sgd_root(st, a, y, sp.gamma),
+    "sgd_root_relu": lambda st, a, y, sp: step_sgd_root(st, a, y, sp.gamma, relu=True),
+    "glmtron": lambda st, a, y, sp: step_glmtron(st, a, y, sp.schedule, sp.m, lam=sp.lam),
+}
+_REPLAY_SPECS = [
+    SolverSpec(method="sgd_exp_linear", d=5, T=_REPLAY_T, lam=1.01, G=0.8),
+    SolverSpec(method="sgd_exp_relu", d=5, T=_REPLAY_T, lam=1.01, G=0.8),
+    SolverSpec(method="sgd_root_linear", d=5, T=_REPLAY_T, gamma=0.5),
+    SolverSpec(method="sgd_root_relu", d=5, T=_REPLAY_T, gamma=0.5),
+    SolverSpec(method="glmtron", d=5, T=_REPLAY_T, schedule="const", m=3),
+    SolverSpec(method="glmtron", d=5, T=_REPLAY_T, schedule="root", m=3),
+    SolverSpec(method="glmtron", d=5, T=_REPLAY_T, lam=1.01, schedule="exp", m=3),
+]
+
+
+class TestEngineMatchesStepViews:
+    """Replaying a run's substreams through the single-step views gives
+    the engine's iterates bit for bit, for every method and channel."""
+
+    @staticmethod
+    def _replay(spec, stream, x_true, seed):
+        _, meas, xi_rng, noise_rng = (
+            np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4)
+        )
+        T = spec.T
+        A, idx = sample_block(stream.model, meas, T)
+        xi = xi_rng.random(T)
+        oblivious = isinstance(stream.corruption, AdditiveOblivious)
+        nu = stream.corruption.law.draw(noise_rng, T) if oblivious else np.zeros(T)
+        if idx is None:
+            clean = np.einsum("snd,sd->sn", A[None], x_true[None])[0]
+            if stream.relu:
+                clean = np.maximum(clean, 0.0)
+        else:
+            clean = stream.responses[idx] / stream.model.row_norms[idx]
+            nu = nu / stream.model.row_norms[idx]
+        state = SolverState(np.zeros(spec.d))
+        xs = [state.x]
+        for k in range(T):
+            pred = _dots(state.x[None, :], A[k][None, :])
+            if stream.relu:
+                pred = np.maximum(pred, 0.0)
+            y = apply_channel(
+                stream.corruption, clean[k : k + 1], xi[k : k + 1], nu[k : k + 1], pred=pred
+            )
+            state = _VIEWS[spec.method](state, A[k], y[0], spec)
+            xs.append(state.x)
+        return np.array(xs)
+
+    @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            NoCorruption(),
+            SignFlip(0.3),
+            ResidualSignAdversary(0.3),
+            AdditiveOblivious(0.3, Gaussian(2.0)),
+        ],
+        ids=["none", "sign_flip", "residual_sign", "oblivious"],
+    )
+    @pytest.mark.parametrize(
+        "spec", _REPLAY_SPECS, ids=lambda s: f"{s.method}-{s.schedule or 'step'}"
+    )
+    def test_bitwise_replay(self, spec, corruption, dataset):
+        relu = not spec.method.endswith("_linear")
+        rng = np.random.default_rng(11)
+        x_true = rng.standard_normal(spec.d)
+        if dataset:
+            rows = rng.standard_normal((30, spec.d))
+            stream = StreamSpec(
+                model=DatasetRows(rows),
+                corruption=corruption,
+                relu=relu,
+                responses=np.maximum(rows @ x_true, 0.0) if relu else rows @ x_true,
+            )
+        else:
+            stream = StreamSpec(model=GaussianSphere(spec.d), corruption=corruption, relu=relu)
+        traj = run(
+            spec, stream, x_true=x_true, checkpoint_every=1, seed=7, record_iterates=True
+        )
+        assert np.array_equal(traj.iterates, self._replay(spec, stream, x_true, seed=7))
