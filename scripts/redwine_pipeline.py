@@ -10,7 +10,6 @@ one corrupted pass (p=0.2, uniform noise on [-300, 300], lam=1.006).
 """
 
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from sgdexp.datasets import (
     evaluate_clean_loss,
     least_squares_baseline,
     load_red_wine,
+    red_wine_schema,
 )
 from sgdexp.experiment import run_experiment
 from sgdexp.results import emit_plot, emit_results
@@ -47,17 +47,12 @@ def main():
     print(f"least squares on corrupted responses, clean loss: {evaluate_clean_loss(x_bad, data):.2f}")
 
     config = load_config(ROOT / "configs" / "redwine.json")
-    raw = load_red_wine(path, z_score=False, center_response=False)
-    with tempfile.TemporaryDirectory() as td:
-        comma_copy = Path(td) / "winequality-red.csv"
-        with open(comma_copy, "w", encoding="utf-8") as fh:
-            fh.write(",".join(raw.feature_names + [raw.response_name]) + "\n")
-            for row, y in zip(raw.features, raw.responses):
-                fh.write(",".join(format(v, ".17g") for v in row) + f",{format(y, '.17g')}\n")
-        measurement = dict(config.measurement)
-        measurement["path"] = str(comma_copy)
-        config = config.with_updates(measurement=measurement)
-        trajectories = run_experiment(config)
+    delimiter, features, response = red_wine_schema(path)
+    measurement = dict(
+        config.measurement, path=str(path), features=features, response=response, delimiter=delimiter
+    )
+    config = config.with_updates(measurement=measurement)
+    trajectories = run_experiment(config)
 
     finals = [t.checkpoints[-1].clean_loss for t in trajectories]
     print(f"one-pass sign-SGD clean loss (mean over {len(finals)} seeds): {np.mean(finals):.4f}")

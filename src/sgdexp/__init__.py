@@ -1,6 +1,6 @@
 """Streaming robust regression with geometrically decaying step-size SGD."""
 
-from .config import ConfigError, ExperimentConfig, load_config, save_config, validate_config
+from .config import ConfigError, ExperimentConfig, load_config, validate_config
 from .corruption import (
     AdditiveOblivious,
     Gaussian,
@@ -40,8 +40,6 @@ from .measurement import (
     NormalizedRademacher,
     estimate_ctilde,
     exact_sphere_constant,
-    sample_measurement,
-    whiten,
 )
 from .results import emit_plot, emit_results, read_results_csv
 from .solvers import (

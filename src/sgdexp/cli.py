@@ -9,7 +9,6 @@ directory; --out-dir overrides both.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,13 +20,15 @@ from .config import ConfigError, load_config
 from .corruption import ResidualSignAdversary
 from .datasets import load_csv
 from .drift import drift_params, hitting_bound, mc_hitting_probability
-from .experiment import build_stream, draw_signals, resolve_solver, run_experiment, run_sweep
-from .measurement import (
-    GaussianSphere,
-    NormalizedIIDSubGaussian,
-    NormalizedRademacher,
-    estimate_ctilde,
+from .experiment import (
+    build_stream,
+    draw_signals,
+    resolve_solver,
+    run_experiment,
+    run_sweep,
+    synthetic_measurement,
 )
+from .measurement import estimate_ctilde
 from .results import emit_plot, emit_results, emit_sweep_csv, read_results_csv
 
 
@@ -131,9 +132,7 @@ def _cmd_drift_check(args) -> int:
         if signals is None:
             raise ConfigError("drift-check --mc requires a synthetic experiment")
         norms = np.linalg.norm(signals, axis=1)
-        spec, per_g, _ = resolve_solver(solver_cfg, config, norms)
-        if per_g is not None:
-            spec = dataclasses.replace(spec, G=float(per_g[0]))
+        spec, _, _ = resolve_solver(solver_cfg, config, norms)
         if not isinstance(stream.corruption, ResidualSignAdversary):
             _say(args, "note: corruption is not the residual-sign adversary; the bound still applies")
         mc = mc_hitting_probability(
@@ -151,14 +150,8 @@ def _cmd_drift_check(args) -> int:
 
 
 def _cmd_ctilde(args) -> int:
-    d = args.d
-    if args.model == "gaussian_sphere":
-        model = GaussianSphere(d)
-    elif args.model == "normalized_rademacher":
-        model = NormalizedRademacher(d)
-    elif args.model == "normalized_iid_subgaussian":
-        model = NormalizedIIDSubGaussian(d, base=args.base)
-    else:
+    model = synthetic_measurement(args.model, args.d, args.base)
+    if model is None:
         raise ConfigError(f"--model: unknown model {args.model!r}")
     rng = np.random.default_rng(args.seed or 0)
     est = estimate_ctilde(model, args.samples, rng, n_directions=args.directions)
@@ -166,7 +159,7 @@ def _cmd_ctilde(args) -> int:
         json.dumps(
             {
                 "model": args.model,
-                "d": d,
+                "d": args.d,
                 "value": est.value,
                 "stderr": est.stderr,
                 "n_samples": est.n_samples,

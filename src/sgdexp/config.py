@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .solvers import GLMTRON_SCHEDULES, METHODS
+from .solvers import GLMTRON_SCHEDULES, METHODS, RELU_METHODS
 
 MEASUREMENT_KINDS = (
     "gaussian_sphere",
@@ -66,7 +67,13 @@ def _int_at_least(minimum):
 def _number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        _fail(path, f"expected a finite number, got {v}")
+    return v
 
 
 def _positive(v, path):
@@ -372,8 +379,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         if "clean_l2_loss" in out["metrics"]:
             _fail("metrics", "clean_l2_loss requires a dataset_rows measurement")
         for i, s in enumerate(out["solvers"]):
-            wants_relu = s["method"].endswith("_relu") or s["method"] == "glmtron"
-            if wants_relu != (out["response"] == "relu"):
+            if (s["method"] in RELU_METHODS) != (out["response"] == "relu"):
                 _fail(
                     f"solvers[{i}].method",
                     f"{s['method']!r} is inconsistent with response={out['response']!r}",
@@ -403,9 +409,3 @@ def load_config(path) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return validate_config(data)
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

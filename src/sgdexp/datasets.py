@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def load_csv(
     model without an intercept needs when the features are centered.
 
     Raises ValueError naming the offending column for missing columns
-    and the (row, column) location for non-numeric cells.
+    and the (row, column) location for non-numeric or non-finite cells.
     """
     header, body = _parse_table(path, delimiter)
     feature_columns = list(feature_columns)
@@ -110,9 +110,12 @@ def load_csv(
             try:
                 value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ValueError(
-                    f"{path}: non-numeric cell {cell!r} at row {i + 2}, column {name!r}"
-                ) from None
+                    f"{path}: non-numeric or non-finite cell {cell!r} at row {i + 2}, "
+                    f"column {name!r}"
+                )
             if j < len(feature_columns):
                 X[i, j] = value
             else:
@@ -148,37 +151,37 @@ def load_csv(
     )
 
 
+def red_wine_schema(path):
+    """Returns (delimiter, feature columns, response column) of a red-wine CSV.
+
+    The comma schema uses the camelCase names of ``RED_WINE_FEATURES``;
+    the raw UCI export is semicolon separated with prose column names.
+    """
+    header, _ = _parse_table(path, ",")
+    if not (len(header) == 1 and ";" in header[0]):
+        return ",", list(RED_WINE_FEATURES), RED_WINE_RESPONSE
+    raw_header, _ = _parse_table(path, ";")
+    by_schema_name = {_UCI_WINE_NAMES.get(n, n): n for n in raw_header}
+    missing = [f for f in RED_WINE_FEATURES + [RED_WINE_RESPONSE] if f not in by_schema_name]
+    if missing:
+        raise ValueError(f"{path}: missing column {missing[0]!r}")
+    return ";", [by_schema_name[f] for f in RED_WINE_FEATURES], by_schema_name[RED_WINE_RESPONSE]
+
+
 def load_red_wine(path, z_score: bool = True, center_response: bool = True) -> DatasetMatrix:
     """Load the red-wine quality CSV in either schema (comma or UCI semicolon)."""
-    path = Path(path)
-    header, _ = _parse_table(path, ",")
-    if len(header) == 1 and ";" in header[0]:
-        # Raw UCI export: semicolon separated, prose column names.
-        raw_header, _ = _parse_table(path, ";")
-        tmp_features = [n.strip().strip('"') for n in raw_header]
-        mapped = [_UCI_WINE_NAMES.get(n, n) for n in tmp_features]
-        missing = [f for f in RED_WINE_FEATURES + [RED_WINE_RESPONSE] if f not in mapped]
-        if missing:
-            raise ValueError(f"{path}: missing column {missing[0]!r}")
-        inverse = {v: tmp_features[i] for i, v in enumerate(mapped)}
-        data = load_csv(
-            path,
-            [inverse[f] for f in RED_WINE_FEATURES],
-            inverse[RED_WINE_RESPONSE],
-            z_score=z_score,
-            center_response=center_response,
-            delimiter=";",
-        )
-        data.feature_names = list(RED_WINE_FEATURES)
-        data.response_name = RED_WINE_RESPONSE
-        return data
-    return load_csv(
+    delimiter, features, response = red_wine_schema(path)
+    data = load_csv(
         path,
-        RED_WINE_FEATURES,
-        RED_WINE_RESPONSE,
+        features,
+        response,
         z_score=z_score,
         center_response=center_response,
+        delimiter=delimiter,
     )
+    data.feature_names = list(RED_WINE_FEATURES)
+    data.response_name = RED_WINE_RESPONSE
+    return data
 
 
 def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False) -> float:

@@ -28,7 +28,7 @@ which differs only on measure-zero events.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -43,6 +43,8 @@ WINDOW_DEN = {"linear": 9.0, "relu": 49.0}
 RHO_DEN = {"linear": 60.0, "relu": 100.0}
 #: Denominators of the below-band ceiling D = exp(ctilde f / (den sqrt(d))).
 D_DEN = {"linear": 3.0, "relu": 6.0}
+#: One-step draws per block in the drift Monte Carlo validators.
+DRIFT_CHUNK = 20_000
 
 
 class DriftWindowError(ValueError):
@@ -278,16 +280,7 @@ def mc_hitting_probability(
         raise ValueError(
             f"invalid initialization: Y_0 = {y0:.6g} must be below a = {params.a:.6g}"
         )
-    run_spec = SolverSpec(
-        method=spec.method,
-        d=spec.d,
-        T=K,
-        lam=spec.lam,
-        G=spec.G,
-        gamma=spec.gamma,
-        schedule=spec.schedule,
-        m=spec.m,
-    )
+    run_spec = replace(spec, T=K)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_runs)]
     trajs = run_batch(
         run_spec,
@@ -346,11 +339,11 @@ def _state_vector(
     return math.sqrt(u_norm_sq) * direction
 
 
-def _one_step_mean(u, lam, model, adversary, n_samples, rng, chunk, value):
+def _one_step_mean(u, lam, model, adversary, n_samples, rng, value):
     """Mean and standard error of value(Y') over n_samples one-step draws from state u.
 
     Each draw is Y' = lam^2 ||u - s a||^2 with a fresh measurement a and
-    realized sign s, sampled ``chunk`` at a time.  The sums are shifted
+    realized sign s, sampled ``DRIFT_CHUNK`` at a time.  The sums are shifted
     by the first value so the variance does not cancel catastrophically.
     """
     total = 0.0
@@ -358,7 +351,7 @@ def _one_step_mean(u, lam, model, adversary, n_samples, rng, chunk, value):
     shift = None
     remaining = n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(DRIFT_CHUNK, remaining)
         A, _ = sample_block(model, rng, m)
         s = _realized_signs(A @ u, adversary, rng)
         w = u[None, :] - s[:, None] * A
@@ -386,7 +379,6 @@ def mc_drift_linear_term(
     n_samples: int,
     rng: np.random.Generator,
     direction=None,
-    chunk: int = 20_000,
 ) -> DriftTermReport:
     """In-band mean drift E[Y_{k+1} - Y_k] at a fixed state vs. its ceiling.
 
@@ -409,9 +401,7 @@ def mc_drift_linear_term(
         )
     u = _state_vector(u_norm_sq, d, rng, direction)
     y0 = float(np.dot(u, u))
-    est, se = _one_step_mean(
-        u, lam, model, adversary, n_samples, rng, chunk, lambda y1: y1 - y0
-    )
+    est, se = _one_step_mean(u, lam, model, adversary, n_samples, rng, lambda y1: y1 - y0)
     ceiling = (1.5 + lam * lam) - 2.0 * lam * lam * (1.0 - 2.0 * p) * ctilde / (
         math.sqrt(d) * math.sqrt(2.0 * ls1)
     )
@@ -436,7 +426,6 @@ def mc_drift_c2(
     rng: np.random.Generator,
     direction=None,
     regime: str = "linear",
-    chunk: int = 20_000,
 ) -> DriftTermReport:
     """Below-band moment E[e^{eta (Y_{k+1} - a)}] at a fixed state vs. the ceiling D.
 
@@ -454,7 +443,7 @@ def mc_drift_c2(
         )
     u = _state_vector(u_norm_sq, d, rng, direction)
     est, se = _one_step_mean(
-        u, lam, model, adversary, n_samples, rng, chunk,
+        u, lam, model, adversary, n_samples, rng,
         lambda y1: np.exp(params.eta * (y1 - params.a)),
     )
     return DriftTermReport(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -18,16 +19,26 @@ from .measurement import (
 from .solvers import SolverSpec, StreamSpec, recommend_G, run_batch, signal_rng
 
 
+def synthetic_measurement(kind: str, d: int, base: Optional[str]):
+    """Model of a synthetic measurement kind, or None for any other kind.
+
+    ``base`` only applies to normalized_iid_subgaussian.
+    """
+    if kind == "gaussian_sphere":
+        return GaussianSphere(d)
+    if kind == "normalized_rademacher":
+        return NormalizedRademacher(d)
+    if kind == "normalized_iid_subgaussian":
+        return NormalizedIIDSubGaussian(d, base=base)
+    return None
+
+
 def build_measurement(config: ExperimentConfig):
     """Instantiate the measurement model; returns (model, dataset-or-None)."""
     spec = config.measurement
-    kind = spec["kind"]
-    if kind == "gaussian_sphere":
-        return GaussianSphere(config.dimension), None
-    if kind == "normalized_rademacher":
-        return NormalizedRademacher(config.dimension), None
-    if kind == "normalized_iid_subgaussian":
-        return NormalizedIIDSubGaussian(config.dimension, base=spec["base"]), None
+    model = synthetic_measurement(spec["kind"], config.dimension, spec.get("base"))
+    if model is not None:
+        return model, None
     data = load_csv(
         spec["path"],
         spec["features"],
@@ -170,11 +181,11 @@ def run_experiment(config: ExperimentConfig, validate_steps: bool = True) -> lis
             checkpoint_every=config.checkpoint_every,
             validate_steps=validate_steps,
             record_iterates=want_clean,
-            label=solver_cfg["name"],
             per_seed_G=per_g,
             per_seed_gamma=per_gamma,
         )
         for traj in trajs:
+            traj.solver = solver_cfg["name"]
             traj.fingerprint = fingerprint
             if want_clean and data is not None:
                 for i, cp in enumerate(traj.checkpoints):

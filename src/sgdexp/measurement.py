@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 #: Relative tolerance used everywhere a vector is required to be unit norm.
 UNIT_NORM_RTOL = 1e-9
 
 #: Large-d limit of the sphere constant, sqrt(2/pi).
 GAUSSIAN_LIMIT_CONSTANT = math.sqrt(2.0 / math.pi)
+
+#: Measurement draws per block in ``estimate_ctilde``.
+CTILDE_CHUNK = 50_000
 
 
 @dataclass(frozen=True)
@@ -71,24 +73,23 @@ class DatasetRows:
     regression system unchanged.  Sampling is uniform with replacement.
     """
 
-    def __init__(self, rows, mode: str = "uniform_with_replacement"):
+    def __init__(self, rows):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("dataset has no rows")
-        if mode != "uniform_with_replacement":
-            raise ValueError(f"unknown sampling mode {mode!r}")
         norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("dataset contains a zero row; cannot normalize")
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("dataset contains a non-finite row; cannot normalize")
         self.rows = rows
-        self.mode = mode
         self.row_norms = norms
         self.unit_rows = rows / norms[:, None]
         self.d = rows.shape[1]
         self.n_rows = rows.shape[0]
 
     def __repr__(self):
-        return f"DatasetRows(n_rows={self.n_rows}, d={self.d}, mode={self.mode!r})"
+        return f"DatasetRows(n_rows={self.n_rows}, d={self.d})"
 
 
 MeasurementModel = Union[
@@ -155,12 +156,6 @@ def sample_block(model: MeasurementModel, rng: np.random.Generator, n: int):
     raise TypeError(f"unknown measurement model {model!r}")
 
 
-def sample_measurement(model: MeasurementModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single unit-norm measurement vector."""
-    A, _ = sample_block(model, rng, 1)
-    return A[0]
-
-
 def exact_sphere_constant(d: int) -> float:
     """sqrt(d) * E|<u, a>| for a uniform on S^{d-1} and any fixed unit u.
 
@@ -182,7 +177,6 @@ def estimate_ctilde(
     rng: np.random.Generator,
     n_directions: int = 32,
     directions=None,
-    chunk: int = 50_000,
 ) -> CtildeEstimate:
     """Estimate the anti-concentration constant of a measurement model.
 
@@ -217,7 +211,7 @@ def estimate_ctilde(
     remaining = n_samples
     scale = math.sqrt(d)
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(CTILDE_CHUNK, remaining)
         A, _ = sample_block(model, rng, m)
         z = scale * np.abs(A @ U.T)  # (m, n_dir)
         sums += z.sum(axis=0)
@@ -234,17 +228,3 @@ def estimate_ctilde(
         n_samples=n_samples,
         n_directions=n_dir,
     )
-
-
-def whiten(rows, covariance) -> np.ndarray:
-    """Standardize rows drawn with a known covariance.
-
-    Computes the Cholesky factor L of the SPD ``covariance`` and returns
-    L^{-1} row for each row, so that whitened sqrt(d)-scaled rows are
-    asymptotically isotropic.  Raises ``numpy.linalg.LinAlgError`` when
-    the covariance is not positive definite.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    covariance = np.asarray(covariance, dtype=float)
-    L = np.linalg.cholesky(covariance)
-    return solve_triangular(L, rows.T, lower=True).T

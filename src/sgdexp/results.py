@@ -32,7 +32,7 @@ def _fmt(v) -> str:
     return "" if v is None else format(float(v), ".17g")
 
 
-def emit_results(trajectories, out_dir, basename: str = "results"):
+def emit_results(trajectories, out_dir):
     """Write the trajectory CSV and its JSON manifest.
 
     Returns (csv_path, manifest_path).  Every byte of both files is
@@ -43,8 +43,8 @@ def emit_results(trajectories, out_dir, basename: str = "results"):
         raise ValueError("no trajectories to emit")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{basename}.csv"
-    manifest_path = out_dir / f"{basename}.manifest.json"
+    csv_path = out_dir / "results.csv"
+    manifest_path = out_dir / "results.manifest.json"
 
     ordered = sorted(trajectories, key=lambda t: (t.solver, t.seed))
     with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
@@ -246,13 +246,13 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     return path
 
 
-def emit_sweep_csv(rows, out_dir, basename: str = "sweep"):
+def emit_sweep_csv(rows, out_dir):
     """Write the sweep result table; one row per (solver, p, checkpoint)."""
     if not rows:
         raise ValueError("no sweep rows to emit")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{basename}.csv"
+    path = out_dir / "sweep.csv"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["solver", "p", "k", "mean_value", "n_seeds", "metric"])

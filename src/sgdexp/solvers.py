@@ -42,6 +42,8 @@ METHODS = (
     "sgd_root_relu",
     "glmtron",
 )
+#: Methods that fit a ReLU response: the ``_relu`` sign methods and GLM-Tron.
+RELU_METHODS = ("sgd_exp_relu", "sgd_root_relu", "glmtron")
 GLMTRON_SCHEDULES = ("const", "root", "exp")
 
 #: Theorem-side dimension thresholds: ctilde * factor / sqrt(d) must stay
@@ -382,7 +384,6 @@ def run_batch(
     record_iterates: bool = False,
     x0: Optional[np.ndarray] = None,
     hitting_level: Optional[float] = None,
-    label: Optional[str] = None,
     per_seed_G: Optional[np.ndarray] = None,
     per_seed_gamma: Optional[np.ndarray] = None,
 ) -> list:
@@ -444,7 +445,7 @@ def run_batch(
     is_oblivious = isinstance(corr, AdditiveOblivious)
 
     relu_response = stream.relu
-    relu_solver = method.endswith("_relu") or method == "glmtron"
+    relu_solver = method in RELU_METHODS
     is_exp = method.startswith("sgd_exp")
     is_root = method.startswith("sgd_root")
     is_tron = method == "glmtron"
@@ -579,7 +580,7 @@ def run_batch(
     for s_i in range(S):
         out.append(
             Trajectory(
-                solver=label or method,
+                solver=method,
                 seed=seeds[s_i],
                 checkpoints=checkpoints[s_i],
                 x_final=x[s_i].copy(),

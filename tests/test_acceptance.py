@@ -19,6 +19,7 @@ from sgdexp.datasets import (
     evaluate_clean_loss,
     least_squares_baseline,
     load_red_wine,
+    red_wine_schema,
 )
 from sgdexp.drift import (
     drift_params,
@@ -296,7 +297,7 @@ def _wine_path():
     return None
 
 
-def test_c09_dataset_pipeline(tmp_path):
+def test_c09_dataset_pipeline():
     path = _wine_path()
     if path is None:
         # dataset absent: the criterion falls back to the planted oracle
@@ -324,15 +325,8 @@ def test_c09_dataset_pipeline(tmp_path):
     corrupted_data = DatasetMatrix(features=data.features, responses=corrupted)
     corrupted_ls_loss = evaluate_clean_loss(least_squares_baseline(corrupted_data), data)
 
-    # rewrite the raw file in the comma schema so the config pipeline owns
-    # all preprocessing (the UCI export is semicolon-separated)
-    raw = load_red_wine(path, z_score=False, center_response=False)
-    comma_copy = tmp_path / "winequality-red.csv"
-    with open(comma_copy, "w", encoding="utf-8") as fh:
-        fh.write(",".join(raw.feature_names + [raw.response_name]) + "\n")
-        for row, y in zip(raw.features, raw.responses):
-            fh.write(",".join(format(v, ".17g") for v in row) + f",{format(y, '.17g')}\n")
-
+    # the config pipeline owns all preprocessing, in the file's own schema
+    delimiter, features, response = red_wine_schema(path)
     config = validate_config(
         {
             "dimension": 10,
@@ -341,9 +335,10 @@ def test_c09_dataset_pipeline(tmp_path):
             "checkpoint_every": 1599,
             "measurement": {
                 "kind": "dataset_rows",
-                "path": str(comma_copy),
-                "features": data.feature_names,
-                "response": data.response_name,
+                "path": str(path),
+                "features": features,
+                "response": response,
+                "delimiter": delimiter,
                 "z_score": True,
                 "center_response": True,
             },

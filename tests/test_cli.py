@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgdexp
 from sgdexp.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -53,6 +57,18 @@ def test_invalid_config_nonzero_with_diagnostic(tmp_path, capsys):
     assert code != 0
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+def test_cli_import_loads_no_scipy():
+    # every sgdexp process starts by importing the CLI; keep that import numpy-only
+    src = str(Path(sgdexp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, sgdexp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_file_nonzero(capsys):

@@ -1,8 +1,11 @@
 import json
+import math
+import re
 
 import pytest
 
-from sgdexp.config import ConfigError, load_config, save_config, validate_config
+from sgdexp.cli import main
+from sgdexp.config import ConfigError, load_config, validate_config
 
 
 def minimal():
@@ -41,17 +44,6 @@ def test_unknown_key_rejected_with_path():
     data["frobnicate"] = True
     with pytest.raises(ConfigError, match="frobnicate"):
         validate_config(data)
-
-
-def test_round_trip_identity(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(minimal()))
-    cfg = load_config(path)
-    out = tmp_path / "round.json"
-    save_config(cfg, out)
-    again = load_config(out)
-    assert again == cfg
-    assert again.fingerprint() == cfg.fingerprint()
 
 
 def test_fingerprint_stable_under_reserialization():
@@ -182,3 +174,39 @@ def test_oblivious_law_required():
     data["corruption"]["law"] = {"kind": "gaussian", "variance": -3}
     with pytest.raises(ConfigError, match=r"corruption\.law\.variance"):
         validate_config(data)
+
+
+def _fixed_signal(value):
+    def spoil(data):
+        values = [1.0] * data["dimension"]
+        values[3] = value
+        data["signal"] = {"kind": "fixed", "values": values}
+
+    return spoil
+
+
+NON_FINITE = [
+    pytest.param("solvers[0].G", lambda d: d["solvers"][0].update(G=math.inf), id="G-inf"),
+    pytest.param("solvers[0].G", lambda d: d["solvers"][0].update(G=10**400), id="G-overflow"),
+    pytest.param("solvers[0].lam", lambda d: d["solvers"][0].update(lam=math.inf), id="lam-inf"),
+    pytest.param("ctilde", lambda d: d.update(ctilde=math.inf), id="ctilde-inf"),
+    pytest.param("signal.values[3]", _fixed_signal(math.nan), id="signal-nan"),
+    pytest.param("signal.values[3]", _fixed_signal(-math.inf), id="signal-neg-inf"),
+]
+
+
+@pytest.mark.parametrize("path, spoil", NON_FINITE)
+def test_non_finite_number_rejected(path, spoil, tmp_path, capsys):
+    data = minimal()
+    spoil(data)
+    with pytest.raises(ConfigError, match=re.escape(path) + ": expected a finite number"):
+        validate_config(data)
+
+    # the CLI fails up front: one diagnostic line, no output files
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(data))  # writes Infinity / NaN literals
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -13,6 +13,7 @@ from sgdexp.datasets import (
     least_squares_baseline,
     load_csv,
     load_red_wine,
+    red_wine_schema,
 )
 
 WINE_PATHS = [
@@ -72,6 +73,23 @@ def test_non_numeric_cell_located(tmp_path):
     path.write_text("a,y\n1,2\noops,3\n")
     with pytest.raises(ValueError, match=r"row 3.*'a'"):
         load_csv(path, ["a"], "y")
+
+
+@pytest.mark.parametrize(
+    "body, location",
+    [
+        ("1,2\nnan,3\n", r"row 3, column 'a'"),
+        ("1,2\ninf,3\n", r"row 3, column 'a'"),
+        ("1,2\n2,-Infinity\n", r"row 3, column 'y'"),
+    ],
+    ids=["nan", "inf", "response-neg-inf"],
+)
+def test_non_finite_cell_located(tmp_path, body, location):
+    # a NaN cell would otherwise turn the whole z-scored column into NaN
+    path = tmp_path / "bad.csv"
+    path.write_text("a,y\n" + body)
+    with pytest.raises(ValueError, match="non-finite cell .*" + location):
+        load_csv(path, ["a"], "y", z_score=True)
 
 
 def test_constant_column_cannot_z_score(tmp_path):
@@ -183,6 +201,28 @@ class TestRedWineLoader:
         assert data.response_name == RED_WINE_RESPONSE
         assert data.m == 12 and data.d == 10
         assert data.responses[0] == 10.0
+
+    def test_schema_of_each_layout(self, tmp_path):
+        uci = tmp_path / "uci.csv"
+        uci.write_text(
+            '"fixed acidity";"volatile acidity";"citric acid";"residual sugar";'
+            '"chlorides";"free sulfur dioxide";"density";"pH";"sulphates";"alcohol";'
+            '"quality"\n' + ";".join(["1"] * 11) + "\n"
+        )
+        delimiter, features, response = red_wine_schema(uci)
+        assert delimiter == ";"
+        assert features[0] == "fixed acidity" and features[-1] == "alcohol"
+        assert len(features) == 10 and response == "quality"
+
+        comma = tmp_path / "wine.csv"
+        comma.write_text(",".join(RED_WINE_FEATURES + [RED_WINE_RESPONSE]) + "\n")
+        assert red_wine_schema(comma) == (",", RED_WINE_FEATURES, RED_WINE_RESPONSE)
+
+    def test_uci_schema_missing_column(self, tmp_path):
+        path = tmp_path / "uci.csv"
+        path.write_text("fixed acidity;quality\n1;2\n")
+        with pytest.raises(ValueError, match="missing column 'volatileAcidity'"):
+            red_wine_schema(path)
 
     def test_comma_schema(self, tmp_path):
         path = tmp_path / "wine.csv"

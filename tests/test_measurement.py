@@ -16,8 +16,6 @@ from sgdexp.measurement import (
     estimate_ctilde,
     exact_sphere_constant,
     sample_block,
-    sample_measurement,
-    whiten,
 )
 
 MODELS = [
@@ -31,7 +29,7 @@ MODELS = [
 
 def test_sphere_d1_is_plus_minus_one():
     rng = np.random.default_rng(0)
-    draws = [sample_measurement(GaussianSphere(1), rng)[0] for _ in range(50)]
+    draws = [sample_block(GaussianSphere(1), rng, 1)[0][0][0] for _ in range(50)]
     assert all(v in (1.0, -1.0) for v in draws)
     assert len(set(draws)) == 2  # both signs occur
 
@@ -54,7 +52,7 @@ def test_unit_norm_all_variants(model):
 def test_unit_norm_property(d, seed):
     rng = np.random.default_rng(seed)
     for model in (GaussianSphere(d), NormalizedRademacher(d), NormalizedIIDSubGaussian(d)):
-        a = sample_measurement(model, rng)
+        a = sample_block(model, rng, 1)[0][0]
         assert abs(np.linalg.norm(a) - 1.0) <= 1e-9
 
 
@@ -83,7 +81,7 @@ def test_block_matches_sequential_draws():
     model = GaussianSphere(5)
     block, _ = sample_block(model, np.random.default_rng(9), 20)
     rng = np.random.default_rng(9)
-    singles = np.array([sample_measurement(model, rng) for _ in range(20)])
+    singles = np.array([sample_block(model, rng, 1)[0][0] for _ in range(20)])
     assert np.array_equal(block, singles)
 
 
@@ -97,9 +95,10 @@ def test_dataset_rows_zero_row_errors():
         DatasetRows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-def test_dataset_rows_unknown_mode_errors():
-    with pytest.raises(ValueError, match="sampling mode"):
-        DatasetRows(np.eye(3), mode="cycle")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dataset_rows_non_finite_row_errors(bad):
+    with pytest.raises(ValueError, match="non-finite row"):
+        DatasetRows(np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
 def test_dataset_rows_samples_unit_rows():
@@ -180,50 +179,3 @@ def test_exact_sphere_constant_limits():
     assert exact_sphere_constant(2) == pytest.approx(0.9003163161571061, rel=1e-12)
     assert exact_sphere_constant(10_000) == pytest.approx(GAUSSIAN_LIMIT_CONSTANT, rel=1e-4)
 
-
-class TestWhiten:
-    def test_identity_covariance_is_noop(self):
-        rows = np.random.default_rng(0).standard_normal((5, 3))
-        out = whiten(rows, np.eye(3))
-        assert np.allclose(out, rows, rtol=0, atol=1e-14)
-
-    def test_diagonal_forced_arithmetic(self):
-        out = whiten(np.array([[2.0, 3.0]]), np.diag([4.0, 1.0]))
-        assert np.allclose(out, [[1.0, 3.0]], rtol=1e-14)
-
-    def test_against_triangular_solve_oracle(self):
-        cov = np.array([[2.0, 1.0], [1.0, 2.0]])
-        row = np.array([1.0, 1.0])
-        out = whiten(row, cov)[0]
-        L = np.linalg.cholesky(cov)
-        oracle = np.linalg.solve(L, row)  # dense solve of L w = row
-        assert np.allclose(out, oracle, rtol=1e-12)
-
-    @given(c=st.floats(min_value=0.01, max_value=100.0), seed=st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_scalar_covariance_scales_rows(self, c, seed):
-        rows = np.random.default_rng(seed).standard_normal((4, 3))
-        out = whiten(rows, c * np.eye(3))
-        assert np.allclose(out, rows / math.sqrt(c), rtol=1e-12)
-
-    def test_non_spd_raises_factorization_error(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            whiten(np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_whitening_isotropizes(self):
-        # rows with known covariance become isotropic after whitening
-        rng = np.random.default_rng(8)
-        d, n = 4, 200_000
-        L_true = np.array(
-            [
-                [2.0, 0.0, 0.0, 0.0],
-                [0.6, 1.5, 0.0, 0.0],
-                [-0.3, 0.2, 1.0, 0.0],
-                [0.1, -0.4, 0.5, 0.8],
-            ]
-        )
-        cov = L_true @ L_true.T
-        rows = rng.standard_normal((n, d)) @ L_true.T / math.sqrt(d)
-        W = math.sqrt(d) * whiten(rows, cov)
-        emp = W.T @ W / n
-        assert np.max(np.abs(emp - np.eye(d))) < 0.05
