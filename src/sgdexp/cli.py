@@ -108,8 +108,8 @@ def _cmd_drift_check(args) -> int:
     p = 0.0 if config.corruption["kind"] == "none" else config.corruption["p"]
 
     ctilde = args.ctilde if args.ctilde is not None else config.ctilde
+    stream = build_stream(config) if ctilde is None or args.mc else None
     if ctilde is None:
-        stream, _ = build_stream(config)
         est = estimate_ctilde(
             stream.model, 200_000, np.random.default_rng(args.seed or 0), n_directions=16
         )
@@ -127,7 +127,6 @@ def _cmd_drift_check(args) -> int:
     }
 
     if args.mc:
-        stream, _ = build_stream(config)
         signals = draw_signals(config)
         if signals is None:
             raise ConfigError("drift-check --mc requires a synthetic experiment")

@@ -41,16 +41,12 @@ _UCI_WINE_NAMES = {
 
 @dataclass
 class DatasetMatrix:
-    """Feature matrix plus responses with a record of applied preprocessing."""
+    """Feature matrix plus responses."""
 
     features: np.ndarray  # (m, d)
     responses: np.ndarray  # (m,)
     feature_names: list = field(default_factory=list)
     response_name: str = ""
-    centered: bool = False
-    z_scored: bool = False
-    row_normalized: bool = False
-    response_centered: bool = False
 
     @property
     def m(self) -> int:
@@ -144,10 +140,6 @@ def load_csv(
         responses=y,
         feature_names=feature_columns,
         response_name=response_column,
-        centered=center,
-        z_scored=z_score,
-        row_normalized=row_normalize,
-        response_centered=center_response,
     )
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .corruption import CorruptionSpec, NoCorruption, ResidualSignAdversary
 from .measurement import MeasurementModel, sample_block
-from .solvers import SolverSpec, StreamSpec, run_batch
+from .solvers import SolverSpec, StreamSpec, _corruption_factor, run_batch
 
 #: Denominators of the admissible step-decay window lam^2 - 1 <= ctilde^2 f^2 / (den d).
 WINDOW_DEN = {"linear": 9.0, "relu": 49.0}
@@ -102,18 +102,6 @@ class DriftTermReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _corruption_factor(p: float, noise: str) -> float:
-    if noise == "massart":
-        if not 0.0 <= p < 0.5:
-            raise ValueError("massart noise requires 0 <= p < 0.5")
-        return 1.0 - 2.0 * p
-    if noise == "oblivious":
-        if not 0.0 <= p < 1.0:
-            raise ValueError("oblivious noise requires 0 <= p < 1")
-        return 1.0 - p
-    raise ValueError(f"noise must be 'massart' or 'oblivious', got {noise!r}")
 
 
 def drift_params(
@@ -204,11 +192,9 @@ def theorem_error_bound(G: float, ctilde: float, R: float, d: int, p: float, T: 
     """Error bound G (2 ctilde sqrt(R d) ln T / (1-2p)) exp(-T ctilde^2 (1-2p)^2 / (3 R d ln^2 T))."""
     if T < 2:
         raise ValueError("T must be at least 2")
-    if not 0.0 <= p < 0.5:
-        raise ValueError("requires p < 1/2")
+    f = _corruption_factor(p, "massart")
     if not R > 0:
         raise ValueError("R must be positive")
-    f = 1.0 - 2.0 * p
     log_t = math.log(T)
     prefactor = G * 2.0 * ctilde * math.sqrt(R * d) * log_t / f
     return prefactor * math.exp(-T * (ctilde * f) ** 2 / (3.0 * R * d * log_t**2))
@@ -227,11 +213,9 @@ def theorem_failure_probability(
         raise ValueError(f"regime must be 'linear' or 'relu', got {regime!r}")
     if T < 2:
         raise ValueError("T must be at least 2")
-    if not 0.0 <= p < 0.5:
-        raise ValueError("requires p < 1/2")
+    f = _corruption_factor(p, "massart")
     if not R > 0:
         raise ValueError("R must be positive")
-    f = 1.0 - 2.0 * p
     coeff, div = (70.0, 15.0) if regime == "linear" else (120.0, 20.0)
     return (coeff * d / (ctilde * f) ** 2) * T ** (1.0 - math.sqrt(R) / div)
 

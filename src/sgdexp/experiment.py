@@ -9,7 +9,7 @@ import numpy as np
 
 from . import corruption as corr_mod
 from .config import ConfigError, ExperimentConfig
-from .datasets import DatasetMatrix, evaluate_clean_loss, load_csv
+from .datasets import load_csv
 from .measurement import (
     DatasetRows,
     GaussianSphere,
@@ -75,19 +75,14 @@ def build_corruption(config: ExperimentConfig):
     return corr_mod.AdditiveOblivious(spec["p"], noise)
 
 
-def build_stream(config: ExperimentConfig):
-    """Returns (StreamSpec, DatasetMatrix-or-None)."""
+def build_stream(config: ExperimentConfig) -> StreamSpec:
+    """The config's measurement model, corruption channel and response link."""
     model, data = build_measurement(config)
-    channel = build_corruption(config)
-    responses = data.responses if data is not None else None
-    return (
-        StreamSpec(
-            model=model,
-            corruption=channel,
-            relu=(config.response == "relu"),
-            responses=responses,
-        ),
-        data,
+    return StreamSpec(
+        model=model,
+        corruption=build_corruption(config),
+        relu=(config.response == "relu"),
+        responses=data.responses if data is not None else None,
     )
 
 
@@ -162,12 +157,11 @@ def resolve_solver(solver_cfg: dict, config: ExperimentConfig, signal_norms=None
     return spec, per_seed_G, per_seed_gamma
 
 
-def run_experiment(config: ExperimentConfig, validate_steps: bool = True) -> list:
+def run_experiment(config: ExperimentConfig) -> list:
     """Run every (solver, seed) cell of the config; returns Trajectory list."""
-    stream, data = build_stream(config)
+    stream = build_stream(config)
     signals = draw_signals(config)
     norms = np.linalg.norm(signals, axis=1) if signals is not None else None
-    want_clean = "clean_l2_loss" in config.metrics
     fingerprint = config.fingerprint()
 
     trajectories = []
@@ -179,21 +173,12 @@ def run_experiment(config: ExperimentConfig, validate_steps: bool = True) -> lis
             config.seeds,
             x_true=signals,
             checkpoint_every=config.checkpoint_every,
-            validate_steps=validate_steps,
-            record_iterates=want_clean,
             per_seed_G=per_g,
             per_seed_gamma=per_gamma,
         )
         for traj in trajs:
             traj.solver = solver_cfg["name"]
             traj.fingerprint = fingerprint
-            if want_clean and data is not None:
-                for i, cp in enumerate(traj.checkpoints):
-                    cp.clean_loss = evaluate_clean_loss(
-                        traj.iterates[i], data, relu=(config.response == "relu")
-                    )
-                traj.iterates = None
-                traj.iterate_ks = None
         trajectories.extend(trajs)
     return trajectories
 

@@ -28,6 +28,7 @@ from .corruption import (
     ResidualSignAdversary,
     apply_channel,
 )
+from .datasets import DatasetMatrix, evaluate_clean_loss
 from .measurement import (
     DatasetRows,
     MeasurementModel,
@@ -158,6 +159,19 @@ class Trajectory:
     hit_k: Optional[int] = None  # first k with Y_k >= hitting level, if tracked
 
 
+def _corruption_factor(p: float, mode: str) -> float:
+    """Corruption margin f: 1 - 2p (massart, p < 0.5) or 1 - p (oblivious, p < 1)."""
+    if mode == "massart":
+        if not 0.0 <= p < 0.5:
+            raise ValueError("massart corruption requires 0 <= p < 0.5")
+        return 1.0 - 2.0 * p
+    if mode == "oblivious":
+        if not 0.0 <= p < 1.0:
+            raise ValueError("oblivious corruption requires 0 <= p < 1")
+        return 1.0 - p
+    raise ValueError(f"corruption mode must be 'massart' or 'oblivious', got {mode!r}")
+
+
 def recommend_lambda(
     d: int,
     p: float,
@@ -175,8 +189,7 @@ def recommend_lambda(
     logarithms throughout.  Diagnostic warnings flag settings outside
     the convergence guarantee; they do not block the recommendation.
     """
-    if mode not in ("massart", "oblivious"):
-        raise ValueError(f"mode must be 'massart' or 'oblivious', got {mode!r}")
+    factor = _corruption_factor(p, mode)
     if regime not in ("linear", "relu"):
         raise ValueError(f"regime must be 'linear' or 'relu', got {regime!r}")
     if d < 1:
@@ -187,14 +200,7 @@ def recommend_lambda(
         raise ValueError("R must be positive")
     if not ctilde > 0:
         raise ValueError("ctilde must be positive")
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    if mode == "massart" and p >= 0.5:
-        raise ValueError("massart mode requires p < 0.5")
-    if mode == "oblivious" and p >= 1.0:
-        raise ValueError("oblivious mode requires p < 1")
 
-    factor = (1.0 - 2.0 * p) if mode == "massart" else (1.0 - p)
     log_t = math.log(T)
     q = (ctilde * factor) ** 2 / (R * d * log_t**2)
     lam = math.sqrt(1.0 + q)
@@ -269,16 +275,14 @@ def _decay(schedule: str, lam: Optional[float], k: int) -> float:
 
 
 def _sign_coef(dot, y, step, gate: bool):
-    """Sign rule: returns (step * sign(y - pred), sign(y - pred)), sign(0) = 0.
+    """Sign rule step * sign(y - pred), sign(0) = 0.
 
     With ``gate`` (the ``_relu`` methods) pred = max(dot, 0) and lanes
     with dot < 0 get sign 0, so they do not move.
     """
     if gate:
-        sgn = np.sign(y - np.maximum(dot, 0.0)) * (dot >= 0.0)
-    else:
-        sgn = np.sign(y - dot)
-    return step * sgn, sgn
+        return step * (np.sign(y - np.maximum(dot, 0.0)) * (dot >= 0.0))
+    return step * np.sign(y - dot)
 
 
 def _tron_coef(dot, y, eta):
@@ -302,7 +306,7 @@ def step_sgd_exp_linear(
     if not lam > 1:
         raise ValueError("lam must exceed 1")
     step = G * _decay("exp", lam, state.k)
-    return _view(state, a, lambda dot: _sign_coef(dot, y, step, False)[0])
+    return _view(state, a, lambda dot: _sign_coef(dot, y, step, False))
 
 
 def step_sgd_exp_relu(
@@ -315,7 +319,7 @@ def step_sgd_exp_relu(
     if not lam > 1:
         raise ValueError("lam must exceed 1")
     step = G * _decay("exp", lam, state.k)
-    return _view(state, a, lambda dot: _sign_coef(dot, y, step, True)[0])
+    return _view(state, a, lambda dot: _sign_coef(dot, y, step, True))
 
 
 def step_sgd_root(
@@ -326,7 +330,7 @@ def step_sgd_root(
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     step = gamma * _decay("root", None, state.k)
-    return _view(state, a, lambda dot: _sign_coef(dot, y, step, relu)[0])
+    return _view(state, a, lambda dot: _sign_coef(dot, y, step, relu))
 
 
 def step_glmtron(
@@ -402,6 +406,12 @@ def run_batch(
     With ``hitting_level`` set (sgd_exp methods only), tracks
     Y_k = lam^{2k} ||x_true - x_k||^2 / G^2 each step and records the
     first k where Y_k reaches the level.
+
+    Checkpoints of DatasetRows streams carry the clean loss of the
+    iterate against the stream's rows and responses.  With
+    ``validate_steps`` the sign methods count, once per block, steps
+    whose length differs from the scheduled step (sgd_exp) and steps
+    taken at <x, a> < 0 (the ReLU methods).
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
@@ -436,9 +446,6 @@ def run_batch(
             raise ValueError(f"x0 must have shape ({d},) or ({S}, {d})")
 
     gens = [_spawn_streams(s) for s in seeds]
-    meas_rngs = [g[1] for g in gens]
-    xi_rngs = [g[2] for g in gens]
-    noise_rngs = [g[3] for g in gens]
 
     corr = stream.corruption
     is_adversary = isinstance(corr, ResidualSignAdversary)
@@ -447,61 +454,36 @@ def run_batch(
     relu_response = stream.relu
     relu_solver = method in RELU_METHODS
     is_exp = method.startswith("sgd_exp")
-    is_root = method.startswith("sgd_root")
     is_tron = method == "glmtron"
 
     if is_dataset:
         resp = np.asarray(stream.responses, dtype=float)
         row_norms = stream.model.row_norms
+        data = DatasetMatrix(features=stream.model.rows, responses=resp)
 
-    G_vec = gamma_vec = None
-    if is_exp:
-        G_vec = np.full(S, spec.G) if per_seed_G is None else np.asarray(per_seed_G, dtype=float)
-        if G_vec.shape != (S,) or not np.all(G_vec > 0):
-            raise ValueError("per_seed_G must be positive with one entry per seed")
-    if is_root:
-        gamma_vec = (
-            np.full(S, spec.gamma)
-            if per_seed_gamma is None
-            else np.asarray(per_seed_gamma, dtype=float)
-        )
-        if gamma_vec.shape != (S,) or not np.all(gamma_vec > 0):
-            raise ValueError("per_seed_gamma must be positive with one entry per seed")
+    # Step sizes: per-lane scale times decay for the sign family, decay / m for GLM-Tron.
+    if is_tron:
+        schedule = spec.schedule
+    else:
+        schedule, name = ("exp", "G") if is_exp else ("root", "gamma")
+        per_seed = per_seed_G if is_exp else per_seed_gamma
+        scale = np.full(S, getattr(spec, name)) if per_seed is None else np.asarray(per_seed, dtype=float)
+        if scale.shape != (S,) or not np.all(scale > 0):
+            raise ValueError(f"per_seed_{name} must be positive with one entry per seed")
 
     track_hit = hitting_level is not None
     if track_hit:
         lam2 = spec.lam * spec.lam
-        g_sq = G_vec * G_vec
+        g_sq = scale * scale
         lam2k = 1.0
         hit_k = np.full(S, -1, dtype=int)
         y0 = (xt_norms**2) / g_sq
         hit_k[y0 >= hitting_level] = 0
 
+    # The step-law and gate audits cover the sign family, once per block.
+    audit = validate_steps and not is_tron
     step_viol = np.zeros(S, dtype=int)
     gate_viol = np.zeros(S, dtype=int)
-
-    # The method's rule, picked once; the step-law and gate audits cover the sign family.
-    if is_tron:
-
-        def coef_at(k, a, dot, y):
-            return _tron_coef(dot, y, _decay(spec.schedule, spec.lam, k) / spec.m)
-
-    else:
-        scale, schedule = (G_vec, "exp") if is_exp else (gamma_vec, "root")
-
-        def coef_at(k, a, dot, y):
-            nonlocal step_viol, gate_viol
-            stepk = scale * _decay(schedule, spec.lam, k)
-            coef, sgn = _sign_coef(dot, y, stepk, relu_solver)
-            if validate_steps:
-                if is_exp:
-                    dn = np.abs(coef) * np.linalg.norm(a, axis=1)
-                    moved = sgn != 0.0
-                    bad = np.where(moved, np.abs(dn - stepk) > 1e-12 * stepk, dn != 0.0)
-                    step_viol += bad
-                if relu_solver:
-                    gate_viol += (dot < 0.0) & (coef != 0.0)
-            return coef
 
     checkpoints = [[] for _ in range(S)]
     snaps, snap_ks = ([], []) if record_iterates else (None, None)
@@ -515,8 +497,9 @@ def run_batch(
                 if Xt is not None and xt_norms[s_i] > 0
                 else None
             )
+            loss = evaluate_clean_loss(x[s_i], data, relu=relu_response) if is_dataset else None
             checkpoints[s_i].append(
-                Checkpoint(k=k, relative_error=rel, clean_loss=None, elapsed_seconds=elapsed)
+                Checkpoint(k=k, relative_error=rel, clean_loss=loss, elapsed_seconds=elapsed)
             )
         if record_iterates:
             snaps.append(x.copy())
@@ -530,19 +513,15 @@ def run_batch(
         n = min(block, T - k)
         A = np.empty((S, n, d))
         idx = np.empty((S, n), dtype=int) if is_dataset else None
-        for s_i in range(S):
-            Ab, ib = sample_block(stream.model, meas_rngs[s_i], n)
-            A[s_i] = Ab
+        XI = np.empty((S, n))
+        NU = np.empty((S, n)) if is_oblivious else None
+        for s_i, (_, meas_rng, xi_rng, noise_rng) in enumerate(gens):
+            A[s_i], ib = sample_block(stream.model, meas_rng, n)
             if is_dataset:
                 idx[s_i] = ib
-        XI = np.empty((S, n))
-        for s_i in range(S):
-            XI[s_i] = xi_rngs[s_i].random(n)
-        NU = None
-        if is_oblivious:
-            NU = np.empty((S, n))
-            for s_i in range(S):
-                NU[s_i] = corr.law.draw(noise_rngs[s_i], n)
+            XI[s_i] = xi_rng.random(n)
+            if is_oblivious:
+                NU[s_i] = corr.law.draw(noise_rng, n)
 
         if is_dataset:
             clean = resp[idx] / row_norms[idx]  # (S, n) in unit-row space
@@ -556,6 +535,13 @@ def run_batch(
         # Only the adversary reads the iterate; every other channel runs once per block.
         Y = None if is_adversary else apply_channel(corr, clean, XI, NU)
 
+        # Scalar pow per step (see _decay), so the steps match the single-step views.
+        decay = np.array([_decay(schedule, spec.lam, k + j) for j in range(n)])
+        steps = decay / spec.m if is_tron else scale[:, None] * decay
+        if audit:
+            coefs = np.empty((S, n))
+            dots = np.empty((S, n))
+
         for j in range(n):
             a = A[:, j, :]
             dot = _dots(x, a)
@@ -564,7 +550,14 @@ def run_batch(
                 y = apply_channel(corr, clean[:, j], XI[:, j], pred=pred)
             else:
                 y = Y[:, j]
-            x += coef_at(k, a, dot, y)[:, None] * a
+            if is_tron:
+                coef = _tron_coef(dot, y, steps[j])
+            else:
+                coef = _sign_coef(dot, y, steps[:, j], relu_solver)
+            if audit:
+                coefs[:, j] = coef
+                dots[:, j] = dot
+            x += coef[:, None] * a
             k += 1
 
             if track_hit:
@@ -575,6 +568,17 @@ def run_batch(
 
             if k % checkpoint_every == 0 or k == T:
                 _record(k)
+
+        if audit:
+            # Lane by lane, so that the audit's temporaries stay small.
+            for s_i in range(S):
+                coef, step = coefs[s_i], steps[s_i]
+                moved = coef != 0.0
+                if is_exp:
+                    length = np.abs(coef) * np.sqrt(np.einsum("nd,nd->n", A[s_i], A[s_i]))
+                    step_viol[s_i] += np.sum(moved & (np.abs(length - step) > 1e-12 * step))
+                if relu_solver:
+                    gate_viol[s_i] += np.sum(moved & (dots[s_i] < 0.0))
 
     out = []
     for s_i in range(S):

@@ -118,7 +118,8 @@ def test_ctilde_json(capsys):
     assert payload["n_directions"] == 32
 
 
-def test_drift_check(tmp_path, capsys):
+@pytest.fixture()
+def drift_config_path(tmp_path):
     config = tmp_path / "drift.json"
     config.write_text(
         json.dumps(
@@ -141,9 +142,13 @@ def test_drift_check(tmp_path, capsys):
             }
         )
     )
+    return config
+
+
+def test_drift_check(drift_config_path, tmp_path, capsys):
     out = tmp_path / "drift_out"
     code = main(
-        ["drift-check", str(config), "--ctilde", "0.8079", "--mc", "5", "--K", "200",
+        ["drift-check", str(drift_config_path), "--ctilde", "0.8079", "--mc", "5", "--K", "200",
          "--out-dir", str(out), "--quiet"]
     )
     assert code == 0
@@ -152,6 +157,20 @@ def test_drift_check(tmp_path, capsys):
     assert report["mc"]["empirical_prob"] == 0.0
     payload = json.loads(capsys.readouterr().out)
     assert payload["K"] == 200
+
+
+def test_drift_check_builds_stream_once(drift_config_path, tmp_path, monkeypatch):
+    real = sgdexp.cli.build_stream
+    calls = []
+    monkeypatch.setattr(
+        sgdexp.cli, "build_stream", lambda config: calls.append(config) or real(config)
+    )
+    code = main(
+        ["drift-check", str(drift_config_path), "--mc", "2", "--K", "50",
+         "--out-dir", str(tmp_path / "out"), "--quiet"]
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_drift_check_readme_example(tmp_path):

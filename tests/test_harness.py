@@ -101,7 +101,7 @@ class TestRunExperiment:
 
         cfg = small_config()
         trajs = run_experiment(cfg)
-        stream, _ = build_stream(cfg)
+        stream = build_stream(cfg)
         signals = draw_signals(cfg)
         norms = np.linalg.norm(signals, axis=1)
         spec, per_g, _ = resolve_solver(cfg.solvers[0], cfg, norms)

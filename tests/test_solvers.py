@@ -13,6 +13,8 @@ from sgdexp.corruption import (
     SignFlip,
     apply_channel,
 )
+import sgdexp.solvers as solvers_mod
+from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
 from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block
 from sgdexp.solvers import (
     SolverSpec,
@@ -332,6 +334,56 @@ class TestRun:
         stream = StreamSpec(model=GaussianSphere(4), corruption=SignFlip(0.4), relu=True)
         traj = run(spec, stream, x_true=x_true, seed=9)
         assert traj.relu_gate_violations == 0
+
+    def test_step_law_audit_counts_off_norm_rows(self, monkeypatch):
+        real = solvers_mod.sample_block
+        monkeypatch.setattr(
+            solvers_mod, "sample_block", lambda model, rng, n: (2.0 * real(model, rng, n)[0], None)
+        )
+        traj = run(
+            _linear_spec(T=300), _stream(p=0.2), x_true=np.ones(4), checkpoint_every=1,
+            seed=9, record_iterates=True,
+        )
+        moved = np.any(np.diff(traj.iterates, axis=0) != 0.0, axis=1)
+        assert moved.sum() > 0
+        assert traj.step_law_violations == moved.sum()
+
+    def test_relu_gate_audit_counts_ungated_steps(self, monkeypatch):
+        real = solvers_mod._sign_coef
+        monkeypatch.setattr(
+            solvers_mod, "_sign_coef", lambda dot, y, step, gate: real(dot, y, step, False)
+        )
+        d, T, seed = 4, 300, 9
+        spec = SolverSpec(method="sgd_exp_relu", d=d, T=T, lam=1.01, G=1.0)
+        stream = StreamSpec(model=GaussianSphere(d), corruption=SignFlip(0.4), relu=True)
+        traj = run(
+            spec, stream, x_true=np.ones(d), checkpoint_every=1, seed=seed, record_iterates=True
+        )
+        meas = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
+        A, _ = sample_block(stream.model, meas, T)
+        dots = _dots(traj.iterates[:-1], A)
+        moved = np.any(np.diff(traj.iterates, axis=0) != 0.0, axis=1)
+        expected = np.sum((dots < 0.0) & moved)
+        assert expected > 0
+        assert traj.relu_gate_violations == expected
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    def test_dataset_clean_loss_at_checkpoints(self, relu):
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((40, 3))
+        responses = rows @ np.array([1.0, -2.0, 0.5])
+        if relu:
+            responses = np.maximum(responses, 0.0)
+        method = "sgd_exp_relu" if relu else "sgd_exp_linear"
+        spec = SolverSpec(method=method, d=3, T=250, lam=1.01, G=1.0)
+        stream = StreamSpec(
+            model=DatasetRows(rows), corruption=SignFlip(0.2), relu=relu, responses=responses
+        )
+        data = DatasetMatrix(features=rows, responses=responses)
+        for traj in run_batch(spec, stream, [1, 2], checkpoint_every=100, record_iterates=True):
+            assert [cp.k for cp in traj.checkpoints] == [0, 100, 200, 250]
+            for cp, x in zip(traj.checkpoints, traj.iterates):
+                assert cp.clean_loss == evaluate_clean_loss(x, data, relu=relu)
 
     def test_checkpoint_spacing(self):
         x_true = np.ones(4)
