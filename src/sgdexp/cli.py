@@ -9,6 +9,7 @@ directory; --out-dir overrides both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,6 +108,9 @@ def _cmd_drift_check(args) -> int:
     )
     p = 0.0 if config.corruption["kind"] == "none" else config.corruption["p"]
 
+    signals = draw_signals(config) if args.mc else None
+    if args.mc and signals is None:
+        raise ConfigError("drift-check --mc requires a synthetic experiment")
     ctilde = args.ctilde if args.ctilde is not None else config.ctilde
     stream = build_stream(config) if ctilde is None or args.mc else None
     if ctilde is None:
@@ -127,9 +131,6 @@ def _cmd_drift_check(args) -> int:
     }
 
     if args.mc:
-        signals = draw_signals(config)
-        if signals is None:
-            raise ConfigError("drift-check --mc requires a synthetic experiment")
         norms = np.linalg.norm(signals, axis=1)
         spec, _, _ = resolve_solver(solver_cfg, config, norms)
         if not isinstance(stream.corruption, ResidualSignAdversary):
@@ -154,20 +155,8 @@ def _cmd_ctilde(args) -> int:
         raise ConfigError(f"--model: unknown model {args.model!r}")
     rng = np.random.default_rng(args.seed or 0)
     est = estimate_ctilde(model, args.samples, rng, n_directions=args.directions)
-    print(
-        json.dumps(
-            {
-                "model": args.model,
-                "d": args.d,
-                "value": est.value,
-                "stderr": est.stderr,
-                "n_samples": est.n_samples,
-                "n_directions": est.n_directions,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    report = {"model": args.model, "d": args.d, **dataclasses.asdict(est)}
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -184,8 +173,7 @@ def _cmd_dataset_prep(args) -> int:
         delimiter=args.delimiter,
     )
     out = Path(args.output)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(data.feature_names + [data.response_name]) + "\n")
         for row, y in zip(data.features, data.responses):

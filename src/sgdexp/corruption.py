@@ -102,16 +102,18 @@ class AdditiveOblivious:
 CorruptionSpec = Union[NoCorruption, SignFlip, ResidualSignAdversary, AdditiveOblivious]
 
 
-def apply_channel(spec: CorruptionSpec, clean, xi, nu=None, pred=None):
+def apply_channel(spec: CorruptionSpec, clean, xi, nu=None, pred=None, p=None):
     """Responses after the channel, elementwise over arrays of draws.
 
     ``xi`` holds the uniform [0, 1) indicator draws (a response is
     corrupted where xi < p), ``nu`` the noise-law draws of oblivious
     channels and ``pred`` the prediction at the current iterate, which
-    only the residual-sign adversary reads.
+    only the residual-sign adversary reads.  ``p`` defaults to
+    ``spec.p``; an array that broadcasts against the draws gives each
+    lane its own probability, and lanes at p = 0 get ``clean`` bit for bit.
     """
-    p = spec.p
-    if p == 0.0:
+    p = spec.p if p is None else p
+    if isinstance(spec, NoCorruption) or (not isinstance(p, np.ndarray) and p == 0.0):
         return clean
     hit = xi < p
     if isinstance(spec, SignFlip):
@@ -120,4 +122,5 @@ def apply_channel(spec: CorruptionSpec, clean, xi, nu=None, pred=None):
         if pred is None:
             raise ValueError("ResidualSignAdversary requires the prediction at the current iterate")
         return np.where(hit, 2.0 * pred - clean, clean)
-    return clean + np.where(hit, nu, 0.0)
+    # Lanes at p = 0 keep clean as it is: adding 0.0 would turn -0.0 into +0.0.
+    return np.where(p > 0.0, clean + np.where(hit, nu, 0.0), clean)

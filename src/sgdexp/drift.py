@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .corruption import CorruptionSpec, NoCorruption, ResidualSignAdversary
+from .corruption import CorruptionSpec, NoCorruption, ResidualSignAdversary, apply_channel
 from .measurement import MeasurementModel, sample_block
 from .solvers import SolverSpec, StreamSpec, _corruption_factor, run_batch
 
@@ -289,9 +289,8 @@ def _realized_signs(
 ) -> np.ndarray:
     """Residual signs in {-1, +1}, flipped by the reflection adversary w.p. p."""
     s = np.where(dots >= 0.0, 1.0, -1.0)
-    if isinstance(adversary, ResidualSignAdversary) and adversary.p > 0.0:
-        flip = rng.random(dots.shape[0]) < adversary.p
-        s = np.where(flip, -s, s)
+    if adversary.p > 0.0:  # reflecting s about the prediction 0 flips it
+        s = apply_channel(adversary, s, rng.random(dots.shape[0]), pred=0.0)
     return s
 
 
@@ -323,12 +322,13 @@ def _state_vector(
     return math.sqrt(u_norm_sq) * direction
 
 
-def _one_step_mean(u, lam, model, adversary, n_samples, rng, value):
-    """Mean and standard error of value(Y') over n_samples one-step draws from state u.
+def _one_step_report(u, lam, model, adversary, n_samples, rng, value, ceiling):
+    """Report of the mean and standard error of value(Y') over n_samples one-step draws from u.
 
     Each draw is Y' = lam^2 ||u - s a||^2 with a fresh measurement a and
     realized sign s, sampled ``DRIFT_CHUNK`` at a time.  The sums are shifted
     by the first value so the variance does not cancel catastrophically.
+    The report passes when the mean is at most ``ceiling`` + 4 stderr.
     """
     total = 0.0
     total_sq = 0.0
@@ -349,7 +349,14 @@ def _one_step_mean(u, lam, model, adversary, n_samples, rng, value):
 
     mean_c = total / n_samples
     var = max(total_sq / n_samples - mean_c * mean_c, 0.0) * n_samples / (n_samples - 1)
-    return shift + mean_c, math.sqrt(var / n_samples)
+    est, se = shift + mean_c, math.sqrt(var / n_samples)
+    return DriftTermReport(
+        estimate=est,
+        stderr=se,
+        ceiling=ceiling,
+        n_samples=n_samples,
+        passed=est <= ceiling + 4.0 * se,
+    )
 
 
 def mc_drift_linear_term(
@@ -385,17 +392,10 @@ def mc_drift_linear_term(
         )
     u = _state_vector(u_norm_sq, d, rng, direction)
     y0 = float(np.dot(u, u))
-    est, se = _one_step_mean(u, lam, model, adversary, n_samples, rng, lambda y1: y1 - y0)
     ceiling = (1.5 + lam * lam) - 2.0 * lam * lam * (1.0 - 2.0 * p) * ctilde / (
         math.sqrt(d) * math.sqrt(2.0 * ls1)
     )
-    return DriftTermReport(
-        estimate=est,
-        stderr=se,
-        ceiling=ceiling,
-        n_samples=n_samples,
-        passed=est <= ceiling + 4.0 * se,
-    )
+    return _one_step_report(u, lam, model, adversary, n_samples, rng, lambda y1: y1 - y0, ceiling)
 
 
 def mc_drift_c2(
@@ -426,16 +426,9 @@ def mc_drift_c2(
             f"state ||u||^2 = {u_norm_sq:.6g} must lie below a = {params.a:.6g}"
         )
     u = _state_vector(u_norm_sq, d, rng, direction)
-    est, se = _one_step_mean(
+    return _one_step_report(
         u, lam, model, adversary, n_samples, rng,
-        lambda y1: np.exp(params.eta * (y1 - params.a)),
-    )
-    return DriftTermReport(
-        estimate=est,
-        stderr=se,
-        ceiling=params.D,
-        n_samples=n_samples,
-        passed=est <= params.D + 4.0 * se,
+        lambda y1: np.exp(params.eta * (y1 - params.a)), params.D,
     )
 
 

@@ -16,7 +16,7 @@ from .measurement import (
     NormalizedIIDSubGaussian,
     NormalizedRademacher,
 )
-from .solvers import SolverSpec, StreamSpec, recommend_G, run_batch, signal_rng
+from .solvers import Lanes, SolverSpec, StreamSpec, recommend_G, run_batch, signal_rng
 
 
 def synthetic_measurement(kind: str, d: int, base: Optional[str]):
@@ -157,30 +157,34 @@ def resolve_solver(solver_cfg: dict, config: ExperimentConfig, signal_norms=None
     return spec, per_seed_G, per_seed_gamma
 
 
-def run_experiment(config: ExperimentConfig) -> list:
-    """Run every (solver, seed) cell of the config; returns Trajectory list."""
+def _run_lanes(config: ExperimentConfig, p_grid) -> list:
+    """One engine call over every (p, solver, seed) lane; Trajectories in that order."""
     stream = build_stream(config)
     signals = draw_signals(config)
     norms = np.linalg.norm(signals, axis=1) if signals is not None else None
+    resolved = [resolve_solver(s, config, norms) for s in config.solvers]
+    groups = [
+        (spec, p, per_g if per_g is not None else per_gamma)
+        for p in p_grid
+        for spec, per_g, per_gamma in resolved
+    ]
+    trajectories = run_batch(
+        Lanes(groups),
+        stream,
+        config.seeds,
+        x_true=signals,
+        checkpoint_every=config.checkpoint_every,
+    )
     fingerprint = config.fingerprint()
-
-    trajectories = []
-    for solver_cfg in config.solvers:
-        spec, per_g, per_gamma = resolve_solver(solver_cfg, config, norms)
-        trajs = run_batch(
-            spec,
-            stream,
-            config.seeds,
-            x_true=signals,
-            checkpoint_every=config.checkpoint_every,
-            per_seed_G=per_g,
-            per_seed_gamma=per_gamma,
-        )
-        for traj in trajs:
-            traj.solver = solver_cfg["name"]
-            traj.fingerprint = fingerprint
-        trajectories.extend(trajs)
+    for i, traj in enumerate(trajectories):
+        traj.solver = config.solvers[i // len(config.seeds) % len(config.solvers)]["name"]
+        traj.fingerprint = fingerprint
     return trajectories
+
+
+def run_experiment(config: ExperimentConfig) -> list:
+    """Run every (solver, seed) cell of the config; returns Trajectory list."""
+    return _run_lanes(config, [build_corruption(config).p])
 
 
 #: Checkpoint field behind each config metric name.
@@ -233,17 +237,19 @@ def run_sweep(config: ExperimentConfig, p_grid, seed_grid=None) -> list:
     if config.corruption["kind"] == "none":
         raise ConfigError("corruption.kind: cannot sweep p over the 'none' channel")
     metric = "relative_error" if "relative_error" in config.metrics else "clean_l2_loss"
+    if seed_grid is not None:
+        config = config.with_updates(seeds=list(seed_grid))
+    # Each p is validated as the p of a config of its own.
+    p_grid = [
+        config.with_updates(corruption=dict(config.corruption, p=float(p))).corruption["p"]
+        for p in p_grid
+    ]
+    trajs = _run_lanes(config, p_grid)
+    cell = len(config.solvers) * len(config.seeds)
     rows = []
-    for p in p_grid:
-        corruption = dict(config.corruption)
-        corruption["p"] = float(p)
-        updates = {"corruption": corruption}
-        if seed_grid is not None:
-            updates["seeds"] = list(seed_grid)
-        cell = config.with_updates(**updates)
-        trajs = run_experiment(cell)
-        for solver, (ks, means) in aggregate_mean(trajs, metric).items():
-            n = sum(1 for t in trajs if t.solver == solver)
+    for i, p in enumerate(p_grid):
+        lanes = trajs[i * cell : (i + 1) * cell]
+        for solver, (ks, means) in aggregate_mean(lanes, metric).items():
             for k, v in zip(ks, means):
                 rows.append(
                     SweepRow(
@@ -251,7 +257,7 @@ def run_sweep(config: ExperimentConfig, p_grid, seed_grid=None) -> list:
                         p=float(p),
                         k=int(k),
                         mean_value=float(v),
-                        n_seeds=n,
+                        n_seeds=len(config.seeds),
                         metric=metric,
                     )
                 )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -238,8 +237,7 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
         label.text = solver
 
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        os.makedirs(path.parent, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     ET.ElementTree(svg).write(path, encoding="unicode", xml_declaration=True)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n")

@@ -137,6 +137,18 @@ class StreamSpec:
                 raise ValueError("responses length must match dataset rows")
 
 
+class Lanes(tuple):
+    """Lane groups of one ``run_batch`` call, each run over every seed of the call.
+
+    A group is (SolverSpec, corruption probability p, per-seed step scales or
+    None for the spec's G or gamma); the specs share d and T.
+    """
+
+    @property
+    def T(self) -> int:
+        return self[0][0].T
+
+
 @dataclass
 class Checkpoint:
     k: int
@@ -155,7 +167,6 @@ class Trajectory:
     step_law_violations: int = 0
     relu_gate_violations: int = 0
     iterates: Optional[np.ndarray] = None  # (n_checkpoints, d) when recorded
-    iterate_ks: Optional[np.ndarray] = None
     hit_k: Optional[int] = None  # first k with Y_k >= hitting level, if tracked
 
 
@@ -245,20 +256,14 @@ def recommend_G(lam: float, x_norm_bound: float) -> float:
     return x_norm_bound * math.sqrt(2.0 * (lam * lam - 1.0))
 
 
-def _require_unit(a: np.ndarray) -> None:
-    norm = np.linalg.norm(a)
-    if abs(norm - 1.0) > UNIT_NORM_RTOL:
-        raise ValueError(f"measurement vector must be unit norm, got ||a|| = {norm!r}")
-
-
-# The rule table.  Every function below works on an (S,) lane axis; the
-# engine in ``run_batch`` and the single-step views share it, so the
-# views compute exactly the engine's arithmetic.
+# The rule table.  Every function below works on an (S,) or (G, S) lane
+# axis; the engine in ``run_batch`` and the single-step views share it,
+# so the views compute exactly the engine's arithmetic.
 
 
 def _dots(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<x_s, a_s> per lane for (S, d) iterates and measurements."""
-    return np.einsum("sd,sd->s", x, a)
+    """<x, a_s> per lane for (S, d) or (G, S, d) iterates and (S, d) measurements."""
+    return np.einsum("sd,sd->s" if x.ndim == 2 else "gsd,sd->gs", x, a)
 
 
 def _decay(schedule: str, lam: Optional[float], k: int) -> float:
@@ -290,9 +295,25 @@ def _tron_coef(dot, y, eta):
     return eta * (y - np.maximum(dot, 0.0))
 
 
-def _view(state: SolverState, a: np.ndarray, coef_of_dot) -> SolverState:
-    """One step of a rule on a single lane: x' = x + coef(<x, a>) a."""
-    coef = coef_of_dot(_dots(state.x[None, :], a[None, :]))
+def _schedule(spec: SolverSpec) -> str:
+    """Decay schedule of a spec's steps: exp (sgd_exp), root (sgd_root) or GLM-Tron's own."""
+    if spec.method == "glmtron":
+        return spec.schedule
+    return "exp" if spec.method.startswith("sgd_exp") else "root"
+
+
+def _view(spec: SolverSpec, state: SolverState, a: np.ndarray, y: float) -> SolverState:
+    """One step of the spec's rule on a single lane: x' = x + coef(<x, a>) a."""
+    dot = _dots(state.x[None, :], a[None, :])
+    decay = _decay(_schedule(spec), spec.lam, state.k)
+    if spec.method == "glmtron":
+        coef = _tron_coef(dot, y, decay / spec.m)
+    else:
+        norm = np.linalg.norm(a)
+        if abs(norm - 1.0) > UNIT_NORM_RTOL:
+            raise ValueError(f"measurement vector must be unit norm, got ||a|| = {norm!r}")
+        scale = spec.G if spec.method.startswith("sgd_exp") else spec.gamma
+        coef = _sign_coef(dot, y, scale * decay, spec.method in RELU_METHODS)
     return SolverState(x=state.x + coef[0] * a, k=state.k + 1)
 
 
@@ -300,37 +321,22 @@ def step_sgd_exp_linear(
     state: SolverState, a: np.ndarray, y: float, G: float, lam: float
 ) -> SolverState:
     """x' = x + G lam^{-k} sign(y - <x, a>) a, with sign(0) = 0."""
-    _require_unit(a)
-    if not G > 0:
-        raise ValueError("G must be positive")
-    if not lam > 1:
-        raise ValueError("lam must exceed 1")
-    step = G * _decay("exp", lam, state.k)
-    return _view(state, a, lambda dot: _sign_coef(dot, y, step, False))
+    return _view(SolverSpec("sgd_exp_linear", a.size, 0, lam=lam, G=G), state, a, y)
 
 
 def step_sgd_exp_relu(
     state: SolverState, a: np.ndarray, y: float, G: float, lam: float
 ) -> SolverState:
     """ReLU variant: update only when <x, a> >= 0, residual against max(0, <x, a>)."""
-    _require_unit(a)
-    if not G > 0:
-        raise ValueError("G must be positive")
-    if not lam > 1:
-        raise ValueError("lam must exceed 1")
-    step = G * _decay("exp", lam, state.k)
-    return _view(state, a, lambda dot: _sign_coef(dot, y, step, True))
+    return _view(SolverSpec("sgd_exp_relu", a.size, 0, lam=lam, G=G), state, a, y)
 
 
 def step_sgd_root(
     state: SolverState, a: np.ndarray, y: float, gamma: float, relu: bool = False
 ) -> SolverState:
     """Square-root decay baseline: step size gamma (k+1)^{-1/2}."""
-    _require_unit(a)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    step = gamma * _decay("root", None, state.k)
-    return _view(state, a, lambda dot: _sign_coef(dot, y, step, relu))
+    method = "sgd_root_relu" if relu else "sgd_root_linear"
+    return _view(SolverSpec(method, a.size, 0, gamma=gamma), state, a, y)
 
 
 def step_glmtron(
@@ -345,14 +351,8 @@ def step_glmtron(
 
     eta_k is 1/m (const), (k+1)^{-1/2}/m (root), or lam^{-k}/m (exp).
     """
-    if schedule not in GLMTRON_SCHEDULES:
-        raise ValueError(f"glmtron schedule must be one of {GLMTRON_SCHEDULES}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if schedule == "exp" and (lam is None or not lam > 1.0):
-        raise ValueError("glmtron exp schedule requires lam > 1")
-    eta = _decay(schedule, lam, state.k) / m
-    return _view(state, a, lambda dot: _tron_coef(dot, y, eta))
+    spec = SolverSpec("glmtron", a.size, 0, lam=lam, schedule=schedule, m=m)
+    return _view(spec, state, a, y)
 
 
 def _spawn_streams(seed: int):
@@ -366,20 +366,16 @@ def signal_rng(seed: int) -> np.random.Generator:
     return _spawn_streams(seed)[0]
 
 
-def run(
-    spec: SolverSpec,
-    stream: StreamSpec,
-    x_true: Optional[np.ndarray] = None,
-    checkpoint_every: int = 1000,
-    seed: int = 0,
-    **kwargs,
-) -> Trajectory:
-    """Run one solver over one stream; deterministic given the seed."""
-    return run_batch(spec, stream, [seed], x_true=x_true, checkpoint_every=checkpoint_every, **kwargs)[0]
+def run(spec: SolverSpec, stream: StreamSpec, seed: int = 0, **kwargs) -> Trajectory:
+    """Run one solver over one stream; deterministic given the seed.
+
+    Keyword arguments are those of ``run_batch``.
+    """
+    return run_batch(spec, stream, [seed], **kwargs)[0]
 
 
 def run_batch(
-    spec: SolverSpec,
+    spec: Union[SolverSpec, Lanes],
     stream: StreamSpec,
     seeds,
     x_true: Optional[np.ndarray] = None,
@@ -388,22 +384,19 @@ def run_batch(
     record_iterates: bool = False,
     x0: Optional[np.ndarray] = None,
     hitting_level: Optional[float] = None,
-    per_seed_G: Optional[np.ndarray] = None,
-    per_seed_gamma: Optional[np.ndarray] = None,
 ) -> list:
-    """Run the same solver/stream under several seeds in lockstep.
+    """Run every lane (lane group, seed) over one stream in lockstep.
 
-    Each seed owns its substreams, so the per-seed trajectories are
-    bitwise identical to solo ``run`` calls.  ``x_true`` may be (d,)
-    shared or (S, d) per seed; it is required for synthetic streams
+    ``spec`` is ``Lanes``, or one SolverSpec run as one group at the
+    stream's corruption probability.  Each seed owns its substreams;
+    its draws and clean responses are shared by every group, so each
+    lane is bitwise identical to a solo ``run`` of its solver at its p.
+    Returns one Trajectory per lane, group-major.  ``x_true`` may be
+    (d,) shared or (S, d) per seed; it is required for synthetic streams
     (it generates the clean responses) and ignored for dataset streams
     except as the relative-error reference.
 
-    ``per_seed_G``/``per_seed_gamma`` override the SolverSpec scalars
-    with one step scale per seed (signal-norm-matched scales differ by
-    seed).
-
-    With ``hitting_level`` set (sgd_exp methods only), tracks
+    With ``hitting_level`` set (one sgd_exp group only), tracks
     Y_k = lam^{2k} ||x_true - x_k||^2 / G^2 each step and records the
     first k where Y_k reaches the level.
 
@@ -415,18 +408,30 @@ def run_batch(
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
-    seeds = list(seeds)
-    S, d, T = len(seeds), spec.d, spec.T
-    method = spec.method
+    if isinstance(spec, SolverSpec):
+        spec = Lanes([(spec, stream.corruption.p, None)])
+    (specs, ps, given_scales), seeds = zip(*spec), list(seeds)
+    G, S, d, T = len(specs), len(seeds), specs[0].d, spec.T
+    L = G * S
+    # One group keeps the (S, ...) lane shape and the per-step arithmetic of a plain batch.
+    lane_shape = (S,) if G == 1 else (G, S)
     is_dataset = isinstance(stream.model, DatasetRows)
+    if any((s.d, s.T) != (d, T) for s in specs):
+        raise ValueError("lane groups must share d and T")
     if stream.model.d != d:
         raise ValueError(
             f"dimension mismatch: solver d={d}, measurement model d={stream.model.d}"
         )
     if x_true is None and not is_dataset:
         raise ValueError("x_true is required for synthetic streams")
-    if hitting_level is not None and not method.startswith("sgd_exp"):
-        raise ValueError("hitting-time tracking requires an sgd_exp method")
+    is_tron = np.array([s.method == "glmtron" for s in specs])
+    is_exp = [s.method.startswith("sgd_exp") for s in specs]
+    # The ReLU gate of the sign rule follows the stream's response link.
+    relu_response = stream.relu
+    if any((s.method in RELU_METHODS) != relu_response for s in specs if s.method != "glmtron"):
+        raise ValueError("sign methods must match the stream's response link (ReLU or linear)")
+    if hitting_level is not None and not (G == 1 and is_exp[0]):
+        raise ValueError("hitting-time tracking requires one sgd_exp lane group")
 
     Xt = None
     if x_true is not None:
@@ -437,77 +442,73 @@ def run_batch(
             raise ValueError(f"x_true must have shape ({S}, {d}) or ({d},)")
         xt_norms = np.linalg.norm(Xt, axis=1)
 
-    if x0 is None:
-        x = np.zeros((S, d))
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        x = np.repeat(np.atleast_2d(x0), S, axis=0) if x0.ndim == 1 else x0.copy()
-        if x.shape != (S, d):
-            raise ValueError(f"x0 must have shape ({d},) or ({S}, {d})")
+    x = np.zeros(lane_shape + (d,))
+    if x0 is not None:
+        x[...] = x0  # (d,) or (S, d)
+    lanes = x.reshape(L, d)  # a view: lane g * S + s
 
     gens = [_spawn_streams(s) for s in seeds]
 
     corr = stream.corruption
     is_adversary = isinstance(corr, ResidualSignAdversary)
     is_oblivious = isinstance(corr, AdditiveOblivious)
-
-    relu_response = stream.relu
-    relu_solver = method in RELU_METHODS
-    is_exp = method.startswith("sgd_exp")
-    is_tron = method == "glmtron"
+    # One probability shared by every lane keeps the channel's scalar form.
+    P = ps[0] if len(set(ps)) == 1 else np.array(ps, dtype=float)[:, None]
+    P_block = P if np.ndim(P) == 0 else P[..., None]
+    # A method mask picks the GLM-Tron rule on the lanes of a mixed set.
+    all_tron, mixed, tron_lanes = is_tron.all(), 0 < is_tron.sum() < G, is_tron[:, None]
 
     if is_dataset:
         resp = np.asarray(stream.responses, dtype=float)
         row_norms = stream.model.row_norms
         data = DatasetMatrix(features=stream.model.rows, responses=resp)
 
-    # Step sizes: per-lane scale times decay for the sign family, decay / m for GLM-Tron.
-    if is_tron:
-        schedule = spec.schedule
-    else:
-        schedule, name = ("exp", "G") if is_exp else ("root", "gamma")
-        per_seed = per_seed_G if is_exp else per_seed_gamma
-        scale = np.full(S, getattr(spec, name)) if per_seed is None else np.asarray(per_seed, dtype=float)
-        if scale.shape != (S,) or not np.all(scale > 0):
-            raise ValueError(f"per_seed_{name} must be positive with one entry per seed")
+    # Step sizes: per-seed scale times decay for the sign family, decay / m for GLM-Tron.
+    schedules, scales = [(_schedule(s), s.lam) for s in specs], []
+    for s, tron, exp, scale in zip(specs, is_tron, is_exp, given_scales):
+        if not tron:
+            scale = np.full(S, s.G if exp else s.gamma) if scale is None else np.asarray(scale, dtype=float)
+            if scale.shape != (S,) or not np.all(scale > 0):
+                raise ValueError("step scales must be positive with one entry per seed")
+        scales.append(scale)
 
     track_hit = hitting_level is not None
     if track_hit:
-        lam2 = spec.lam * spec.lam
-        g_sq = scale * scale
+        lam2 = specs[0].lam * specs[0].lam
+        g_sq = scales[0] * scales[0]
         lam2k = 1.0
         hit_k = np.full(S, -1, dtype=int)
         y0 = (xt_norms**2) / g_sq
         hit_k[y0 >= hitting_level] = 0
 
     # The step-law and gate audits cover the sign family, once per block.
-    audit = validate_steps and not is_tron
-    step_viol = np.zeros(S, dtype=int)
-    gate_viol = np.zeros(S, dtype=int)
+    audited = [g for g in range(G) if validate_steps and not is_tron[g]]
+    step_viol = np.zeros((G, S), dtype=int)
+    gate_viol = np.zeros((G, S), dtype=int)
 
-    checkpoints = [[] for _ in range(S)]
-    snaps, snap_ks = ([], []) if record_iterates else (None, None)
+    checkpoints = [[] for _ in range(L)]
+    snaps = [] if record_iterates else None
     t0 = time.perf_counter()
 
     def _record(k):
         elapsed = time.perf_counter() - t0
-        for s_i in range(S):
+        for i in range(L):
+            s_i = i % S
             rel = (
-                float(np.linalg.norm(Xt[s_i] - x[s_i]) / xt_norms[s_i])
+                float(np.linalg.norm(Xt[s_i] - lanes[i]) / xt_norms[s_i])
                 if Xt is not None and xt_norms[s_i] > 0
                 else None
             )
-            loss = evaluate_clean_loss(x[s_i], data, relu=relu_response) if is_dataset else None
-            checkpoints[s_i].append(
+            loss = evaluate_clean_loss(lanes[i], data, relu=relu_response) if is_dataset else None
+            checkpoints[i].append(
                 Checkpoint(k=k, relative_error=rel, clean_loss=loss, elapsed_seconds=elapsed)
             )
         if record_iterates:
-            snaps.append(x.copy())
-            snap_ks.append(k)
+            snaps.append(lanes.copy())
 
     _record(0)
 
-    block = max(1, min(2048, T, int(4_000_000 / max(S * d, 1)) or 1))
+    block = max(1, min(2048, T, int(4_000_000 / max(L * d, 1)) or 1))
     k = 0
     while k < T:
         n = min(block, T - k)
@@ -533,31 +534,38 @@ def run_batch(
                 np.maximum(clean, 0.0, out=clean)
 
         # Only the adversary reads the iterate; every other channel runs once per block.
-        Y = None if is_adversary else apply_channel(corr, clean, XI, NU)
+        Y = None if is_adversary else apply_channel(corr, clean, XI, NU, p=P_block)
 
         # Scalar pow per step (see _decay), so the steps match the single-step views.
-        decay = np.array([_decay(schedule, spec.lam, k + j) for j in range(n)])
-        steps = decay / spec.m if is_tron else scale[:, None] * decay
-        if audit:
-            coefs = np.empty((S, n))
-            dots = np.empty((S, n))
+        decay = {key: np.array([_decay(*key, k + j) for j in range(n)]) for key in set(schedules)}
+        rows = [
+            np.broadcast_to(decay[key] / s.m, (S, n)) if tron else scale[:, None] * decay[key]
+            for s, tron, key, scale in zip(specs, is_tron, schedules, scales)
+        ]
+        steps = rows[0] if G == 1 else np.stack(rows)
+        if audited:
+            coefs = np.empty(lane_shape + (n,))
+            dots = np.empty(lane_shape + (n,))
 
         for j in range(n):
             a = A[:, j, :]
             dot = _dots(x, a)
             if Y is None:
                 pred = np.maximum(dot, 0.0) if relu_response else dot
-                y = apply_channel(corr, clean[:, j], XI[:, j], pred=pred)
+                y = apply_channel(corr, clean[:, j], XI[:, j], pred=pred, p=P)
             else:
-                y = Y[:, j]
-            if is_tron:
-                coef = _tron_coef(dot, y, steps[j])
+                y = Y[..., j]
+            step = steps[..., j]
+            if all_tron:
+                coef = _tron_coef(dot, y, step)
             else:
-                coef = _sign_coef(dot, y, steps[:, j], relu_solver)
-            if audit:
-                coefs[:, j] = coef
-                dots[:, j] = dot
-            x += coef[:, None] * a
+                coef = _sign_coef(dot, y, step, relu_response)
+                if mixed:
+                    coef = np.where(tron_lanes, _tron_coef(dot, y, step), coef)
+            if audited:
+                coefs[..., j] = coef
+                dots[..., j] = dot
+            x += coef[..., None] * a
             k += 1
 
             if track_hit:
@@ -569,29 +577,33 @@ def run_batch(
             if k % checkpoint_every == 0 or k == T:
                 _record(k)
 
-        if audit:
+        if audited:
             # Lane by lane, so that the audit's temporaries stay small.
-            for s_i in range(S):
-                coef, step = coefs[s_i], steps[s_i]
-                moved = coef != 0.0
-                if is_exp:
-                    length = np.abs(coef) * np.sqrt(np.einsum("nd,nd->n", A[s_i], A[s_i]))
-                    step_viol[s_i] += np.sum(moved & (np.abs(length - step) > 1e-12 * step))
-                if relu_solver:
-                    gate_viol[s_i] += np.sum(moved & (dots[s_i] < 0.0))
+            coefs, dots, steps = (v.reshape(G, S, n) for v in (coefs, dots, steps))
+            if any(is_exp[g] for g in audited):
+                norms = [np.sqrt(np.einsum("nd,nd->n", A[s_i], A[s_i])) for s_i in range(S)]
+            for g in audited:
+                for s_i in range(S):
+                    coef, step = coefs[g, s_i], steps[g, s_i]
+                    moved = coef != 0.0
+                    if is_exp[g]:
+                        length = np.abs(coef) * norms[s_i]
+                        step_viol[g, s_i] += np.sum(moved & (np.abs(length - step) > 1e-12 * step))
+                    if relu_response:
+                        gate_viol[g, s_i] += np.sum(moved & (dots[g, s_i] < 0.0))
 
     out = []
-    for s_i in range(S):
+    for i in range(L):
+        g, s_i = divmod(i, S)
         out.append(
             Trajectory(
-                solver=method,
+                solver=specs[g].method,
                 seed=seeds[s_i],
-                checkpoints=checkpoints[s_i],
-                x_final=x[s_i].copy(),
-                step_law_violations=int(step_viol[s_i]),
-                relu_gate_violations=int(gate_viol[s_i]),
-                iterates=np.array([sn[s_i] for sn in snaps]) if record_iterates else None,
-                iterate_ks=np.array(snap_ks) if record_iterates else None,
+                checkpoints=checkpoints[i],
+                x_final=lanes[i].copy(),
+                step_law_violations=int(step_viol[g, s_i]),
+                relu_gate_violations=int(gate_viol[g, s_i]),
+                iterates=np.array([sn[i] for sn in snaps]) if record_iterates else None,
                 hit_k=(int(hit_k[s_i]) if track_hit and hit_k[s_i] >= 0 else None),
             )
         )

@@ -173,6 +173,16 @@ def test_drift_check_builds_stream_once(drift_config_path, tmp_path, monkeypatch
     assert len(calls) == 1
 
 
+def test_drift_check_mc_on_dataset_fails_before_ctilde(dataset_config_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(sgdexp.cli, "estimate_ctilde", lambda *a, **k: calls.append(a))
+    code = main(["drift-check", str(dataset_config_path), "--mc", "2", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: drift-check --mc requires a synthetic experiment"]
+    assert calls == []
+
+
 def test_drift_check_readme_example(tmp_path):
     config = str(CONFIGS / "oblivious_high_p.json")
     code = main(["drift-check", config, "--ctilde", "0.7979", "--out-dir", str(tmp_path), "--quiet"])

@@ -60,6 +60,26 @@ def test_identity_channel_at_p0(spec):
     assert np.array_equal(y, clean)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [NoCorruption(), SignFlip(0.5), ResidualSignAdversary(0.5), AdditiveOblivious(0.5, Gaussian(1.0))],
+    ids=["none", "sign_flip", "residual_sign", "oblivious"],
+)
+def test_per_lane_p_matches_scalar_calls(spec):
+    rng = np.random.default_rng(4)
+    clean = rng.standard_normal((3, 50))
+    clean[:, :5] = -0.0
+    xi, nu, pred = rng.random((3, 50)), rng.standard_normal((3, 50)), rng.standard_normal((4, 3, 50))
+    ps = [0.0, 0.2, 0.5, 1.0]
+    lanes = apply_channel(spec, clean, xi, nu, pred=pred, p=np.array(ps)[:, None, None])
+    lanes = np.broadcast_to(lanes, pred.shape)
+    for g, p in enumerate(ps):
+        scalar = apply_channel(spec, clean, xi, nu, pred=pred[g], p=p)
+        assert np.array_equal(np.signbit(lanes[g]), np.signbit(scalar))
+        assert np.array_equal(lanes[g], scalar)
+    assert np.array_equal(np.signbit(lanes[0]), np.signbit(clean))
+
+
 def test_adversary_requires_iterate():
     with pytest.raises(ValueError, match="prediction"):
         apply_channel(ResidualSignAdversary(0.5), np.array([1.0]), np.array([0.1]))

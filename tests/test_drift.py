@@ -238,10 +238,11 @@ class TestExtractYProcess:
         spec = SolverSpec(method="sgd_exp_linear", d=d, T=5, lam=lam, G=G)
         stream = StreamSpec(model=GaussianSphere(d), corruption=NoCorruption())
         traj = run(spec, stream, x_true=x_true, checkpoint_every=1, seed=21, record_iterates=True)
-        ys = extract_Y_process(traj.iterates, x_true, lam, G, ks=traj.iterate_ks)
-        for k, x_k in zip(traj.iterate_ks, traj.iterates):
+        ks = [cp.k for cp in traj.checkpoints]
+        ys = extract_Y_process(traj.iterates, x_true, lam, G, ks=ks)
+        for k, x_k in zip(ks, traj.iterates):
             manual = lam ** (2.0 * k) * np.sum((x_true - x_k) ** 2) / G**2
-            assert ys[list(traj.iterate_ks).index(k)] == pytest.approx(manual, rel=1e-12)
+            assert ys[ks.index(k)] == pytest.approx(manual, rel=1e-12)
 
     def test_consistency_with_squared_norm_recursion(self):
         # Y_{k+1} from raw iterates matches lam^2 (Y_k - 2 <u_k, a_k> s_k + s_k^2)
@@ -452,7 +453,7 @@ class TestTheoremEnvelope:
     def test_error_bound_dominates_observed_error(self):
         # run a configuration that satisfies every guarantee precondition
         # and check the final error sits below the theorem envelope
-        from sgdexp.solvers import recommend_lambda, run_batch, signal_rng
+        from sgdexp.solvers import Lanes, recommend_lambda, run_batch, signal_rng
 
         d, p, T, R = 100, 0.4, 200_000, 225.0
         rec = recommend_lambda(d, p, T, R, CT, x_norm_bound=None)
@@ -463,8 +464,8 @@ class TestTheoremEnvelope:
         G = np.array([1.01 * recommend_G(rec.lam, n) for n in norms])  # strict inequality
         spec = SolverSpec(method="sgd_exp_linear", d=d, T=T, lam=rec.lam, G=float(G[0]))
         stream = StreamSpec(model=GaussianSphere(d), corruption=SignFlip(p))
-        trajs = run_batch(spec, stream, seeds, x_true=x_true, checkpoint_every=T,
-                          validate_steps=False, per_seed_G=G)
+        trajs = run_batch(Lanes([(spec, p, G)]), stream, seeds, x_true=x_true,
+                          checkpoint_every=T, validate_steps=False)
         for i, traj in enumerate(trajs):
             abs_err = traj.checkpoints[-1].relative_error * norms[i]
             bound = theorem_error_bound(float(G[i]), CT, R, d, p, T)

@@ -55,6 +55,27 @@ DIGESTS = {
 }
 SWEEP_DIGEST = "2a4addef9ca4c7acc20861ceba5252342ccbcfec8b0f8c23302f4116053dcf75"
 
+# Sweeps whose lanes mix rules, noise draws and channels, computed at the
+# commit before the engine shared one stream across a config's solvers and
+# p values: (p grid, corruption kind override or None, digest).
+MIXED_SWEEPS = {
+    "relu_signflip": (
+        [0.2, 0.4],
+        None,
+        "afbd51eff2cbaf0af7da2169713049f36efbffe503ab353921e68ee71c8b9919",
+    ),
+    "oblivious_high_p": (
+        [0.5, 0.9],
+        None,
+        "809715508c59d2fdcc740422dd4e844d8bf0c5b89a509b8edd169d4609a1204c",
+    ),
+    "linear_signflip": (
+        [0.0, 0.3],
+        "residual_sign",
+        "b7a6624e70fff515f50e010c7abf4375ecd6c79fbc045b9cd71a6d0954a7c25a",
+    ),
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -112,3 +133,13 @@ def test_shipped_config_digests(name, tmp_path, monkeypatch):
 
 def test_sweep_digest(tmp_path):
     assert sweep_digest(tmp_path) == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_SWEEPS))
+def test_mixed_lane_sweep_digest(name, tmp_path):
+    p_grid, kind, digest = MIXED_SWEEPS[name]
+    config = small_config(name)
+    if kind is not None:
+        config = config.with_updates(corruption=dict(config.corruption, kind=kind))
+    rows = run_sweep(config, p_grid)
+    assert _sha(emit_sweep_csv(rows, tmp_path).read_bytes()) == digest

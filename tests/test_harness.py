@@ -104,14 +104,13 @@ class TestRunExperiment:
         stream = build_stream(cfg)
         signals = draw_signals(cfg)
         norms = np.linalg.norm(signals, axis=1)
-        spec, per_g, _ = resolve_solver(cfg.solvers[0], cfg, norms)
+        spec, _, _ = resolve_solver(cfg.solvers[0], cfg, norms)  # spec.G is seed 1's auto G
         solo = run(
             spec,
             stream,
             x_true=signals[0],
             checkpoint_every=cfg.checkpoint_every,
             seed=cfg.seeds[0],
-            per_seed_G=np.array([per_g[0]]),
         )
         batch_first = [t for t in trajs if t.solver == "sgd-exp" and t.seed == 1][0]
         assert np.array_equal(solo.x_final, batch_first.x_final)
@@ -153,6 +152,11 @@ class TestSweep:
         cfg = small_config(corruption={"kind": "none"})
         with pytest.raises(ConfigError, match="sweep"):
             run_sweep(cfg, [0.1])
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_sweep_rejects_invalid_p(self, p):
+        with pytest.raises(ConfigError, match=r"^corruption\.p: "):
+            run_sweep(small_config(), [0.2, p])
 
     def test_sweep_csv(self, tmp_path):
         rows = run_sweep(small_config(), [0.2], [1])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import sgdexp.solvers as solvers_mod
 from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
 from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block
 from sgdexp.solvers import (
+    Lanes,
     SolverSpec,
     SolverState,
     StreamSpec,
@@ -531,3 +533,88 @@ class TestEngineMatchesStepViews:
             spec, stream, x_true=x_true, checkpoint_every=1, seed=7, record_iterates=True
         )
         assert np.array_equal(traj.iterates, self._replay(spec, stream, x_true, seed=7))
+
+
+# At d = 100 the mixed call over 12 groups x 2 seeds draws blocks of 1666
+# steps and each single-group call blocks of 2048, so the comparison also
+# covers draws that are chunked differently.
+_LANE_D, _LANE_T = 100, 2100
+# (spec, per-seed step scale or None): the sign rule with and without the
+# step-law audit, and GLM-Tron with a constant and a decaying step.
+_LANE_SOLVERS = [
+    (SolverSpec(method="sgd_exp_relu", d=_LANE_D, T=_LANE_T, lam=1.001, G=1.0), np.array([1.0, 0.5])),
+    (SolverSpec(method="glmtron", d=_LANE_D, T=_LANE_T, schedule="const", m=3), None),
+    (SolverSpec(method="sgd_root_relu", d=_LANE_D, T=_LANE_T, gamma=0.5), None),
+    (SolverSpec(method="glmtron", d=_LANE_D, T=_LANE_T, lam=1.001, schedule="exp", m=3), None),
+]
+_LANE_P = (0.0, 0.2, 0.4)
+_LANE_SEEDS = [3, 4]
+
+
+class TestLanes:
+    """One run_batch over mixed (solver, p) lane groups gives, lane for
+    lane, the bits of one single-group call per (solver, p)."""
+
+    @staticmethod
+    def _setup(corruption, dataset):
+        rng = np.random.default_rng(11)
+        x_true = rng.standard_normal(_LANE_D)
+        if dataset:
+            rows = rng.standard_normal((300, _LANE_D))
+            stream = StreamSpec(
+                model=DatasetRows(rows),
+                corruption=corruption,
+                relu=True,
+                responses=np.maximum(rows @ x_true, 0.0),
+            )
+        else:
+            stream = StreamSpec(model=GaussianSphere(_LANE_D), corruption=corruption, relu=True)
+        groups = [(spec, p, scale) for p in _LANE_P for spec, scale in _LANE_SOLVERS]
+        return stream, x_true, groups
+
+    @staticmethod
+    def _pairs(stream, x_true, groups):
+        kwargs = dict(x_true=x_true, checkpoint_every=300, record_iterates=True)
+        batch = run_batch(Lanes(groups), stream, _LANE_SEEDS, **kwargs)
+        S = len(_LANE_SEEDS)
+        assert len(batch) == len(groups) * S
+        for g, (spec, p, scale) in enumerate(groups):
+            single = replace(stream, corruption=replace(stream.corruption, p=p))
+            solo = run_batch(Lanes([(spec, p, scale)]), single, _LANE_SEEDS, **kwargs)
+            yield from zip(batch[g * S : (g + 1) * S], solo)
+
+    @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
+    @pytest.mark.parametrize(
+        "corruption",
+        [SignFlip(0.3), ResidualSignAdversary(0.3), AdditiveOblivious(0.3, Gaussian(2.0))],
+        ids=["sign_flip", "residual_sign", "oblivious"],
+    )
+    def test_matches_single_group_calls(self, corruption, dataset):
+        for lane, solo in self._pairs(*self._setup(corruption, dataset)):
+            assert (lane.solver, lane.seed) == (solo.solver, solo.seed)
+            assert np.array_equal(lane.x_final, solo.x_final)
+            assert [(c.k, c.relative_error, c.clean_loss) for c in lane.checkpoints] == [
+                (c.k, c.relative_error, c.clean_loss) for c in solo.checkpoints
+            ]
+            assert np.array_equal(lane.iterates, solo.iterates)
+            assert (lane.step_law_violations, lane.relu_gate_violations) == (
+                solo.step_law_violations,
+                solo.relu_gate_violations,
+            )
+
+    def test_step_law_counted_on_sign_lanes_only(self, monkeypatch):
+        real = solvers_mod.sample_block
+        monkeypatch.setattr(
+            solvers_mod, "sample_block", lambda model, rng, n: (2.0 * real(model, rng, n)[0], None)
+        )
+        for lane, solo in self._pairs(*self._setup(SignFlip(0.3), dataset=False)):
+            assert lane.step_law_violations == solo.step_law_violations
+            if lane.solver == "sgd_exp_relu":
+                assert lane.step_law_violations > 0
+            else:
+                assert lane.step_law_violations == 0
+
+    def test_groups_must_share_horizon(self):
+        specs = (_linear_spec(T=10), _linear_spec(T=20))
+        with pytest.raises(ValueError, match="share d and T"):
+            run_batch(Lanes((spec, 0.0, None) for spec in specs), _stream(), [1], x_true=np.ones(4))
