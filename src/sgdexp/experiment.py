@@ -97,11 +97,12 @@ def draw_signals(config: ExperimentConfig):
         return np.repeat(v[None, :], len(config.seeds), axis=0)
     out = np.empty((len(config.seeds), d))
     for i, seed in enumerate(config.seeds):
-        g = signal_rng(seed).standard_normal(d)
+        rng = signal_rng(seed)
+        g = rng.standard_normal(d)
         if kind == "scaled_standard_normal":
             norm = np.linalg.norm(g)
             while norm == 0.0:
-                g = signal_rng(seed).standard_normal(d)
+                g = rng.standard_normal(d)
                 norm = np.linalg.norm(g)
             g = g * (config.signal["norm"] / norm)
         out[i] = g

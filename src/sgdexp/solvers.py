@@ -14,9 +14,11 @@ measurement draws of a run.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Union
 
 import numpy as np
@@ -355,6 +357,135 @@ def step_glmtron(
     return _view(spec, state, a, y)
 
 
+#: Rule kinds and audit bits of the step function, as the enums of ``_stepkernel.c``.
+SIGN, GATED_SIGN, GLMTRON = 0, 1, 2
+AUDIT_STEP_LAW, AUDIT_GATE = 1, 2
+
+
+class _StepState(SimpleNamespace):
+    """What the step function reads and advances over one run_batch call.
+
+    ``x`` holds the lanes, (S, d) for one group or (G, S, d), advanced in
+    place.  Per group: ``kind`` (int32 SIGN / GATED_SIGN / GLMTRON) and
+    ``audit`` (int32 AUDIT_STEP_LAW | AUDIT_GATE bits); per lane, the
+    (G, S) int64 counts ``step_viol`` and ``gate_viol``.  ``relu`` is the
+    response link and ``corr`` the corruption channel.  The block fields
+    hold the block's (S, n, d) measurements ``A``, its ``steps`` (one row
+    per lane) and its responses ``Y``, or, for the residual-sign
+    adversary (``Y`` None), the ``clean`` responses, the indicator draws
+    ``XI`` and ``P``, the scalar or per-group (G, 1) probability.
+    ``hit_k`` (S,) is None unless hitting times are tracked: then ``Xt``,
+    ``g_sq``, ``level``, ``lam2`` and ``lam2k``, a 1-array holding
+    lam^{2k} at the current step.
+    """
+
+
+def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
+    """Steps j0 <= j < j1 of the block that starts at step k, in numpy.
+
+    The reference body: ``_stepkernel.c`` computes the same bits.
+    """
+    x, n = st.x, j1 - j0
+    G, S = st.step_viol.shape
+    tron = st.kind == GLMTRON
+    gate = bool(np.any(st.kind == GATED_SIGN))
+    audited = bool(st.audit.any())
+    if audited:
+        coefs = np.empty(x.shape[:-1] + (n,))
+        dots = np.empty(x.shape[:-1] + (n,))
+    track_hit = st.hit_k is not None
+    if track_hit:
+        lam2k = float(st.lam2k[0])
+
+    for j in range(j0, j1):
+        a = st.A[:, j, :]
+        dot = _dots(x, a)
+        if st.Y is None:
+            pred = np.maximum(dot, 0.0) if st.relu else dot
+            y = apply_channel(st.corr, st.clean[:, j], st.XI[:, j], pred=pred, p=st.P)
+        else:
+            y = st.Y[..., j]
+        step = st.steps[..., j]
+        if tron.all():
+            coef = _tron_coef(dot, y, step)
+        else:
+            coef = _sign_coef(dot, y, step, gate)
+            if tron.any():
+                coef = np.where(tron[:, None], _tron_coef(dot, y, step), coef)
+        if audited:
+            coefs[..., j - j0] = coef
+            dots[..., j - j0] = dot
+        x += coef[..., None] * a
+
+        if track_hit:
+            lam2k *= st.lam2
+            yk = lam2k * np.einsum("sd,sd->s", st.Xt - x, st.Xt - x) / st.g_sq
+            newly = (st.hit_k < 0) & (yk >= st.level)
+            st.hit_k[newly] = k + j + 1
+
+    if track_hit:
+        st.lam2k[0] = lam2k
+    if audited:
+        # Lane by lane, so that the audit's temporaries stay small.
+        coefs, dots = coefs.reshape(G, S, n), dots.reshape(G, S, n)
+        steps = st.steps[..., j0:j1].reshape(G, S, n)
+        if np.any(st.audit & AUDIT_STEP_LAW):
+            A = st.A[:, j0:j1]
+            norms = [np.sqrt(np.einsum("nd,nd->n", A[s_i], A[s_i])) for s_i in range(S)]
+        for g in np.flatnonzero(st.audit):
+            for s_i in range(S):
+                coef, step = coefs[g, s_i], steps[g, s_i]
+                moved = coef != 0.0
+                if st.audit[g] & AUDIT_STEP_LAW:
+                    length = np.abs(coef) * norms[s_i]
+                    st.step_viol[g, s_i] += np.sum(moved & (np.abs(length - step) > 1e-12 * step))
+                if st.audit[g] & AUDIT_GATE:
+                    st.gate_viol[g, s_i] += np.sum(moved & (dots[g, s_i] < 0.0))
+
+
+def _address(arr, dtype):
+    """Address of a C-contiguous array of ``dtype`` for the kernel; None for None."""
+    if arr is None:
+        return None
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise ValueError(f"step kernel input must be a C-contiguous {np.dtype(dtype)} array")
+    return arr.ctypes.data
+
+
+def _bind_c(lib, st: _StepState):
+    """The kernel call for the stretches of the current block: (j0, j1, k) -> None.
+
+    Advances steps j0 <= j < j1 of the block that starts at step k.  The
+    block's arrays are checked and their addresses taken once, here.
+    """
+    G, S = st.step_viol.shape
+    n, d = st.A.shape[1:]
+    hit = st.hit_k is not None
+    Y = None if st.Y is None else np.ascontiguousarray(st.Y)
+    # Without Y the kernel applies the residual-sign adversary at each group's p.
+    P = np.broadcast_to(np.ravel(st.P), (G,)).astype(float) if Y is None else None
+    diff = np.empty(d) if hit else None  # scratch for the hitting-time distance
+    hit_f64 = (st.Xt, st.g_sq, st.lam2k, diff) if hit else (None,) * 4
+    f64 = (st.x, st.A, Y, st.clean, st.XI, P, st.steps) + hit_f64
+    x, A, Y_, clean, XI, P_, steps, Xt, g_sq, lam2k, diff_ = (_address(a, np.float64) for a in f64)
+    kind, audit = (_address(a, np.int32) for a in (st.kind, st.audit))
+    step_viol, gate_viol, hit_k = (
+        _address(a, np.int64) for a in (st.step_viol, st.gate_viol, st.hit_k)
+    )
+    y_gstride = S * n if Y is not None and Y.ndim == 3 else 0
+    level, lam2 = (st.level, st.lam2) if hit else (0.0, 0.0)
+
+    def advance(j0: int, j1: int, k: int, _keep=f64) -> None:
+        # _keep holds the arrays made here, whose addresses the call passes.
+        lib.sk_advance(
+            G, S, n, d, j0, j1, x, A, Y_, y_gstride, clean, XI, P_, int(st.relu),
+            steps, kind, audit, step_viol, gate_viol,
+            Xt, g_sq, level, lam2, lam2k, hit_k, k, diff_,
+        )
+
+    return advance
+
+
 def _spawn_streams(seed: int):
     """Per-seed substreams: [signal, measurement, xi, noise]."""
     children = np.random.SeedSequence(seed).spawn(4)
@@ -402,9 +533,10 @@ def run_batch(
 
     Checkpoints of DatasetRows streams carry the clean loss of the
     iterate against the stream's rows and responses.  With
-    ``validate_steps`` the sign methods count, once per block, steps
-    whose length differs from the scheduled step (sgd_exp) and steps
-    taken at <x, a> < 0 (the ReLU methods).
+    ``validate_steps`` the sign methods count steps whose length differs
+    from the scheduled step (sgd_exp) and steps taken at <x, a> < 0 (the
+    ReLU methods).  The steps between two checkpoints are one call of the
+    step function: the compiled kernel where it loads, else its numpy body.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
@@ -455,8 +587,6 @@ def run_batch(
     # One probability shared by every lane keeps the channel's scalar form.
     P = ps[0] if len(set(ps)) == 1 else np.array(ps, dtype=float)[:, None]
     P_block = P if np.ndim(P) == 0 else P[..., None]
-    # A method mask picks the GLM-Tron rule on the lanes of a mixed set.
-    all_tron, mixed, tron_lanes = is_tron.all(), 0 < is_tron.sum() < G, is_tron[:, None]
 
     if is_dataset:
         resp = np.asarray(stream.responses, dtype=float)
@@ -472,19 +602,29 @@ def run_batch(
                 raise ValueError("step scales must be positive with one entry per seed")
         scales.append(scale)
 
+    # The step function's inputs; the block fields are set once per block.
+    sign_kind, gate_bit = (GATED_SIGN, AUDIT_GATE) if relu_response else (SIGN, 0)
+    audited = ~is_tron & validate_steps
+    st = _StepState(
+        x=x,
+        kind=np.where(is_tron, GLMTRON, sign_kind).astype(np.int32),
+        audit=np.where(audited, np.where(is_exp, AUDIT_STEP_LAW, 0) | gate_bit, 0).astype(np.int32),
+        step_viol=np.zeros((G, S), dtype=np.int64),
+        gate_viol=np.zeros((G, S), dtype=np.int64),
+        relu=relu_response,
+        corr=corr,
+        P=P if is_adversary else None,
+        hit_k=None,
+    )
     track_hit = hitting_level is not None
     if track_hit:
-        lam2 = specs[0].lam * specs[0].lam
-        g_sq = scales[0] * scales[0]
-        lam2k = 1.0
-        hit_k = np.full(S, -1, dtype=int)
-        y0 = (xt_norms**2) / g_sq
-        hit_k[y0 >= hitting_level] = 0
+        st.Xt, st.g_sq, st.level = np.ascontiguousarray(Xt), scales[0] * scales[0], hitting_level
+        st.lam2, st.lam2k = specs[0].lam * specs[0].lam, np.ones(1)
+        st.hit_k = np.full(S, -1, dtype=np.int64)
+        st.hit_k[(xt_norms**2) / st.g_sq >= hitting_level] = 0
+    from . import _kernel  # on the first engine call, not at import
 
-    # The step-law and gate audits cover the sign family, once per block.
-    audited = [g for g in range(G) if validate_steps and not is_tron[g]]
-    step_viol = np.zeros((G, S), dtype=int)
-    gate_viol = np.zeros((G, S), dtype=int)
+    lib = _kernel.load()
 
     checkpoints = [[] for _ in range(L)]
     snaps = [] if record_iterates else None
@@ -509,10 +649,11 @@ def run_batch(
     _record(0)
 
     block = max(1, min(2048, T, int(4_000_000 / max(L * d, 1)) or 1))
+    A_buf = np.empty((S, block, d))  # refilled in place by every full block
     k = 0
     while k < T:
         n = min(block, T - k)
-        A = np.empty((S, n, d))
+        A = A_buf if n == block else np.empty((S, n, d))
         idx = np.empty((S, n), dtype=int) if is_dataset else None
         XI = np.empty((S, n))
         NU = np.empty((S, n)) if is_oblivious else None
@@ -533,64 +674,27 @@ def run_batch(
             if relu_response:
                 np.maximum(clean, 0.0, out=clean)
 
-        # Only the adversary reads the iterate; every other channel runs once per block.
-        Y = None if is_adversary else apply_channel(corr, clean, XI, NU, p=P_block)
-
         # Scalar pow per step (see _decay), so the steps match the single-step views.
         decay = {key: np.array([_decay(*key, k + j) for j in range(n)]) for key in set(schedules)}
         rows = [
             np.broadcast_to(decay[key] / s.m, (S, n)) if tron else scale[:, None] * decay[key]
             for s, tron, key, scale in zip(specs, is_tron, schedules, scales)
         ]
-        steps = rows[0] if G == 1 else np.stack(rows)
-        if audited:
-            coefs = np.empty(lane_shape + (n,))
-            dots = np.empty(lane_shape + (n,))
+        st.A, st.clean, st.XI = A, clean, XI
+        st.steps = np.ascontiguousarray(rows[0] if G == 1 else np.stack(rows))
+        # Only the adversary reads the iterate; every other channel runs once per block.
+        st.Y = None if is_adversary else apply_channel(corr, clean, XI, NU, p=P_block)
 
-        for j in range(n):
-            a = A[:, j, :]
-            dot = _dots(x, a)
-            if Y is None:
-                pred = np.maximum(dot, 0.0) if relu_response else dot
-                y = apply_channel(corr, clean[:, j], XI[:, j], pred=pred, p=P)
-            else:
-                y = Y[..., j]
-            step = steps[..., j]
-            if all_tron:
-                coef = _tron_coef(dot, y, step)
-            else:
-                coef = _sign_coef(dot, y, step, relu_response)
-                if mixed:
-                    coef = np.where(tron_lanes, _tron_coef(dot, y, step), coef)
-            if audited:
-                coefs[..., j] = coef
-                dots[..., j] = dot
-            x += coef[..., None] * a
-            k += 1
-
-            if track_hit:
-                lam2k *= lam2
-                yk = lam2k * np.einsum("sd,sd->s", Xt - x, Xt - x) / g_sq
-                newly = (hit_k < 0) & (yk >= hitting_level)
-                hit_k[newly] = k
-
-            if k % checkpoint_every == 0 or k == T:
-                _record(k)
-
-        if audited:
-            # Lane by lane, so that the audit's temporaries stay small.
-            coefs, dots, steps = (v.reshape(G, S, n) for v in (coefs, dots, steps))
-            if any(is_exp[g] for g in audited):
-                norms = [np.sqrt(np.einsum("nd,nd->n", A[s_i], A[s_i])) for s_i in range(S)]
-            for g in audited:
-                for s_i in range(S):
-                    coef, step = coefs[g, s_i], steps[g, s_i]
-                    moved = coef != 0.0
-                    if is_exp[g]:
-                        length = np.abs(coef) * norms[s_i]
-                        step_viol[g, s_i] += np.sum(moved & (np.abs(length - step) > 1e-12 * step))
-                    if relu_response:
-                        gate_viol[g, s_i] += np.sum(moved & (dots[g, s_i] < 0.0))
+        # One call per stretch between checkpoints.
+        advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st)
+        j = 0
+        while j < n:
+            j1 = min(n, j + checkpoint_every - (k + j) % checkpoint_every)
+            advance(j, j1, k)
+            j = j1
+            if (k + j) % checkpoint_every == 0 or k + j == T:
+                _record(k + j)
+        k += n
 
     out = []
     for i in range(L):
@@ -601,10 +705,10 @@ def run_batch(
                 seed=seeds[s_i],
                 checkpoints=checkpoints[i],
                 x_final=lanes[i].copy(),
-                step_law_violations=int(step_viol[g, s_i]),
-                relu_gate_violations=int(gate_viol[g, s_i]),
+                step_law_violations=int(st.step_viol[g, s_i]),
+                relu_gate_violations=int(st.gate_viol[g, s_i]),
                 iterates=np.array([sn[i] for sn in snaps]) if record_iterates else None,
-                hit_k=(int(hit_k[s_i]) if track_hit and hit_k[s_i] >= 0 else None),
+                hit_k=(int(st.hit_k[s_i]) if track_hit and st.hit_k[s_i] >= 0 else None),
             )
         )
     return out

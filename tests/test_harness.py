@@ -125,6 +125,31 @@ class TestRunExperiment:
         # noise-free consistent system: loss shrinks from ||y||^2 scale
         assert losses[-1] < losses[0]
 
+    def test_zero_signal_draw_is_redrawn_from_the_same_generator(self, monkeypatch):
+        import sgdexp.experiment as experiment_mod
+        from sgdexp.experiment import draw_signals
+
+        made = []
+
+        class FirstDrawZero:
+            """A generator whose first draw is the zero vector."""
+
+            def __init__(self, seed):
+                made.append(seed)
+                self.draws = 0
+
+            def standard_normal(self, d):
+                # A redraw from a fresh generator would repeat the zero draw forever.
+                assert len(made) <= 2, "zero signal redrawn from a new generator"
+                self.draws += 1
+                return np.zeros(d) if self.draws == 1 else np.arange(1.0, d + 1.0)
+
+        monkeypatch.setattr(experiment_mod, "signal_rng", FirstDrawZero)
+        cfg = small_config(signal={"kind": "scaled_standard_normal", "norm": 3.0})
+        signals = draw_signals(cfg)
+        assert made == [1, 2]
+        assert np.allclose(np.linalg.norm(signals, axis=1), 3.0)
+
     def test_auto_gamma_needs_lam(self):
         cfg = small_config(
             solvers=[{"name": "r", "method": "sgd_root_linear", "gamma": "auto"}]

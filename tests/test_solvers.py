@@ -15,6 +15,7 @@ from sgdexp.corruption import (
     apply_channel,
 )
 import sgdexp.solvers as solvers_mod
+from sgdexp import _kernel
 from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
 from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block
 from sgdexp.solvers import (
@@ -351,6 +352,8 @@ class TestRun:
         assert traj.step_law_violations == moved.sum()
 
     def test_relu_gate_audit_counts_ungated_steps(self, monkeypatch):
+        # The patched rule lives in the numpy body; the compiled kernel has its own.
+        monkeypatch.setattr(_kernel, "_loaded", False)
         real = solvers_mod._sign_coef
         monkeypatch.setattr(
             solvers_mod, "_sign_coef", lambda dot, y, step, gate: real(dot, y, step, False)
