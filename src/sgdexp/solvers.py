@@ -18,6 +18,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Optional, Union
 
@@ -268,17 +269,18 @@ def _dots(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("sd,sd->s" if x.ndim == 2 else "gsd,sd->gs", x, a)
 
 
-def _decay(schedule: str, lam: Optional[float], k: int) -> float:
-    """Step decay at step k: 1 (const), (k+1)^{-1/2} (root) or lam^{-k} (exp).
+def _decays(schedule: str, lam: Optional[float], k: int, n: int) -> np.ndarray:
+    """Step decays at steps k..k+n-1: 1 (const), (k+1)^{-1/2} (root) or lam^{-k} (exp).
 
-    A scalar pow per step: numpy's vectorized lam ** -k differs from it
-    in the last bit for a few percent of k.
+    A scalar pow per step, through ``math.pow`` without a Python call per
+    step: numpy's vectorized lam ** -k differs from it in the last bit for
+    a few percent of k.
     """
     if schedule == "exp":
-        return lam ** (-float(k))
+        return np.fromiter(map(math.pow, repeat(lam, n), map(float, range(-k, -k - n, -1))), float, n)
     if schedule == "root":
-        return (k + 1) ** (-0.5)
-    return 1.0
+        return np.fromiter(map(math.pow, map(float, range(k + 1, k + n + 1)), repeat(-0.5, n)), float, n)
+    return np.ones(n)
 
 
 def _sign_coef(dot, y, step, gate: bool):
@@ -307,7 +309,7 @@ def _schedule(spec: SolverSpec) -> str:
 def _view(spec: SolverSpec, state: SolverState, a: np.ndarray, y: float) -> SolverState:
     """One step of the spec's rule on a single lane: x' = x + coef(<x, a>) a."""
     dot = _dots(state.x[None, :], a[None, :])
-    decay = _decay(_schedule(spec), spec.lam, state.k)
+    decay = float(_decays(_schedule(spec), spec.lam, state.k, 1)[0])
     if spec.method == "glmtron":
         coef = _tron_coef(dot, y, decay / spec.m)
     else:
@@ -537,6 +539,15 @@ def run_batch(
     from the scheduled step (sgd_exp) and steps taken at <x, a> < 0 (the
     ReLU methods).  The steps between two checkpoints are one call of the
     step function: the compiled kernel where it loads, else its numpy body.
+
+    Synthetic streams are drawn in blocks by a pool of two threads that
+    lives for the call: each draws half of the seeds' measurements,
+    corruption draws and clean responses for block b+1 while the calling
+    thread steps block b.  A seed's generators are used by one draw at a
+    time, in block order, so every lane gets the bits of a sequential
+    draw.  Dataset streams, whose draws are row gathers, are drawn by the
+    calling thread.  A T = 0 call starts no thread; an exception raised in
+    a draw is raised here once the pool is shut down.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
@@ -622,7 +633,10 @@ def run_batch(
         st.lam2, st.lam2k = specs[0].lam * specs[0].lam, np.ones(1)
         st.hit_k = np.full(S, -1, dtype=np.int64)
         st.hit_k[(xt_norms**2) / st.g_sq >= hitting_level] = 0
-    from . import _kernel  # on the first engine call, not at import
+    # On the first engine call, not at import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import _kernel
 
     lib = _kernel.load()
 
@@ -648,53 +662,86 @@ def run_batch(
 
     _record(0)
 
-    block = max(1, min(2048, T, int(4_000_000 / max(L * d, 1)) or 1))
-    A_buf = np.empty((S, block, d))  # refilled in place by every full block
-    k = 0
-    while k < T:
-        n = min(block, T - k)
-        A = A_buf if n == block else np.empty((S, n, d))
-        idx = np.empty((S, n), dtype=int) if is_dataset else None
-        XI = np.empty((S, n))
-        NU = np.empty((S, n)) if is_oblivious else None
-        for s_i, (_, meas_rng, xi_rng, noise_rng) in enumerate(gens):
-            A[s_i], ib = sample_block(stream.model, meas_rng, n)
+    # At most 2e6 / (lanes * d) steps a block: the two A buffers together stay within 4e6 doubles.
+    block = max(1, min(1024, T, int(2_000_000 / max(L * d, 1)) or 1))
+    A_bufs = [np.empty(S * block * d) for _ in range(2)]
+    # One draw task per half of the seeds; with one seed, one task.
+    halves = [h for h in (range(0, (S + 1) // 2), range((S + 1) // 2, S)) if h]
+
+    def draw(blk, n, part):
+        """Draw one block of the seeds in ``part`` into their rows of ``blk``."""
+        for s_i in part:
+            _, meas_rng, xi_rng, noise_rng = gens[s_i]
+            blk.A[s_i], ib = sample_block(stream.model, meas_rng, n)
             if is_dataset:
-                idx[s_i] = ib
-            XI[s_i] = xi_rng.random(n)
+                blk.idx[s_i] = ib
+            blk.XI[s_i] = xi_rng.random(n)
             if is_oblivious:
-                NU[s_i] = corr.law.draw(noise_rng, n)
-
+                blk.NU[s_i] = corr.law.draw(noise_rng, n)
+        rows = slice(part.start, part.stop)
         if is_dataset:
-            clean = resp[idx] / row_norms[idx]  # (S, n) in unit-row space
+            # Responses and noise in unit-row space.
+            idx = blk.idx[rows]
+            blk.clean[rows] = resp[idx] / row_norms[idx]
             if is_oblivious:
-                NU = NU / row_norms[idx]
+                blk.NU[rows] /= row_norms[idx]
         else:
-            clean = np.einsum("snd,sd->sn", A, Xt)
+            blk.clean[rows] = np.einsum("snd,sd->sn", blk.A[rows], Xt[rows])
             if relu_response:
-                np.maximum(clean, 0.0, out=clean)
+                np.maximum(blk.clean[rows], 0.0, out=blk.clean[rows])
 
-        # Scalar pow per step (see _decay), so the steps match the single-step views.
-        decay = {key: np.array([_decay(*key, k + j) for j in range(n)]) for key in set(schedules)}
-        rows = [
-            np.broadcast_to(decay[key] / s.m, (S, n)) if tron else scale[:, None] * decay[key]
-            for s, tron, key, scale in zip(specs, is_tron, schedules, scales)
-        ]
-        st.A, st.clean, st.XI = A, clean, XI
-        st.steps = np.ascontiguousarray(rows[0] if G == 1 else np.stack(rows))
-        # Only the adversary reads the iterate; every other channel runs once per block.
-        st.Y = None if is_adversary else apply_channel(corr, clean, XI, NU, p=P_block)
+    def submit(pool, k):
+        """Start drawing the block of steps from k, into the A buffer the steps do not read."""
+        n = min(block, T - k)
+        blk = SimpleNamespace(
+            A=A_bufs[k // block % 2][: S * n * d].reshape(S, n, d),
+            XI=np.empty((S, n)),
+            NU=np.empty((S, n)) if is_oblivious else None,
+            idx=np.empty((S, n), dtype=int) if is_dataset else None,
+            clean=np.empty((S, n)),
+        )
+        if is_dataset:
+            # A gather of rows already in memory: cheaper here than a thread
+            # handoff and the GIL it would take from the clean-loss checkpoints.
+            draw(blk, n, range(S))
+            return blk, []
+        return blk, [pool.submit(draw, blk, n, part) for part in halves]
 
-        # One call per stretch between checkpoints.
-        advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st)
-        j = 0
-        while j < n:
-            j1 = min(n, j + checkpoint_every - (k + j) % checkpoint_every)
-            advance(j, j1, k)
-            j = j1
-            if (k + j) % checkpoint_every == 0 or k + j == T:
-                _record(k + j)
-        k += n
+    # The pool draws the next block of a synthetic stream while this thread
+    # steps the current one (the kernel releases the GIL).  A block is stepped only once both halves
+    # are drawn, and the next is submitted only then, so each seed's
+    # generators serve one task at a time, in block order.
+    with ThreadPoolExecutor(2) as pool:
+        pending = submit(pool, 0) if T else None
+        k = 0
+        while k < T:
+            n = min(block, T - k)
+            blk, futures = pending
+            for f in futures:
+                f.result()
+            if k + n < T:
+                pending = submit(pool, k + n)
+
+            decay = {key: _decays(*key, k, n) for key in set(schedules)}
+            rows = [
+                np.broadcast_to(decay[key] / s.m, (S, n)) if tron else scale[:, None] * decay[key]
+                for s, tron, key, scale in zip(specs, is_tron, schedules, scales)
+            ]
+            st.A, st.clean, st.XI = blk.A, blk.clean, blk.XI
+            st.steps = np.ascontiguousarray(rows[0] if G == 1 else np.stack(rows))
+            # Only the adversary reads the iterate; every other channel runs once per block.
+            st.Y = None if is_adversary else apply_channel(corr, blk.clean, blk.XI, blk.NU, p=P_block)
+
+            # One call per stretch between checkpoints.
+            advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st)
+            j = 0
+            while j < n:
+                j1 = min(n, j + checkpoint_every - (k + j) % checkpoint_every)
+                advance(j, j1, k)
+                j = j1
+                if (k + j) % checkpoint_every == 0 or k + j == T:
+                    _record(k + j)
+            k += n
 
     out = []
     for i in range(L):

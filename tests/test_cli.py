@@ -71,6 +71,22 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_starts_no_thread():
+    # the engine's draw pool lives inside run_batch; importing must not start it
+    src = str(Path(sgdexp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import threading; n = threading.active_count(); import sgdexp.cli; "
+        "print(n, threading.active_count())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    before, after = proc.stdout.split()
+    assert after == before
+
+
 def test_missing_file_nonzero(capsys):
     code = main(["run", "/nonexistent/config.json"])
     assert code != 0

@@ -1,5 +1,7 @@
 import math
-from dataclasses import replace
+import sys
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from sgdexp.solvers import (
     SolverSpec,
     SolverState,
     StreamSpec,
+    _decays,
     _dots,
     recommend_G,
     recommend_lambda,
@@ -538,8 +541,8 @@ class TestEngineMatchesStepViews:
         assert np.array_equal(traj.iterates, self._replay(spec, stream, x_true, seed=7))
 
 
-# At d = 100 the mixed call over 12 groups x 2 seeds draws blocks of 1666
-# steps and each single-group call blocks of 2048, so the comparison also
+# At d = 100 the mixed call over 12 groups x 2 seeds draws blocks of 833
+# steps and each single-group call blocks of 1024, so the comparison also
 # covers draws that are chunked differently.
 _LANE_D, _LANE_T = 100, 2100
 # (spec, per-seed step scale or None): the sign rule with and without the
@@ -621,3 +624,162 @@ class TestLanes:
         specs = (_linear_spec(T=10), _linear_spec(T=20))
         with pytest.raises(ValueError, match="share d and T"):
             run_batch(Lanes((spec, 0.0, None) for spec in specs), _stream(), [1], x_true=np.ones(4))
+
+
+class TestDecays:
+    """The engine's step decays are the scalar Python pow of each step."""
+
+    @pytest.mark.parametrize("k", [0, 200_000])
+    @pytest.mark.parametrize("lam", [1.00003, 1.006, 1.007, 1.0000100005])
+    def test_exp_matches_scalar_pow(self, lam, k):
+        want = np.array([lam ** (-float(j)) for j in range(k, k + 3000)])
+        assert np.array_equal(_decays("exp", lam, k, 3000).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [0, 200_000])
+    def test_root_matches_scalar_pow(self, k):
+        want = np.array([(j + 1) ** (-0.5) for j in range(k, k + 3000)])
+        assert np.array_equal(_decays("root", None, k, 3000).view(np.uint64), want.view(np.uint64))
+
+    def test_const(self):
+        assert np.array_equal(_decays("const", None, 7, 5), np.ones(5))
+
+
+_PIPE_D = 8
+# Sign rule and GLM-Tron groups at their own p, against the residual-sign adversary.
+_PIPE_GROUPS = [
+    (SolverSpec(method="sgd_exp_linear", d=_PIPE_D, T=0, lam=1.001, G=1.0), 0.1),
+    (SolverSpec(method="glmtron", d=_PIPE_D, T=0, schedule="root", m=2), 0.3),
+    (SolverSpec(method="sgd_root_linear", d=_PIPE_D, T=0, gamma=0.5), 0.2),
+]
+
+
+class TestDrawPipeline:
+    """Blocks drawn one block ahead of the steps (by the two draw workers on
+    synthetic streams) give every lane the bits of a solo call and of the
+    numpy body: for one seed (one worker idle) and three (uneven halves),
+    horizons of no step, less than a block and a partial last block, and
+    stretches between checkpoints that cross block boundaries."""
+
+    @staticmethod
+    def _stream(corruption, dataset):
+        if not dataset:
+            return StreamSpec(model=GaussianSphere(_PIPE_D), corruption=corruption)
+        rng = np.random.default_rng(2)
+        rows = rng.standard_normal((50, _PIPE_D))
+        return StreamSpec(
+            model=DatasetRows(rows), corruption=corruption, responses=rows @ np.ones(_PIPE_D)
+        )
+
+    @staticmethod
+    def _summary(traj):
+        return (
+            traj.solver,
+            traj.seed,
+            traj.x_final.tobytes(),
+            traj.iterates.tobytes(),
+            [(c.k, c.relative_error, c.clean_loss) for c in traj.checkpoints],
+            traj.step_law_violations,
+            traj.relu_gate_violations,
+        )
+
+    @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["sign_flip", "mixed_residual_sign"])
+    @pytest.mark.parametrize(
+        "T, every", [(0, 100), (300, 100), (2500, 700)], ids=["T0", "T300", "T2500_every700"]
+    )
+    @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]], ids=["S1", "S3"])
+    def test_lanes_match_solo_calls_and_numpy_body(self, seeds, T, every, mixed, dataset, monkeypatch):
+        if mixed:
+            groups = [(replace(spec, T=T), p, None) for spec, p in _PIPE_GROUPS]
+            stream = self._stream(ResidualSignAdversary(0.0), dataset)
+        else:
+            groups = [(replace(_PIPE_GROUPS[0][0], T=T), 0.3, None)]
+            stream = self._stream(SignFlip(0.3), dataset)
+        x_true = np.vstack([signal_rng(s).standard_normal(_PIPE_D) for s in seeds])
+        kwargs = dict(checkpoint_every=every, record_iterates=True)
+        batch = [
+            self._summary(t) for t in run_batch(Lanes(groups), stream, seeds, x_true=x_true, **kwargs)
+        ]
+        solo = [
+            self._summary(t)
+            for group in groups
+            for s_i, seed in enumerate(seeds)
+            for t in run_batch(
+                Lanes([group]),
+                replace(stream, corruption=replace(stream.corruption, p=group[1])),
+                [seed],
+                x_true=x_true[s_i],
+                **kwargs,
+            )
+        ]
+        monkeypatch.setattr(_kernel, "_loaded", False)
+        numpy_body = [
+            self._summary(t) for t in run_batch(Lanes(groups), stream, seeds, x_true=x_true, **kwargs)
+        ]
+        assert len(batch) == len(groups) * len(seeds)
+        assert batch == solo
+        assert batch == numpy_body
+        assert [cp[0] for cp in batch[0][4]] == sorted({*range(0, T, every), T})
+
+    def test_concurrent_calls_under_fast_switching(self):
+        """Two calls at once (four draw workers and two stepping threads on a
+        small machine), switching threads every microsecond, give the bits of
+        one call alone."""
+        seeds = [5, 6, 7]
+        x_true = np.vstack([signal_rng(s).standard_normal(_PIPE_D) for s in seeds])
+        spec = replace(_PIPE_GROUPS[0][0], T=2500)
+        stream = self._stream(SignFlip(0.3), dataset=False)
+        kwargs = dict(x_true=x_true, checkpoint_every=700, record_iterates=True)
+        want = [self._summary(t) for t in run_batch(spec, stream, seeds, **kwargs)]
+        got = [None, None]
+
+        def call(i):
+            got[i] = [self._summary(t) for t in run_batch(spec, stream, seeds, **kwargs)]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want, want]
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class _FailingGaussian(Gaussian):
+    """A noise law whose draw raises, after noting the thread it ran on."""
+
+    threads: list = None
+
+    def draw(self, rng, size=None):
+        self.threads.append(threading.current_thread())
+        raise _DrawFailed("noise draw failed")
+
+
+class TestDrawPoolLifetime:
+    def test_worker_failure_raises_and_joins_the_pool(self):
+        law = _FailingGaussian(1.0, threads=[])
+        stream = StreamSpec(model=GaussianSphere(4), corruption=AdditiveOblivious(0.3, law))
+        before = threading.active_count()
+        with pytest.raises(_DrawFailed, match="noise draw failed"):
+            run_batch(_linear_spec(T=3000), stream, [1, 2, 3], x_true=np.ones(4))
+        assert law.threads and threading.main_thread() not in law.threads
+        assert threading.active_count() == before
+
+    def test_zero_horizon_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        before = threading.active_count()
+        traj = run_batch(_linear_spec(T=0), _stream(), [1, 2], x_true=np.ones(4))
+        assert [len(t.checkpoints) for t in traj] == [1, 1]
+        assert started == []
+        assert threading.active_count() == before
