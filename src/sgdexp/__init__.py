@@ -27,7 +27,6 @@ from .drift import (
     mc_drift_c2,
     mc_drift_linear_term,
     mc_hitting_probability,
-    mgf_recursion_bound,
     theorem_error_bound,
     theorem_failure_probability,
 )

@@ -81,8 +81,7 @@ def open_library(path: Path):
     lib.sk_dots.restype = None
     lib.sk_advance.argtypes = (
         [i64] * 6  # G, S, n, d, j0, j1
-        + [ptr, ptr]  # x, A
-        + [ptr, i64]  # Y, its group stride
+        + [ptr, ptr, ptr]  # x, A, Y
         + [ptr, ptr, ptr, ctypes.c_int]  # clean, XI, P, relu link
         + [ptr, ptr, ptr, ptr, ptr]  # steps, kind, audit, step_viol, gate_viol
         + [ptr, ptr, f64, f64, ptr, ptr, i64, ptr]  # hitting-time state
@@ -94,10 +93,10 @@ def open_library(path: Path):
 def self_test(lib) -> None:
     """Raise KernelUnavailable unless the kernel's dot equals np.einsum on every entry.
 
-    Covers d = 1..130 in the engine's three shapes: (S, d) lanes against
-    a strided column of an (S, n, d) block, (G, S, d) lanes against the
-    same column, and the audit's row norms (a row against itself).  All
-    dots run in one kernel call over one buffer.
+    Covers d = 1..130 in the two einsums of the numpy body: (G, S, d) lanes
+    against a strided column of an (S, n, d) block, and the audit's row
+    norms (the block against itself).  All dots run in one kernel call
+    over one buffer.
     """
     R, W, dims = 3, 2, np.arange(1, 131)
     # Per d, a (2, R, d) lane array X, then an (R, W, d) block A: the first
@@ -105,16 +104,16 @@ def self_test(lib) -> None:
     buf = np.random.default_rng(20240501).standard_normal(12 * dims[-1])
     x_at = dims[:, None] * np.arange(2 * R)  # X[g, s], g-major
     a_at = dims[:, None] * (2 * R + np.arange(R) * W + 1)  # A[s, 1]
-    first = np.concatenate([x_at[:, R:], x_at, x_at[:, :R]], axis=1)
-    second = np.concatenate([a_at, np.tile(a_at, 2), x_at[:, :R]], axis=1)
+    rows_at = dims[:, None] * (2 * R + np.arange(R * W))  # A[s, j], s-major
+    first = np.concatenate([x_at, rows_at], axis=1)
+    second = np.concatenate([np.tile(a_at, 2), rows_at], axis=1)
     table = np.stack([first, second, np.broadcast_to(dims[:, None], first.shape)], axis=2)
     want = np.empty(first.shape)
     for d, row in zip(dims, want):
         X = buf[: 2 * R * d].reshape(2, R, d)
-        a = buf[2 * R * d : 4 * R * d].reshape(R, W, d)[:, 1, :]
-        np.einsum("sd,sd->s", X[1], a, out=row[:R])
-        np.einsum("gsd,sd->gs", X, a, out=row[R : 3 * R].reshape(2, R))
-        np.einsum("nd,nd->n", X[0], X[0], out=row[3 * R :])
+        A = buf[2 * R * d : 4 * R * d].reshape(R, W, d)
+        np.einsum("gsd,sd->gs", X, A[:, 1, :], out=row[: 2 * R].reshape(2, R))
+        np.einsum("snd,snd->sn", A, A, out=row[2 * R :].reshape(R, W))
     table, want = np.ascontiguousarray(table, dtype=np.int64), want.ravel()
     got = np.empty_like(want)
     lib.sk_dots(len(want), table.ctypes.data, buf.ctypes.data, got.ctypes.data)

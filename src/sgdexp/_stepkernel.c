@@ -66,9 +66,9 @@ void sk_dots(int64_t m, const int64_t *pairs, const double *buf, double *out)
  *
  * x      (G, S, d)  lane iterates, advanced in place
  * A      (S, n, d)  measurements of the block
- * Y      (G, S, n) or (S, n) responses, y_gstride = S * n or 0; NULL for the
- *                   residual-sign adversary, which reads clean and XI (S, n)
- *                   and each group's p, and reflects about the prediction
+ * Y      (G, S, n)  responses; NULL for the residual-sign adversary, which
+ *                   reads clean and XI (S, n) and each group's p in P (G,),
+ *                   and reflects about the prediction
  * steps  (G, S, n)  step sizes
  * kind, audit (G,)  rule and audit flags of each group
  * step_viol, gate_viol (G, S)  audit counts, added to
@@ -78,7 +78,7 @@ void sk_dots(int64_t m, const int64_t *pairs, const double *buf, double *out)
  * holds d doubles of scratch. */
 void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t j1,
                 double *x, const double *A,
-                const double *Y, int64_t y_gstride,
+                const double *Y,
                 const double *clean, const double *XI, const double *P, int relu_link,
                 const double *steps, const int32_t *kind, const int32_t *audit,
                 int64_t *step_viol, int64_t *gate_viol,
@@ -98,16 +98,17 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t 
             const double *a = A + sj * d;
             const double norm = need_norm ? sqrt(dot(a, a, d)) : 0.0;
             for (int64_t g = 0; g < G; g++) {
-                double *xl = x + (g * S + s) * d;
+                const int64_t lane = g * S + s;
+                double *xl = x + lane * d;
                 const double dt = dot(xl, a, d);
                 double y;
                 if (Y != NULL) {
-                    y = Y[g * y_gstride + sj];
+                    y = Y[lane * n + j];
                 } else {
                     const double pred = relu_link ? relu(dt) : dt;
                     y = XI[sj] < P[g] ? 2.0 * pred - clean[sj] : clean[sj];
                 }
-                const double step = steps[(g * S + s) * n + j];
+                const double step = steps[lane * n + j];
                 double coef;
                 if (kind[g] == GLMTRON)
                     coef = step * (y - relu(dt));
@@ -117,9 +118,9 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t 
                     coef = step * sign(y - dt);
                 if (coef != 0.0) {
                     if ((audit[g] & AUDIT_STEP_LAW) && fabs(fabs(coef) * norm - step) > 1e-12 * step)
-                        step_viol[g * S + s]++;
+                        step_viol[lane]++;
                     if ((audit[g] & AUDIT_GATE) && dt < 0.0)
-                        gate_viol[g * S + s]++;
+                        gate_viol[lane]++;
                 }
                 for (int64_t i = 0; i < d; i++)
                     xl[i] = xl[i] + coef * a[i];

@@ -176,18 +176,6 @@ def hitting_bound(params: DriftParams, K: int) -> HittingBound:
     return HittingBound(raw=raw, clamped=min(raw, 1.0))
 
 
-def mgf_recursion_bound(rho: float, D: float, eta: float, a: float, k: int) -> float:
-    """Exponential-moment bound e^{eta a} (rho^k + D (1 - rho^k) / (1 - rho))."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    if D < 1.0:
-        raise ValueError("D must be at least 1")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rk = rho**k
-    return math.exp(eta * a) * (rk + D * (1.0 - rk) / (1.0 - rho))
-
-
 def theorem_error_bound(G: float, ctilde: float, R: float, d: int, p: float, T: int) -> float:
     """Error bound G (2 ctilde sqrt(R d) ln T / (1-2p)) exp(-T ctilde^2 (1-2p)^2 / (3 R d ln^2 T))."""
     if T < 2:
@@ -251,8 +239,11 @@ def mc_hitting_probability(
     """Empirical P[tau_b <= K] over independent solver runs vs. the tail bound.
 
     Requires Y_0 = ||x_true||^2 / G^2 < a (the admissible-initialization
-    condition); each run simulates K steps of the configured solver and
-    records whether Y_k ever reached b.
+    condition) and K within the precision horizon
+    k_fp = ln(G / (eps ||x_true||)) / ln lam: past k_fp the step G lam^{-k}
+    falls below ulp(||x_true||), the iterate freezes while lam^{2k} keeps
+    growing, and Y_k records false hits.  Each run simulates K steps of
+    the configured solver and records whether Y_k ever reached b.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -264,6 +255,14 @@ def mc_hitting_probability(
         raise ValueError(
             f"invalid initialization: Y_0 = {y0:.6g} must be below a = {params.a:.6g}"
         )
+    x_norm = float(np.linalg.norm(x_true))
+    if x_norm > 0.0:
+        k_fp = math.log(spec.G / (np.finfo(float).eps * x_norm)) / math.log(spec.lam)
+        if K > k_fp:
+            raise ValueError(
+                f"K = {K} exceeds the precision horizon k_fp = {k_fp:.1f}, past which "
+                "the step G lam^-k is below ulp(||x_true||) and hits are false"
+            )
     run_spec = replace(spec, T=K)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_runs)]
     trajs = run_batch(

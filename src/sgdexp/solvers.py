@@ -259,14 +259,14 @@ def recommend_G(lam: float, x_norm_bound: float) -> float:
     return x_norm_bound * math.sqrt(2.0 * (lam * lam - 1.0))
 
 
-# The rule table.  Every function below works on an (S,) or (G, S) lane
-# axis; the engine in ``run_batch`` and the single-step views share it,
-# so the views compute exactly the engine's arithmetic.
+# The rule table.  Every function below works on (G, S) lane axes; the
+# engine in ``run_batch`` and the single-step views share it, so the views
+# compute exactly the engine's arithmetic.
 
 
 def _dots(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<x, a_s> per lane for (S, d) or (G, S, d) iterates and (S, d) measurements."""
-    return np.einsum("sd,sd->s" if x.ndim == 2 else "gsd,sd->gs", x, a)
+    """<x_gs, a_s> per lane for (G, S, d) iterates and (S, d) measurements."""
+    return np.einsum("gsd,sd->gs", x, a)
 
 
 def _decays(schedule: str, lam: Optional[float], k: int, n: int) -> np.ndarray:
@@ -308,7 +308,7 @@ def _schedule(spec: SolverSpec) -> str:
 
 def _view(spec: SolverSpec, state: SolverState, a: np.ndarray, y: float) -> SolverState:
     """One step of the spec's rule on a single lane: x' = x + coef(<x, a>) a."""
-    dot = _dots(state.x[None, :], a[None, :])
+    dot = _dots(state.x[None, None, :], a[None, :])
     decay = float(_decays(_schedule(spec), spec.lam, state.k, 1)[0])
     if spec.method == "glmtron":
         coef = _tron_coef(dot, y, decay / spec.m)
@@ -318,7 +318,7 @@ def _view(spec: SolverSpec, state: SolverState, a: np.ndarray, y: float) -> Solv
             raise ValueError(f"measurement vector must be unit norm, got ||a|| = {norm!r}")
         scale = spec.G if spec.method.startswith("sgd_exp") else spec.gamma
         coef = _sign_coef(dot, y, scale * decay, spec.method in RELU_METHODS)
-    return SolverState(x=state.x + coef[0] * a, k=state.k + 1)
+    return SolverState(x=state.x + coef[0, 0] * a, k=state.k + 1)
 
 
 def step_sgd_exp_linear(
@@ -367,18 +367,17 @@ AUDIT_STEP_LAW, AUDIT_GATE = 1, 2
 class _StepState(SimpleNamespace):
     """What the step function reads and advances over one run_batch call.
 
-    ``x`` holds the lanes, (S, d) for one group or (G, S, d), advanced in
-    place.  Per group: ``kind`` (int32 SIGN / GATED_SIGN / GLMTRON) and
-    ``audit`` (int32 AUDIT_STEP_LAW | AUDIT_GATE bits); per lane, the
-    (G, S) int64 counts ``step_viol`` and ``gate_viol``.  ``relu`` is the
-    response link and ``corr`` the corruption channel.  The block fields
-    hold the block's (S, n, d) measurements ``A``, its ``steps`` (one row
-    per lane) and its responses ``Y``, or, for the residual-sign
-    adversary (``Y`` None), the ``clean`` responses, the indicator draws
-    ``XI`` and ``P``, the scalar or per-group (G, 1) probability.
-    ``hit_k`` (S,) is None unless hitting times are tracked: then ``Xt``,
-    ``g_sq``, ``level``, ``lam2`` and ``lam2k``, a 1-array holding
-    lam^{2k} at the current step.
+    ``x`` holds the (G, S, d) lanes, advanced in place.  Per group:
+    ``kind`` (int32 SIGN / GATED_SIGN / GLMTRON), ``audit`` (int32
+    AUDIT_STEP_LAW | AUDIT_GATE bits) and, for the residual-sign adversary,
+    the (G, 1) probabilities ``P``; per lane, the (G, S) int64 counts
+    ``step_viol`` and ``gate_viol``.  ``relu`` is the response link and
+    ``corr`` the corruption channel.  The block fields hold the block's
+    (S, n, d) measurements ``A``, its (G, S, n) ``steps`` and responses
+    ``Y``, or, for the adversary (``Y`` None), the (S, n) ``clean``
+    responses and indicator draws ``XI``.  ``hit_k`` (S,) is None unless
+    hitting times are tracked: then ``Xt``, ``g_sq``, ``level``, ``lam2``
+    and ``lam2k``, a 1-array holding lam^{2k} at the current step.
     """
 
 
@@ -388,8 +387,7 @@ def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
     The reference body: ``_stepkernel.c`` computes the same bits.
     """
     x, n = st.x, j1 - j0
-    G, S = st.step_viol.shape
-    tron = st.kind == GLMTRON
+    tron = (st.kind == GLMTRON)[:, None]
     gate = bool(np.any(st.kind == GATED_SIGN))
     audited = bool(st.audit.any())
     if audited:
@@ -408,12 +406,7 @@ def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
         else:
             y = st.Y[..., j]
         step = st.steps[..., j]
-        if tron.all():
-            coef = _tron_coef(dot, y, step)
-        else:
-            coef = _sign_coef(dot, y, step, gate)
-            if tron.any():
-                coef = np.where(tron[:, None], _tron_coef(dot, y, step), coef)
+        coef = np.where(tron, _tron_coef(dot, y, step), _sign_coef(dot, y, step, gate))
         if audited:
             coefs[..., j - j0] = coef
             dots[..., j - j0] = dot
@@ -421,28 +414,22 @@ def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
 
         if track_hit:
             lam2k *= st.lam2
-            yk = lam2k * np.einsum("sd,sd->s", st.Xt - x, st.Xt - x) / st.g_sq
+            diff = st.Xt - x[0]
+            yk = lam2k * _dots(diff[None], diff)[0] / st.g_sq
             newly = (st.hit_k < 0) & (yk >= st.level)
             st.hit_k[newly] = k + j + 1
 
     if track_hit:
         st.lam2k[0] = lam2k
     if audited:
-        # Lane by lane, so that the audit's temporaries stay small.
-        coefs, dots = coefs.reshape(G, S, n), dots.reshape(G, S, n)
-        steps = st.steps[..., j0:j1].reshape(G, S, n)
-        if np.any(st.audit & AUDIT_STEP_LAW):
-            A = st.A[:, j0:j1]
-            norms = [np.sqrt(np.einsum("nd,nd->n", A[s_i], A[s_i])) for s_i in range(S)]
-        for g in np.flatnonzero(st.audit):
-            for s_i in range(S):
-                coef, step = coefs[g, s_i], steps[g, s_i]
-                moved = coef != 0.0
-                if st.audit[g] & AUDIT_STEP_LAW:
-                    length = np.abs(coef) * norms[s_i]
-                    st.step_viol[g, s_i] += np.sum(moved & (np.abs(length - step) > 1e-12 * step))
-                if st.audit[g] & AUDIT_GATE:
-                    st.gate_viol[g, s_i] += np.sum(moved & (dots[g, s_i] < 0.0))
+        moved = coefs != 0.0
+        law = (st.audit & AUDIT_STEP_LAW).astype(bool)[:, None, None]
+        gated = (st.audit & AUDIT_GATE).astype(bool)[:, None, None]
+        if law.any():
+            A, steps = st.A[:, j0:j1], st.steps[..., j0:j1]
+            length = np.abs(coefs) * np.sqrt(np.einsum("snd,snd->sn", A, A))
+            st.step_viol += np.sum(law & moved & (np.abs(length - steps) > 1e-12 * steps), axis=2)
+        st.gate_viol += np.sum(gated & moved & (dots < 0.0), axis=2)
 
 
 def _address(arr, dtype):
@@ -463,24 +450,20 @@ def _bind_c(lib, st: _StepState):
     G, S = st.step_viol.shape
     n, d = st.A.shape[1:]
     hit = st.hit_k is not None
-    Y = None if st.Y is None else np.ascontiguousarray(st.Y)
-    # Without Y the kernel applies the residual-sign adversary at each group's p.
-    P = np.broadcast_to(np.ravel(st.P), (G,)).astype(float) if Y is None else None
     diff = np.empty(d) if hit else None  # scratch for the hitting-time distance
     hit_f64 = (st.Xt, st.g_sq, st.lam2k, diff) if hit else (None,) * 4
-    f64 = (st.x, st.A, Y, st.clean, st.XI, P, st.steps) + hit_f64
-    x, A, Y_, clean, XI, P_, steps, Xt, g_sq, lam2k, diff_ = (_address(a, np.float64) for a in f64)
+    f64 = (st.x, st.A, st.Y, st.clean, st.XI, st.P, st.steps) + hit_f64
+    x, A, Y, clean, XI, P, steps, Xt, g_sq, lam2k, diff_ = (_address(a, np.float64) for a in f64)
     kind, audit = (_address(a, np.int32) for a in (st.kind, st.audit))
     step_viol, gate_viol, hit_k = (
         _address(a, np.int64) for a in (st.step_viol, st.gate_viol, st.hit_k)
     )
-    y_gstride = S * n if Y is not None and Y.ndim == 3 else 0
     level, lam2 = (st.level, st.lam2) if hit else (0.0, 0.0)
 
     def advance(j0: int, j1: int, k: int, _keep=f64) -> None:
-        # _keep holds the arrays made here, whose addresses the call passes.
+        # _keep holds the arrays whose addresses the call passes.
         lib.sk_advance(
-            G, S, n, d, j0, j1, x, A, Y_, y_gstride, clean, XI, P_, int(st.relu),
+            G, S, n, d, j0, j1, x, A, Y, clean, XI, P, int(st.relu),
             steps, kind, audit, step_viol, gate_viol,
             Xt, g_sq, level, lam2, lam2k, hit_k, k, diff_,
         )
@@ -556,8 +539,6 @@ def run_batch(
     (specs, ps, given_scales), seeds = zip(*spec), list(seeds)
     G, S, d, T = len(specs), len(seeds), specs[0].d, spec.T
     L = G * S
-    # One group keeps the (S, ...) lane shape and the per-step arithmetic of a plain batch.
-    lane_shape = (S,) if G == 1 else (G, S)
     is_dataset = isinstance(stream.model, DatasetRows)
     if any((s.d, s.T) != (d, T) for s in specs):
         raise ValueError("lane groups must share d and T")
@@ -585,7 +566,7 @@ def run_batch(
             raise ValueError(f"x_true must have shape ({S}, {d}) or ({d},)")
         xt_norms = np.linalg.norm(Xt, axis=1)
 
-    x = np.zeros(lane_shape + (d,))
+    x = np.zeros((G, S, d))
     if x0 is not None:
         x[...] = x0  # (d,) or (S, d)
     lanes = x.reshape(L, d)  # a view: lane g * S + s
@@ -595,9 +576,7 @@ def run_batch(
     corr = stream.corruption
     is_adversary = isinstance(corr, ResidualSignAdversary)
     is_oblivious = isinstance(corr, AdditiveOblivious)
-    # One probability shared by every lane keeps the channel's scalar form.
-    P = ps[0] if len(set(ps)) == 1 else np.array(ps, dtype=float)[:, None]
-    P_block = P if np.ndim(P) == 0 else P[..., None]
+    P = np.array(ps, dtype=float)[:, None]  # (G, 1)
 
     if is_dataset:
         resp = np.asarray(stream.responses, dtype=float)
@@ -625,6 +604,7 @@ def run_batch(
         relu=relu_response,
         corr=corr,
         P=P if is_adversary else None,
+        Y=None,
         hit_k=None,
     )
     track_hit = hitting_level is not None
@@ -723,14 +703,15 @@ def run_batch(
                 pending = submit(pool, k + n)
 
             decay = {key: _decays(*key, k, n) for key in set(schedules)}
-            rows = [
-                np.broadcast_to(decay[key] / s.m, (S, n)) if tron else scale[:, None] * decay[key]
-                for s, tron, key, scale in zip(specs, is_tron, schedules, scales)
-            ]
+            st.steps = np.empty((G, S, n))
+            for g, (s, tron, key, scale) in enumerate(zip(specs, is_tron, schedules, scales)):
+                st.steps[g] = decay[key] / s.m if tron else scale[:, None] * decay[key]
             st.A, st.clean, st.XI = blk.A, blk.clean, blk.XI
-            st.steps = np.ascontiguousarray(rows[0] if G == 1 else np.stack(rows))
             # Only the adversary reads the iterate; every other channel runs once per block.
-            st.Y = None if is_adversary else apply_channel(corr, blk.clean, blk.XI, blk.NU, p=P_block)
+            if not is_adversary:
+                Y = apply_channel(corr, blk.clean, blk.XI, blk.NU, p=P[..., None])
+                # Without corruption Y is the (S, n) clean responses, the same for every group.
+                st.Y = np.ascontiguousarray(np.broadcast_to(Y, (G, S, n)))
 
             # One call per stretch between checkpoints.
             advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st)

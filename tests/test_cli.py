@@ -199,6 +199,31 @@ def test_drift_check_mc_on_dataset_fails_before_ctilde(dataset_config_path, tmp_
     assert calls == []
 
 
+def test_drift_check_mc_past_precision_horizon_exits_2(tmp_path, capsys):
+    config = tmp_path / "horizon.json"
+    config.write_text(
+        json.dumps(
+            {
+                "dimension": 5,
+                "horizon": 12000,
+                "seeds": [1],
+                "measurement": {"kind": "gaussian_sphere"},
+                "corruption": {"kind": "none"},
+                "solvers": [
+                    {"name": "sgd-exp", "method": "sgd_exp_linear", "lam": 1.007, "G": "auto", "g_scale": 1.05}
+                ],
+                "signal": {"kind": "scaled_standard_normal", "norm": 3.0},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["drift-check", str(config), "--ctilde", "0.8385", "--mc", "2", "--out-dir", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: K = 12000 exceeds the precision horizon k_fp = ")
+    assert not (out / "drift_report.json").exists()
+
+
 def test_drift_check_readme_example(tmp_path):
     config = str(CONFIGS / "oblivious_high_p.json")
     code = main(["drift-check", config, "--ctilde", "0.7979", "--out-dir", str(tmp_path), "--quiet"])

@@ -16,7 +16,6 @@ from sgdexp.drift import (
     mc_drift_c2,
     mc_drift_linear_term,
     mc_hitting_probability,
-    mgf_recursion_bound,
     theorem_error_bound,
     theorem_failure_probability,
 )
@@ -148,26 +147,6 @@ class TestHittingBound:
     def test_negative_K_rejected(self, params):
         with pytest.raises(ValueError):
             hitting_bound(params, -1)
-
-
-class TestMgfRecursionBound:
-    def test_k1(self):
-        assert mgf_recursion_bound(0.5, 2.0, 0.0, 1.0, 1) == pytest.approx(2.5, rel=1e-15)
-
-    def test_forced_arithmetic(self):
-        # rho=0.5, D=1, eta*a=0, k=3: 0.125 + 1.75
-        assert mgf_recursion_bound(0.5, 1.0, 0.0, 123.0, 3) == pytest.approx(1.875, rel=1e-15)
-
-    def test_geometric_limit(self):
-        rho, D, eta, a = 0.9, 1.4, 1e-6, 1000.0
-        limit = math.exp(eta * a) * D / (1 - rho)
-        assert mgf_recursion_bound(rho, D, eta, a, 10_000) == pytest.approx(limit, rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mgf_recursion_bound(1.0, 1.0, 1.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            mgf_recursion_bound(0.5, 0.5, 1.0, 0.0, 1)
 
 
 class TestTheoremBounds:
@@ -310,6 +289,40 @@ class TestMcHitting:
         assert rep.K == 100 and rep.n_runs == 10
         assert rep.theoretical_bound == pytest.approx(hitting_bound(params, 100).raw, rel=1e-12)
         assert rep.empirical_prob == 0.0  # nonvacuous config never hits
+
+
+class TestPrecisionHorizon:
+    """Past k_fp = ln(G / (eps ||x*||)) / ln lam the step falls below ulp and
+    the frozen iterate's Y_k grows into false hits (here from k ~ 5281)."""
+
+    D, LAM = 5, 1.0070
+
+    def _setup(self):
+        x_true = np.random.default_rng(0).standard_normal(self.D)
+        norm = float(np.linalg.norm(x_true))
+        G = 1.05 * recommend_G(self.LAM, norm)
+        params = drift_params(self.LAM, 0.0, self.D, exact_sphere_constant(self.D))
+        spec = SolverSpec(method="sgd_exp_linear", d=self.D, T=1, lam=self.LAM, G=G)
+        stream = StreamSpec(model=GaussianSphere(self.D), corruption=NoCorruption())
+        k_fp = math.log(G / (np.finfo(float).eps * norm)) / math.log(self.LAM)
+        return params, spec, stream, x_true, k_fp
+
+    def test_horizon_past_k_fp_raises(self):
+        params, spec, stream, x_true, k_fp = self._setup()
+        assert 4900 < k_fp < 5000
+        with pytest.raises(ValueError, match=r"K = 12000 .* k_fp = 4918\.0"):
+            mc_hitting_probability(spec, stream, x_true, params, K=12000, n_runs=8, seed=0)
+
+    def test_horizon_at_k_fp_runs(self):
+        params, spec, stream, x_true, k_fp = self._setup()
+        rep = mc_hitting_probability(spec, stream, x_true, params, K=math.floor(k_fp), n_runs=8, seed=0)
+        assert rep.K == math.floor(k_fp)
+        assert rep.empirical_prob == 0.0
+
+    def test_zero_signal_has_no_horizon(self):
+        params, spec, stream, _, _ = self._setup()
+        rep = mc_hitting_probability(spec, stream, np.zeros(self.D), params, K=12000, n_runs=1, seed=0)
+        assert rep.K == 12000
 
 
 class TestMcDriftLinearTerm:

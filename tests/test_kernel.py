@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sgdexp import _kernel
-from sgdexp.corruption import ResidualSignAdversary, SignFlip
+from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
 from sgdexp.measurement import GaussianSphere
 from sgdexp.solvers import SolverSpec, StreamSpec, run, run_batch
 from test_frozen_outputs import DIGESTS, emit_digests
@@ -24,6 +24,11 @@ SEQUENTIAL_DOT = DOT_ORDER + (
     "    double c = 0.0;\n    for (int64_t i = 0; i < d; i++)\n        c += x[i] * a[i];\n"
     "    return c;\n"
 )
+
+
+def _bits(arr):
+    """The bit patterns of a float array: -0.0 and +0.0 differ, as do NaN payloads."""
+    return np.asarray(arr).view(np.uint64)
 
 
 def _kernel_warnings(record):
@@ -143,4 +148,21 @@ def test_hitting_times_match_numpy_body(corruption, level, monkeypatch):
     assert [t.hit_k for t in kernel] == [t.hit_k for t in reference]
     assert any(t.hit_k is not None for t in kernel)
     for a, b in zip(kernel, reference):
-        assert np.array_equal(a.x_final, b.x_final)
+        assert np.array_equal(_bits(a.x_final), _bits(b.x_final))
+
+
+@needs_gcc
+def test_zero_coefficient_updates_match_numpy_body(monkeypatch):
+    # With x_true = 0 and no corruption every coefficient is 0, and x + 0 * a
+    # still turns each -0.0 component into +0.0 where a_i > 0.
+    d = 5
+    spec = SolverSpec(method="sgd_exp_linear", d=d, T=60, lam=1.01, G=0.5)
+    stream = StreamSpec(model=GaussianSphere(d), corruption=NoCorruption())
+    kwargs = dict(x_true=np.zeros(d), x0=np.full(d, -0.0), checkpoint_every=1, record_iterates=True)
+    assert _kernel.load() is not None
+    kernel = run_batch(spec, stream, range(3), **kwargs)
+    monkeypatch.setattr(_kernel, "_loaded", False)
+    reference = run_batch(spec, stream, range(3), **kwargs)
+    for a, b in zip(kernel, reference):
+        assert np.array_equal(_bits(a.iterates), _bits(b.iterates))
+        assert np.all(np.signbit(b.iterates[0])) and not np.any(np.signbit(b.x_final))

@@ -369,7 +369,7 @@ class TestRun:
         )
         meas = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
         A, _ = sample_block(stream.model, meas, T)
-        dots = _dots(traj.iterates[:-1], A)
+        dots = _dots(traj.iterates[None, :-1], A)[0]
         moved = np.any(np.diff(traj.iterates, axis=0) != 0.0, axis=1)
         expected = np.sum((dots < 0.0) & moved)
         assert expected > 0
@@ -497,7 +497,7 @@ class TestEngineMatchesStepViews:
         state = SolverState(np.zeros(spec.d))
         xs = [state.x]
         for k in range(T):
-            pred = _dots(state.x[None, :], A[k][None, :])
+            pred = _dots(state.x[None, None, :], A[k][None, :])[0]
             if stream.relu:
                 pred = np.maximum(pred, 0.0)
             y = apply_channel(
