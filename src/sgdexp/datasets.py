@@ -176,19 +176,23 @@ def load_red_wine(path, z_score: bool = True, center_response: bool = True) -> D
     return data
 
 
-def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False) -> float:
+def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False):
     """Mean squared loss (1/m) sum (<a_i, x> - y_i)^2 against the stored responses.
 
-    With ``relu`` the prediction is max(0, <a_i, x>).
+    With ``relu`` the prediction is max(0, <a_i, x>).  ``x`` is one (d,)
+    iterate, giving a float, or a (..., d) stack, giving an array of shape
+    ``x.shape[:-1]``; each iterate of a stack gets the bits of its own call
+    (numpy runs the same matrix-vector product and dot per iterate).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (data.d,):
+    if x.shape[-1:] != (data.d,):
         raise ValueError(f"dimension mismatch: x has shape {x.shape}, data d = {data.d}")
-    pred = data.features @ x
+    pred = np.matmul(data.features, x[..., None])[..., 0]
     if relu:
         pred = np.maximum(pred, 0.0)
     resid = pred - data.responses
-    return float(resid @ resid / data.m)
+    loss = np.matmul(resid[..., None, :], resid[..., :, None])[..., 0, 0] / data.m
+    return float(loss) if x.ndim == 1 else loss
 
 
 def least_squares_baseline(data: DatasetMatrix) -> np.ndarray:

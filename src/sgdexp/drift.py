@@ -35,7 +35,7 @@ import numpy as np
 
 from .corruption import CorruptionSpec, NoCorruption, ResidualSignAdversary, apply_channel
 from .measurement import MeasurementModel, sample_block
-from .solvers import SolverSpec, StreamSpec, _corruption_factor, run_batch
+from .solvers import SolverSpec, StreamSpec, _corruption_factor, _precision_horizon, run_batch
 
 #: Denominators of the admissible step-decay window lam^2 - 1 <= ctilde^2 f^2 / (den d).
 WINDOW_DEN = {"linear": 9.0, "relu": 49.0}
@@ -43,7 +43,8 @@ WINDOW_DEN = {"linear": 9.0, "relu": 49.0}
 RHO_DEN = {"linear": 60.0, "relu": 100.0}
 #: Denominators of the below-band ceiling D = exp(ctilde f / (den sqrt(d))).
 D_DEN = {"linear": 3.0, "relu": 6.0}
-#: One-step draws per block in the drift Monte Carlo validators.
+#: One-step draws per block in the drift Monte Carlo validators, which hold
+#: two (DRIFT_CHUNK, d) buffers for the call.
 DRIFT_CHUNK = 20_000
 
 
@@ -255,14 +256,12 @@ def mc_hitting_probability(
         raise ValueError(
             f"invalid initialization: Y_0 = {y0:.6g} must be below a = {params.a:.6g}"
         )
-    x_norm = float(np.linalg.norm(x_true))
-    if x_norm > 0.0:
-        k_fp = math.log(spec.G / (np.finfo(float).eps * x_norm)) / math.log(spec.lam)
-        if K > k_fp:
-            raise ValueError(
-                f"K = {K} exceeds the precision horizon k_fp = {k_fp:.1f}, past which "
-                "the step G lam^-k is below ulp(||x_true||) and hits are false"
-            )
+    k_fp = _precision_horizon(spec.G, float(np.linalg.norm(x_true)), spec.lam)
+    if K > k_fp:
+        raise ValueError(
+            f"K = {K} exceeds the precision horizon k_fp = {k_fp:.1f}, past which "
+            "the step G lam^-k is below ulp(||x_true||) and hits are false"
+        )
     run_spec = replace(spec, T=K)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_runs)]
     trajs = run_batch(
@@ -325,7 +324,8 @@ def _one_step_report(u, lam, model, adversary, n_samples, rng, value, ceiling):
     """Report of the mean and standard error of value(Y') over n_samples one-step draws from u.
 
     Each draw is Y' = lam^2 ||u - s a||^2 with a fresh measurement a and
-    realized sign s, sampled ``DRIFT_CHUNK`` at a time.  The sums are shifted
+    realized sign s, sampled ``DRIFT_CHUNK`` at a time into two chunk
+    buffers held for the call (the draws, then u - s a).  The sums are shifted
     by the first value so the variance does not cancel catastrophically.
     The report passes when the mean is at most ``ceiling`` + 4 stderr.
     """
@@ -333,11 +333,14 @@ def _one_step_report(u, lam, model, adversary, n_samples, rng, value, ceiling):
     total_sq = 0.0
     shift = None
     remaining = n_samples
+    a_buf, w_buf = (np.empty((min(DRIFT_CHUNK, n_samples), u.size)) for _ in range(2))
     while remaining > 0:
         m = min(DRIFT_CHUNK, remaining)
-        A, _ = sample_block(model, rng, m)
+        # w_buf holds the draw's row-norm squares until it holds w.
+        A, _ = sample_block(model, rng, m, out=a_buf[:m], scratch=w_buf[:m])
         s = _realized_signs(A @ u, adversary, rng)
-        w = u[None, :] - s[:, None] * A
+        w = np.multiply(s[:, None], A, out=w_buf[:m])
+        np.subtract(u[None, :], w, out=w)  # u - s a
         vals = value(lam * lam * np.einsum("ij,ij->i", w, w))
         if shift is None:
             shift = float(vals[0])

@@ -24,7 +24,8 @@ UNIT_NORM_RTOL = 1e-9
 #: Large-d limit of the sphere constant, sqrt(2/pi).
 GAUSSIAN_LIMIT_CONSTANT = math.sqrt(2.0 / math.pi)
 
-#: Measurement draws per block in ``estimate_ctilde``.
+#: Measurement draws per block in ``estimate_ctilde``, drawn into one reused
+#: (CTILDE_CHUNK, d) buffer.
 CTILDE_CHUNK = 50_000
 
 
@@ -118,42 +119,70 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
-def _normalize_rows(g: np.ndarray, rng: np.random.Generator, redraw) -> np.ndarray:
-    """Normalize rows of g in place, redrawing any exact-zero rows."""
-    norms = np.linalg.norm(g, axis=1)
+def _row_norms(g: np.ndarray, scratch=None) -> np.ndarray:
+    """``np.linalg.norm(g, axis=1)`` bit for bit: its sqrt(add.reduce(g*g, axis=1)).
+
+    The squares go to ``scratch`` (an array shaped like ``g``) when given.
+    """
+    norms = np.add.reduce(np.multiply(g, g, out=scratch), axis=1)
+    return np.sqrt(norms, out=norms)
+
+
+def _normalize_rows(g: np.ndarray, rng: np.random.Generator, draw, scratch=None) -> np.ndarray:
+    """Normalize rows of g in place, redrawing any exact-zero rows with ``draw(rng, rows)``."""
+    norms = _row_norms(g, scratch)
     while np.any(norms == 0.0):  # measure-zero event in exact arithmetic
         bad = norms == 0.0
-        g[bad] = redraw(rng, int(bad.sum()))
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
+        g[bad] = draw(rng, np.empty((int(bad.sum()), g.shape[1])))
+        norms = _row_norms(g, scratch)
+    g /= norms[:, None]
+    return g
 
 
-def sample_block(model: MeasurementModel, rng: np.random.Generator, n: int):
+def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    return rng.standard_normal(out=out)
+
+
+def _rademacher(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    np.copyto(out, rng.integers(0, 2, size=out.shape) * 2 - 1)
+    return out
+
+
+def _uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """rng.uniform(-sqrt(3), sqrt(3)) bit for bit: numpy draws it as low + (high - low) u."""
+    low, high = -math.sqrt(3.0), math.sqrt(3.0)
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
+
+
+_ENTRY_DRAWS = {"gaussian": _standard_normal, "rademacher": _rademacher, "uniform": _uniform}
+
+
+def sample_block(
+    model: MeasurementModel, rng: np.random.Generator, n: int, out=None, scratch=None
+):
     """Draw ``n`` measurement vectors.
 
     Returns ``(A, idx)`` where ``A`` is an (n, d) array of unit-norm
     rows and ``idx`` is the (n,) array of source row indices for
-    DatasetRows models (None otherwise).
+    DatasetRows models (None otherwise).  ``A`` is ``out`` when given, a
+    C-contiguous (n, d) float array the rows are drawn into; ``scratch``,
+    another such array, holds the squares of the row norms (otherwise a
+    temporary does).  The buffers change no bit of the draw.
     """
-    if isinstance(model, GaussianSphere):
-        g = rng.standard_normal((n, model.d))
-        return _normalize_rows(g, rng, lambda r, m: r.standard_normal((m, model.d))), None
-    if isinstance(model, NormalizedRademacher):
-        signs = rng.integers(0, 2, size=(n, model.d)) * 2 - 1
-        return signs / math.sqrt(model.d), None
-    if isinstance(model, NormalizedIIDSubGaussian):
-        if model.base == "gaussian":
-            draw = lambda r, m: r.standard_normal((m, model.d))
-        elif model.base == "rademacher":
-            draw = lambda r, m: (r.integers(0, 2, size=(m, model.d)) * 2 - 1).astype(float)
-        else:
-            s3 = math.sqrt(3.0)
-            draw = lambda r, m: r.uniform(-s3, s3, size=(m, model.d))
-        return _normalize_rows(draw(rng, n), rng, draw), None
+    if not isinstance(model, MeasurementModel):
+        raise TypeError(f"unknown measurement model {model!r}")
+    A = np.empty((n, model.d)) if out is None else out
     if isinstance(model, DatasetRows):
         idx = rng.integers(0, model.n_rows, size=n)
-        return model.unit_rows[idx], idx
-    raise TypeError(f"unknown measurement model {model!r}")
+        # mode="raise" would gather through a temporary; idx is in range.
+        return np.take(model.unit_rows, idx, axis=0, out=A, mode="clip"), idx
+    if isinstance(model, NormalizedRademacher):
+        return np.divide(_rademacher(rng, A), math.sqrt(model.d), out=A), None
+    draw = _standard_normal if isinstance(model, GaussianSphere) else _ENTRY_DRAWS[model.base]
+    return _normalize_rows(draw(rng, A), rng, draw, scratch), None
 
 
 def exact_sphere_constant(d: int) -> float:
@@ -196,8 +225,7 @@ def estimate_ctilde(
     if directions is None:
         if n_directions < 1:
             raise ValueError("n_directions must be at least 1")
-        g = rng.standard_normal((n_directions, d))
-        U = _normalize_rows(g, rng, lambda r, m: r.standard_normal((m, d)))
+        U = _normalize_rows(rng.standard_normal((n_directions, d)), rng, _standard_normal)
     else:
         U = np.atleast_2d(np.asarray(directions, dtype=float))
         norms = np.linalg.norm(U, axis=1)
@@ -210,12 +238,17 @@ def estimate_ctilde(
     sumsqs = np.zeros(n_dir)
     remaining = n_samples
     scale = math.sqrt(d)
+    buf = np.empty((min(CTILDE_CHUNK, n_samples), d))
     while remaining > 0:
         m = min(CTILDE_CHUNK, remaining)
-        A, _ = sample_block(model, rng, m)
-        z = scale * np.abs(A @ U.T)  # (m, n_dir)
+        A, _ = sample_block(model, rng, m, out=buf[:m])
+        z = A @ U.T  # (m, n_dir)
+        np.abs(z, out=z)
+        z *= scale
         sums += z.sum(axis=0)
-        sumsqs += (z * z).sum(axis=0)
+        z *= z
+        sumsqs += z.sum(axis=0)
+        del z  # freed before the next draw allocates its row-norm squares
         remaining -= m
 
     means = sums / n_samples

@@ -259,6 +259,17 @@ def recommend_G(lam: float, x_norm_bound: float) -> float:
     return x_norm_bound * math.sqrt(2.0 * (lam * lam - 1.0))
 
 
+def _precision_horizon(G: float, x_norm: float, lam: float) -> float:
+    """k_fp = ln(G / (eps ||x*||)) / ln lam, eps the machine epsilon; inf for x* = 0.
+
+    Past k_fp the step G lam^{-k} falls below ulp(||x*||): the iterate
+    freezes while lam^{2k} keeps growing, so Y_k records false hits.
+    """
+    if x_norm == 0.0:
+        return math.inf
+    return math.log(G / (np.finfo(float).eps * x_norm)) / math.log(lam)
+
+
 # The rule table.  Every function below works on (G, S) lane axes; the
 # engine in ``run_batch`` and the single-step views share it, so the views
 # compute exactly the engine's arithmetic.
@@ -514,7 +525,8 @@ def run_batch(
 
     With ``hitting_level`` set (one sgd_exp group only), tracks
     Y_k = lam^{2k} ||x_true - x_k||^2 / G^2 each step and records the
-    first k where Y_k reaches the level.
+    first k where Y_k reaches the level; T past any seed's precision
+    horizon (``_precision_horizon``) is a ValueError.
 
     Checkpoints of DatasetRows streams carry the clean loss of the
     iterate against the stream's rows and responses.  With
@@ -554,8 +566,8 @@ def run_batch(
     relu_response = stream.relu
     if any((s.method in RELU_METHODS) != relu_response for s in specs if s.method != "glmtron"):
         raise ValueError("sign methods must match the stream's response link (ReLU or linear)")
-    if hitting_level is not None and not (G == 1 and is_exp[0]):
-        raise ValueError("hitting-time tracking requires one sgd_exp lane group")
+    if hitting_level is not None and not (G == 1 and is_exp[0] and x_true is not None):
+        raise ValueError("hitting-time tracking requires one sgd_exp lane group and x_true")
 
     Xt = None
     if x_true is not None:
@@ -591,6 +603,13 @@ def run_batch(
             if scale.shape != (S,) or not np.all(scale > 0):
                 raise ValueError("step scales must be positive with one entry per seed")
         scales.append(scale)
+    if hitting_level is not None:
+        k_fp = min(map(_precision_horizon, scales[0], xt_norms, repeat(specs[0].lam)))
+        if T > k_fp:
+            raise ValueError(
+                f"T = {T} exceeds the precision horizon k_fp = {k_fp:.1f}, past which "
+                "the step G lam^-k is below ulp(||x_true||) and hits are false"
+            )
 
     # The step function's inputs; the block fields are set once per block.
     sign_kind, gate_bit = (GATED_SIGN, AUDIT_GATE) if relu_response else (SIGN, 0)
@@ -626,16 +645,18 @@ def run_batch(
 
     def _record(k):
         elapsed = time.perf_counter() - t0
-        for i in range(L):
-            s_i = i % S
-            rel = (
-                float(np.linalg.norm(Xt[s_i] - lanes[i]) / xt_norms[s_i])
-                if Xt is not None and xt_norms[s_i] > 0
-                else None
-            )
-            loss = evaluate_clean_loss(lanes[i], data, relu=relu_response) if is_dataset else None
-            checkpoints[i].append(
-                Checkpoint(k=k, relative_error=rel, clean_loss=loss, elapsed_seconds=elapsed)
+        rel = loss = repeat(None)
+        if Xt is not None:
+            # ||x* - x|| per lane as np.linalg.norm takes it: the sqrt of one dot.
+            diff = Xt - x
+            dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+            norms = np.tile(xt_norms, G)  # lane g * S + s has seed s's norm
+            rel = [float(r / nrm) if nrm > 0 else None for r, nrm in zip(dist.ravel(), norms)]
+        if is_dataset:
+            loss = evaluate_clean_loss(x, data, relu=relu_response).ravel().tolist()
+        for cps, r, c in zip(checkpoints, rel, loss):
+            cps.append(
+                Checkpoint(k=k, relative_error=r, clean_loss=c, elapsed_seconds=elapsed)
             )
         if record_iterates:
             snaps.append(lanes.copy())
@@ -652,10 +673,10 @@ def run_batch(
         """Draw one block of the seeds in ``part`` into their rows of ``blk``."""
         for s_i in part:
             _, meas_rng, xi_rng, noise_rng = gens[s_i]
-            blk.A[s_i], ib = sample_block(stream.model, meas_rng, n)
+            _, ib = sample_block(stream.model, meas_rng, n, out=blk.A[s_i])
             if is_dataset:
                 blk.idx[s_i] = ib
-            blk.XI[s_i] = xi_rng.random(n)
+            xi_rng.random(out=blk.XI[s_i])
             if is_oblivious:
                 blk.NU[s_i] = corr.law.draw(noise_rng, n)
         rows = slice(part.start, part.stop)

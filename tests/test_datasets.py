@@ -144,6 +144,24 @@ class TestEvaluateCleanLoss:
         assert evaluate_clean_loss(x, data, relu=True) == 0.0
         assert evaluate_clean_loss(x, data, relu=False) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("m, lead", [(40, ()), (40, (1,)), (257, (3,)), (1599, (2, 5)), (1599, (4, 1))])
+    def test_stack_matches_one_call_per_iterate(self, relu, m, lead):
+        # The reference is the one-iterate expression: a gemv, then a dot.
+        d = 10
+        rng = np.random.default_rng(m)
+        data = DatasetMatrix(features=rng.standard_normal((m, d)), responses=rng.standard_normal(m))
+        X = rng.standard_normal(lead + (d,))
+        losses = evaluate_clean_loss(X, data, relu=relu)
+        for i in np.ndindex(lead):
+            pred = data.features @ X[i]
+            if relu:
+                pred = np.maximum(pred, 0.0)
+            resid = pred - data.responses
+            expected = float(resid @ resid / data.m)
+            assert (losses[i] if lead else losses) == expected
+        assert isinstance(losses, float) == (lead == ())
+
     def test_dimension_mismatch(self):
         data = DatasetMatrix(features=np.eye(2), responses=np.zeros(2))
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
 from sgdexp.drift import (
+    DRIFT_CHUNK,
     DriftWindowError,
     drift_params,
     extract_Y_process,
@@ -19,8 +21,9 @@ from sgdexp.drift import (
     theorem_error_bound,
     theorem_failure_probability,
 )
-from sgdexp.measurement import GaussianSphere, exact_sphere_constant, sample_block
-from sgdexp.solvers import SolverSpec, StreamSpec, recommend_G, run
+from sgdexp.drift import _one_step_report, _realized_signs
+from sgdexp.measurement import DatasetRows, GaussianSphere, exact_sphere_constant, sample_block
+from sgdexp.solvers import Lanes, SolverSpec, StreamSpec, recommend_G, run, run_batch
 
 CT = math.sqrt(2.0 / math.pi)
 
@@ -324,6 +327,29 @@ class TestPrecisionHorizon:
         rep = mc_hitting_probability(spec, stream, np.zeros(self.D), params, K=12000, n_runs=1, seed=0)
         assert rep.K == 12000
 
+    def test_engine_refuses_T_past_k_fp(self):
+        params, spec, stream, x_true, _ = self._setup()
+        kwargs = dict(x_true=x_true, validate_steps=False, hitting_level=params.b)
+        with pytest.raises(ValueError, match=r"T = 12000 exceeds the precision horizon k_fp = 4918\.0"):
+            run_batch(dataclasses.replace(spec, T=12000), stream, range(8), **kwargs)
+        trajs = run_batch(dataclasses.replace(spec, T=4000), stream, range(8), **kwargs)
+        assert all(t.hit_k is None for t in trajs)
+
+    def test_engine_hitting_needs_x_true(self):
+        params, spec, _, _, _ = self._setup()
+        rows = np.random.default_rng(1).standard_normal((30, self.D))
+        stream = StreamSpec(model=DatasetRows(rows), responses=np.zeros(30))
+        with pytest.raises(ValueError, match="requires one sgd_exp lane group and x_true"):
+            run_batch(spec, stream, [0], hitting_level=params.b)
+
+    def test_engine_horizon_is_the_smallest_per_seed(self):
+        # A 1000x smaller step scale ends seed 1's horizon ln(1000) / ln lam ~ 990 steps sooner.
+        params, spec, stream, x_true, k_fp = self._setup()
+        lanes = Lanes([(dataclasses.replace(spec, T=4000), 0.0, np.array([spec.G, spec.G / 1000]))])
+        expected = k_fp - math.log(1000) / math.log(self.LAM)
+        with pytest.raises(ValueError, match=rf"T = 4000 .* k_fp = {expected:.1f}"):
+            run_batch(lanes, stream, [0, 1], x_true=x_true, hitting_level=params.b)
+
 
 class TestMcDriftLinearTerm:
     LAM, P, D = 1.00001, 0.4, 100
@@ -411,6 +437,57 @@ class TestMcDriftLinearTerm:
             mc_drift_linear_term(
                 a, 0.4, self.LAM, self.D, CT, GaussianSphere(self.D), SignFlip(0.4), 100, rng
             )
+
+
+def _one_step_allocating(u, lam, model, adversary, n_samples, rng, value):
+    """_one_step_report's estimate and stderr with fresh arrays per chunk.  The reference."""
+    total = total_sq = 0.0
+    shift = None
+    remaining = n_samples
+    while remaining > 0:
+        m = min(DRIFT_CHUNK, remaining)
+        A, _ = sample_block(model, rng, m)
+        s = _realized_signs(A @ u, adversary, rng)
+        w = u[None, :] - s[:, None] * A
+        vals = value(lam * lam * np.einsum("ij,ij->i", w, w))
+        if shift is None:
+            shift = float(vals[0])
+        vals -= shift
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+        remaining -= m
+    mean_c = total / n_samples
+    var = max(total_sq / n_samples - mean_c * mean_c, 0.0) * n_samples / (n_samples - 1)
+    return shift + mean_c, math.sqrt(var / n_samples)
+
+
+class TestOneStepBuffers:
+    """The validators draw into two reused chunk buffers without moving a bit."""
+
+    LAM, D = 1.001, 20
+
+    @pytest.mark.parametrize("adversary", [NoCorruption(), ResidualSignAdversary(0.3)], ids=["clean", "adversary"])
+    @pytest.mark.parametrize("n_samples", [2, DRIFT_CHUNK, 2 * DRIFT_CHUNK + 123])
+    def test_estimates_match_allocating_reference(self, adversary, n_samples):
+        u = np.random.default_rng(4).standard_normal(self.D) * 10.0
+        value = lambda y1: np.exp(1e-3 * y1)
+        model = GaussianSphere(self.D)
+        rep = _one_step_report(u, self.LAM, model, adversary, n_samples, np.random.default_rng(5), value, 1.0)
+        est, se = _one_step_allocating(u, self.LAM, model, adversary, n_samples, np.random.default_rng(5), value)
+        assert (rep.estimate, rep.stderr) == (est, se)
+
+    def test_memory_is_two_chunk_buffers(self):
+        # The draws and u - s a, each a (DRIFT_CHUNK, d) buffer, plus per-draw vectors.
+        d, lam, p = 100, 1.00001, 0.4
+        a_edge = 1.0 / (2.0 * (lam * lam - 1.0))
+        args = (p, lam, d, CT, GaussianSphere(d), ResidualSignAdversary(p), 40_000, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            mc_drift_linear_term(1.5 * a_edge, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * DRIFT_CHUNK * d * 8
 
 
 class TestMcDriftC2:

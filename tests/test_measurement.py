@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdexp.measurement import (
+    CTILDE_CHUNK,
     GAUSSIAN_LIMIT_CONSTANT,
     CtildeEstimate,
     DatasetRows,
@@ -17,6 +19,7 @@ from sgdexp.measurement import (
     exact_sphere_constant,
     sample_block,
 )
+from sgdexp.measurement import _row_norms
 
 MODELS = [
     GaussianSphere(7),
@@ -83,6 +86,90 @@ def test_block_matches_sequential_draws():
     rng = np.random.default_rng(9)
     singles = np.array([sample_block(model, rng, 1)[0][0] for _ in range(20)])
     assert np.array_equal(block, singles)
+
+
+def _sample_block_allocating(model, rng, n):
+    """sample_block before its buffers: fresh arrays, np.linalg.norm, g / norms.  The reference."""
+
+    def normalize(g, redraw):
+        norms = np.linalg.norm(g, axis=1)
+        while np.any(norms == 0.0):
+            bad = norms == 0.0
+            g[bad] = redraw(rng, int(bad.sum()))
+            norms = np.linalg.norm(g, axis=1)
+        return g / norms[:, None]
+
+    d = model.d
+    if isinstance(model, GaussianSphere):
+        g = rng.standard_normal((n, d))
+        return normalize(g, lambda r, m: r.standard_normal((m, d))), None
+    if isinstance(model, NormalizedRademacher):
+        return (rng.integers(0, 2, size=(n, d)) * 2 - 1) / math.sqrt(d), None
+    if isinstance(model, NormalizedIIDSubGaussian):
+        if model.base == "gaussian":
+            draw = lambda r, m: r.standard_normal((m, d))
+        elif model.base == "rademacher":
+            draw = lambda r, m: (r.integers(0, 2, size=(m, d)) * 2 - 1).astype(float)
+        else:
+            s3 = math.sqrt(3.0)
+            draw = lambda r, m: r.uniform(-s3, s3, size=(m, d))
+        return normalize(draw(rng, n), draw), None
+    idx = rng.integers(0, model.n_rows, size=n)
+    return model.unit_rows[idx], idx
+
+
+class _ZeroFirstRow:
+    """A generator whose first normal draw comes back with an all-zero first row."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.zeroed = False
+
+    def standard_normal(self, size=None, out=None):
+        g = self.rng.standard_normal(size, out=out)
+        if not self.zeroed:
+            g[0] = 0.0
+            self.zeroed = True
+        return g
+
+
+class TestInPlaceSampling:
+    """Drawing into caller buffers keeps every bit of the allocating draw."""
+
+    ALL_MODELS = MODELS + [DatasetRows(np.random.default_rng(2).standard_normal((30, 7)))]
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__ + getattr(m, "base", ""))
+    @pytest.mark.parametrize("n", [1, 97])
+    def test_out_holds_the_reference_bits(self, model, n):
+        ref_rng, rng = np.random.default_rng(42), np.random.default_rng(42)
+        ref, ref_idx = _sample_block_allocating(model, ref_rng, n)
+        shape = (n, model.d)
+        for kwargs in ({}, {"out": np.empty(shape)}, {"out": np.empty(shape), "scratch": np.empty(shape)}):
+            A, idx = sample_block(model, rng, n, **kwargs)
+            if "out" in kwargs:
+                assert A is kwargs["out"]
+            assert A.tobytes() == ref.tobytes()
+            assert (idx is None and ref_idx is None) or np.array_equal(idx, ref_idx)
+            # the same generator calls: both streams stay in step
+            ref, ref_idx = _sample_block_allocating(model, ref_rng, n)
+
+    @pytest.mark.parametrize("model", [GaussianSphere(5), NormalizedIIDSubGaussian(5, base="gaussian")])
+    def test_zero_row_is_redrawn_in_place(self, model):
+        ref_rng, rng = _ZeroFirstRow(8), _ZeroFirstRow(8)
+        ref, _ = _sample_block_allocating(model, ref_rng, 6)
+        out = np.empty((6, 5))
+        A, _ = sample_block(model, rng, 6, out=out, scratch=np.empty((6, 5)))
+        assert rng.zeroed and A is out
+        assert A.tobytes() == ref.tobytes()
+        assert np.linalg.norm(A[0]) == pytest.approx(1.0, rel=1e-12)
+        assert rng.rng.random() == ref_rng.rng.random()
+
+    def test_row_norms_match_linalg_norm(self):
+        for d in range(1, 131):
+            g = np.random.default_rng(d).standard_normal((9, d))
+            expected = np.linalg.norm(g, axis=1).tobytes()
+            assert _row_norms(g).tobytes() == expected
+            assert _row_norms(g, np.empty_like(g)).tobytes() == expected
 
 
 def test_dataset_rows_empty_errors():
@@ -168,6 +255,18 @@ class TestEstimateCtilde:
         # diagonal: |<u, a>| in {0, 1} equally likely -> sqrt(2) E = sqrt(2)/2
         assert est.value == pytest.approx(math.sqrt(2) / 2, rel=0.05)
         assert est.n_directions == 2
+
+    def test_memory_is_one_chunk_buffer(self):
+        # The reused draw buffer, the chunk's |<u, a>| and the row-norm squares
+        # while drawing, never all at once: about 2.6 chunks at d = 20.
+        d = 20
+        tracemalloc.start()
+        try:
+            estimate_ctilde(GaussianSphere(d), 200_000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * CTILDE_CHUNK * d * 8
 
     def test_value_must_be_positive(self):
         with pytest.raises(ValueError):

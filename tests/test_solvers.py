@@ -281,6 +281,13 @@ def _linear_spec(d=4, T=500, lam=1.01, G=1.0):
     return SolverSpec(method="sgd_exp_linear", d=d, T=T, lam=lam, G=G)
 
 
+def _norm_two_rows(model, rng, n, out=None, scratch=None):
+    """sample_block with every row scaled to norm 2, drawn into ``out`` as the engine asks."""
+    A, idx = sample_block(model, rng, n, out=out, scratch=scratch)
+    A *= 2.0
+    return A, idx
+
+
 def _stream(d=4, p=0.0):
     corr = NoCorruption() if p == 0 else SignFlip(p)
     return StreamSpec(model=GaussianSphere(d), corruption=corr)
@@ -342,10 +349,7 @@ class TestRun:
         assert traj.relu_gate_violations == 0
 
     def test_step_law_audit_counts_off_norm_rows(self, monkeypatch):
-        real = solvers_mod.sample_block
-        monkeypatch.setattr(
-            solvers_mod, "sample_block", lambda model, rng, n: (2.0 * real(model, rng, n)[0], None)
-        )
+        monkeypatch.setattr(solvers_mod, "sample_block", _norm_two_rows)
         traj = run(
             _linear_spec(T=300), _stream(p=0.2), x_true=np.ones(4), checkpoint_every=1,
             seed=9, record_iterates=True,
@@ -392,6 +396,18 @@ class TestRun:
             assert [cp.k for cp in traj.checkpoints] == [0, 100, 200, 250]
             for cp, x in zip(traj.checkpoints, traj.iterates):
                 assert cp.clean_loss == evaluate_clean_loss(x, data, relu=relu)
+
+    def test_checkpoint_relative_error_is_linalg_norm(self):
+        Xt = np.random.default_rng(2).standard_normal((3, 4))
+        root = SolverSpec(method="sgd_root_linear", d=4, T=300, gamma=0.5)
+        lanes = Lanes([(_linear_spec(T=300), 0.2, None), (root, 0.0, None)])
+        trajs = run_batch(lanes, _stream(p=0.2), [3, 4, 5], x_true=Xt, checkpoint_every=50, record_iterates=True)
+        norms = np.linalg.norm(Xt, axis=1)
+        for i, t in enumerate(trajs):
+            s_i = i % 3
+            assert [cp.relative_error for cp in t.checkpoints] == [
+                float(np.linalg.norm(Xt[s_i] - x) / norms[s_i]) for x in t.iterates
+            ]
 
     def test_checkpoint_spacing(self):
         x_true = np.ones(4)
@@ -609,10 +625,7 @@ class TestLanes:
             )
 
     def test_step_law_counted_on_sign_lanes_only(self, monkeypatch):
-        real = solvers_mod.sample_block
-        monkeypatch.setattr(
-            solvers_mod, "sample_block", lambda model, rng, n: (2.0 * real(model, rng, n)[0], None)
-        )
+        monkeypatch.setattr(solvers_mod, "sample_block", _norm_two_rows)
         for lane, solo in self._pairs(*self._setup(SignFlip(0.3), dataset=False)):
             assert lane.step_law_violations == solo.step_law_violations
             if lane.solver == "sgd_exp_relu":
