@@ -1,13 +1,22 @@
-"""Build, cache and load the compiled step kernel ``_stepkernel.c``.
+"""Build, cache and load the two compiled parts: the step kernel and the Gaussian fill.
 
-The C source ships in the package.  On first use it is compiled with the
+The C sources ship in the package.  On first use each is compiled with the
 local ``gcc`` into ``$XDG_CACHE_HOME/sgdexp`` (default ``~/.cache/sgdexp``)
-under a name keyed by the SHA-256 of source and flags, then loaded through
-ctypes, which releases the interpreter lock for the length of each call.
-A self-test then compares the kernel's dot product with ``np.einsum`` bit
-for bit: the summation order it copies belongs to this numpy build, not to
-numpy's contract.  When gcc is missing, the build fails or the self-test
-finds a difference, ``load`` warns once and the engine runs its numpy body.
+under a name keyed by the SHA-256 of its source, its flags and, for the
+fill, the bytes of the numpy archive it links, then loaded through ctypes,
+which releases the interpreter lock for the length of each call.
+
+- ``_stepkernel.c``, the engine's step.  Its self-test compares the
+  kernel's dot product with ``np.einsum`` bit for bit: the summation order
+  it copies belongs to this numpy build, not to numpy's contract.
+- ``_normalfill.c``, ``Generator.standard_normal(out=)`` by numpy's own
+  ziggurat, linked against numpy's ``random/lib/libnpyrandom.a``.  Its
+  self-test compares values and generator state with the live
+  ``Generator.standard_normal``.
+
+When gcc, the archive or numpy's ``bitgen.h`` is missing, the build fails
+or a self-test finds a difference, that part alone is turned off, with one
+warning naming it, and its numpy counterpart runs instead.
 """
 
 from __future__ import annotations
@@ -15,20 +24,33 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_stepkernel.c")
+FILL_SOURCE = Path(__file__).with_name("_normalfill.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: numpy's C random library, whose ``random_standard_normal`` the fill calls.
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+#: The directory of ``numpy/random/bitgen.h``, the bit generator struct.
+NUMPY_INCLUDE = Path(np.get_include())
 
 #: None until the first ``load``; then the library, or False for the numpy body.
 _loaded = None
+#: None until the first ``load_fill``; then the library, or False for numpy's fill.
+_fill = None
+# The draw pool's two workers can ask for the fill at once.
+_fill_lock = threading.Lock()
+
+#: Values per seed of the fill's self-test: ~1.5% of them take numpy's slow path.
+FILL_TEST_N = 1 << 15
 
 
 class KernelUnavailable(RuntimeError):
-    """The kernel cannot be built, or disagrees with numpy's arithmetic."""
+    """A compiled part cannot be built, or disagrees with numpy."""
 
 
 def cache_dir() -> Path:
@@ -36,14 +58,22 @@ def cache_dir() -> Path:
     return Path(base) / "sgdexp"
 
 
-def build(source: str, directory: Path) -> Path:
+def cache_key(source: str, args=(), archive=None) -> str:
+    """The library's name key: SHA-256 of source and flags, and of the archive's bytes."""
+    key = hashlib.sha256("\0".join((source,) + CFLAGS + tuple(args)).encode())
+    if archive is not None:
+        key.update(hashlib.sha256(Path(archive).read_bytes()).digest())
+    return key.hexdigest()[:16]
+
+
+def build(source: str, directory: Path, name="stepkernel", args=(), archive=None) -> Path:
     """Compile ``source`` into ``directory``, or return the library built there before.
 
+    ``args`` are extra gcc flags and ``archive`` a static library to link.
     Raises OSError when ``directory`` cannot be written and
     KernelUnavailable when gcc is missing or fails.
     """
-    key = hashlib.sha256("\0".join((source,) + CFLAGS).encode()).hexdigest()[:16]
-    lib = directory / f"stepkernel-{key}.so"
+    lib = directory / f"{name}-{cache_key(source, args, archive)}.so"
     if lib.exists():
         return lib
     import shutil
@@ -57,7 +87,9 @@ def build(source: str, directory: Path) -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [gcc, *CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+            [gcc, *CFLAGS, *args, "-o", tmp, "-x", "c", "-"]
+            + (["-x", "none", str(archive)] if archive is not None else [])
+            + ["-lm"],
             input=source,
             capture_output=True,
             text=True,
@@ -124,16 +156,78 @@ def self_test(lib) -> None:
         )
 
 
-def _open():
-    source = SOURCE.read_text()
+def open_fill(path: Path):
+    """ctypes handle of a built fill, with numpy's ziggurat tables read in."""
+    import ctypes
+
+    lib = ctypes.CDLL(str(path))
+    lib.sk_normal_init.argtypes = []
+    lib.sk_normal_init.restype = None
+    lib.sk_normal_fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    lib.sk_normal_fill.restype = None
+    lib.sk_normal_init()
+    return lib
+
+
+def fill_self_test(lib) -> None:
+    """Raise KernelUnavailable unless the fill gives Generator.standard_normal's bits.
+
+    Two seeds of FILL_TEST_N values each, ~1000 of them through numpy's
+    slow path, drawn 4096 at a time into two small reused buffers; the
+    generator must also end in the same state.
+    """
+    want, got = np.empty(4096), np.empty(4096)
+    for seed in (20240501, 7):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bad = 0
+        for _ in range(FILL_TEST_N // got.size):
+            want_rng.standard_normal(out=want)
+            lib.sk_normal_fill(got_rng.bit_generator.ctypes.bit_generator, got.size, got.ctypes.data)
+            bad += int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+        if bad:
+            raise KernelUnavailable(
+                f"self-test: the fill differs from Generator.standard_normal on {bad} of {FILL_TEST_N} values"
+            )
+        if got_rng.bit_generator.state != want_rng.bit_generator.state:
+            raise KernelUnavailable("self-test: the fill leaves another generator state")
+
+
+def build_fill(source: str, directory: Path) -> Path:
+    """``build`` for the fill: numpy's headers included, its archive linked."""
+    return build(source, directory, "normalfill", (f"-I{NUMPY_INCLUDE}",), NPYRANDOM)
+
+
+def _build_and_open(source: str, opener, builder=build):
     try:
-        lib = open_library(build(source, cache_dir()))
+        return opener(builder(source, cache_dir()))
     except OSError:
         # An unwritable cache: build for this process only.
         with tempfile.TemporaryDirectory(prefix="sgdexp-") as tmp:
-            lib = open_library(build(source, Path(tmp)))
+            return opener(builder(source, Path(tmp)))
+
+
+def _open():
+    lib = _build_and_open(SOURCE.read_text(), open_library)
     self_test(lib)
     return lib
+
+
+def _open_fill():
+    for path in (NPYRANDOM, NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h"):
+        if not path.is_file():
+            raise KernelUnavailable(f"numpy's {path.name} not found at {path}")
+    lib = _build_and_open(FILL_SOURCE.read_text(), open_fill, build_fill)
+    fill_self_test(lib)
+    return lib
+
+
+def _try(part: str, opener):
+    """``opener()``, or False after one RuntimeWarning naming the part and the reason."""
+    try:
+        return opener()
+    except (KernelUnavailable, OSError) as exc:
+        warnings.warn(f"sgdexp {part} unavailable, using numpy: {exc}", RuntimeWarning)
+        return False
 
 
 def load():
@@ -144,9 +238,17 @@ def load():
     """
     global _loaded
     if _loaded is None:
-        try:
-            _loaded = _open()
-        except (KernelUnavailable, OSError) as exc:
-            warnings.warn(f"sgdexp step kernel unavailable, using numpy: {exc}", RuntimeWarning)
-            _loaded = False
+        _loaded = _try("step kernel", _open)
     return _loaded or None
+
+
+def load_fill():
+    """The Gaussian fill library, or None when draws must run numpy's own fill.
+
+    Tried once per process, like ``load``, and independent of it.
+    """
+    global _fill
+    with _fill_lock:
+        if _fill is None:
+            _fill = _try("Gaussian fill", _open_fill)
+    return _fill or None

@@ -140,6 +140,20 @@ def _normalize_rows(g: np.ndarray, rng: np.random.Generator, draw, scratch=None)
 
 
 def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``rng.standard_normal(out=out)`` bit for bit, by the compiled fill where it loads.
+
+    The fill takes a Generator and a C-contiguous, aligned, writable float
+    buffer; it runs under the bit generator's lock, as numpy's fill does.
+    """
+    if isinstance(rng, np.random.Generator) and out.dtype == np.float64 and out.flags.carray:
+        from . import _kernel  # on the first draw, not at import
+
+        lib = _kernel.load_fill()
+        if lib is not None:
+            bitgen = rng.bit_generator
+            with bitgen.lock:
+                lib.sk_normal_fill(bitgen.ctypes.bit_generator, out.size, out.ctypes.data)
+            return out
     return rng.standard_normal(out=out)
 
 

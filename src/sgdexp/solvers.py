@@ -294,20 +294,21 @@ def _decays(schedule: str, lam: Optional[float], k: int, n: int) -> np.ndarray:
     return np.ones(n)
 
 
-def _sign_coef(dot, y, step, gate: bool):
-    """Sign rule step * sign(y - pred), sign(0) = 0.
+def _coef(dot, y, step, tron, gate: bool):
+    """Step coefficient: GLM-Tron where ``tron``, the sign rule elsewhere.
 
-    With ``gate`` (the ``_relu`` methods) pred = max(dot, 0) and lanes
+    GLM-Tron is step * (y - max(0, dot)), with no activity gate.  The sign
+    rule is step * sign(y - pred), sign(0) = 0; with ``gate`` (the ``_relu``
+    methods) pred = max(dot, 0), the residual GLM-Tron reads too, and lanes
     with dot < 0 get sign 0, so they do not move.
     """
+    res = y - np.maximum(dot, 0.0)
     if gate:
-        return step * (np.sign(y - np.maximum(dot, 0.0)) * (dot >= 0.0))
-    return step * np.sign(y - dot)
-
-
-def _tron_coef(dot, y, eta):
-    """GLM-Tron residual rule eta (y - max(0, dot)); no activity gate."""
-    return eta * (y - np.maximum(dot, 0.0))
+        sgn = np.sign(res)
+        sgn *= dot >= 0.0
+    else:
+        sgn = np.sign(y - dot)
+    return step * np.where(tron, res, sgn)
 
 
 def _schedule(spec: SolverSpec) -> str:
@@ -321,14 +322,15 @@ def _view(spec: SolverSpec, state: SolverState, a: np.ndarray, y: float) -> Solv
     """One step of the spec's rule on a single lane: x' = x + coef(<x, a>) a."""
     dot = _dots(state.x[None, None, :], a[None, :])
     decay = float(_decays(_schedule(spec), spec.lam, state.k, 1)[0])
-    if spec.method == "glmtron":
-        coef = _tron_coef(dot, y, decay / spec.m)
+    tron = spec.method == "glmtron"
+    if tron:
+        step = decay / spec.m
     else:
         norm = np.linalg.norm(a)
         if abs(norm - 1.0) > UNIT_NORM_RTOL:
             raise ValueError(f"measurement vector must be unit norm, got ||a|| = {norm!r}")
-        scale = spec.G if spec.method.startswith("sgd_exp") else spec.gamma
-        coef = _sign_coef(dot, y, scale * decay, spec.method in RELU_METHODS)
+        step = (spec.G if spec.method.startswith("sgd_exp") else spec.gamma) * decay
+    coef = _coef(dot, y, step, tron, spec.method in RELU_METHODS)
     return SolverState(x=state.x + coef[0, 0] * a, k=state.k + 1)
 
 
@@ -417,7 +419,7 @@ def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
         else:
             y = st.Y[..., j]
         step = st.steps[..., j]
-        coef = np.where(tron, _tron_coef(dot, y, step), _sign_coef(dot, y, step, gate))
+        coef = _coef(dot, y, step, tron, gate)
         if audited:
             coefs[..., j - j0] = coef
             dots[..., j - j0] = dot

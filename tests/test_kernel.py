@@ -1,9 +1,11 @@
-"""The compiled step kernel: loading, fallback to the numpy body, and mutation checks."""
+"""The compiled parts, step kernel and Gaussian fill: loading, per-part fallback to numpy, mutation checks."""
 
+import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,12 +14,16 @@ import pytest
 
 from sgdexp import _kernel
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
-from sgdexp.measurement import GaussianSphere
+from sgdexp.measurement import GaussianSphere, NormalizedIIDSubGaussian, sample_block
 from sgdexp.solvers import SolverSpec, StreamSpec, run, run_batch
 from test_frozen_outputs import DIGESTS, emit_digests
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH to build the kernel")
+needs_npyrandom = pytest.mark.skipif(
+    not (_kernel.NPYRANDOM.is_file() and (_kernel.NUMPY_INCLUDE / "numpy/random/bitgen.h").is_file()),
+    reason="this numpy ships no libnpyrandom.a or bitgen.h to build the Gaussian fill",
+)
 GATE = "(dt >= 0.0 ? 1.0 : 0.0)"
 DOT_ORDER = "static double dot(const double *x, const double *a, int64_t d)\n{\n"
 SEQUENTIAL_DOT = DOT_ORDER + (
@@ -35,10 +41,25 @@ def _kernel_warnings(record):
     return [w for w in record if "step kernel" in str(w.message)]
 
 
+def _fill_warnings(record):
+    return [w for w in record if "Gaussian fill" in str(w.message)]
+
+
 @pytest.fixture
 def fresh_load(monkeypatch, tmp_path):
-    """The next run_batch loads the kernel anew, from an empty cache under tmp_path."""
+    """The next run_batch loads the kernel anew, from an empty cache under tmp_path.
+
+    The Gaussian fill stays off, so that only the kernel can warn.
+    """
     monkeypatch.setattr(_kernel, "_loaded", None)
+    monkeypatch.setattr(_kernel, "_fill", False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+
+@pytest.fixture
+def fresh_fill(monkeypatch, tmp_path):
+    """The next Gaussian draw loads the fill anew, from an empty cache under tmp_path."""
+    monkeypatch.setattr(_kernel, "_fill", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
 
@@ -49,9 +70,18 @@ def _relu_gate_violations():
 
 
 def test_import_does_not_load_the_kernel():
-    probe = "import sys, sgdexp.cli; assert 'sgdexp._kernel' not in sys.modules"
+    # Nor do the signal draws, which stay on numpy's own fill.
+    probe = (
+        "import sys, sgdexp.cli\n"
+        "from sgdexp.config import load_config\n"
+        "from sgdexp.experiment import draw_signals\n"
+        "draw_signals(load_config('configs/relu_signflip.json'))\n"
+        "assert 'sgdexp._kernel' not in sys.modules"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=SRC.parent, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
 
 
@@ -166,3 +196,152 @@ def test_zero_coefficient_updates_match_numpy_body(monkeypatch):
     for a, b in zip(kernel, reference):
         assert np.array_equal(_bits(a.iterates), _bits(b.iterates))
         assert np.all(np.signbit(b.iterates[0])) and not np.any(np.signbit(b.x_final))
+
+
+#: The fill's fast-path test and sign flip, the targets of the mutation checks.
+ACCEPT = "if (rabs < ki[idx])"
+SIGN_FLIP = "bits ^= ((r >> 8) & 1) << 63;"
+
+
+def _numpy_fill(seed, n):
+    """Generator.standard_normal(out=) of a fresh generator: its values and its final state."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(out=np.empty(n)), rng.bit_generator.state
+
+
+def _compiled_fill(lib, seed, n):
+    rng = np.random.default_rng(seed)
+    out = np.empty(n)
+    lib.sk_normal_fill(rng.bit_generator.ctypes.bit_generator, n, out.ctypes.data)
+    return out, rng.bit_generator.state
+
+
+def _mutant_fill(tmp_path, old, new):
+    source = _kernel.FILL_SOURCE.read_text()
+    assert old in source
+    mutant = tmp_path / "_normalfill.c"
+    mutant.write_text(source.replace(old, new))
+    return mutant
+
+
+@needs_gcc
+@needs_npyrandom
+class TestGaussianFill:
+    """``sk_normal_fill`` against ``Generator.standard_normal``, and its per-part fallback."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 2048, 200_000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 12345, 2**63 + 11])
+    def test_values_and_state_match_numpy(self, seed, n):
+        # 200k draws take numpy's slow path ~3000 times.
+        lib = _kernel.load_fill()
+        assert lib is not None
+        got, got_state = _compiled_fill(lib, seed, n)
+        want, want_state = _numpy_fill(seed, n)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got_state == want_state
+
+    @pytest.mark.parametrize("kind", ["PCG64DXSM", "MT19937", "Philox", "SFC64"])
+    def test_other_bit_generators_match_numpy(self, kind):
+        lib = _kernel.load_fill()
+        want_rng, got_rng = (np.random.Generator(getattr(np.random, kind)(3)) for _ in range(2))
+        want, got = want_rng.standard_normal(50_000), np.empty(50_000)
+        lib.sk_normal_fill(got_rng.bit_generator.ctypes.bit_generator, got.size, got.ctypes.data)
+        assert np.array_equal(_bits(got), _bits(want))
+        # Some states hold arrays: compare them as JSON.
+        state = [json.dumps(r.bit_generator.state, default=np.ndarray.tolist) for r in (got_rng, want_rng)]
+        assert state[0] == state[1]
+
+    def test_two_threads_fill_as_in_sequence(self):
+        lib = _kernel.load_fill()
+        n, seeds = 400_000, (31, 32)
+        want = [_numpy_fill(seed, n)[0] for seed in seeds]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        outs = [np.empty(n) for _ in seeds]
+        barrier = threading.Barrier(len(seeds))
+
+        def fill(rng, out):
+            barrier.wait(timeout=10)
+            for part in np.array_split(out, 8):  # many calls, interleaved with the other thread
+                lib.sk_normal_fill(rng.bit_generator.ctypes.bit_generator, part.size, part.ctypes.data)
+
+        threads = [threading.Thread(target=fill, args=pair) for pair in zip(rngs, outs)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        for got, ref in zip(outs, want):
+            assert np.array_equal(_bits(got), _bits(ref))
+
+    @pytest.mark.parametrize(
+        "model", [GaussianSphere(11), NormalizedIIDSubGaussian(11, "gaussian")], ids=["sphere", "iid"]
+    )
+    def test_sample_block_unchanged_with_the_fill_off(self, model, monkeypatch):
+        assert _kernel.load_fill() is not None
+        fast, _ = sample_block(model, np.random.default_rng(4), 3000)
+        into = sample_block(model, np.random.default_rng(4), 3000, out=np.empty((3000, 11)))[0]
+        monkeypatch.setattr(_kernel, "_fill", False)
+        slow, _ = sample_block(model, np.random.default_rng(4), 3000)
+        assert np.array_equal(_bits(fast), _bits(slow))
+        assert np.array_equal(_bits(into), _bits(slow))
+
+    def test_cache_name_follows_the_archive_bytes(self, tmp_path, fresh_fill, monkeypatch):
+        assert _kernel.load_fill() is not None
+        cache = Path(os.environ["XDG_CACHE_HOME"]) / "sgdexp"
+        (built,) = cache.glob("normalfill-*.so")
+        archive = tmp_path / "libnpyrandom.a"
+        shutil.copyfile(_kernel.NPYRANDOM, archive)
+        monkeypatch.setattr(_kernel, "NPYRANDOM", archive)
+        source = _kernel.FILL_SOURCE.read_text()
+        assert _kernel.build_fill(source, cache) == built  # same bytes: the cached library
+        with open(archive, "ab") as fh:
+            fh.write(b"\n")  # an upgraded numpy: other bytes at the same path
+        key = _kernel.cache_key(source, (f"-I{_kernel.NUMPY_INCLUDE}",), archive)
+        assert key not in built.name
+
+    def test_accepting_rejected_words_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
+        mutant = _mutant_fill(tmp_path, ACCEPT, "if (1)")
+        with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
+            _kernel.fill_self_test(_kernel.open_fill(_kernel.build_fill(mutant.read_text(), tmp_path)))
+
+        monkeypatch.setattr(_kernel, "FILL_SOURCE", mutant)
+        with pytest.warns(RuntimeWarning) as record:
+            digests = emit_digests("relu_signflip", tmp_path / "out")
+        assert digests == DIGESTS["relu_signflip"]
+        (warning,) = _fill_warnings(record)
+        assert "Gaussian fill unavailable, using numpy: self-test" in str(warning.message)
+        assert _kernel._fill is False
+        assert _kernel._loaded  # the step kernel is a part of its own
+        assert _kernel_warnings(record) == []
+
+    def test_dropped_sign_flip_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
+        mutant = _mutant_fill(tmp_path, SIGN_FLIP, "")
+        with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
+            _kernel.fill_self_test(_kernel.open_fill(_kernel.build_fill(mutant.read_text(), tmp_path)))
+
+        monkeypatch.setattr(_kernel, "FILL_SOURCE", mutant)
+        model = GaussianSphere(9)
+        with pytest.warns(RuntimeWarning) as record:
+            first, _ = sample_block(model, np.random.default_rng(8), 500)
+            second, _ = sample_block(model, np.random.default_rng(8), 500)
+        (warning,) = record
+        assert "Gaussian fill unavailable" in str(warning.message)
+        monkeypatch.setattr(_kernel, "_fill", False)
+        ref, _ = sample_block(model, np.random.default_rng(8), 500)
+        assert np.array_equal(_bits(first), _bits(ref)) and np.array_equal(_bits(second), _bits(ref))
+
+
+@needs_gcc
+def test_missing_archive_turns_off_only_the_fill(fresh_fill, monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernel, "_loaded", None)
+    missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+    monkeypatch.setattr(_kernel, "NPYRANDOM", missing)
+    with pytest.warns(RuntimeWarning) as record:
+        digests = emit_digests("relu_signflip", tmp_path / "out")
+        emit_digests("linear_signflip", tmp_path / "out2")
+    assert digests == DIGESTS["relu_signflip"]
+    (warning,) = record
+    assert str(warning.message).startswith("sgdexp Gaussian fill unavailable, using numpy: ")
+    assert str(missing) in str(warning.message)
+    assert _kernel._fill is False
+    assert _kernel._loaded  # the step kernel still loads

@@ -361,9 +361,9 @@ class TestRun:
     def test_relu_gate_audit_counts_ungated_steps(self, monkeypatch):
         # The patched rule lives in the numpy body; the compiled kernel has its own.
         monkeypatch.setattr(_kernel, "_loaded", False)
-        real = solvers_mod._sign_coef
+        real = solvers_mod._coef
         monkeypatch.setattr(
-            solvers_mod, "_sign_coef", lambda dot, y, step, gate: real(dot, y, step, False)
+            solvers_mod, "_coef", lambda dot, y, step, tron, gate: real(dot, y, step, tron, False)
         )
         d, T, seed = 4, 300, 9
         spec = SolverSpec(method="sgd_exp_relu", d=d, T=T, lam=1.01, G=1.0)
