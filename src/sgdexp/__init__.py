@@ -44,17 +44,11 @@ from .results import emit_plot, emit_results, read_results_csv
 from .solvers import (
     ParamRecommendation,
     SolverSpec,
-    SolverState,
     StreamSpec,
     Trajectory,
     recommend_G,
     recommend_lambda,
-    run,
     run_batch,
-    step_glmtron,
-    step_sgd_exp_linear,
-    step_sgd_exp_relu,
-    step_sgd_root,
 )
 
 __version__ = "0.1.0"

@@ -80,9 +80,12 @@ def _cmd_run(args) -> int:
 
 def _parse_list(text, cast, flag):
     try:
-        return [cast(tok) for tok in text.split(",") if tok.strip()]
+        items = [cast(tok) for tok in text.split(",") if tok.strip()]
+        if items:
+            return items
     except ValueError:
-        raise ConfigError(f"{flag}: expected a comma-separated list, got {text!r}") from None
+        pass
+    raise ConfigError(f"{flag}: expected a nonempty comma-separated list, got {text!r}")
 
 
 def _cmd_sweep(args) -> int:

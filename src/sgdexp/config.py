@@ -109,10 +109,10 @@ def _bool(v, path):
 
 def _seed_list(v, path):
     if not isinstance(v, list) or not v:
-        _fail(path, "expected a nonempty list of integer seeds")
+        _fail(path, "expected a nonempty list of nonnegative integer seeds")
     for i, s in enumerate(v):
-        if isinstance(s, bool) or not isinstance(s, int):
-            _fail(f"{path}[{i}]", f"expected an integer seed, got {s!r}")
+        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
+            _fail(f"{path}[{i}]", f"expected a nonnegative integer seed, got {s!r}")
     return list(v)
 
 

@@ -195,11 +195,14 @@ METRIC_FIELDS = {"relative_error": "relative_error", "clean_l2_loss": "clean_los
 def aggregate_mean(trajectories, metric: str = "relative_error"):
     """Pointwise mean of a checkpoint metric across seeds, per solver.
 
-    ``metric`` is a config metric name or a Checkpoint field.  Returns
-    {solver: (ks, means)} in sorted solver order, with ks shared across
-    that solver's trajectories.  Missing values count as NaN and are
-    left out of the mean; a solver with no value at all is left out.
+    ``metric`` is a config metric name or a Checkpoint field; anything
+    else is a ValueError.  Returns {solver: (ks, means)} in sorted solver
+    order, with ks shared across that solver's trajectories.  Missing
+    values are left out of the mean; a checkpoint or solver with no
+    value at all is left out.
     """
+    if metric not in {*METRIC_FIELDS, *METRIC_FIELDS.values()}:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRIC_FIELDS)}")
     field = METRIC_FIELDS.get(metric, metric)
     by_solver = {}
     for traj in trajectories:
@@ -214,8 +217,11 @@ def aggregate_mean(trajectories, metric: str = "relative_error"):
         values = np.array(
             [[getattr(cp, field) for cp in t.checkpoints] for t in trajs], dtype=float
         )
-        if not np.all(np.isnan(values)):
-            out[solver] = (np.array(ks), np.nanmean(values, axis=0))
+        has = ~np.all(np.isnan(values), axis=0)
+        if has.any():
+            # Fill, not drop, the empty columns: a column subset would change the sum's order.
+            values[:, ~has] = 0.0
+            out[solver] = (np.array(ks)[has], np.nanmean(values, axis=0)[has])
     return out
 
 

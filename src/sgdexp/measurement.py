@@ -18,9 +18,6 @@ from typing import Union
 
 import numpy as np
 
-#: Relative tolerance used everywhere a vector is required to be unit norm.
-UNIT_NORM_RTOL = 1e-9
-
 #: Large-d limit of the sphere constant, sqrt(2/pi).
 GAUSSIAN_LIMIT_CONSTANT = math.sqrt(2.0 / math.pi)
 

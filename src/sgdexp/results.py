@@ -100,7 +100,12 @@ def emit_results(trajectories, out_dir):
 
 
 def read_results_csv(path) -> list:
-    """Rebuild trajectories from an emitted CSV (inverse of emit_results)."""
+    """Rebuild trajectories from an emitted CSV (inverse of emit_results).
+
+    Raises ValueError naming the line of a row with the wrong number of
+    cells, and the line and column of a non-numeric or non-finite cell.
+    Empty metric cells read as None.
+    """
     grouped = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -108,16 +113,20 @@ def read_results_csv(path) -> list:
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         for row in reader:
-            solver, seed, k, rel, clean, elapsed = row
-            key = (solver, int(seed))
-            grouped.setdefault(key, []).append(
-                Checkpoint(
-                    k=int(k),
-                    relative_error=float(rel) if rel else None,
-                    clean_loss=float(clean) if clean else None,
-                    elapsed_seconds=float(elapsed) if elapsed else 0.0,
-                )
-            )
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{where} has {len(row)} cells, expected {len(CSV_HEADER)}")
+            cells = []
+            for name, cell in zip(CSV_HEADER[1:], row[1:]):
+                try:
+                    value = int(np.int64(cell)) if name in ("seed", "k") else float(cell or 0.0)
+                except (ValueError, OverflowError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}, column {name!r}: non-numeric or non-finite cell {cell!r}")
+                cells.append(None if cell == "" and name != "elapsed_seconds" else value)
+            seed, k, rel, clean, elapsed = cells
+            grouped.setdefault((row[0], seed), []).append(Checkpoint(k, rel, clean, elapsed))
     return [
         Trajectory(solver=solver, seed=seed, checkpoints=cps, x_final=np.empty(0))
         for (solver, seed), cps in sorted(grouped.items())
@@ -144,18 +153,17 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     floor = 1e-16
     all_y = np.concatenate([np.maximum(v, floor) for _, v in series.values()])
     all_x = np.concatenate([k for k, _ in series.values()])
-    y_lo = 10.0 ** math.floor(math.log10(float(all_y.min())))
-    y_hi = 10.0 ** math.ceil(math.log10(float(all_y.max())))
-    if y_hi <= y_lo:
-        y_hi = y_lo * 10.0
-    x_lo, x_hi = float(all_x.min()), float(max(all_x.max(), 1.0))
+    # The y axis spans whole decades lo..hi, kept as exponents: 10^hi may overflow.
+    lo = math.floor(math.log10(float(all_y.min())))
+    hi = max(math.ceil(math.log10(float(all_y.max()))), lo + 1)
+    x_lo = float(all_x.min())
+    x_hi = max(float(all_x.max()), x_lo + 1.0)
 
     def sx(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y):
-        ly = math.log10(max(y, floor))
-        return top + (math.log10(y_hi) - ly) / (math.log10(y_hi) - math.log10(y_lo)) * plot_h
+    def sy(log_y):
+        return top + (hi - log_y) / (hi - lo) * plot_h
 
     svg = ET.Element(
         "svg",
@@ -170,17 +178,14 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     ET.SubElement(axes, "line", x1=str(left), y1=str(top), x2=str(left), y2=str(top + plot_h))
 
     labels = ET.SubElement(svg, "g", attrib={"font-family": "sans-serif", "font-size": "13"})
-    decade = int(round(math.log10(y_lo)))
-    while decade <= math.log10(y_hi) + 1e-9:
-        y = 10.0**decade
-        py = sy(y)
+    for decade in range(lo, hi + 1):
+        py = sy(decade)
         ET.SubElement(
             svg, "line", x1=str(left), y1=f"{py:.2f}", x2=str(left + plot_w), y2=f"{py:.2f}",
             stroke="#ddd",
         )
         tick = ET.SubElement(labels, "text", x=str(left - 8), y=f"{py + 4:.2f}", attrib={"text-anchor": "end"})
         tick.text = f"1e{decade}"
-        decade += 1
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = x_lo + frac * (x_hi - x_lo)
         tick = ET.SubElement(
@@ -209,7 +214,7 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     for i, (solver, (ks, vals)) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(
-            f"{sx(k):.2f},{sy(v):.2f}" for k, v in zip(ks, np.maximum(vals, floor))
+            f"{sx(k):.2f},{sy(math.log10(v)):.2f}" for k, v in zip(ks, np.maximum(vals, floor))
         )
         ET.SubElement(
             svg,

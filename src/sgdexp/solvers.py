@@ -35,7 +35,6 @@ from .datasets import DatasetMatrix, evaluate_clean_loss
 from .measurement import (
     DatasetRows,
     MeasurementModel,
-    UNIT_NORM_RTOL,
     sample_block,
 )
 
@@ -92,14 +91,6 @@ class SolverSpec:
                 raise ValueError("glmtron requires m >= 1")
             if self.schedule == "exp" and (self.lam is None or not self.lam > 1.0):
                 raise ValueError("glmtron exp schedule requires lam > 1")
-
-
-@dataclass
-class SolverState:
-    """Value-type iterate: current x and iteration index k."""
-
-    x: np.ndarray
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -270,9 +261,7 @@ def _precision_horizon(G: float, x_norm: float, lam: float) -> float:
     return math.log(G / (np.finfo(float).eps * x_norm)) / math.log(lam)
 
 
-# The rule table.  Every function below works on (G, S) lane axes; the
-# engine in ``run_batch`` and the single-step views share it, so the views
-# compute exactly the engine's arithmetic.
+# The rule table.  Every function below works on (G, S) lane axes.
 
 
 def _dots(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -316,60 +305,6 @@ def _schedule(spec: SolverSpec) -> str:
     if spec.method == "glmtron":
         return spec.schedule
     return "exp" if spec.method.startswith("sgd_exp") else "root"
-
-
-def _view(spec: SolverSpec, state: SolverState, a: np.ndarray, y: float) -> SolverState:
-    """One step of the spec's rule on a single lane: x' = x + coef(<x, a>) a."""
-    dot = _dots(state.x[None, None, :], a[None, :])
-    decay = float(_decays(_schedule(spec), spec.lam, state.k, 1)[0])
-    tron = spec.method == "glmtron"
-    if tron:
-        step = decay / spec.m
-    else:
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > UNIT_NORM_RTOL:
-            raise ValueError(f"measurement vector must be unit norm, got ||a|| = {norm!r}")
-        step = (spec.G if spec.method.startswith("sgd_exp") else spec.gamma) * decay
-    coef = _coef(dot, y, step, tron, spec.method in RELU_METHODS)
-    return SolverState(x=state.x + coef[0, 0] * a, k=state.k + 1)
-
-
-def step_sgd_exp_linear(
-    state: SolverState, a: np.ndarray, y: float, G: float, lam: float
-) -> SolverState:
-    """x' = x + G lam^{-k} sign(y - <x, a>) a, with sign(0) = 0."""
-    return _view(SolverSpec("sgd_exp_linear", a.size, 0, lam=lam, G=G), state, a, y)
-
-
-def step_sgd_exp_relu(
-    state: SolverState, a: np.ndarray, y: float, G: float, lam: float
-) -> SolverState:
-    """ReLU variant: update only when <x, a> >= 0, residual against max(0, <x, a>)."""
-    return _view(SolverSpec("sgd_exp_relu", a.size, 0, lam=lam, G=G), state, a, y)
-
-
-def step_sgd_root(
-    state: SolverState, a: np.ndarray, y: float, gamma: float, relu: bool = False
-) -> SolverState:
-    """Square-root decay baseline: step size gamma (k+1)^{-1/2}."""
-    method = "sgd_root_relu" if relu else "sgd_root_linear"
-    return _view(SolverSpec(method, a.size, 0, gamma=gamma), state, a, y)
-
-
-def step_glmtron(
-    state: SolverState,
-    a: np.ndarray,
-    y: float,
-    schedule: str,
-    m: int,
-    lam: Optional[float] = None,
-) -> SolverState:
-    """GLM-Tron with ReLU link: x' = x + eta_k (y - max(0, <x, a>)) a.
-
-    eta_k is 1/m (const), (k+1)^{-1/2}/m (root), or lam^{-k}/m (exp).
-    """
-    spec = SolverSpec("glmtron", a.size, 0, lam=lam, schedule=schedule, m=m)
-    return _view(spec, state, a, y)
 
 
 #: Rule kinds and audit bits of the step function, as the enums of ``_stepkernel.c``.
@@ -495,14 +430,6 @@ def signal_rng(seed: int) -> np.random.Generator:
     return _spawn_streams(seed)[0]
 
 
-def run(spec: SolverSpec, stream: StreamSpec, seed: int = 0, **kwargs) -> Trajectory:
-    """Run one solver over one stream; deterministic given the seed.
-
-    Keyword arguments are those of ``run_batch``.
-    """
-    return run_batch(spec, stream, [seed], **kwargs)[0]
-
-
 def run_batch(
     spec: Union[SolverSpec, Lanes],
     stream: StreamSpec,
@@ -519,7 +446,8 @@ def run_batch(
     ``spec`` is ``Lanes``, or one SolverSpec run as one group at the
     stream's corruption probability.  Each seed owns its substreams;
     its draws and clean responses are shared by every group, so each
-    lane is bitwise identical to a solo ``run`` of its solver at its p.
+    lane is bitwise identical to a one-group, one-seed call of its solver
+    at its p.
     Returns one Trajectory per lane, group-major.  ``x_true`` may be
     (d,) shared or (S, d) per seed; it is required for synthetic streams
     (it generates the clean responses) and ignored for dataset streams

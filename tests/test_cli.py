@@ -1,15 +1,23 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgdexp
 from sgdexp.cli import main
+from sgdexp.results import CSV_HEADER
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -276,6 +284,105 @@ def test_plot_from_csv(config_path, tmp_path):
     assert code == 0
     root = ET.parse(svg).getroot()
     assert len([e for e in root.iter() if e.tag.endswith("polyline")]) == 1
+
+
+
+def _error_line(capsys):
+    """The one stderr line of a command that failed."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("sgd-exp,1,100,inf,,0.1", "line 3, column 'relative_error': non-numeric or non-finite cell 'inf'"),
+        ("sgd-exp,1,100,nan,,0.1", "line 3, column 'relative_error': non-numeric or non-finite cell 'nan'"),
+        ("sgd-exp,1,100", "line 3 has 3 cells, expected 6"),
+    ],
+    ids=["inf", "nan", "short_row"],
+)
+def test_plot_rejects_malformed_csv(tmp_path, capsys, row, message):
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(CSV_HEADER) + "\nsgd-exp,1,0,1,,0.0\n" + row + "\n")
+    svg = tmp_path / "out.svg"
+    assert main(["plot", str(path), "-o", str(svg)]) == 2
+    assert _error_line(capsys) == f"error: {path}: {message}"
+    assert not svg.exists()
+
+
+def test_plot_unknown_metric(config_path, tmp_path, capsys):
+    out = tmp_path / "run_out"
+    assert main(["run", str(config_path), "--out-dir", str(out), "--quiet"]) == 0
+    svg = tmp_path / "replot.svg"
+    assert main(["plot", str(out / "results.csv"), "-o", str(svg), "--metric", "foo"]) == 2
+    assert "unknown metric 'foo'" in _error_line(capsys)
+    assert not svg.exists()
+
+
+_CELLS = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["inf", "-inf", "nan", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+# Rows of the right shape, so that some inputs plot, and rows of any shape.
+_ROWS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["sgd-exp", "glmtron"]),
+            st.integers(0, 2).map(str),
+            st.integers(0, 3).map(lambda k: str(100 * k)),
+            _CELLS,
+            _CELLS,
+            _CELLS,
+        ),
+        st.lists(_CELLS, max_size=8),
+    ),
+    max_size=8,
+)
+_METRICS = st.one_of(
+    st.sampled_from(["relative_error", "clean_l2_loss", "clean_loss"]), st.text(max_size=8)
+)
+
+
+@given(rows=_ROWS, metric=_METRICS)
+@settings(max_examples=200, deadline=None)
+def test_plot_exits_0_or_with_one_error_line(rows, metric):
+    """Whatever the results CSV and --metric hold, plot writes its SVG or
+    exits 2 with one error line and no SVG: no traceback, no warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, svg = Path(tmp) / "results.csv", Path(tmp) / "out.svg"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([CSV_HEADER, *rows])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["plot", str(path), "-o", str(svg), f"--metric={metric}", "--quiet"])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert svg.exists() and lines == []
+        else:
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run", "--seed", "-1"], "seeds[0]: expected a nonnegative integer seed, got -1"),
+        (["sweep", "--p", "0.1", "--seeds", "1,-2"], "seeds[1]: expected a nonnegative integer seed, got -2"),
+        (["sweep", "--p", ",,"], "--p: expected a nonempty comma-separated list, got ',,'"),
+    ],
+    ids=["run_seed", "sweep_seeds", "sweep_empty_p"],
+)
+def test_bad_seed_or_p_names_itself(config_path, tmp_path, capsys, args, message):
+    command, *flags = args
+    assert main([command, str(config_path), "--out-dir", str(tmp_path / "out"), *flags]) == 2
+    assert _error_line(capsys) == f"error: {message}"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture()

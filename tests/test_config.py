@@ -73,6 +73,9 @@ def test_seeds_must_be_nonempty_integers():
     data["seeds"] = [1, "two"]
     with pytest.raises(ConfigError, match=r"seeds\[1\]"):
         validate_config(data)
+    data["seeds"] = [1, -1]
+    with pytest.raises(ConfigError, match=r"seeds\[1\]: expected a nonnegative integer seed"):
+        validate_config(data)
 
 
 def test_solver_requirements():

@@ -15,7 +15,7 @@ from sgdexp.corruption import (
     apply_channel,
 )
 from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block
-from sgdexp.solvers import SolverSpec, StreamSpec, run
+from sgdexp.solvers import SolverSpec, StreamSpec, run_batch
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -110,7 +110,7 @@ def _engine_adversary_response(relu):
     )
     spec = SolverSpec(method="glmtron", d=2, T=1, schedule="const", m=1)
     x0 = np.array([-2.0, 0.0])
-    return run(spec, stream, x0=x0).x_final[0] - x0[0]
+    return run_batch(spec, stream, [0], x0=x0)[0].x_final[0] - x0[0]
 
 
 def test_adversary_relu_reference():

@@ -23,7 +23,7 @@ from sgdexp.drift import (
 )
 from sgdexp.drift import _one_step_report, _realized_signs
 from sgdexp.measurement import DatasetRows, GaussianSphere, exact_sphere_constant, sample_block
-from sgdexp.solvers import Lanes, SolverSpec, StreamSpec, recommend_G, run, run_batch
+from sgdexp.solvers import Lanes, SolverSpec, StreamSpec, recommend_G, run_batch
 
 CT = math.sqrt(2.0 / math.pi)
 
@@ -219,7 +219,7 @@ class TestExtractYProcess:
         x_true = np.array([0.3, -1.0, 2.0])
         spec = SolverSpec(method="sgd_exp_linear", d=d, T=5, lam=lam, G=G)
         stream = StreamSpec(model=GaussianSphere(d), corruption=NoCorruption())
-        traj = run(spec, stream, x_true=x_true, checkpoint_every=1, seed=21, record_iterates=True)
+        traj = run_batch(spec, stream, [21], x_true=x_true, checkpoint_every=1, record_iterates=True)[0]
         ks = [cp.k for cp in traj.checkpoints]
         ys = extract_Y_process(traj.iterates, x_true, lam, G, ks=ks)
         for k, x_k in zip(ks, traj.iterates):
@@ -233,7 +233,7 @@ class TestExtractYProcess:
         seed = 33
         spec = SolverSpec(method="sgd_exp_linear", d=d, T=T, lam=lam, G=G)
         stream = StreamSpec(model=GaussianSphere(d), corruption=NoCorruption())
-        traj = run(spec, stream, x_true=x_true, checkpoint_every=1, seed=seed, record_iterates=True)
+        traj = run_batch(spec, stream, [seed], x_true=x_true, checkpoint_every=1, record_iterates=True)[0]
         # replay the measurement substream to recover a_k
         meas = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
         A, _ = sample_block(GaussianSphere(d), meas, T)

@@ -14,7 +14,7 @@ from sgdexp.results import (
     emit_sweep_csv,
     read_results_csv,
 )
-from sgdexp.solvers import run
+from sgdexp.solvers import run_batch
 
 
 def small_config(**overrides):
@@ -105,13 +105,13 @@ class TestRunExperiment:
         signals = draw_signals(cfg)
         norms = np.linalg.norm(signals, axis=1)
         spec, _, _ = resolve_solver(cfg.solvers[0], cfg, norms)  # spec.G is seed 1's auto G
-        solo = run(
+        solo = run_batch(
             spec,
             stream,
+            [cfg.seeds[0]],
             x_true=signals[0],
             checkpoint_every=cfg.checkpoint_every,
-            seed=cfg.seeds[0],
-        )
+        )[0]
         batch_first = [t for t in trajs if t.solver == "sgd-exp" and t.seed == 1][0]
         assert np.array_equal(solo.x_final, batch_first.x_final)
 

@@ -15,7 +15,7 @@ import pytest
 from sgdexp import _kernel
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
 from sgdexp.measurement import GaussianSphere, NormalizedIIDSubGaussian, sample_block
-from sgdexp.solvers import SolverSpec, StreamSpec, run, run_batch
+from sgdexp.solvers import SolverSpec, StreamSpec, run_batch
 from test_frozen_outputs import DIGESTS, emit_digests
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,7 +66,7 @@ def fresh_fill(monkeypatch, tmp_path):
 def _relu_gate_violations():
     spec = SolverSpec(method="sgd_exp_relu", d=4, T=300, lam=1.01, G=1.0)
     stream = StreamSpec(model=GaussianSphere(4), corruption=SignFlip(0.4), relu=True)
-    return run(spec, stream, x_true=np.ones(4), seed=9).relu_gate_violations
+    return run_batch(spec, stream, [9], x_true=np.ones(4))[0].relu_gate_violations
 
 
 def test_import_does_not_load_the_kernel():

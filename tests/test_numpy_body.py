@@ -12,7 +12,7 @@ from test_frozen_outputs import (  # noqa: F401  (collected here as well)
     test_shipped_config_digests,
     test_sweep_digest,
 )
-from test_solvers import TestEngineMatchesStepViews, TestLanes  # noqa: F401
+from test_solvers import TestEngineMatchesOracle, TestLanes  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

@@ -14,7 +14,6 @@ from sgdexp.corruption import (
     NoCorruption,
     ResidualSignAdversary,
     SignFlip,
-    apply_channel,
 )
 import sgdexp.solvers as solvers_mod
 from sgdexp import _kernel
@@ -23,20 +22,16 @@ from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block
 from sgdexp.solvers import (
     Lanes,
     SolverSpec,
-    SolverState,
     StreamSpec,
     _decays,
     _dots,
     recommend_G,
     recommend_lambda,
-    run,
     run_batch,
     signal_rng,
-    step_glmtron,
-    step_sgd_exp_linear,
-    step_sgd_exp_relu,
-    step_sgd_root,
 )
+
+import oracle
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -125,64 +120,66 @@ class TestRecommendG:
             recommend_G(1.0, 1.0)
 
 
+def _rule(method, **params):
+    """A spec for single oracle steps, which read only the method and its step parameters."""
+    return SolverSpec(method=method, d=1, T=0, **params)
+
+
 class TestStepSgdExpLinear:
+    """The oracle's rules against hand arithmetic: what keeps the oracle honest."""
+
     def test_forced_arithmetic(self):
-        state = step_sgd_exp_linear(SolverState(np.zeros(2)), E1, 2.0, 1.0, 2.0)
-        assert np.array_equal(state.x, E1)
-        assert state.k == 1
+        x = oracle.step(_rule("sgd_exp_linear", G=1.0, lam=2.0), np.zeros(2), 0, E1, 2.0)
+        assert np.array_equal(x, E1)
 
     def test_zero_residual_is_noop(self):
         x = np.array([0.5, -1.0])
-        state = step_sgd_exp_linear(SolverState(x.copy(), k=3), E2, -1.0, 1.0, 2.0)
-        assert np.array_equal(state.x, x)
-        assert state.k == 4
+        new = oracle.step(_rule("sgd_exp_linear", G=1.0, lam=2.0), x.copy(), 3, E2, -1.0)
+        assert np.array_equal(new, x)
 
     def test_three_step_hand_unroll(self):
         # independent unroll of the recursion with plain arithmetic
         script = [(E1, -1.0), (E2, 2.0), (E1, 0.5)]
         G, lam = 1.0, 2.0
-        state = SolverState(np.zeros(2))
-        for a, y in script:
-            state = step_sgd_exp_linear(state, a, y, G, lam)
+        spec = _rule("sgd_exp_linear", G=G, lam=lam)
+        state = np.zeros(2)
+        for k, (a, y) in enumerate(script):
+            state = oracle.step(spec, state, k, a, y)
         x = [0.0, 0.0]
         for k, (a, y) in enumerate(script):
             r = y - (x[0] * a[0] + x[1] * a[1])
             s = int(r > 0) - int(r < 0)
             x[0] += G * lam ** (-k) * s * a[0]
             x[1] += G * lam ** (-k) * s * a[1]
-        assert np.allclose(state.x, x, rtol=0, atol=0)
-        assert np.array_equal(state.x, np.array([-0.75, 0.5]))
+        assert np.allclose(state, x, rtol=0, atol=0)
+        assert np.array_equal(state, np.array([-0.75, 0.5]))
 
     def test_step_magnitude_law(self):
         rng = np.random.default_rng(0)
-        state = SolverState(rng.standard_normal(5))
+        state = rng.standard_normal(5)
         G, lam = 1.0, 1.5
-        for _ in range(10):
+        spec = _rule("sgd_exp_linear", G=G, lam=lam)
+        for k in range(10):
             a = rng.standard_normal(5)
             a /= np.linalg.norm(a)
             y = rng.standard_normal()
-            new = step_sgd_exp_linear(state, a, y, G, lam)
-            delta = np.linalg.norm(new.x - state.x)
-            expected = G * lam ** (-state.k)
+            new = oracle.step(spec, state, k, a, y)
+            delta = np.linalg.norm(new - state)
+            expected = G * lam ** (-k)
             assert delta == 0.0 or abs(delta - expected) <= 1e-12 * expected
             state = new
-
-    def test_non_unit_a_rejected(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            step_sgd_exp_linear(SolverState(np.zeros(2)), 2 * E1, 1.0, 1.0, 2.0)
 
 
 class TestStepSgdExpRelu:
     def test_gate_blocks_update(self):
         x = np.array([-1.0, 0.0])  # <x, e1> = -1 < 0
-        state = step_sgd_exp_relu(SolverState(x.copy()), E1, 100.0, 1.0, 2.0)
-        assert np.array_equal(state.x, x)
-        assert state.k == 1
+        new = oracle.step(_rule("sgd_exp_relu", G=1.0, lam=2.0), x.copy(), 0, E1, 100.0)
+        assert np.array_equal(new, x)
 
     def test_forced_arithmetic_at_zero(self):
         # <0, a> = 0 >= 0, relu(0) = 0, sign(1) = +1
-        state = step_sgd_exp_relu(SolverState(np.zeros(2)), E1, 1.0, 1.0, 2.0)
-        assert np.array_equal(state.x, E1)
+        x = oracle.step(_rule("sgd_exp_relu", G=1.0, lam=2.0), np.zeros(2), 0, E1, 1.0)
+        assert np.array_equal(x, E1)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -194,69 +191,69 @@ class TestStepSgdExpRelu:
         if float(x @ a) < 0:
             a = -a  # force the gate open
         y = abs(rng.standard_normal())
-        lin = step_sgd_exp_linear(SolverState(x.copy(), k=2), a, y, 0.7, 1.3)
-        rel = step_sgd_exp_relu(SolverState(x.copy(), k=2), a, y, 0.7, 1.3)
-        assert np.array_equal(lin.x, rel.x)
+        lin = oracle.step(_rule("sgd_exp_linear", G=0.7, lam=1.3), x.copy(), 2, a, y)
+        rel = oracle.step(_rule("sgd_exp_relu", G=0.7, lam=1.3), x.copy(), 2, a, y)
+        assert np.array_equal(lin, rel)
 
 
 class TestStepSgdRoot:
     def test_first_step(self):
-        state = step_sgd_root(SolverState(np.zeros(2)), E1, 1.0, 1.0)
-        assert np.array_equal(state.x, E1)
+        x = oracle.step(_rule("sgd_root_linear", gamma=1.0), np.zeros(2), 0, E1, 1.0)
+        assert np.array_equal(x, E1)
 
     def test_k3_half_magnitude(self):
-        state = SolverState(np.zeros(2), k=3)
-        new = step_sgd_root(state, E1, 1.0, 1.0)
-        assert np.linalg.norm(new.x - state.x) == pytest.approx(0.5, rel=1e-15)
+        x = np.zeros(2)
+        new = oracle.step(_rule("sgd_root_linear", gamma=1.0), x, 3, E1, 1.0)
+        assert np.linalg.norm(new - x) == pytest.approx(0.5, rel=1e-15)
 
     def test_relu_gate(self):
         x = np.array([-1.0, 0.0])
-        new = step_sgd_root(SolverState(x.copy()), E1, 5.0, 1.0, relu=True)
-        assert np.array_equal(new.x, x)
+        new = oracle.step(_rule("sgd_root_relu", gamma=1.0), x.copy(), 0, E1, 5.0)
+        assert np.array_equal(new, x)
 
     def test_five_step_hand_unroll(self):
         script = [(E1, 1.0), (E2, -2.0), (E1, 0.3), (E2, 0.0), (E1, 4.0)]
         gamma = 0.8
-        state = SolverState(np.zeros(2))
-        for a, y in script:
-            state = step_sgd_root(state, a, y, gamma)
+        spec = _rule("sgd_root_linear", gamma=gamma)
+        state = np.zeros(2)
+        for k, (a, y) in enumerate(script):
+            state = oracle.step(spec, state, k, a, y)
         x = [0.0, 0.0]
         for k, (a, y) in enumerate(script):
             r = y - (x[0] * a[0] + x[1] * a[1])
             s = int(r > 0) - int(r < 0)
             x[0] += gamma * (k + 1) ** (-0.5) * s * a[0]
             x[1] += gamma * (k + 1) ** (-0.5) * s * a[1]
-        assert np.allclose(state.x, x, rtol=0, atol=0)
+        assert np.allclose(state, x, rtol=0, atol=0)
 
 
 class TestStepGlmtron:
     def test_const_full_residual(self):
-        state = step_glmtron(SolverState(np.zeros(2)), E1, 1.0, "const", 1)
-        assert np.array_equal(state.x, E1)
+        x = oracle.step(_rule("glmtron", schedule="const", m=1), np.zeros(2), 0, E1, 1.0)
+        assert np.array_equal(x, E1)
 
     def test_zero_residual_noop(self):
         x = np.array([2.0, 0.0])  # relu(<x, e1>) = 2
-        state = step_glmtron(SolverState(x.copy()), E1, 2.0, "const", 1)
-        assert np.array_equal(state.x, x)
+        new = oracle.step(_rule("glmtron", schedule="const", m=1), x.copy(), 0, E1, 2.0)
+        assert np.array_equal(new, x)
 
     def test_exp_schedule_step_size(self):
         # eta = 1.00003^{-100} / 1599, checked against direct arithmetic
-        state = SolverState(np.zeros(2), k=100)
-        new = step_glmtron(state, E1, 1.0, "exp", 1599, lam=1.00003)
+        spec = _rule("glmtron", schedule="exp", m=1599, lam=1.00003)
+        new = oracle.step(spec, np.zeros(2), 100, E1, 1.0)
         expected = 1.00003 ** (-100) / 1599
-        assert new.x[0] == pytest.approx(expected, rel=1e-12)
+        assert new[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(6.235175361899181e-4, rel=1e-12)
 
     def test_root_schedule(self):
-        state = SolverState(np.zeros(2), k=3)
-        new = step_glmtron(state, E1, 1.0, "root", 2)
-        assert new.x[0] == pytest.approx(0.25, rel=1e-15)
+        new = oracle.step(_rule("glmtron", schedule="root", m=2), np.zeros(2), 3, E1, 1.0)
+        assert new[0] == pytest.approx(0.25, rel=1e-15)
 
     def test_negative_dot_still_updates(self):
         # GLM-Tron has no activity gate: prediction is relu'd, update fires
         x = np.array([-1.0, 0.0])
-        new = step_glmtron(SolverState(x.copy()), E1, 1.0, "const", 1)
-        assert np.array_equal(new.x, np.array([0.0, 0.0]))
+        new = oracle.step(_rule("glmtron", schedule="const", m=1), x.copy(), 0, E1, 1.0)
+        assert np.array_equal(new, np.array([0.0, 0.0]))
 
 
 class TestSolverSpec:
@@ -296,7 +293,7 @@ def _stream(d=4, p=0.0):
 class TestRun:
     def test_horizon_zero_single_checkpoint(self):
         x_true = np.array([1.0, 2.0, 3.0, 4.0])
-        traj = run(_linear_spec(T=0), _stream(), x_true=x_true, seed=1)
+        traj = run_batch(_linear_spec(T=0), _stream(), [1], x_true=x_true)[0]
         assert len(traj.checkpoints) == 1
         assert traj.checkpoints[0].k == 0
         assert traj.checkpoints[0].relative_error == 1.0
@@ -306,15 +303,15 @@ class TestRun:
         d = 10
         x_true = signal_rng(3).standard_normal(d)
         spec = SolverSpec(method="sgd_exp_linear", d=d, T=10_000, lam=1.0001, G=1.0)
-        traj = run(spec, _stream(d=d), x_true=x_true, checkpoint_every=1000, seed=3)
+        traj = run_batch(spec, _stream(d=d), [3], x_true=x_true, checkpoint_every=1000)[0]
         final = traj.checkpoints[-1].relative_error
         assert final < 1.0
         assert final < 0.5  # pilot-calibrated: clean runs converge well below start
 
     def test_identical_seeds_identical_trajectories(self):
         x_true = np.arange(1.0, 5.0)
-        t1 = run(_linear_spec(), _stream(p=0.3), x_true=x_true, seed=11)
-        t2 = run(_linear_spec(), _stream(p=0.3), x_true=x_true, seed=11)
+        t1 = run_batch(_linear_spec(), _stream(p=0.3), [11], x_true=x_true)[0]
+        t2 = run_batch(_linear_spec(), _stream(p=0.3), [11], x_true=x_true)[0]
         assert np.array_equal(t1.x_final, t2.x_final)
         assert [c.relative_error for c in t1.checkpoints] == [
             c.relative_error for c in t2.checkpoints
@@ -324,20 +321,20 @@ class TestRun:
         x_true = np.vstack([signal_rng(s).standard_normal(4) for s in (5, 6)])
         batch = run_batch(_linear_spec(), _stream(p=0.2), [5, 6], x_true=x_true)
         for i, seed in enumerate((5, 6)):
-            solo = run(_linear_spec(), _stream(p=0.2), x_true=x_true[i], seed=seed)
+            solo = run_batch(_linear_spec(), _stream(p=0.2), [seed], x_true=x_true[i])[0]
             assert np.array_equal(batch[i].x_final, solo.x_final)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="x_true"):
-            run(_linear_spec(d=4), _stream(d=4), x_true=np.ones(3), seed=0)
+            run_batch(_linear_spec(d=4), _stream(d=4), [0], x_true=np.ones(3))
 
     def test_x_true_required_for_synthetic(self):
         with pytest.raises(ValueError, match="x_true"):
-            run(_linear_spec(), _stream(), seed=0)
+            run_batch(_linear_spec(), _stream(), [0])
 
     def test_no_violations_on_clean_run(self):
         x_true = np.ones(4)
-        traj = run(_linear_spec(T=2000), _stream(p=0.4), x_true=x_true, seed=9)
+        traj = run_batch(_linear_spec(T=2000), _stream(p=0.4), [9], x_true=x_true)[0]
         assert traj.step_law_violations == 0
         assert traj.relu_gate_violations == 0
 
@@ -345,15 +342,15 @@ class TestRun:
         x_true = np.ones(4)
         spec = SolverSpec(method="sgd_exp_relu", d=4, T=2000, lam=1.01, G=1.0)
         stream = StreamSpec(model=GaussianSphere(4), corruption=SignFlip(0.4), relu=True)
-        traj = run(spec, stream, x_true=x_true, seed=9)
+        traj = run_batch(spec, stream, [9], x_true=x_true)[0]
         assert traj.relu_gate_violations == 0
 
     def test_step_law_audit_counts_off_norm_rows(self, monkeypatch):
         monkeypatch.setattr(solvers_mod, "sample_block", _norm_two_rows)
-        traj = run(
-            _linear_spec(T=300), _stream(p=0.2), x_true=np.ones(4), checkpoint_every=1,
-            seed=9, record_iterates=True,
-        )
+        traj = run_batch(
+            _linear_spec(T=300), _stream(p=0.2), [9], x_true=np.ones(4), checkpoint_every=1,
+            record_iterates=True,
+        )[0]
         moved = np.any(np.diff(traj.iterates, axis=0) != 0.0, axis=1)
         assert moved.sum() > 0
         assert traj.step_law_violations == moved.sum()
@@ -368,9 +365,9 @@ class TestRun:
         d, T, seed = 4, 300, 9
         spec = SolverSpec(method="sgd_exp_relu", d=d, T=T, lam=1.01, G=1.0)
         stream = StreamSpec(model=GaussianSphere(d), corruption=SignFlip(0.4), relu=True)
-        traj = run(
-            spec, stream, x_true=np.ones(d), checkpoint_every=1, seed=seed, record_iterates=True
-        )
+        traj = run_batch(
+            spec, stream, [seed], x_true=np.ones(d), checkpoint_every=1, record_iterates=True
+        )[0]
         meas = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
         A, _ = sample_block(stream.model, meas, T)
         dots = _dots(traj.iterates[None, :-1], A)[0]
@@ -411,7 +408,7 @@ class TestRun:
 
     def test_checkpoint_spacing(self):
         x_true = np.ones(4)
-        traj = run(_linear_spec(T=250), _stream(), x_true=x_true, checkpoint_every=100, seed=0)
+        traj = run_batch(_linear_spec(T=250), _stream(), [0], x_true=x_true, checkpoint_every=100)[0]
         assert [c.k for c in traj.checkpoints] == [0, 100, 200, 250]
 
 
@@ -431,7 +428,7 @@ class TestSubstreamIsolation:
         x_true = np.arange(1.0, 6.0)
         spec = SolverSpec(method="sgd_exp_linear", d=d, T=T, lam=1.2, G=1.0)
         stream = StreamSpec(model=GaussianSphere(d), corruption=corruption)
-        traj = run(spec, stream, x_true=x_true, checkpoint_every=1, seed=seed, record_iterates=True)
+        traj = run_batch(spec, stream, [seed], x_true=x_true, checkpoint_every=1, record_iterates=True)[0]
         meas = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
         A, _ = sample_block(GaussianSphere(d), meas, T)
         for k in range(T):
@@ -444,40 +441,27 @@ class TestSubstreamIsolation:
 
 
 class TestScaleEquivariance:
-    def _run_scripted(self, c):
-        # scripted stream: fixed a_k sequence, clean responses from c * x_true
-        d = 3
-        rng = np.random.default_rng(77)
-        A = rng.standard_normal((40, d))
-        A /= np.linalg.norm(A, axis=1)[:, None]
+    def _run_scaled(self, c):
+        # clean stream from c * x_true, step scale c * G: the engine's iterate scales by c
         x_true = np.array([1.0, -2.0, 0.5])
         G, lam = 0.9, 1.25
-        state = SolverState(np.zeros(d))
-        for k in range(40):
-            y = float(np.dot(c * x_true, A[k]))
-            state = step_sgd_exp_linear(state, A[k], y, c * G, lam)
-        return state.x
+        spec = SolverSpec(method="sgd_exp_linear", d=3, T=40, lam=lam, G=G)
+        lanes = Lanes([(spec, 0.0, np.array([c * G]))])
+        return run_batch(lanes, _stream(d=3), [77], x_true=c * x_true)[0].x_final
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
     def test_power_of_two_scaling_exact(self, c):
-        base = self._run_scripted(1.0)
-        scaled = self._run_scripted(c)
+        base = self._run_scaled(1.0)
+        scaled = self._run_scaled(c)
         assert np.array_equal(scaled, c * base)
 
     def test_general_scaling_close(self):
-        base = self._run_scripted(1.0)
-        scaled = self._run_scripted(3.0)
+        base = self._run_scaled(1.0)
+        scaled = self._run_scaled(3.0)
         assert np.allclose(scaled, 3.0 * base, rtol=1e-12)
 
 
 _REPLAY_T = 300
-_VIEWS = {
-    "sgd_exp_linear": lambda st, a, y, sp: step_sgd_exp_linear(st, a, y, sp.G, sp.lam),
-    "sgd_exp_relu": lambda st, a, y, sp: step_sgd_exp_relu(st, a, y, sp.G, sp.lam),
-    "sgd_root_linear": lambda st, a, y, sp: step_sgd_root(st, a, y, sp.gamma),
-    "sgd_root_relu": lambda st, a, y, sp: step_sgd_root(st, a, y, sp.gamma, relu=True),
-    "glmtron": lambda st, a, y, sp: step_glmtron(st, a, y, sp.schedule, sp.m, lam=sp.lam),
-}
 _REPLAY_SPECS = [
     SolverSpec(method="sgd_exp_linear", d=5, T=_REPLAY_T, lam=1.01, G=0.8),
     SolverSpec(method="sgd_exp_relu", d=5, T=_REPLAY_T, lam=1.01, G=0.8),
@@ -489,39 +473,10 @@ _REPLAY_SPECS = [
 ]
 
 
-class TestEngineMatchesStepViews:
-    """Replaying a run's substreams through the single-step views gives
-    the engine's iterates bit for bit, for every method and channel."""
-
-    @staticmethod
-    def _replay(spec, stream, x_true, seed):
-        _, meas, xi_rng, noise_rng = (
-            np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4)
-        )
-        T = spec.T
-        A, idx = sample_block(stream.model, meas, T)
-        xi = xi_rng.random(T)
-        oblivious = isinstance(stream.corruption, AdditiveOblivious)
-        nu = stream.corruption.law.draw(noise_rng, T) if oblivious else np.zeros(T)
-        if idx is None:
-            clean = np.einsum("snd,sd->sn", A[None], x_true[None])[0]
-            if stream.relu:
-                clean = np.maximum(clean, 0.0)
-        else:
-            clean = stream.responses[idx] / stream.model.row_norms[idx]
-            nu = nu / stream.model.row_norms[idx]
-        state = SolverState(np.zeros(spec.d))
-        xs = [state.x]
-        for k in range(T):
-            pred = _dots(state.x[None, None, :], A[k][None, :])[0]
-            if stream.relu:
-                pred = np.maximum(pred, 0.0)
-            y = apply_channel(
-                stream.corruption, clean[k : k + 1], xi[k : k + 1], nu[k : k + 1], pred=pred
-            )
-            state = _VIEWS[spec.method](state, A[k], y[0], spec)
-            xs.append(state.x)
-        return np.array(xs)
+class TestEngineMatchesOracle:
+    """Replaying a run's substreams through the paper's per-step rules
+    (``oracle``) gives the engine's iterates bit for bit, for every method,
+    step schedule and channel."""
 
     @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
     @pytest.mark.parametrize(
@@ -551,10 +506,10 @@ class TestEngineMatchesStepViews:
             )
         else:
             stream = StreamSpec(model=GaussianSphere(spec.d), corruption=corruption, relu=relu)
-        traj = run(
-            spec, stream, x_true=x_true, checkpoint_every=1, seed=7, record_iterates=True
-        )
-        assert np.array_equal(traj.iterates, self._replay(spec, stream, x_true, seed=7))
+        traj = run_batch(
+            spec, stream, [7], x_true=x_true, checkpoint_every=1, record_iterates=True
+        )[0]
+        assert np.array_equal(traj.iterates, oracle.replay(spec, stream, x_true, seed=7))
 
 
 # At d = 100 the mixed call over 12 groups x 2 seeds draws blocks of 833
