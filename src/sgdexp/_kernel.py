@@ -10,9 +10,12 @@ which releases the interpreter lock for the length of each call.
   kernel's dot product with ``np.einsum`` bit for bit: the summation order
   it copies belongs to this numpy build, not to numpy's contract.
 - ``_normalfill.c``, ``Generator.standard_normal(out=)`` by numpy's own
-  ziggurat, linked against numpy's ``random/lib/libnpyrandom.a``.  Its
-  self-test compares values and generator state with the live
-  ``Generator.standard_normal``.
+  ziggurat, linked against numpy's ``random/lib/libnpyrandom.a``, and the
+  same draws normalized row by row in one pass.  Its self-test compares
+  values and generator state with the live ``Generator.standard_normal``,
+  and the normalized rows with numpy's row norms and divide: the
+  summation order it copies belongs to this numpy build, as the kernel's
+  does.
 
 When gcc, the archive or numpy's ``bitgen.h`` is missing, the build fails
 or a self-test finds a difference, that part alone is turned off, with one
@@ -37,6 +40,10 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 #: The directory of ``numpy/random/bitgen.h``, the bit generator struct.
 NUMPY_INCLUDE = Path(np.get_include())
+#: The fill's gcc flags beyond CFLAGS.  ``-O3`` vectorizes the sphere pass's
+#: lane sums and divide, which moves no bit: lanewise adds keep their order,
+#: and IEEE divide and sqrt are correctly rounded in every lane.
+FILL_ARGS = ("-O3", f"-I{NUMPY_INCLUDE}")
 
 #: None until the first ``load``; then the library, or False for the numpy body.
 _loaded = None
@@ -47,6 +54,10 @@ _fill_lock = threading.Lock()
 
 #: Values per seed of the fill's self-test: ~1.5% of them take numpy's slow path.
 FILL_TEST_N = 1 << 15
+#: Row lengths of the sphere pass's self-test: every branch of numpy's pairwise sum.
+SPHERE_TEST_DIMS = (*range(1, 131), 257, 1000)
+#: Why each part that did not load runs on numpy, by part name.
+_off = {}
 
 
 class KernelUnavailable(RuntimeError):
@@ -163,8 +174,11 @@ def open_fill(path: Path):
     lib = ctypes.CDLL(str(path))
     lib.sk_normal_init.argtypes = []
     lib.sk_normal_init.restype = None
-    lib.sk_normal_fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.sk_normal_fill.argtypes = [ptr, i64, ptr]
     lib.sk_normal_fill.restype = None
+    lib.sk_sphere_fill.argtypes = [ptr, i64, i64, ptr]
+    lib.sk_sphere_fill.restype = i64
     lib.sk_normal_init()
     return lib
 
@@ -190,11 +204,40 @@ def fill_self_test(lib) -> None:
             )
         if got_rng.bit_generator.state != want_rng.bit_generator.state:
             raise KernelUnavailable("self-test: the fill leaves another generator state")
+    sphere_self_test(lib)
+
+
+def sphere_self_test(lib) -> None:
+    """Raise KernelUnavailable unless ``sk_sphere_fill`` gives numpy's normalized rows.
+
+    Two rows at each of SPHERE_TEST_DIMS, drawn in that order, against one
+    ``standard_normal`` of them all, each block's
+    ``sqrt(add.reduce(g * g, axis=1))`` (``np.linalg.norm``'s sum) and the
+    divide; the generator must also end in the same state.
+    """
+    want_rng, got_rng = np.random.default_rng(20240502), np.random.default_rng(20240502)
+    dims = np.repeat(SPHERE_TEST_DIMS, 2)  # the length of each row
+    starts = np.concatenate([[0], np.cumsum(dims)])[::2].tolist()  # each block's first value
+    blocks = list(zip(starts, SPHERE_TEST_DIMS))
+    want = want_rng.standard_normal(starts[-1])
+    squares = want * want
+    sums = [np.add.reduce(squares[i : i + 2 * d].reshape(2, d), axis=1) for i, d in blocks]
+    want /= np.repeat(np.sqrt(np.concatenate(sums)), dims)
+    got = np.empty_like(want)
+    bitgen, at = got_rng.bit_generator.ctypes.bit_generator, got.ctypes.data
+    zeros = sum(lib.sk_sphere_fill(bitgen, 2, d, at + 8 * i) for i, d in blocks)
+    bad = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+    if bad or zeros:
+        raise KernelUnavailable(
+            f"self-test: the sphere pass differs from numpy's normalized rows on {bad} of {want.size} values"
+        )
+    if got_rng.bit_generator.state != want_rng.bit_generator.state:
+        raise KernelUnavailable("self-test: the sphere pass leaves another generator state")
 
 
 def build_fill(source: str, directory: Path) -> Path:
-    """``build`` for the fill: numpy's headers included, its archive linked."""
-    return build(source, directory, "normalfill", (f"-I{NUMPY_INCLUDE}",), NPYRANDOM)
+    """``build`` for the fill: FILL_ARGS, numpy's archive linked."""
+    return build(source, directory, "normalfill", FILL_ARGS, NPYRANDOM)
 
 
 def _build_and_open(source: str, opener, builder=build):
@@ -226,6 +269,7 @@ def _try(part: str, opener):
     try:
         return opener()
     except (KernelUnavailable, OSError) as exc:
+        _off[part] = str(exc)
         warnings.warn(f"sgdexp {part} unavailable, using numpy: {exc}", RuntimeWarning)
         return False
 
@@ -252,3 +296,17 @@ def load_fill():
         if _fill is None:
             _fill = _try("Gaussian fill", _open_fill)
     return _fill or None
+
+
+def status() -> dict:
+    """The state of each compiled part, loading it first: "loaded", or "numpy: <reason>".
+
+    A part that does not load is reported here instead of by its warning.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        parts = {"step kernel": load(), "Gaussian fill": load_fill()}
+    return {
+        part: "loaded" if lib is not None else f"numpy: {_off.get(part, 'turned off')}"
+        for part, lib in parts.items()
+    }

@@ -8,7 +8,13 @@
  * numpy's own function through a bitgen_t that returns the word first, so
  * numpy's slow path draws what it would have drawn.  The tables are private
  * to numpy: sk_normal_init reads them by probing numpy's function.
+ *
+ * sk_sphere_fill draws rows of such normals and divides each row by its
+ * norm while it is still in L1, as np.linalg.norm(g, axis=1) and g / norms
+ * would: the sum of squares in the order of numpy's pairwise add.reduce,
+ * then a correctly rounded sqrt and divide.
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -58,7 +64,7 @@ static uint64_t replay_raw(void *st)
 }
 
 /* Each draw of numpy's fill: one word from next_uint64, then the ziggurat. */
-void sk_normal_fill(bitgen_t *bitgen, int64_t n, double *out)
+static void fill(bitgen_t *bitgen, int64_t n, double *out)
 {
     uint64_t (*next)(void *) = bitgen->next_uint64;
     void *state = bitgen->state;
@@ -79,6 +85,61 @@ void sk_normal_fill(bitgen_t *bitgen, int64_t n, double *out)
             out[i] = random_standard_normal(&replay);
         }
     }
+}
+
+void sk_normal_fill(bitgen_t *bitgen, int64_t n, double *out)
+{
+    fill(bitgen, n, out);
+}
+
+/* The sum of a[i]^2 in the order of numpy's DOUBLE_pairwise_sum over the
+ * squares: in sequence below 8 terms, in 8 lane sums up to 128, and above
+ * that the two halves, split at a multiple of 8, each summed alike. */
+static double pairwise_sumsq(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i] * a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j] * a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j] * a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i] * a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sumsq(a, n2) + pairwise_sumsq(a + n2, n - n2);
+}
+
+/* Fill `rows` rows of d normals and divide each by its norm.  (numpy's
+ * reduce adds its sum to add's identity 0.0, which moves no sum of squares.)
+ * A row of norm 0 is left as drawn; the number of such rows is returned,
+ * for the caller to redraw. */
+int64_t sk_sphere_fill(bitgen_t *bitgen, int64_t rows, int64_t d, double *out)
+{
+    int64_t zeros = 0;
+    for (int64_t k = 0; k < rows; k++) {
+        double *row = out + k * d;
+        fill(bitgen, d, row);
+        const double norm = sqrt(pairwise_sumsq(row, d));
+        if (norm == 0.0) {
+            zeros++;
+            continue;
+        }
+        for (int64_t i = 0; i < d; i++)
+            row[i] /= norm;
+    }
+    return zeros;
 }
 
 /* A scripted bit generator for the probe: `word` first, then, should numpy

@@ -156,6 +156,13 @@ def _cmd_ctilde(args) -> int:
     model = synthetic_measurement(args.model, args.d, args.base)
     if model is None:
         raise ConfigError(f"--model: unknown model {args.model!r}")
+    for flag, value, least in (
+        ("--seed", args.seed, 0),
+        ("--directions", args.directions, 1),
+        ("--samples", args.samples, 100),
+    ):
+        if value is not None and value < least:
+            raise ConfigError(f"{flag}: expected an integer of at least {least}, got {value}")
     rng = np.random.default_rng(args.seed or 0)
     est = estimate_ctilde(model, args.samples, rng, n_directions=args.directions)
     report = {"model": args.model, "d": args.d, **dataclasses.asdict(est)}
@@ -193,10 +200,28 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+class _Version(argparse.Action):
+    """``--version``: the package version, then one line per compiled part."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from . import __version__, _kernel
+
+        print(f"sgdexp {__version__}")
+        for part, state in _kernel.status().items():
+            print(f"{part}: {state}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgdexp",
         description="Streaming robust regression experiments with geometric step-size SGD",
+    )
+    parser.add_argument(
+        "--version", action=_Version, help="print the version and the state of the compiled parts"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

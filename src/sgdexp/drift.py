@@ -44,7 +44,7 @@ RHO_DEN = {"linear": 60.0, "relu": 100.0}
 #: Denominators of the below-band ceiling D = exp(ctilde f / (den sqrt(d))).
 D_DEN = {"linear": 3.0, "relu": 6.0}
 #: One-step draws per block in the drift Monte Carlo validators, which hold
-#: two (DRIFT_CHUNK, d) buffers for the call.
+#: one (DRIFT_CHUNK, d) buffer for the call.
 DRIFT_CHUNK = 20_000
 
 
@@ -324,22 +324,22 @@ def _one_step_report(u, lam, model, adversary, n_samples, rng, value, ceiling):
     """Report of the mean and standard error of value(Y') over n_samples one-step draws from u.
 
     Each draw is Y' = lam^2 ||u - s a||^2 with a fresh measurement a and
-    realized sign s, sampled ``DRIFT_CHUNK`` at a time into two chunk
-    buffers held for the call (the draws, then u - s a).  The sums are shifted
-    by the first value so the variance does not cancel catastrophically.
-    The report passes when the mean is at most ``ceiling`` + 4 stderr.
+    realized sign s, sampled ``DRIFT_CHUNK`` at a time into one chunk
+    buffer held for the call, where u - s a then replaces the draws.  The
+    sums are shifted by the first value so the variance does not cancel
+    catastrophically.  The report passes when the mean is at most
+    ``ceiling`` + 4 stderr.
     """
     total = 0.0
     total_sq = 0.0
     shift = None
     remaining = n_samples
-    a_buf, w_buf = (np.empty((min(DRIFT_CHUNK, n_samples), u.size)) for _ in range(2))
+    buf = np.empty((min(DRIFT_CHUNK, n_samples), u.size))
     while remaining > 0:
         m = min(DRIFT_CHUNK, remaining)
-        # w_buf holds the draw's row-norm squares until it holds w.
-        A, _ = sample_block(model, rng, m, out=a_buf[:m], scratch=w_buf[:m])
+        A, _ = sample_block(model, rng, m, out=buf[:m])
         s = _realized_signs(A @ u, adversary, rng)
-        w = np.multiply(s[:, None], A, out=w_buf[:m])
+        w = np.multiply(A, s[:, None], out=A)  # exact: s is +-1
         np.subtract(u[None, :], w, out=w)  # u - s a
         vals = value(lam * lam * np.einsum("ij,ij->i", w, w))
         if shift is None:

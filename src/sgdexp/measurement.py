@@ -116,42 +116,49 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
-def _row_norms(g: np.ndarray, scratch=None) -> np.ndarray:
-    """``np.linalg.norm(g, axis=1)`` bit for bit: its sqrt(add.reduce(g*g, axis=1)).
-
-    The squares go to ``scratch`` (an array shaped like ``g``) when given.
-    """
-    norms = np.add.reduce(np.multiply(g, g, out=scratch), axis=1)
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(g, axis=1)`` bit for bit: its sqrt(add.reduce(g*g, axis=1))."""
+    norms = np.add.reduce(g * g, axis=1)
     return np.sqrt(norms, out=norms)
 
 
-def _normalize_rows(g: np.ndarray, rng: np.random.Generator, draw, scratch=None) -> np.ndarray:
+def _normalize_rows(g: np.ndarray, rng: np.random.Generator, draw) -> np.ndarray:
     """Normalize rows of g in place, redrawing any exact-zero rows with ``draw(rng, rows)``."""
-    norms = _row_norms(g, scratch)
+    norms = _row_norms(g)
     while np.any(norms == 0.0):  # measure-zero event in exact arithmetic
         bad = norms == 0.0
         g[bad] = draw(rng, np.empty((int(bad.sum()), g.shape[1])))
-        norms = _row_norms(g, scratch)
+        norms = _row_norms(g)
     g /= norms[:, None]
     return g
 
 
 def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """``rng.standard_normal(out=out)`` bit for bit, by the compiled fill where it loads.
+    return rng.standard_normal(out=out)
 
-    The fill takes a Generator and a C-contiguous, aligned, writable float
-    buffer; it runs under the bit generator's lock, as numpy's fill does.
+
+def _gaussian_rows(rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
+    """``_normalize_rows(_standard_normal(rng, g), rng, _standard_normal)`` bit for bit.
+
+    Where the compiled fill loads, and for a Generator and a C-contiguous,
+    aligned, writable float ``g``, one compiled pass draws each row and
+    divides it by its norm, under the bit generator's lock as numpy's fill
+    runs.  The rare rows of norm 0 come back undivided and are redrawn,
+    normalized alike, with the generator calls of ``_normalize_rows``.
     """
-    if isinstance(rng, np.random.Generator) and out.dtype == np.float64 and out.flags.carray:
+    lib = None
+    if isinstance(rng, np.random.Generator) and g.dtype == np.float64 and g.flags.carray:
         from . import _kernel  # on the first draw, not at import
 
         lib = _kernel.load_fill()
-        if lib is not None:
-            bitgen = rng.bit_generator
-            with bitgen.lock:
-                lib.sk_normal_fill(bitgen.ctypes.bit_generator, out.size, out.ctypes.data)
-            return out
-    return rng.standard_normal(out=out)
+    if lib is None:
+        return _normalize_rows(_standard_normal(rng, g), rng, _standard_normal)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        zeros = lib.sk_sphere_fill(bitgen.ctypes.bit_generator, *g.shape, g.ctypes.data)
+    if zeros:
+        g[_row_norms(g) == 0.0] = _gaussian_rows(rng, np.empty((zeros, g.shape[1])))
+    return g
 
 
 def _rademacher(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -168,20 +175,17 @@ def _uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-_ENTRY_DRAWS = {"gaussian": _standard_normal, "rademacher": _rademacher, "uniform": _uniform}
+_ENTRY_DRAWS = {"rademacher": _rademacher, "uniform": _uniform}
 
 
-def sample_block(
-    model: MeasurementModel, rng: np.random.Generator, n: int, out=None, scratch=None
-):
+def sample_block(model: MeasurementModel, rng: np.random.Generator, n: int, out=None):
     """Draw ``n`` measurement vectors.
 
     Returns ``(A, idx)`` where ``A`` is an (n, d) array of unit-norm
     rows and ``idx`` is the (n,) array of source row indices for
     DatasetRows models (None otherwise).  ``A`` is ``out`` when given, a
-    C-contiguous (n, d) float array the rows are drawn into; ``scratch``,
-    another such array, holds the squares of the row norms (otherwise a
-    temporary does).  The buffers change no bit of the draw.
+    C-contiguous (n, d) float array the rows are drawn into; it changes
+    no bit of the draw.
     """
     if not isinstance(model, MeasurementModel):
         raise TypeError(f"unknown measurement model {model!r}")
@@ -192,8 +196,10 @@ def sample_block(
         return np.take(model.unit_rows, idx, axis=0, out=A, mode="clip"), idx
     if isinstance(model, NormalizedRademacher):
         return np.divide(_rademacher(rng, A), math.sqrt(model.d), out=A), None
-    draw = _standard_normal if isinstance(model, GaussianSphere) else _ENTRY_DRAWS[model.base]
-    return _normalize_rows(draw(rng, A), rng, draw, scratch), None
+    if isinstance(model, GaussianSphere) or model.base == "gaussian":
+        return _gaussian_rows(rng, A), None
+    draw = _ENTRY_DRAWS[model.base]
+    return _normalize_rows(draw(rng, A), rng, draw), None
 
 
 def exact_sphere_constant(d: int) -> float:
@@ -236,7 +242,7 @@ def estimate_ctilde(
     if directions is None:
         if n_directions < 1:
             raise ValueError("n_directions must be at least 1")
-        U = _normalize_rows(rng.standard_normal((n_directions, d)), rng, _standard_normal)
+        U, _ = sample_block(GaussianSphere(d), rng, n_directions)
     else:
         U = np.atleast_2d(np.asarray(directions, dtype=float))
         norms = np.linalg.norm(U, axis=1)
@@ -259,7 +265,7 @@ def estimate_ctilde(
         sums += z.sum(axis=0)
         z *= z
         sumsqs += z.sum(axis=0)
-        del z  # freed before the next draw allocates its row-norm squares
+        del z  # freed before the next draw, whose numpy row norms allocate their squares
         remaining -= m
 
     means = sums / n_samples

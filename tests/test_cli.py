@@ -142,6 +142,53 @@ def test_ctilde_json(capsys):
     assert payload["n_directions"] == 32
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "--seed: expected an integer of at least 0, got -1"),
+        (["--directions", "0"], "--directions: expected an integer of at least 1, got 0"),
+        (["--samples", "99"], "--samples: expected an integer of at least 100, got 99"),
+    ],
+    ids=["seed", "directions", "samples"],
+)
+def test_ctilde_bad_flag_names_itself(capsys, flags, message):
+    args = ["ctilde", "--model", "gaussian_sphere", "--d", "5", "--samples", "1000", *flags]
+    assert main(args) == 2
+    assert _error_line(capsys) == f"error: {message}"
+    assert capsys.readouterr().out == ""
+
+
+def _version_lines(capsys):
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # reported on the lines instead
+        main(["--version"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    return out.out.splitlines()
+
+
+def test_version_names_each_compiled_part(capsys, monkeypatch, tmp_path):
+    from sgdexp import _kernel
+
+    monkeypatch.setattr(_kernel, "_loaded", object())
+    monkeypatch.setattr(_kernel, "_fill", object())
+    assert _version_lines(capsys) == [
+        f"sgdexp {sgdexp.__version__}",
+        "step kernel: loaded",
+        "Gaussian fill: loaded",
+    ]
+    missing = tmp_path / "libnpyrandom.a"
+    monkeypatch.setattr(_kernel, "_loaded", False)  # turned off, as the tests do, with no reason
+    monkeypatch.setattr(_kernel, "_fill", None)
+    monkeypatch.setattr(_kernel, "NPYRANDOM", missing)
+    monkeypatch.setattr(_kernel, "_off", {})
+    assert _version_lines(capsys)[1:] == [
+        "step kernel: numpy: turned off",
+        f"Gaussian fill: numpy: numpy's libnpyrandom.a not found at {missing}",
+    ]
+
+
 @pytest.fixture()
 def drift_config_path(tmp_path):
     config = tmp_path / "drift.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdexp import _kernel
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
 from sgdexp.drift import (
     DRIFT_CHUNK,
@@ -462,7 +463,7 @@ def _one_step_allocating(u, lam, model, adversary, n_samples, rng, value):
 
 
 class TestOneStepBuffers:
-    """The validators draw into two reused chunk buffers without moving a bit."""
+    """The validators draw into one reused chunk buffer without moving a bit."""
 
     LAM, D = 1.001, 20
 
@@ -476,8 +477,10 @@ class TestOneStepBuffers:
         est, se = _one_step_allocating(u, self.LAM, model, adversary, n_samples, np.random.default_rng(5), value)
         assert (rep.estimate, rep.stderr) == (est, se)
 
-    def test_memory_is_two_chunk_buffers(self):
-        # The draws and u - s a, each a (DRIFT_CHUNK, d) buffer, plus per-draw vectors.
+    def test_memory_is_one_chunk_buffer(self):
+        # The draws, then u - s a in their place: one (DRIFT_CHUNK, d) buffer, plus
+        # per-draw vectors.  Without the compiled fill the row norms' squares take another.
+        chunks = 1.5 if _kernel.load_fill() is not None else 2.5
         d, lam, p = 100, 1.00001, 0.4
         a_edge = 1.0 / (2.0 * (lam * lam - 1.0))
         args = (p, lam, d, CT, GaussianSphere(d), ResidualSignAdversary(p), 40_000, np.random.default_rng(0))
@@ -487,7 +490,7 @@ class TestOneStepBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * DRIFT_CHUNK * d * 8
+        assert peak < chunks * DRIFT_CHUNK * d * 8
 
 
 class TestMcDriftC2:

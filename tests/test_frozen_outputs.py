@@ -1,12 +1,12 @@
 """Frozen SHA-256 digests of small versions of every shipped config.
 
 Each config runs at T=2000 with seeds [1, 2] through the library path that
-``sgdexp run`` uses (run_experiment, emit_results, emit_plot); one
-synthetic config also runs through ``run_sweep``.  The digests cover the
-results CSV without its elapsed_seconds column, the manifest and the SVG,
-so any change to the update rules, the corruption channels, the draw
-order or the emission format moves them.  A change that moves a digest
-on purpose says why in CHANGES.md.
+``sgdexp run`` uses (run_experiment, emit_results, emit_plot); the
+synthetic configs also run through ``run_sweep``, one of them at ten
+seeds.  The digests cover the results CSV without its elapsed_seconds
+column, the manifest and the SVG, so any change to the update rules, the
+corruption channels, the draw order or the emission format moves them.
+A change that moves a digest on purpose says why in CHANGES.md.
 """
 
 import hashlib
@@ -76,6 +76,17 @@ MIXED_SWEEPS = {
     ),
 }
 
+# A sweep over ten seeds at T=500, so that the mean over seeds sums past 8
+# terms and a change to its order moves the digest, as two seeds cannot;
+# computed at the commit before the compiled sphere pass, from that
+# commit's code: (config, p grid, seeds, digest).
+TEN_SEED_SWEEP = (
+    "relu_signflip",
+    [0.2, 0.4],
+    range(1, 11),
+    "9550a32d73414833581357ca8b036c7ad447d97b1ab7ce835cc8a57a951e8ad4",
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -142,4 +153,11 @@ def test_mixed_lane_sweep_digest(name, tmp_path):
     if kind is not None:
         config = config.with_updates(corruption=dict(config.corruption, kind=kind))
     rows = run_sweep(config, p_grid)
+    assert _sha(emit_sweep_csv(rows, tmp_path).read_bytes()) == digest
+
+
+def test_ten_seed_sweep_digest(tmp_path):
+    name, p_grid, seeds, digest = TEN_SEED_SWEEP
+    config = small_config(name).with_updates(horizon=500, checkpoint_every=50)
+    rows = run_sweep(config, p_grid, seeds)
     assert _sha(emit_sweep_csv(rows, tmp_path).read_bytes()) == digest

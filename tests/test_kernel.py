@@ -1,11 +1,13 @@
 """The compiled parts, step kernel and Gaussian fill: loading, per-part fallback to numpy, mutation checks."""
 
+import ctypes
 import json
 import os
 import shutil
 import subprocess
 import sys
 import threading
+import timeit
 import warnings
 from pathlib import Path
 
@@ -14,7 +16,13 @@ import pytest
 
 from sgdexp import _kernel
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
-from sgdexp.measurement import GaussianSphere, NormalizedIIDSubGaussian, sample_block
+from sgdexp.measurement import (
+    GaussianSphere,
+    NormalizedIIDSubGaussian,
+    _normalize_rows,
+    _standard_normal,
+    sample_block,
+)
 from sgdexp.solvers import SolverSpec, StreamSpec, run_batch
 from test_frozen_outputs import DIGESTS, emit_digests
 
@@ -296,7 +304,7 @@ class TestGaussianFill:
         assert _kernel.build_fill(source, cache) == built  # same bytes: the cached library
         with open(archive, "ab") as fh:
             fh.write(b"\n")  # an upgraded numpy: other bytes at the same path
-        key = _kernel.cache_key(source, (f"-I{_kernel.NUMPY_INCLUDE}",), archive)
+        key = _kernel.cache_key(source, _kernel.FILL_ARGS, archive)
         assert key not in built.name
 
     def test_accepting_rejected_words_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
@@ -329,6 +337,120 @@ class TestGaussianFill:
         monkeypatch.setattr(_kernel, "_fill", False)
         ref, _ = sample_block(model, np.random.default_rng(8), 500)
         assert np.array_equal(_bits(first), _bits(ref)) and np.array_equal(_bits(second), _bits(ref))
+
+
+#: The sphere pass's branch for fewer than 8 terms, the target of its mutation check.
+SHORT_SUM = "if (n < 8) {"
+GAUSSIAN_MODELS = pytest.mark.parametrize(
+    "model_of", [GaussianSphere, lambda d: NormalizedIIDSubGaussian(d, "gaussian")], ids=["sphere", "iid"]
+)
+
+
+_NEXT_U64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT_U32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _Bitgen(ctypes.Structure):
+    """numpy/random/bitgen.h's bitgen_t."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", _NEXT_U64),
+        ("next_uint32", _NEXT_U32),
+        ("next_double", _NEXT_DOUBLE),
+        ("next_raw", _NEXT_U64),
+    ]
+
+
+class _ZeroWordsFill:
+    """The loaded fill drawing from a bitgen_t whose first ``zeros`` words are 0, then ``inner``'s.
+
+    A 0 word is the ziggurat's +0.0, so ``zeros = d`` makes the first row
+    all zero.  Stands in for the fill library; the Generator that
+    sample_block passes only lends its lock.
+    """
+
+    def __init__(self, lib, inner, zeros):
+        self.lib, self.inner, self.zeros = lib, inner, zeros
+        c = inner.ctypes
+        words = _NEXT_U64(lambda _: 0 if self._take_zero() else c.next_uint64(c.state))
+        self.bitgen = _Bitgen(
+            None,
+            words,
+            _NEXT_U32(lambda _: c.next_uint32(c.state)),
+            _NEXT_DOUBLE(lambda _: c.next_double(c.state)),
+            words,
+        )
+
+    def _take_zero(self):
+        self.zeros -= 1
+        return self.zeros >= 0
+
+    def sk_sphere_fill(self, _bitgen, rows, d, out):
+        return self.lib.sk_sphere_fill(ctypes.addressof(self.bitgen), rows, d, out)
+
+
+@needs_gcc
+@needs_npyrandom
+class TestSpherePass:
+    """``sk_sphere_fill``, the fill and the row normalization in one pass, against the numpy path."""
+
+    @GAUSSIAN_MODELS
+    def test_bits_and_state_match_numpy_path(self, model_of, monkeypatch):
+        lib = _kernel.load_fill()
+        assert lib is not None
+        # Every branch of numpy's pairwise sum; n = 20000 at a few d, to keep the buffers small.
+        cases = [(d, n) for d in (*range(1, 131), 257, 1000) for n in (1, 97)]
+        cases += [(d, 20_000) for d in (1, 8, 20, 100, 129)]
+        for d, n in cases:
+            draws = []
+            for fill in (lib, False):
+                monkeypatch.setattr(_kernel, "_fill", fill)
+                rng = np.random.default_rng(1000 * d + n)
+                draws.append((sample_block(model_of(d), rng, n)[0], rng.bit_generator.state))
+            (got, got_state), (want, want_state) = draws
+            assert np.array_equal(_bits(got), _bits(want)), (d, n)
+            assert got_state == want_state, (d, n)
+
+    @pytest.mark.parametrize("d", [1, 5, 8, 20, 129])
+    def test_zero_row_is_redrawn_as_normalize_rows_does(self, d, monkeypatch):
+        n, seed = 4, 77
+        stand_in = _ZeroWordsFill(_kernel.load_fill(), np.random.PCG64(seed), zeros=d)
+        monkeypatch.setattr(_kernel, "_fill", stand_in)
+        got, _ = sample_block(GaussianSphere(d), np.random.default_rng(0), n)
+        assert stand_in.zeros < 0  # every zero word was drawn
+
+        monkeypatch.setattr(_kernel, "_fill", False)
+        ref_rng = np.random.Generator(np.random.PCG64(seed))
+        g = np.zeros((n, d))
+        g[1:] = ref_rng.standard_normal((n - 1, d))
+        want = _normalize_rows(g, ref_rng, _standard_normal)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.linalg.norm(got[0]) == pytest.approx(1.0, rel=1e-12)
+        assert stand_in.inner.state == ref_rng.bit_generator.state
+
+    def test_sequential_sum_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
+        mutant = _mutant_fill(tmp_path, SHORT_SUM, "if (1) {")
+        lib = _kernel.open_fill(_kernel.build_fill(mutant.read_text(), tmp_path))
+        with pytest.raises(_kernel.KernelUnavailable, match="self-test: the sphere pass differs"):
+            _kernel.fill_self_test(lib)
+
+        monkeypatch.setattr(_kernel, "FILL_SOURCE", mutant)
+        model = GaussianSphere(20)
+        with pytest.warns(RuntimeWarning) as record:
+            first, _ = sample_block(model, np.random.default_rng(8), 500)
+            second, _ = sample_block(model, np.random.default_rng(8), 500)
+        (warning,) = record
+        assert "Gaussian fill unavailable, using numpy: self-test" in str(warning.message)
+        assert _kernel._fill is False
+        ref, _ = sample_block(model, np.random.default_rng(8), 500)
+        assert np.array_equal(_bits(first), _bits(ref)) and np.array_equal(_bits(second), _bits(ref))
+
+    def test_self_test_is_quick(self):
+        lib = _kernel.load_fill()
+        best = min(timeit.repeat(lambda: _kernel.sphere_self_test(lib), number=1, repeat=5))
+        assert best < 3e-3
 
 
 @needs_gcc

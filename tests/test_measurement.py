@@ -144,7 +144,7 @@ class TestInPlaceSampling:
         ref_rng, rng = np.random.default_rng(42), np.random.default_rng(42)
         ref, ref_idx = _sample_block_allocating(model, ref_rng, n)
         shape = (n, model.d)
-        for kwargs in ({}, {"out": np.empty(shape)}, {"out": np.empty(shape), "scratch": np.empty(shape)}):
+        for kwargs in ({}, {"out": np.empty(shape)}):
             A, idx = sample_block(model, rng, n, **kwargs)
             if "out" in kwargs:
                 assert A is kwargs["out"]
@@ -158,7 +158,7 @@ class TestInPlaceSampling:
         ref_rng, rng = _ZeroFirstRow(8), _ZeroFirstRow(8)
         ref, _ = _sample_block_allocating(model, ref_rng, 6)
         out = np.empty((6, 5))
-        A, _ = sample_block(model, rng, 6, out=out, scratch=np.empty((6, 5)))
+        A, _ = sample_block(model, rng, 6, out=out)
         assert rng.zeroed and A is out
         assert A.tobytes() == ref.tobytes()
         assert np.linalg.norm(A[0]) == pytest.approx(1.0, rel=1e-12)
@@ -169,7 +169,6 @@ class TestInPlaceSampling:
             g = np.random.default_rng(d).standard_normal((9, d))
             expected = np.linalg.norm(g, axis=1).tobytes()
             assert _row_norms(g).tobytes() == expected
-            assert _row_norms(g, np.empty_like(g)).tobytes() == expected
 
 
 def test_dataset_rows_empty_errors():

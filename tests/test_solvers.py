@@ -278,9 +278,9 @@ def _linear_spec(d=4, T=500, lam=1.01, G=1.0):
     return SolverSpec(method="sgd_exp_linear", d=d, T=T, lam=lam, G=G)
 
 
-def _norm_two_rows(model, rng, n, out=None, scratch=None):
+def _norm_two_rows(model, rng, n, out=None):
     """sample_block with every row scaled to norm 2, drawn into ``out`` as the engine asks."""
-    A, idx = sample_block(model, rng, n, out=out, scratch=scratch)
+    A, idx = sample_block(model, rng, n, out=out)
     A *= 2.0
     return A, idx
 
