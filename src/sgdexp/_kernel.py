@@ -134,17 +134,18 @@ def open_library(path: Path):
 
 
 def self_test(lib) -> None:
-    """Raise KernelUnavailable unless the kernel's dot equals np.einsum on every entry.
+    """Raise KernelUnavailable unless the kernel's dots equal np.einsum on every entry.
 
     Covers d = 1..130 in the two einsums of the numpy body: (G, S, d) lanes
     against a strided column of an (S, n, d) block, and the audit's row
     norms (the block against itself).  All dots run in one kernel call
-    over one buffer.
+    over one buffer; per d, the first 12 take the four-wide pass and the
+    last 3 the one-wide dot.
     """
-    R, W, dims = 3, 2, np.arange(1, 131)
+    R, W, dims = 3, 3, np.arange(1, 131)
     # Per d, a (2, R, d) lane array X, then an (R, W, d) block A: the first
-    # 12 d doubles of one buffer.
-    buf = np.random.default_rng(20240501).standard_normal(12 * dims[-1])
+    # (2 + W) R d doubles of one buffer.
+    buf = np.random.default_rng(20240501).standard_normal((2 + W) * R * dims[-1])
     x_at = dims[:, None] * np.arange(2 * R)  # X[g, s], g-major
     a_at = dims[:, None] * (2 * R + np.arange(R) * W + 1)  # A[s, 1]
     rows_at = dims[:, None] * (2 * R + np.arange(R * W))  # A[s, j], s-major
@@ -154,7 +155,7 @@ def self_test(lib) -> None:
     want = np.empty(first.shape)
     for d, row in zip(dims, want):
         X = buf[: 2 * R * d].reshape(2, R, d)
-        A = buf[2 * R * d : 4 * R * d].reshape(R, W, d)
+        A = buf[2 * R * d : (2 + W) * R * d].reshape(R, W, d)
         np.einsum("gsd,sd->gs", X, A[:, 1, :], out=row[: 2 * R].reshape(2, R))
         np.einsum("snd,snd->sn", A, A, out=row[2 * R :].reshape(R, W))
     table, want = np.ascontiguousarray(table, dtype=np.int64), want.ravel()

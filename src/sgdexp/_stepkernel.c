@@ -10,9 +10,27 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { SIGN = 0, GATED_SIGN = 1, GLMTRON = 2 };
 enum { AUDIT_STEP_LAW = 1, AUDIT_GATE = 2 };
+/* Seeds stepped together: the dots of a tile's lanes run as one pass. */
+enum { TILE = 4 };
+
+/* Two doubles, added and multiplied lanewise: IEEE in each lane. */
+typedef double v2 __attribute__((vector_size(16)));
+
+static v2 load2(const double *p)
+{
+    v2 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store2(double *p, v2 v)
+{
+    memcpy(p, &v, sizeof v);
+}
 
 /* <x, a>: two accumulators over the even and odd elements, 8 elements per
  * iteration added as p + c in the order 6-7, 4-5, 2-3, 0-1, a zero-filled
@@ -38,6 +56,71 @@ static double dot(const double *x, const double *a, int64_t d)
     return 0.0 + (c0 + c1);
 }
 
+/* c[t] = x[t][i, i+1] * a[t][i, i+1] + c[t], two-wide, for each of four pairs. */
+static inline void add4(v2 *c, const double *const *x, const double *const *a, int64_t i)
+{
+#pragma GCC unroll 4
+    for (int t = 0; t < TILE; t++)
+        c[t] = load2(x[t] + i) * load2(a[t] + i) + c[t];
+}
+
+/* out[t] = dot(x[t], a[t], d) for four pairs in one pass.  Each pair's
+ * (c0, c1) is one two-wide accumulator, as in numpy's SSE2 loop, and adds
+ * in dot's order; the four chains are independent, so they overlap. */
+static void dot4(const double *const *x, const double *const *a, int64_t d, double *out)
+{
+    v2 c[TILE] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
+    int64_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+        add4(c, x, a, i + 6);
+        add4(c, x, a, i + 4);
+        add4(c, x, a, i + 2);
+        add4(c, x, a, i);
+    }
+    for (; i + 2 <= d; i += 2)
+        add4(c, x, a, i);
+    if (i < d) {
+#pragma GCC unroll 4
+        for (int t = 0; t < TILE; t++)
+            c[t] = (v2){x[t][i] * a[t][i], 0.0 * 0.0} + c[t];
+    }
+#pragma GCC unroll 4
+    for (int t = 0; t < TILE; t++)
+        out[t] = 0.0 + (c[t][0] + c[t][1]);
+}
+
+/* The dots of a tile of w <= TILE pairs: dot4 for a full tile, else dot. */
+static void dots(int w, const double *const *x, const double *const *a, int64_t d, double *out)
+{
+    if (w == TILE) {
+        dot4(x, a, d, out);
+        return;
+    }
+    for (int t = 0; t < w; t++)
+        out[t] = dot(x[t], a[t], d);
+}
+
+/* x[i] = x[i] + coef * a[i], two elements at a time. */
+static void axpy(double *x, double coef, const double *a, int64_t d)
+{
+    const v2 c = {coef, coef};
+    int64_t i = 0;
+    for (; i + 2 <= d; i += 2)
+        store2(x + i, load2(x + i) + c * load2(a + i));
+    if (i < d)
+        x[i] = x[i] + coef * a[i];
+}
+
+/* out[i] = u[i] - v[i], two elements at a time. */
+static void sub(double *out, const double *u, const double *v, int64_t d)
+{
+    int64_t i = 0;
+    for (; i + 2 <= d; i += 2)
+        store2(out + i, load2(u + i) - load2(v + i));
+    if (i < d)
+        out[i] = u[i] - v[i];
+}
+
 /* np.maximum(v, 0.0): NaN propagates, ties (+-0) give the second operand. */
 static double relu(double v)
 {
@@ -54,12 +137,24 @@ static double sign(double v)
     return v == 0.0 ? 0.0 : v;
 }
 
-/* out[i] = <buf + pairs[3i], buf + pairs[3i+1]> of length pairs[3i+2]; the
- * load-time self-test compares it with np.einsum. */
+/* out[i] = <buf + pairs[3i], buf + pairs[3i+1]> of length pairs[3i+2]: each
+ * run of four equal lengths through dot4, the others through dot.  The
+ * load-time self-test compares both with np.einsum. */
 void sk_dots(int64_t m, const int64_t *pairs, const double *buf, double *out)
 {
-    for (int64_t i = 0; i < m; i++)
-        out[i] = dot(buf + pairs[3 * i], buf + pairs[3 * i + 1], pairs[3 * i + 2]);
+    for (int64_t i = 0; i < m;) {
+        const int64_t *p = pairs + 3 * i;
+        int w = 1;
+        if (i + TILE <= m && p[2] == p[5] && p[2] == p[8] && p[2] == p[11])
+            w = TILE;
+        const double *x[TILE], *a[TILE];
+        for (int t = 0; t < w; t++) {
+            x[t] = buf + p[3 * t];
+            a[t] = buf + p[3 * t + 1];
+        }
+        dots(w, x, a, p[2], out + i);
+        i += w;
+    }
 }
 
 /* Steps j0 <= j < j1 of a block of n steps, for G lane groups x S seeds.
@@ -75,7 +170,11 @@ void sk_dots(int64_t m, const int64_t *pairs, const double *buf, double *out)
  * Xt (S, d) non-NULL tracks hitting times (G == 1): lam2k is lam^{2k} at the
  * block's step j0 and is returned at step j1, hit_k (S,) is set at the first
  * k = k_base + j + 1 with lam^{2k} ||Xt - x||^2 / g_sq >= level, and diff
- * holds d doubles of scratch. */
+ * holds TILE * d doubles of scratch.
+ *
+ * Seeds are walked in tiles of TILE, each tile step by step and group by
+ * group, so the dots of a tile's lanes run as one pass.  Each lane still
+ * does exactly its own arithmetic, in its own order. */
 void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t j1,
                 double *x, const double *A,
                 const double *Y,
@@ -91,47 +190,62 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t 
     const double lam2k_start = Xt != NULL ? *lam2k : 0.0;
     double lk = lam2k_start;
 
-    for (int64_t s = 0; s < S; s++) {
+    for (int64_t s0 = 0; s0 < S; s0 += TILE) {
+        const int w = S - s0 < TILE ? (int)(S - s0) : TILE;
         lk = lam2k_start;
         for (int64_t j = j0; j < j1; j++) {
-            const int64_t sj = s * n + j;
-            const double *a = A + sj * d;
-            const double norm = need_norm ? sqrt(dot(a, a, d)) : 0.0;
+            const double *a[TILE], *xs[TILE];
+            double norm[TILE] = {0.0}, dts[TILE];
+            for (int t = 0; t < w; t++)
+                a[t] = A + ((s0 + t) * n + j) * d;
+            if (need_norm) {
+                dots(w, a, a, d, norm);
+                for (int t = 0; t < w; t++)
+                    norm[t] = sqrt(norm[t]);
+            }
             for (int64_t g = 0; g < G; g++) {
-                const int64_t lane = g * S + s;
-                double *xl = x + lane * d;
-                const double dt = dot(xl, a, d);
-                double y;
-                if (Y != NULL) {
-                    y = Y[lane * n + j];
-                } else {
-                    const double pred = relu_link ? relu(dt) : dt;
-                    y = XI[sj] < P[g] ? 2.0 * pred - clean[sj] : clean[sj];
+                for (int t = 0; t < w; t++)
+                    xs[t] = x + (g * S + s0 + t) * d;
+                dots(w, xs, a, d, dts);
+                for (int t = 0; t < w; t++) {
+                    const int64_t s = s0 + t, lane = g * S + s, sj = s * n + j;
+                    const double dt = dts[t];
+                    double y;
+                    if (Y != NULL) {
+                        y = Y[lane * n + j];
+                    } else {
+                        const double pred = relu_link ? relu(dt) : dt;
+                        y = XI[sj] < P[g] ? 2.0 * pred - clean[sj] : clean[sj];
+                    }
+                    const double step = steps[lane * n + j];
+                    double coef;
+                    if (kind[g] == GLMTRON)
+                        coef = step * (y - relu(dt));
+                    else if (kind[g] == GATED_SIGN)
+                        coef = step * (sign(y - relu(dt)) * (dt >= 0.0 ? 1.0 : 0.0));
+                    else
+                        coef = step * sign(y - dt);
+                    if (coef != 0.0) {
+                        if ((audit[g] & AUDIT_STEP_LAW) && fabs(fabs(coef) * norm[t] - step) > 1e-12 * step)
+                            step_viol[lane]++;
+                        if ((audit[g] & AUDIT_GATE) && dt < 0.0)
+                            gate_viol[lane]++;
+                    }
+                    axpy(x + lane * d, coef, a[t], d);
                 }
-                const double step = steps[lane * n + j];
-                double coef;
-                if (kind[g] == GLMTRON)
-                    coef = step * (y - relu(dt));
-                else if (kind[g] == GATED_SIGN)
-                    coef = step * (sign(y - relu(dt)) * (dt >= 0.0 ? 1.0 : 0.0));
-                else
-                    coef = step * sign(y - dt);
-                if (coef != 0.0) {
-                    if ((audit[g] & AUDIT_STEP_LAW) && fabs(fabs(coef) * norm - step) > 1e-12 * step)
-                        step_viol[lane]++;
-                    if ((audit[g] & AUDIT_GATE) && dt < 0.0)
-                        gate_viol[lane]++;
-                }
-                for (int64_t i = 0; i < d; i++)
-                    xl[i] = xl[i] + coef * a[i];
             }
             if (Xt != NULL) {
-                const double *xt = Xt + s * d;
+                const double *df[TILE];
+                double dist[TILE];
                 lk *= lam2;
-                for (int64_t i = 0; i < d; i++)
-                    diff[i] = xt[i] - x[s * d + i];
-                if (hit_k[s] < 0 && (lk * dot(diff, diff, d)) / g_sq[s] >= level)
-                    hit_k[s] = k_base + j + 1;
+                for (int t = 0; t < w; t++) {
+                    sub(diff + t * d, Xt + (s0 + t) * d, x + (s0 + t) * d, d);
+                    df[t] = diff + t * d;
+                }
+                dots(w, df, df, d, dist);
+                for (int t = 0; t < w; t++)
+                    if (hit_k[s0 + t] < 0 && (lk * dist[t]) / g_sq[s0 + t] >= level)
+                        hit_k[s0 + t] = k_base + j + 1;
             }
         }
     }

@@ -35,7 +35,7 @@ import numpy as np
 
 from .corruption import CorruptionSpec, NoCorruption, ResidualSignAdversary, apply_channel
 from .measurement import MeasurementModel, sample_block
-from .solvers import SolverSpec, StreamSpec, _corruption_factor, _precision_horizon, run_batch
+from .solvers import SolverSpec, StreamSpec, _check_horizon, _corruption_factor, run_batch
 
 #: Denominators of the admissible step-decay window lam^2 - 1 <= ctilde^2 f^2 / (den d).
 WINDOW_DEN = {"linear": 9.0, "relu": 49.0}
@@ -243,8 +243,10 @@ def mc_hitting_probability(
     condition) and K within the precision horizon
     k_fp = ln(G / (eps ||x_true||)) / ln lam: past k_fp the step G lam^{-k}
     falls below ulp(||x_true||), the iterate freezes while lam^{2k} keeps
-    growing, and Y_k records false hits.  Each run simulates K steps of
-    the configured solver and records whether Y_k ever reached b.
+    growing, and Y_k records false hits.  K must also stay within the
+    overflow horizon ln(DBL_MAX) / (2 ln lam), past which lam^{2k} is inf.
+    Each run simulates K steps of the configured solver and records
+    whether Y_k ever reached b.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -256,12 +258,7 @@ def mc_hitting_probability(
         raise ValueError(
             f"invalid initialization: Y_0 = {y0:.6g} must be below a = {params.a:.6g}"
         )
-    k_fp = _precision_horizon(spec.G, float(np.linalg.norm(x_true)), spec.lam)
-    if K > k_fp:
-        raise ValueError(
-            f"K = {K} exceeds the precision horizon k_fp = {k_fp:.1f}, past which "
-            "the step G lam^-k is below ulp(||x_true||) and hits are false"
-        )
+    _check_horizon("K", K, [spec.G], [float(np.linalg.norm(x_true))], spec.lam)
     run_spec = replace(spec, T=K)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n_runs)]
     trajs = run_batch(

@@ -25,6 +25,9 @@ GAUSSIAN_LIMIT_CONSTANT = math.sqrt(2.0 / math.pi)
 #: (CTILDE_CHUNK, d) buffer.
 CTILDE_CHUNK = 50_000
 
+#: Values in ``_row_norms``'s scratch for the squares of a slice of rows (64 KiB).
+ROW_NORM_VALUES = 8192
+
 
 @dataclass(frozen=True)
 class GaussianSphere:
@@ -117,8 +120,20 @@ def _check_dimension(d: int) -> None:
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(g, axis=1)`` bit for bit: its sqrt(add.reduce(g*g, axis=1))."""
-    norms = np.add.reduce(g * g, axis=1)
+    """``np.linalg.norm(g, axis=1)`` bit for bit: its sqrt(add.reduce(g*g, axis=1)).
+
+    The squares are taken a slice of rows at a time, into one scratch of
+    about ROW_NORM_VALUES values; add.reduce sums each row on its own, so
+    slicing moves no bit.
+    """
+    n, d = g.shape
+    rows = max(1, ROW_NORM_VALUES // d)
+    squares = np.empty((min(rows, n), d))
+    norms = np.empty(n)
+    for i in range(0, n, rows):
+        part = g[i : i + rows]
+        sq = np.multiply(part, part, out=squares[: len(part)])
+        np.add.reduce(sq, axis=1, out=norms[i : i + len(part)])
     return np.sqrt(norms, out=norms)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -250,15 +251,27 @@ def recommend_G(lam: float, x_norm_bound: float) -> float:
     return x_norm_bound * math.sqrt(2.0 * (lam * lam - 1.0))
 
 
-def _precision_horizon(G: float, x_norm: float, lam: float) -> float:
-    """k_fp = ln(G / (eps ||x*||)) / ln lam, eps the machine epsilon; inf for x* = 0.
+def _check_horizon(name: str, K: int, scales, x_norms, lam: float) -> None:
+    """ValueError when Y_k = lam^{2k} ||x* - x_k||^2 / G^2 can record false hits within K steps.
 
-    Past k_fp the step G lam^{-k} falls below ulp(||x*||): the iterate
-    freezes while lam^{2k} keeps growing, so Y_k records false hits.
+    Past the precision horizon k_fp = ln(G / (eps ||x*||)) / ln lam (eps the
+    machine epsilon; none for x* = 0), the smallest over the seeds' step
+    scales G and signal norms, the step G lam^{-k} falls below ulp(||x*||):
+    the iterate freezes while lam^{2k} keeps growing.  Past the overflow
+    horizon k_of = ln(DBL_MAX) / (2 ln lam), lam^{2k} is inf for every x*.
+    The message names ``name`` = K and the smaller horizon.
     """
-    if x_norm == 0.0:
-        return math.inf
-    return math.log(G / (np.finfo(float).eps * x_norm)) / math.log(lam)
+    eps, log_lam = np.finfo(float).eps, math.log(lam)
+    k_fps = (math.log(G / (eps * r)) / log_lam for G, r in zip(scales, x_norms) if r != 0.0)
+    k_fp = min(k_fps, default=math.inf)
+    k_of = math.log(sys.float_info.max) / (2.0 * log_lam)
+    if K <= min(k_fp, k_of):
+        return
+    if k_fp <= k_of:
+        why = f"precision horizon k_fp = {k_fp:.1f}, past which the step G lam^-k is below ulp(||x_true||)"
+    else:
+        why = f"overflow horizon k_of = {k_of:.1f}, past which lam^2k overflows"
+    raise ValueError(f"{name} = {K} exceeds the {why} and hits are false")
 
 
 # The rule table.  Every function below works on (G, S) lane axes.
@@ -398,7 +411,7 @@ def _bind_c(lib, st: _StepState):
     G, S = st.step_viol.shape
     n, d = st.A.shape[1:]
     hit = st.hit_k is not None
-    diff = np.empty(d) if hit else None  # scratch for the hitting-time distance
+    diff = np.empty(4 * d) if hit else None  # scratch: the hitting-time distances of a tile of four seeds
     hit_f64 = (st.Xt, st.g_sq, st.lam2k, diff) if hit else (None,) * 4
     f64 = (st.x, st.A, st.Y, st.clean, st.XI, st.P, st.steps) + hit_f64
     x, A, Y, clean, XI, P, steps, Xt, g_sq, lam2k, diff_ = (_address(a, np.float64) for a in f64)
@@ -456,7 +469,8 @@ def run_batch(
     With ``hitting_level`` set (one sgd_exp group only), tracks
     Y_k = lam^{2k} ||x_true - x_k||^2 / G^2 each step and records the
     first k where Y_k reaches the level; T past any seed's precision
-    horizon (``_precision_horizon``) is a ValueError.
+    horizon or past the overflow of lam^{2k} (``_check_horizon``) is a
+    ValueError.
 
     Checkpoints of DatasetRows streams carry the clean loss of the
     iterate against the stream's rows and responses.  With
@@ -534,12 +548,7 @@ def run_batch(
                 raise ValueError("step scales must be positive with one entry per seed")
         scales.append(scale)
     if hitting_level is not None:
-        k_fp = min(map(_precision_horizon, scales[0], xt_norms, repeat(specs[0].lam)))
-        if T > k_fp:
-            raise ValueError(
-                f"T = {T} exceeds the precision horizon k_fp = {k_fp:.1f}, past which "
-                "the step G lam^-k is below ulp(||x_true||) and hits are false"
-            )
+        _check_horizon("T", T, scales[0], xt_norms, specs[0].lam)
 
     # The step function's inputs; the block fields are set once per block.
     sign_kind, gate_bit = (GATED_SIGN, AUDIT_GATE) if relu_response else (SIGN, 0)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +326,7 @@ class TestPrecisionHorizon:
         assert rep.empirical_prob == 0.0
 
     def test_zero_signal_has_no_horizon(self):
+        # No precision horizon; lam^{2k} overflows only past k ~ 50900 here.
         params, spec, stream, _, _ = self._setup()
         rep = mc_hitting_probability(spec, stream, np.zeros(self.D), params, K=12000, n_runs=1, seed=0)
         assert rep.K == 12000
@@ -350,6 +353,46 @@ class TestPrecisionHorizon:
         expected = k_fp - math.log(1000) / math.log(self.LAM)
         with pytest.raises(ValueError, match=rf"T = 4000 .* k_fp = {expected:.1f}"):
             run_batch(lanes, stream, [0, 1], x_true=x_true, hitting_level=params.b)
+
+
+class TestOverflowHorizon:
+    """lam^{2k} is inf past k_of = ln(DBL_MAX) / (2 ln lam).  With x* = 0 there is
+    no precision horizon, and both bodies used to record a false hit at k = 7274
+    here (the numpy body with ~12000 "invalid value" warnings)."""
+
+    D, LAM = 5, 1.05
+
+    @pytest.fixture(params=["kernel", "numpy_body"])
+    def body(self, request, monkeypatch):
+        if request.param == "numpy_body":
+            monkeypatch.setattr(_kernel, "_loaded", False)
+        elif _kernel.load() is None:
+            pytest.skip("the step kernel does not load here")
+
+    def _run(self, T):
+        spec = SolverSpec(method="sgd_exp_linear", d=self.D, T=T, lam=self.LAM, G=1.0)
+        stream = StreamSpec(model=GaussianSphere(self.D), corruption=NoCorruption())
+        kwargs = dict(x_true=np.zeros(self.D), x0=np.full(self.D, 0.3), checkpoint_every=T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_batch(spec, stream, range(4), hitting_level=1e6, **kwargs)
+
+    def test_T_past_k_of_raises(self, body):
+        assert 7273 < math.log(sys.float_info.max) / (2.0 * math.log(self.LAM)) < 7274
+        with pytest.raises(ValueError, match=r"^T = 20000 exceeds the overflow horizon k_of = 7273\.8"):
+            self._run(20000)
+
+    def test_T_within_k_of_has_no_hit(self, body):
+        assert all(t.hit_k is None for t in self._run(7000))
+
+    def test_mc_hitting_refuses_K_past_k_of(self):
+        # The drift window needs lam^2 - 1 <= 1/64 at d = 5, which puts k_of near 47500.
+        lam = 1.0075
+        params = drift_params(lam, 0.0, self.D, exact_sphere_constant(self.D))
+        spec = SolverSpec(method="sgd_exp_linear", d=self.D, T=1, lam=lam, G=1.0)
+        stream = StreamSpec(model=GaussianSphere(self.D), corruption=NoCorruption())
+        with pytest.raises(ValueError, match=r"^K = 50000 exceeds the overflow horizon k_of = 47496\.\d"):
+            mc_hitting_probability(spec, stream, np.zeros(self.D), params, K=50000, n_runs=4, seed=0)
 
 
 class TestMcDriftLinearTerm:
@@ -477,10 +520,15 @@ class TestOneStepBuffers:
         est, se = _one_step_allocating(u, self.LAM, model, adversary, n_samples, np.random.default_rng(5), value)
         assert (rep.estimate, rep.stderr) == (est, se)
 
-    def test_memory_is_one_chunk_buffer(self):
+    @pytest.mark.parametrize("fill", [True, False], ids=["fill", "numpy_fill"])
+    def test_memory_is_one_chunk_buffer(self, fill, monkeypatch):
         # The draws, then u - s a in their place: one (DRIFT_CHUNK, d) buffer, plus
-        # per-draw vectors.  Without the compiled fill the row norms' squares take another.
-        chunks = 1.5 if _kernel.load_fill() is not None else 2.5
+        # per-draw vectors.  numpy's row norms square a few rows at a time.
+        if not fill:
+            monkeypatch.setattr(_kernel, "_fill", False)
+        elif _kernel.load_fill() is None:
+            pytest.skip("the compiled fill does not load here")
+        chunks = 1.5
         d, lam, p = 100, 1.00001, 0.4
         a_edge = 1.0 / (2.0 * (lam * lam - 1.0))
         args = (p, lam, d, CT, GaussianSphere(d), ResidualSignAdversary(p), 40_000, np.random.default_rng(0))

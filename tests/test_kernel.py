@@ -1,6 +1,7 @@
 """The compiled parts, step kernel and Gaussian fill: loading, per-part fallback to numpy, mutation checks."""
 
 import ctypes
+import functools
 import json
 import os
 import shutil
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from sgdexp import _kernel
-from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
+from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip, apply_channel
 from sgdexp.measurement import (
     GaussianSphere,
     NormalizedIIDSubGaussian,
@@ -23,7 +24,19 @@ from sgdexp.measurement import (
     _standard_normal,
     sample_block,
 )
-from sgdexp.solvers import SolverSpec, StreamSpec, run_batch
+from sgdexp.solvers import (
+    AUDIT_GATE,
+    AUDIT_STEP_LAW,
+    GATED_SIGN,
+    GLMTRON,
+    SIGN,
+    SolverSpec,
+    StreamSpec,
+    _bind_c,
+    _step_numpy,
+    _StepState,
+    run_batch,
+)
 from test_frozen_outputs import DIGESTS, emit_digests
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,6 +51,9 @@ SEQUENTIAL_DOT = DOT_ORDER + (
     "    double c = 0.0;\n    for (int64_t i = 0; i < d; i++)\n        c += x[i] * a[i];\n"
     "    return c;\n"
 )
+#: The first two chain steps of the four-wide dot, and the same two swapped.
+DOT4_ORDER = "        add4(c, x, a, i + 6);\n        add4(c, x, a, i + 4);\n"
+DOT4_SWAPPED = "        add4(c, x, a, i + 4);\n        add4(c, x, a, i + 6);\n"
 
 
 def _bits(arr):
@@ -204,6 +220,99 @@ def test_zero_coefficient_updates_match_numpy_body(monkeypatch):
     for a, b in zip(kernel, reference):
         assert np.array_equal(_bits(a.iterates), _bits(b.iterates))
         assert np.all(np.signbit(b.iterates[0])) and not np.any(np.signbit(b.x_final))
+
+
+@needs_gcc
+def test_swapped_dot4_steps_fail_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
+    source = _kernel.SOURCE.read_text()
+    assert DOT4_ORDER in source
+    mutant = tmp_path / "_stepkernel.c"
+    mutant.write_text(source.replace(DOT4_ORDER, DOT4_SWAPPED))
+    with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
+        _kernel.self_test(_kernel.open_library(_kernel.build(mutant.read_text(), tmp_path)))
+
+    monkeypatch.setattr(_kernel, "SOURCE", mutant)
+    with pytest.warns(RuntimeWarning) as record:
+        digests = emit_digests("relu_signflip", tmp_path / "out")
+    assert digests == DIGESTS["relu_signflip"]
+    (warning,) = _kernel_warnings(record)
+    assert "self-test" in str(warning.message)
+    assert _kernel._loaded is False
+
+
+@needs_gcc
+def test_kernel_self_test_is_quick():
+    lib = _kernel.load()
+    best = min(timeit.repeat(lambda: _kernel.self_test(lib), number=1, repeat=5))
+    assert best < 3e-3
+
+
+#: Dimensions of the tile tests: below, at and past each multiple of 8 and of 2.
+TILE_DIMS = (1, 2, 7, 8, 9, 16, 17, 100)
+
+
+def _block_state(S, d, kinds, channel, hitting, n=24):
+    """The step function's inputs for one block of G = len(kinds) groups x S seeds.
+
+    Every group has both audit bits.  A third of the rows, drawn per seed,
+    lie off the unit sphere by 1e-9, so the step-law audit counts their
+    moves; the gate audit counts the moves at <x, a> < 0 of the sign and
+    GLM-Tron lanes.  With ``hitting``, lam^{2k} grows by 1.2 a step, and
+    most seeds hit midway.
+    """
+    rng = np.random.default_rng([S, d, len(kinds), hitting])
+    G, relu = len(kinds), GATED_SIGN in kinds
+    A = rng.standard_normal((S, n, d))
+    A /= np.linalg.norm(A, axis=2, keepdims=True)
+    A[rng.random((S, n)) < 1 / 3] *= 1.0 + 1e-9
+    Xt = rng.standard_normal((S, d))
+    clean = np.einsum("snd,sd->sn", A, Xt)
+    if relu:
+        np.maximum(clean, 0.0, out=clean)
+    XI, P = rng.random((S, n)), np.linspace(0.2, 0.4, G)[:, None]
+    st = _StepState(
+        x=0.1 * rng.standard_normal((G, S, d)),
+        kind=np.array(kinds, dtype=np.int32),
+        audit=np.full(G, AUDIT_STEP_LAW | AUDIT_GATE, dtype=np.int32),
+        step_viol=np.zeros((G, S), dtype=np.int64),
+        gate_viol=np.zeros((G, S), dtype=np.int64),
+        relu=relu, corr=channel, P=None, Y=None, hit_k=None,
+        A=A, clean=clean, XI=XI, steps=rng.uniform(0.01, 0.1, (G, S, n)),
+    )
+    if isinstance(channel, ResidualSignAdversary):
+        st.P = P
+    else:
+        st.Y = np.ascontiguousarray(np.broadcast_to(apply_channel(channel, clean, XI, p=P[..., None]), (G, S, n)))
+    if hitting:
+        st.Xt, st.g_sq, st.level = Xt, rng.uniform(0.5, 2.0, S), 10.0 * d
+        st.lam2, st.lam2k, st.hit_k = 1.2, np.ones(1), np.full(S, -1, dtype=np.int64)
+    return st
+
+
+def _stepped(st, advance):
+    """The bits the step function leaves after two stretches of the block, from step k = 100."""
+    advance(0, 5, 100)
+    advance(5, st.A.shape[1], 100)
+    kept = (st.x, st.step_viol, st.gate_viol) + ((st.hit_k, st.lam2k) if st.hit_k is not None else ())
+    return [arr.tobytes() for arr in kept]
+
+
+@needs_gcc
+@pytest.mark.parametrize("channel", [SignFlip(0.3), ResidualSignAdversary(0.3)], ids=["sign_flip", "residual_sign"])
+@pytest.mark.parametrize("S", range(1, 10))
+def test_seed_tiles_match_numpy_body(S, channel):
+    # Full tiles of four seeds take the four-wide dots, the rest one-wide:
+    # S = 1..9 has 0, 1 or 2 full tiles and 0..3 seeds left over.
+    lib = _kernel.load()
+    assert lib is not None
+    counts = np.zeros(3, dtype=np.int64)  # step-law and gate violations, hits
+    for d in TILE_DIMS:
+        for kinds in ([SIGN, GLMTRON], [GATED_SIGN, GLMTRON], [SIGN], [GATED_SIGN]):
+            hitting = len(kinds) == 1
+            st, ref = (_block_state(S, d, kinds, channel, hitting) for _ in range(2))
+            assert _stepped(st, _bind_c(lib, st)) == _stepped(ref, functools.partial(_step_numpy, ref)), (d, kinds)
+            counts += [st.step_viol.sum(), st.gate_viol.sum(), 0 if st.hit_k is None else np.sum(st.hit_k >= 0)]
+    assert np.all(counts > 0)
 
 
 #: The fill's fast-path test and sign flip, the targets of the mutation checks.
