@@ -13,8 +13,9 @@ the three benchmark workloads:
 
 Inputs come from a fixed seed, the block is stepped on the calling thread
 from the same starting iterates in every repeat, and the best repeat is
-reported.  Both bodies must end in the same bits: iterates, audit counts
-and hitting times.
+reported.  (That both bodies end in the same bits is tested in
+tests/test_kernel.py.)  Last, the best time of the kernel's load-time
+self-test.
 
     PYTHONPATH=src python scripts/step_kernel_bench.py [--repeat 7]
 """
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import argparse
 import time
+import timeit
 
 import numpy as np
 
 from sgdexp import _kernel
-from sgdexp.corruption import ResidualSignAdversary, SignFlip, apply_channel
+from sgdexp.corruption import ResidualSignAdversary, SignFlip
 from sgdexp.measurement import GaussianSphere, sample_block
 from sgdexp.solvers import (
     AUDIT_GATE,
@@ -37,8 +39,9 @@ from sgdexp.solvers import (
     SIGN,
     _bind_c,
     _decays,
+    _set_block,
     _step_numpy,
-    _StepState,
+    _step_state,
 )
 
 LAM = 1.00003
@@ -48,7 +51,6 @@ def _state(kinds, audits, ps, S, d, n, relu, adversary, hitting, seed=0):
     """The step function's inputs for one block: G = len(kinds) groups of S seeds."""
     rng = np.random.default_rng(seed)
     G = len(kinds)
-    kind, audit = np.array(kinds, dtype=np.int32), np.array(audits, dtype=np.int32)
     Xt = rng.standard_normal((S, d))
     A = np.stack([sample_block(GaussianSphere(d), rng, n)[0] for _ in range(S)])
     clean = np.einsum("snd,sd->sn", A, Xt)
@@ -58,18 +60,13 @@ def _state(kinds, audits, ps, S, d, n, relu, adversary, hitting, seed=0):
     decay = _decays("exp", LAM, 0, n)
     steps = np.empty((G, S, n))
     for g in range(G):
-        steps[g] = decay if kind[g] == GLMTRON else 2.0 * decay
-    st = _StepState(
-        x=np.zeros((G, S, d)), kind=kind, audit=audit, relu=relu, P=P if adversary else None,
-        step_viol=np.zeros((G, S), dtype=np.int64), gate_viol=np.zeros((G, S), dtype=np.int64),
-        A=A, clean=clean, XI=XI, steps=steps, hit_k=None, corr=None, Y=None,
+        steps[g] = decay if kinds[g] == GLMTRON else 2.0 * decay
+    corr = (ResidualSignAdversary if adversary else SignFlip)(max(ps))
+    st = _step_state(
+        np.zeros((G, S, d)), kinds, audits, relu, corr, P,
+        hitting=(Xt, np.full(S, 4.0), 1e300, LAM) if hitting else None,
     )
-    if not adversary:
-        Y = apply_channel(SignFlip(max(ps)), clean, XI, p=P[..., None])
-        st.Y = np.ascontiguousarray(np.broadcast_to(Y, (G, S, n)))
-    if hitting:
-        st.Xt, st.g_sq, st.level = Xt, np.full(S, 4.0), 1e300
-        st.lam2, st.lam2k, st.hit_k = LAM * LAM, np.ones(1), np.full(S, -1, dtype=np.int64)
+    _set_block(st, A, clean, XI, steps)
     return st
 
 
@@ -79,28 +76,23 @@ def _shapes():
     sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, 250, True, False, False)
     dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, 1024, False, False, False)
     hitting = _state([SIGN], [0], [0.4], 100, 20, 1000, False, True, True)
-    hitting.corr = ResidualSignAdversary(0.4)
     return {"sweep": sweep, "dataset": dataset, "hitting": hitting}
 
 
 def _time(st, advance, repeat):
-    """Best seconds for the whole block over ``repeat`` runs from the same inputs, and the end state."""
+    """Best seconds for the whole block over ``repeat`` runs from the same inputs."""
     x0 = st.x.copy()
-    lam2k0 = None if st.hit_k is None else st.lam2k.copy()
     n, best = st.A.shape[1], float("inf")
     for _ in range(repeat):
         st.x[...] = x0
-        st.step_viol[...] = 0
-        st.gate_viol[...] = 0
-        if lam2k0 is not None:
-            st.lam2k[...] = lam2k0
+        if st.hit_k is not None:
+            st.lam2k[...] = 1.0
             st.hit_k[...] = -1
         t0 = time.perf_counter()
         advance(0, n, 0)
         best = min(best, time.perf_counter() - t0)
-    end = [a.tobytes() for a in (st.x, st.step_viol, st.gate_viol, st.hit_k) if a is not None]
     st.x[...] = x0
-    return best, end
+    return best
 
 
 def main():
@@ -113,16 +105,13 @@ def main():
     for name, st in _shapes().items():
         (G, S, d), n = st.x.shape, st.A.shape[1]
         lane_steps = G * S * n
-        numpy_s, numpy_end = _time(st, lambda j0, j1, k: _step_numpy(st, j0, j1, k), max(1, args.repeat // 3))
-        if lib is None:
-            kernel_ns = float("nan")
-        else:
-            kernel_s, kernel_end = _time(st, _bind_c(lib, st), args.repeat)
-            if kernel_end != numpy_end:
-                raise SystemExit(f"{name}: the kernel and the numpy body end in different states")
-            kernel_ns = 1e9 * kernel_s / lane_steps
-        numpy_ns = 1e9 * numpy_s / lane_steps
+        numpy_s = _time(st, lambda j0, j1, k: _step_numpy(st, j0, j1, k), max(1, args.repeat // 3))
+        kernel_s = float("nan") if lib is None else _time(st, _bind_c(lib, st), args.repeat)
+        kernel_ns, numpy_ns = 1e9 * kernel_s / lane_steps, 1e9 * numpy_s / lane_steps
         print(f"{name:8} {G:3d} {S:4d} {d:4d} {n:5d} {kernel_ns:10.1f} {numpy_ns:10.1f} {numpy_ns / kernel_ns:6.1f}")
+    if lib is not None:
+        best = min(timeit.repeat(lambda: _kernel.self_test(lib), number=1, repeat=args.repeat))
+        print(f"self-test: {1e3 * best:.2f} ms")
 
 
 if __name__ == "__main__":

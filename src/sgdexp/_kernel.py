@@ -120,7 +120,7 @@ def open_library(path: Path):
 
     lib = ctypes.CDLL(str(path))
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.sk_dots.argtypes = [i64, ptr, ptr, ptr]
+    lib.sk_dots.argtypes = [i64, i64, ptr, ptr, ptr]
     lib.sk_dots.restype = None
     lib.sk_advance.argtypes = (
         [i64] * 6  # G, S, n, d, j0, j1
@@ -134,37 +134,35 @@ def open_library(path: Path):
 
 
 def self_test(lib) -> None:
-    """Raise KernelUnavailable unless the kernel's dots equal np.einsum on every entry.
+    """Raise KernelUnavailable unless the kernel's dot equals np.einsum on every entry.
 
     Covers d = 1..130 in the two einsums of the numpy body: (G, S, d) lanes
     against a strided column of an (S, n, d) block, and the audit's row
-    norms (the block against itself).  All dots run in one kernel call
-    over one buffer; per d, the first 12 take the four-wide pass and the
-    last 3 the one-wide dot.
+    norms (the block against itself).  Per d, one kernel call over one
+    buffer takes the 12 dots in three passes of four.
     """
-    R, W, dims = 3, 3, np.arange(1, 131)
+    R, W, dims = 3, 2, np.arange(1, 131)
     # Per d, a (2, R, d) lane array X, then an (R, W, d) block A: the first
-    # (2 + W) R d doubles of one buffer.
-    buf = np.random.default_rng(20240501).standard_normal((2 + W) * R * dims[-1])
+    # 12 d doubles of one buffer.
+    buf = np.random.default_rng(20240501).standard_normal(12 * dims[-1])
     x_at = dims[:, None] * np.arange(2 * R)  # X[g, s], g-major
     a_at = dims[:, None] * (2 * R + np.arange(R) * W + 1)  # A[s, 1]
     rows_at = dims[:, None] * (2 * R + np.arange(R * W))  # A[s, j], s-major
     first = np.concatenate([x_at, rows_at], axis=1)
     second = np.concatenate([np.tile(a_at, 2), rows_at], axis=1)
-    table = np.stack([first, second, np.broadcast_to(dims[:, None], first.shape)], axis=2)
-    want = np.empty(first.shape)
-    for d, row in zip(dims, want):
+    table = np.ascontiguousarray(np.stack([first, second], axis=2), dtype=np.int64)
+    want, got = np.empty(first.shape), np.empty(first.shape)
+    m, at = want.shape[1], (table.ctypes.data, buf.ctypes.data, got.ctypes.data)
+    for i, (d, row) in enumerate(zip(dims.tolist(), want)):
         X = buf[: 2 * R * d].reshape(2, R, d)
-        A = buf[2 * R * d : (2 + W) * R * d].reshape(R, W, d)
+        A = buf[2 * R * d : 4 * R * d].reshape(R, W, d)
         np.einsum("gsd,sd->gs", X, A[:, 1, :], out=row[: 2 * R].reshape(2, R))
         np.einsum("snd,snd->sn", A, A, out=row[2 * R :].reshape(R, W))
-    table, want = np.ascontiguousarray(table, dtype=np.int64), want.ravel()
-    got = np.empty_like(want)
-    lib.sk_dots(len(want), table.ctypes.data, buf.ctypes.data, got.ctypes.data)
+        lib.sk_dots(m, d, at[0] + 16 * m * i, at[1], at[2] + 8 * m * i)
     if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
         bad = int(np.sum(got.view(np.uint64) != want.view(np.uint64)))
         raise KernelUnavailable(
-            f"self-test: the kernel's dot differs from np.einsum on {bad} of {len(want)} entries"
+            f"self-test: the kernel's dot differs from np.einsum on {bad} of {want.size} entries"
         )
 
 

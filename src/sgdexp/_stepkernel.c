@@ -32,30 +32,6 @@ static void store2(double *p, v2 v)
     memcpy(p, &v, sizeof v);
 }
 
-/* <x, a>: two accumulators over the even and odd elements, 8 elements per
- * iteration added as p + c in the order 6-7, 4-5, 2-3, 0-1, a zero-filled
- * 2-wide tail, then 0.0 + (c0 + c1) as einsum adds into its zeroed output. */
-static double dot(const double *x, const double *a, int64_t d)
-{
-    double c0 = 0.0, c1 = 0.0;
-    int64_t i = 0;
-    for (; i + 8 <= d; i += 8) {
-        c0 = x[i + 6] * a[i + 6] + c0;
-        c1 = x[i + 7] * a[i + 7] + c1;
-        c0 = x[i + 4] * a[i + 4] + c0;
-        c1 = x[i + 5] * a[i + 5] + c1;
-        c0 = x[i + 2] * a[i + 2] + c0;
-        c1 = x[i + 3] * a[i + 3] + c1;
-        c0 = x[i] * a[i] + c0;
-        c1 = x[i + 1] * a[i + 1] + c1;
-    }
-    for (; i < d; i += 2) {
-        c0 = x[i] * a[i] + c0;
-        c1 = (i + 1 < d ? x[i + 1] * a[i + 1] : 0.0 * 0.0) + c1;
-    }
-    return 0.0 + (c0 + c1);
-}
-
 /* c[t] = x[t][i, i+1] * a[t][i, i+1] + c[t], two-wide, for each of four pairs. */
 static inline void add4(v2 *c, const double *const *x, const double *const *a, int64_t i)
 {
@@ -64,10 +40,16 @@ static inline void add4(v2 *c, const double *const *x, const double *const *a, i
         c[t] = load2(x[t] + i) * load2(a[t] + i) + c[t];
 }
 
-/* out[t] = dot(x[t], a[t], d) for four pairs in one pass.  Each pair's
- * (c0, c1) is one two-wide accumulator, as in numpy's SSE2 loop, and adds
- * in dot's order; the four chains are independent, so they overlap. */
-static void dot4(const double *const *x, const double *const *a, int64_t d, double *out)
+/* out[t] = <x[t], a[t]> for four pairs of length d in one pass.  Each pair
+ * adds as numpy's einsum sum-of-products loop on two SSE2 lanes: one
+ * two-wide accumulator (c0 over the even elements, c1 over the odd), 8
+ * elements per iteration added as p + c in the order 6-7, 4-5, 2-3, 0-1, a
+ * zero-filled 2-wide tail, then 0.0 + (c0 + c1) as einsum adds into its
+ * zeroed output.  The four chains are independent, so they overlap.  Fewer
+ * than four pairs repeat a pair in the unused slots and drop its outputs.
+ * Inlined at each call: a called dot4 measured up to ~10% slower on the
+ * hitting shape of scripts/step_kernel_bench.py. */
+static inline __attribute__((always_inline)) void dot4(const double *const *x, const double *const *a, int64_t d, double *out)
 {
     v2 c[TILE] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
     int64_t i = 0;
@@ -87,17 +69,6 @@ static void dot4(const double *const *x, const double *const *a, int64_t d, doub
 #pragma GCC unroll 4
     for (int t = 0; t < TILE; t++)
         out[t] = 0.0 + (c[t][0] + c[t][1]);
-}
-
-/* The dots of a tile of w <= TILE pairs: dot4 for a full tile, else dot. */
-static void dots(int w, const double *const *x, const double *const *a, int64_t d, double *out)
-{
-    if (w == TILE) {
-        dot4(x, a, d, out);
-        return;
-    }
-    for (int t = 0; t < w; t++)
-        out[t] = dot(x[t], a[t], d);
 }
 
 /* x[i] = x[i] + coef * a[i], two elements at a time. */
@@ -137,23 +108,21 @@ static double sign(double v)
     return v == 0.0 ? 0.0 : v;
 }
 
-/* out[i] = <buf + pairs[3i], buf + pairs[3i+1]> of length pairs[3i+2]: each
- * run of four equal lengths through dot4, the others through dot.  The
- * load-time self-test compares both with np.einsum. */
-void sk_dots(int64_t m, const int64_t *pairs, const double *buf, double *out)
+/* out[i] = <buf + pairs[2i], buf + pairs[2i+1]> of length d, four at a time
+ * by dot4.  The load-time self-test compares it with np.einsum. */
+void sk_dots(int64_t m, int64_t d, const int64_t *pairs, const double *buf, double *out)
 {
-    for (int64_t i = 0; i < m;) {
-        const int64_t *p = pairs + 3 * i;
-        int w = 1;
-        if (i + TILE <= m && p[2] == p[5] && p[2] == p[8] && p[2] == p[11])
-            w = TILE;
+    for (int64_t i = 0; i < m; i += TILE) {
         const double *x[TILE], *a[TILE];
-        for (int t = 0; t < w; t++) {
-            x[t] = buf + p[3 * t];
-            a[t] = buf + p[3 * t + 1];
+        double got[TILE];
+        for (int t = 0; t < TILE; t++) {
+            const int64_t *p = pairs + 2 * (i + t < m ? i + t : i);
+            x[t] = buf + p[0];
+            a[t] = buf + p[1];
         }
-        dots(w, x, a, p[2], out + i);
-        i += w;
+        dot4(x, a, d, got);
+        for (int t = 0; t < TILE && i + t < m; t++)
+            out[i + t] = got[t];
     }
 }
 
@@ -191,22 +160,26 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t 
     double lk = lam2k_start;
 
     for (int64_t s0 = 0; s0 < S; s0 += TILE) {
+        /* The tile's w seeds; a short tile's unused slots repeat its first. */
         const int w = S - s0 < TILE ? (int)(S - s0) : TILE;
+        int64_t seed[TILE];
+        for (int t = 0; t < TILE; t++)
+            seed[t] = s0 + (t < w ? t : 0);
         lk = lam2k_start;
         for (int64_t j = j0; j < j1; j++) {
             const double *a[TILE], *xs[TILE];
             double norm[TILE] = {0.0}, dts[TILE];
-            for (int t = 0; t < w; t++)
-                a[t] = A + ((s0 + t) * n + j) * d;
+            for (int t = 0; t < TILE; t++)
+                a[t] = A + (seed[t] * n + j) * d;
             if (need_norm) {
-                dots(w, a, a, d, norm);
+                dot4(a, a, d, norm);
                 for (int t = 0; t < w; t++)
                     norm[t] = sqrt(norm[t]);
             }
             for (int64_t g = 0; g < G; g++) {
-                for (int t = 0; t < w; t++)
-                    xs[t] = x + (g * S + s0 + t) * d;
-                dots(w, xs, a, d, dts);
+                for (int t = 0; t < TILE; t++)
+                    xs[t] = x + (g * S + seed[t]) * d;
+                dot4(xs, a, d, dts);
                 for (int t = 0; t < w; t++) {
                     const int64_t s = s0 + t, lane = g * S + s, sj = s * n + j;
                     const double dt = dts[t];
@@ -238,11 +211,11 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t 
                 const double *df[TILE];
                 double dist[TILE];
                 lk *= lam2;
-                for (int t = 0; t < w; t++) {
+                for (int t = 0; t < w; t++)
                     sub(diff + t * d, Xt + (s0 + t) * d, x + (s0 + t) * d, d);
-                    df[t] = diff + t * d;
-                }
-                dots(w, df, df, d, dist);
+                for (int t = 0; t < TILE; t++)
+                    df[t] = diff + (seed[t] - s0) * d;
+                dot4(df, df, d, dist);
                 for (int t = 0; t < w; t++)
                     if (hit_k[s0 + t] < 0 && (lk * dist[t]) / g_sq[s0 + t] >= level)
                         hit_k[s0 + t] = k_base + j + 1;

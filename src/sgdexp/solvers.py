@@ -342,6 +342,50 @@ class _StepState(SimpleNamespace):
     """
 
 
+def _step_state(x, kind, audit, relu: bool, corr, P, hitting=None) -> _StepState:
+    """The step function's state for the (G, S, d) lanes ``x``, before its first block.
+
+    ``kind``, ``audit`` (per group) and ``P`` (G, 1) are as in _StepState,
+    and the audit counts start at zero.  ``hitting`` is None, or (Xt,
+    g_sq, level, lam) to track hitting times from k = 0: a seed whose
+    Y_0 = ||Xt - x||^2 / g_sq already reaches the level hits at k = 0.
+    """
+    G, S = x.shape[:2]
+    st = _StepState(
+        x=x,
+        kind=np.asarray(kind, dtype=np.int32),
+        audit=np.asarray(audit, dtype=np.int32),
+        step_viol=np.zeros((G, S), dtype=np.int64),
+        gate_viol=np.zeros((G, S), dtype=np.int64),
+        relu=relu,
+        corr=corr,
+        P=P,
+        Y=None,
+        hit_k=None,
+    )
+    if hitting is not None:
+        st.Xt, st.g_sq, st.level, lam = hitting
+        st.lam2, st.lam2k = lam * lam, np.ones(1)
+        diff = st.Xt - x[0]
+        st.hit_k = np.full(S, -1, dtype=np.int64)
+        st.hit_k[_dots(diff[None], diff)[0] / st.g_sq >= st.level] = 0
+    return st
+
+
+def _set_block(st: _StepState, A, clean, XI, steps, NU=None) -> None:
+    """Point ``st`` at one block: (S, n, d) rows ``A``, (S, n) ``clean`` and ``XI``, (G, S, n) ``steps``.
+
+    Every channel but the residual-sign adversary, which reads the
+    iterate, gives its (G, S, n) responses ``Y`` here, once per block;
+    ``NU`` (S, n) is the additive channel's noise.
+    """
+    st.A, st.clean, st.XI, st.steps = A, clean, XI, steps
+    if not isinstance(st.corr, ResidualSignAdversary):
+        Y = apply_channel(st.corr, clean, XI, NU, p=st.P[..., None])
+        # Without corruption Y is the (S, n) clean responses, the same for every group.
+        st.Y = np.ascontiguousarray(np.broadcast_to(Y, steps.shape))
+
+
 def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
     """Steps j0 <= j < j1 of the block that starts at step k, in numpy.
 
@@ -530,7 +574,6 @@ def run_batch(
     gens = [_spawn_streams(s) for s in seeds]
 
     corr = stream.corruption
-    is_adversary = isinstance(corr, ResidualSignAdversary)
     is_oblivious = isinstance(corr, AdditiveOblivious)
     P = np.array(ps, dtype=float)[:, None]  # (G, 1)
 
@@ -553,24 +596,18 @@ def run_batch(
     # The step function's inputs; the block fields are set once per block.
     sign_kind, gate_bit = (GATED_SIGN, AUDIT_GATE) if relu_response else (SIGN, 0)
     audited = ~is_tron & validate_steps
-    st = _StepState(
-        x=x,
-        kind=np.where(is_tron, GLMTRON, sign_kind).astype(np.int32),
-        audit=np.where(audited, np.where(is_exp, AUDIT_STEP_LAW, 0) | gate_bit, 0).astype(np.int32),
-        step_viol=np.zeros((G, S), dtype=np.int64),
-        gate_viol=np.zeros((G, S), dtype=np.int64),
-        relu=relu_response,
-        corr=corr,
-        P=P if is_adversary else None,
-        Y=None,
-        hit_k=None,
-    )
     track_hit = hitting_level is not None
-    if track_hit:
-        st.Xt, st.g_sq, st.level = np.ascontiguousarray(Xt), scales[0] * scales[0], hitting_level
-        st.lam2, st.lam2k = specs[0].lam * specs[0].lam, np.ones(1)
-        st.hit_k = np.full(S, -1, dtype=np.int64)
-        st.hit_k[(xt_norms**2) / st.g_sq >= hitting_level] = 0
+    st = _step_state(
+        x,
+        np.where(is_tron, GLMTRON, sign_kind),
+        np.where(audited, np.where(is_exp, AUDIT_STEP_LAW, 0) | gate_bit, 0),
+        relu_response,
+        corr,
+        P,
+        hitting=(
+            (np.ascontiguousarray(Xt), scales[0] * scales[0], hitting_level, specs[0].lam) if track_hit else None
+        ),
+    )
     # On the first engine call, not at import.
     from concurrent.futures import ThreadPoolExecutor
 
@@ -663,15 +700,10 @@ def run_batch(
                 pending = submit(pool, k + n)
 
             decay = {key: _decays(*key, k, n) for key in set(schedules)}
-            st.steps = np.empty((G, S, n))
+            steps = np.empty((G, S, n))
             for g, (s, tron, key, scale) in enumerate(zip(specs, is_tron, schedules, scales)):
-                st.steps[g] = decay[key] / s.m if tron else scale[:, None] * decay[key]
-            st.A, st.clean, st.XI = blk.A, blk.clean, blk.XI
-            # Only the adversary reads the iterate; every other channel runs once per block.
-            if not is_adversary:
-                Y = apply_channel(corr, blk.clean, blk.XI, blk.NU, p=P[..., None])
-                # Without corruption Y is the (S, n) clean responses, the same for every group.
-                st.Y = np.ascontiguousarray(np.broadcast_to(Y, (G, S, n)))
+                steps[g] = decay[key] / s.m if tron else scale[:, None] * decay[key]
+            _set_block(st, blk.A, blk.clean, blk.XI, steps, blk.NU)
 
             # One call per stretch between checkpoints.
             advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st)

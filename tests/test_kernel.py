@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sgdexp import _kernel
-from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip, apply_channel
+from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
 from sgdexp.measurement import (
     GaussianSphere,
     NormalizedIIDSubGaussian,
@@ -33,8 +33,9 @@ from sgdexp.solvers import (
     SolverSpec,
     StreamSpec,
     _bind_c,
+    _set_block,
     _step_numpy,
-    _StepState,
+    _step_state,
     run_batch,
 )
 from test_frozen_outputs import DIGESTS, emit_digests
@@ -46,10 +47,14 @@ needs_npyrandom = pytest.mark.skipif(
     reason="this numpy ships no libnpyrandom.a or bitgen.h to build the Gaussian fill",
 )
 GATE = "(dt >= 0.0 ? 1.0 : 0.0)"
-DOT_ORDER = "static double dot(const double *x, const double *a, int64_t d)\n{\n"
+DOT_ORDER = (
+    "static inline __attribute__((always_inline)) void dot4("
+    "const double *const *x, const double *const *a, int64_t d, double *out)\n{\n"
+)
 SEQUENTIAL_DOT = DOT_ORDER + (
-    "    double c = 0.0;\n    for (int64_t i = 0; i < d; i++)\n        c += x[i] * a[i];\n"
-    "    return c;\n"
+    "    for (int t = 0; t < TILE; t++) {\n        double c = 0.0;\n"
+    "        for (int64_t i = 0; i < d; i++)\n            c += x[t][i] * a[t][i];\n"
+    "        out[t] = c;\n    }\n    return;\n"
 )
 #: The first two chain steps of the four-wide dot, and the same two swapped.
 DOT4_ORDER = "        add4(c, x, a, i + 6);\n        add4(c, x, a, i + 4);\n"
@@ -242,9 +247,12 @@ def test_swapped_dot4_steps_fail_self_test_and_engine_falls_back(fresh_load, mon
 
 @needs_gcc
 def test_kernel_self_test_is_quick():
+    # It takes ~1.3 ms on a 2-vCPU VM, up to twice that when the machine is
+    # busy; scripts/step_kernel_bench.py reports the figure itself.  The
+    # bound catches only a self-test grown several times over.
     lib = _kernel.load()
     best = min(timeit.repeat(lambda: _kernel.self_test(lib), number=1, repeat=5))
-    assert best < 3e-3
+    assert best < 10e-3
 
 
 #: Dimensions of the tile tests: below, at and past each multiple of 8 and of 2.
@@ -270,22 +278,16 @@ def _block_state(S, d, kinds, channel, hitting, n=24):
     if relu:
         np.maximum(clean, 0.0, out=clean)
     XI, P = rng.random((S, n)), np.linspace(0.2, 0.4, G)[:, None]
-    st = _StepState(
-        x=0.1 * rng.standard_normal((G, S, d)),
-        kind=np.array(kinds, dtype=np.int32),
-        audit=np.full(G, AUDIT_STEP_LAW | AUDIT_GATE, dtype=np.int32),
-        step_viol=np.zeros((G, S), dtype=np.int64),
-        gate_viol=np.zeros((G, S), dtype=np.int64),
-        relu=relu, corr=channel, P=None, Y=None, hit_k=None,
-        A=A, clean=clean, XI=XI, steps=rng.uniform(0.01, 0.1, (G, S, n)),
+    st = _step_state(
+        0.1 * rng.standard_normal((G, S, d)),
+        kinds,
+        [AUDIT_STEP_LAW | AUDIT_GATE] * G,
+        relu,
+        channel,
+        P,
+        hitting=(Xt, rng.uniform(0.5, 2.0, S), 10.0 * d, np.sqrt(1.2)) if hitting else None,
     )
-    if isinstance(channel, ResidualSignAdversary):
-        st.P = P
-    else:
-        st.Y = np.ascontiguousarray(np.broadcast_to(apply_channel(channel, clean, XI, p=P[..., None]), (G, S, n)))
-    if hitting:
-        st.Xt, st.g_sq, st.level = Xt, rng.uniform(0.5, 2.0, S), 10.0 * d
-        st.lam2, st.lam2k, st.hit_k = 1.2, np.ones(1), np.full(S, -1, dtype=np.int64)
+    _set_block(st, A, clean, XI, rng.uniform(0.01, 0.1, (G, S, n)))
     return st
 
 
@@ -301,8 +303,8 @@ def _stepped(st, advance):
 @pytest.mark.parametrize("channel", [SignFlip(0.3), ResidualSignAdversary(0.3)], ids=["sign_flip", "residual_sign"])
 @pytest.mark.parametrize("S", range(1, 10))
 def test_seed_tiles_match_numpy_body(S, channel):
-    # Full tiles of four seeds take the four-wide dots, the rest one-wide:
-    # S = 1..9 has 0, 1 or 2 full tiles and 0..3 seeds left over.
+    # S = 1..9 has 0, 1 or 2 full tiles of four seeds, and 0..3 seeds in a
+    # short tile whose unused slots repeat its first seed.
     lib = _kernel.load()
     assert lib is not None
     counts = np.zeros(3, dtype=np.int64)  # step-law and gate violations, hits
