@@ -14,8 +14,8 @@ the three benchmark workloads:
 Inputs come from a fixed seed, the block is stepped on the calling thread
 from the same starting iterates in every repeat, and the best repeat is
 reported.  (That both bodies end in the same bits is tested in
-tests/test_kernel.py.)  Last, the best time of the kernel's load-time
-self-test.
+tests/test_kernel.py.)  Last, the best time of each compiled part's
+load-time self-test, from ``_kernel.PARTS``.
 
     PYTHONPATH=src python scripts/step_kernel_bench.py [--repeat 7]
 """
@@ -99,7 +99,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="runs per body and shape (best is kept)")
     args = parser.parse_args()
-    lib = _kernel.load()
+    lib = _kernel.load("step kernel")
     print(f"step kernel: {_kernel.status()['step kernel']}")
     print(f"{'shape':8} {'G':>3} {'S':>4} {'d':>4} {'n':>5} {'kernel ns':>10} {'numpy ns':>10} {'ratio':>6}")
     for name, st in _shapes().items():
@@ -109,9 +109,11 @@ def main():
         kernel_s = float("nan") if lib is None else _time(st, _bind_c(lib, st), args.repeat)
         kernel_ns, numpy_ns = 1e9 * kernel_s / lane_steps, 1e9 * numpy_s / lane_steps
         print(f"{name:8} {G:3d} {S:4d} {d:4d} {n:5d} {kernel_ns:10.1f} {numpy_ns:10.1f} {numpy_ns / kernel_ns:6.1f}")
-    if lib is not None:
-        best = min(timeit.repeat(lambda: _kernel.self_test(lib), number=1, repeat=args.repeat))
-        print(f"self-test: {1e3 * best:.2f} ms")
+    for name, part in _kernel.PARTS.items():
+        part_lib = _kernel.load(name)
+        if part_lib is not None:
+            best = min(timeit.repeat(lambda: part.self_test(part_lib), number=1, repeat=args.repeat))
+            print(f"{name} self-test: {1e3 * best:.2f} ms")
 
 
 if __name__ == "__main__":

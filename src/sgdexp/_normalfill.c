@@ -1,13 +1,14 @@
-/* Generator.standard_normal(out=) of numpy, bit for bit and faster.
+/* Rows of numpy's Generator.standard_normal(out=), each divided by its norm,
+ * bit for bit and faster.
  *
  * numpy draws each normal by its 256-strip ziggurat (random_standard_normal
  * in libnpyrandom.a): one 64-bit word gives the strip idx (low 8 bits), a
  * sign bit and a 52-bit mantissa rabs; the value rabs * wi[idx] is returned
- * when rabs < ki[idx], ~98.5% of words.  sk_normal_fill runs that fast path
- * inline, with the sign applied as a bit, and hands every other word to
- * numpy's own function through a bitgen_t that returns the word first, so
- * numpy's slow path draws what it would have drawn.  The tables are private
- * to numpy: sk_normal_init reads them by probing numpy's function.
+ * when rabs < ki[idx], ~98.5% of words.  fill runs that fast path inline,
+ * with the sign applied as a bit, and hands every other word to numpy's own
+ * function through a bitgen_t that returns the word first, so numpy's slow
+ * path draws what it would have drawn.  The tables are private to numpy:
+ * sk_normal_init reads them by probing numpy's function.
  *
  * sk_sphere_fill draws rows of such normals and divides each row by its
  * norm while it is still in L1, as np.linalg.norm(g, axis=1) and g / norms
@@ -85,11 +86,6 @@ static void fill(bitgen_t *bitgen, int64_t n, double *out)
             out[i] = random_standard_normal(&replay);
         }
     }
-}
-
-void sk_normal_fill(bitgen_t *bitgen, int64_t n, double *out)
-{
-    fill(bitgen, n, out);
 }
 
 /* The sum of a[i]^2 in the order of numpy's DOUBLE_pairwise_sum over the

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,9 +35,21 @@ from .results import emit_plot, emit_results, emit_sweep_csv, read_results_csv
 
 
 def _common_flags(parser):
+    """The flags of run, sweep and drift-check.  Each other subcommand takes only those it reads."""
     parser.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
     parser.add_argument("--out-dir", default=None, help="output directory (beats RSGD_OUT_DIR)")
+    _quiet_flag(parser)
+
+
+def _quiet_flag(parser):
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+
+def _check_flags(*checks):
+    """Raise one error naming the first of ``(flag, value, least)`` given an integer below least."""
+    for flag, value, least in checks:
+        if value is not None and value < least:
+            raise ConfigError(f"{flag}: expected an integer of at least {least}, got {value}")
 
 
 def _resolve_out_dir(args, config=None) -> Path:
@@ -100,6 +113,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_drift_check(args) -> int:
+    if args.ctilde is not None and not 0 < args.ctilde < math.inf:
+        raise ConfigError(f"--ctilde: expected a finite number above 0, got {args.ctilde}")
+    _check_flags(("--K", args.K, 0), ("--mc", args.mc, 1))
     config = _load(args)
     out_dir = _resolve_out_dir(args, config)
     solver_cfg = config.solvers[0]
@@ -156,13 +172,9 @@ def _cmd_ctilde(args) -> int:
     model = synthetic_measurement(args.model, args.d, args.base)
     if model is None:
         raise ConfigError(f"--model: unknown model {args.model!r}")
-    for flag, value, least in (
-        ("--seed", args.seed, 0),
-        ("--directions", args.directions, 1),
-        ("--samples", args.samples, 100),
-    ):
-        if value is not None and value < least:
-            raise ConfigError(f"{flag}: expected an integer of at least {least}, got {value}")
+    _check_flags(
+        ("--seed", args.seed, 0), ("--directions", args.directions, 1), ("--samples", args.samples, 100)
+    )
     rng = np.random.default_rng(args.seed or 0)
     est = estimate_ctilde(model, args.samples, rng, n_directions=args.directions)
     report = {"model": args.model, "d": args.d, **dataclasses.asdict(est)}
@@ -251,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--samples", type=int, required=True)
     p_ct.add_argument("--directions", type=int, default=32)
     p_ct.add_argument("--base", default="uniform")
-    _common_flags(p_ct)
+    p_ct.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     p_ct.set_defaults(func=_cmd_ctilde)
 
     p_data = sub.add_parser("dataset", help="dataset utilities")
@@ -266,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_prep.add_argument("--center-response", action="store_true", dest="center_response")
     p_prep.add_argument("--delimiter", default=",")
     p_prep.add_argument("-o", "--output", required=True)
-    _common_flags(p_prep)
+    _quiet_flag(p_prep)
     p_prep.set_defaults(func=_cmd_dataset_prep)
 
     p_plot = sub.add_parser("plot", help="render a results CSV as a semilog SVG chart")
     p_plot.add_argument("results")
     p_plot.add_argument("-o", "--output", required=True)
     p_plot.add_argument("--metric", default="relative_error")
-    _common_flags(p_plot)
+    _quiet_flag(p_plot)
     p_plot.set_defaults(func=_cmd_plot)
 
     return parser

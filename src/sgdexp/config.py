@@ -113,6 +113,8 @@ def _seed_list(v, path):
     for i, s in enumerate(v):
         if isinstance(s, bool) or not isinstance(s, int) or s < 0:
             _fail(f"{path}[{i}]", f"expected a nonnegative integer seed, got {s!r}")
+        if v.index(s) < i:
+            _fail(f"{path}[{i}]", f"seed {s} is repeated")
     return list(v)
 
 

@@ -123,8 +123,8 @@ def drift_params(
         raise ValueError(f"regime must be 'linear' or 'relu', got {regime!r}")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if not ctilde > 0:
-        raise ValueError("ctilde must be positive")
+    if not 0 < ctilde < math.inf:
+        raise ValueError("ctilde must be positive and finite")
     f = _corruption_factor(p, noise)
     ls1 = lam * lam - 1.0
     window = ctilde * ctilde * f * f / (WINDOW_DEN[regime] * d)

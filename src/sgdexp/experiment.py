@@ -251,6 +251,8 @@ def run_sweep(config: ExperimentConfig, p_grid, seed_grid=None) -> list:
         config.with_updates(corruption=dict(config.corruption, p=float(p))).corruption["p"]
         for p in p_grid
     ]
+    if len(set(p_grid)) < len(p_grid):
+        raise ConfigError(f"--p: a probability is repeated in {p_grid}")
     trajs = _run_lanes(config, p_grid)
     cell = len(config.solvers) * len(config.seeds)
     rows = []

@@ -165,7 +165,7 @@ def _gaussian_rows(rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
     if isinstance(rng, np.random.Generator) and g.dtype == np.float64 and g.flags.carray:
         from . import _kernel  # on the first draw, not at import
 
-        lib = _kernel.load_fill()
+        lib = _kernel.load("Gaussian fill")
     if lib is None:
         return _normalize_rows(_standard_normal(rng, g), rng, _standard_normal)
     bitgen = rng.bit_generator

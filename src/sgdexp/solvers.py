@@ -613,7 +613,7 @@ def run_batch(
 
     from . import _kernel
 
-    lib = _kernel.load()
+    lib = _kernel.load("step kernel")
 
     checkpoints = [[] for _ in range(L)]
     snaps = [] if record_iterates else None

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -158,6 +159,51 @@ def test_ctilde_bad_flag_names_itself(capsys, flags, message):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--ctilde", "inf"], "--ctilde: expected a finite number above 0, got inf"),
+        (["--ctilde=-inf"], "--ctilde: expected a finite number above 0, got -inf"),
+        (["--ctilde", "nan"], "--ctilde: expected a finite number above 0, got nan"),
+        (["--ctilde", "0"], "--ctilde: expected a finite number above 0, got 0.0"),
+        (["--K", "-1"], "--K: expected an integer of at least 0, got -1"),
+        (["--mc", "0"], "--mc: expected an integer of at least 1, got 0"),
+        (["--mc", "-3"], "--mc: expected an integer of at least 1, got -3"),
+    ],
+    ids=["ctilde-inf", "ctilde-minus-inf", "ctilde-nan", "ctilde-zero", "K-negative", "mc-zero", "mc-negative"],
+)
+def test_drift_check_bad_flag_names_itself(capsys, tmp_path, flags, message):
+    config = str(CONFIGS / "linear_signflip.json")
+    assert main(["drift-check", config, "--out-dir", str(tmp_path / "out"), *flags]) == 2
+    assert _error_line(capsys) == f"error: {message}"
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+_PLOT = ["plot", "results.csv", "-o", "chart.svg"]
+_PREP = ["dataset", "prep", "raw.csv", "--features", "a", "--response", "y", "-o", "prepped.csv"]
+_CTILDE = ["ctilde", "--model", "gaussian_sphere", "--d", "5", "--samples", "1000"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (_PLOT, ["--seed", "1"]),
+        (_PLOT, ["--out-dir", "out"]),
+        (_PREP, ["--seed", "1"]),
+        (_PREP, ["--out-dir", "out"]),
+        (_CTILDE, ["--out-dir", "/nonexistent/x"]),
+        (_CTILDE, ["--quiet"]),
+    ],
+    ids=["plot-seed", "plot-out-dir", "prep-seed", "prep-out-dir", "ctilde-out-dir", "ctilde-quiet"],
+)
+def test_flag_a_subcommand_ignores_is_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def _version_lines(capsys):
     with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # reported on the lines instead
@@ -171,18 +217,16 @@ def _version_lines(capsys):
 def test_version_names_each_compiled_part(capsys, monkeypatch, tmp_path):
     from sgdexp import _kernel
 
-    monkeypatch.setattr(_kernel, "_loaded", object())
-    monkeypatch.setattr(_kernel, "_fill", object())
+    monkeypatch.setattr(_kernel, "_libs", {"step kernel": object(), "Gaussian fill": object()})
     assert _version_lines(capsys) == [
         f"sgdexp {sgdexp.__version__}",
         "step kernel: loaded",
         "Gaussian fill: loaded",
     ]
     missing = tmp_path / "libnpyrandom.a"
-    monkeypatch.setattr(_kernel, "_loaded", False)  # turned off, as the tests do, with no reason
-    monkeypatch.setattr(_kernel, "_fill", None)
-    monkeypatch.setattr(_kernel, "NPYRANDOM", missing)
-    monkeypatch.setattr(_kernel, "_off", {})
+    monkeypatch.setattr(_kernel, "_libs", {"step kernel": "turned off"})  # as the tests turn it off
+    fill = dataclasses.replace(_kernel.PARTS["Gaussian fill"], archive=missing)
+    monkeypatch.setitem(_kernel.PARTS, "Gaussian fill", fill)
     assert _version_lines(capsys)[1:] == [
         "step kernel: numpy: turned off",
         f"Gaussian fill: numpy: numpy's libnpyrandom.a not found at {missing}",
@@ -422,8 +466,10 @@ def test_plot_exits_0_or_with_one_error_line(rows, metric):
         (["run", "--seed", "-1"], "seeds[0]: expected a nonnegative integer seed, got -1"),
         (["sweep", "--p", "0.1", "--seeds", "1,-2"], "seeds[1]: expected a nonnegative integer seed, got -2"),
         (["sweep", "--p", ",,"], "--p: expected a nonempty comma-separated list, got ',,'"),
+        (["sweep", "--p", "0.1", "--seeds", "1,2,1"], "seeds[2]: seed 1 is repeated"),
+        (["sweep", "--p", "0.1,0.2,0.10"], "--p: a probability is repeated in [0.1, 0.2, 0.1]"),
     ],
-    ids=["run_seed", "sweep_seeds", "sweep_empty_p"],
+    ids=["run_seed", "sweep_seeds", "sweep_empty_p", "sweep_repeated_seed", "sweep_repeated_p"],
 )
 def test_bad_seed_or_p_names_itself(config_path, tmp_path, capsys, args, message):
     command, *flags = args

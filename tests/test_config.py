@@ -76,6 +76,9 @@ def test_seeds_must_be_nonempty_integers():
     data["seeds"] = [1, -1]
     with pytest.raises(ConfigError, match=r"seeds\[1\]: expected a nonnegative integer seed"):
         validate_config(data)
+    data["seeds"] = [3, 1, 3]
+    with pytest.raises(ConfigError, match=r"seeds\[2\]: seed 3 is repeated"):
+        validate_config(data)
 
 
 def test_solver_requirements():

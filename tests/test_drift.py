@@ -92,6 +92,11 @@ class TestDriftParams:
         with pytest.raises(DriftWindowError):
             drift_params(1.0, 0.4, 100, CT)  # lam must exceed 1
 
+    @pytest.mark.parametrize("ctilde", [0.0, -1.0, math.inf, math.nan])
+    def test_ctilde_must_be_positive_and_finite(self, ctilde):
+        with pytest.raises(ValueError, match="ctilde must be positive and finite"):
+            drift_params(1.00001, 0.4, 100, ctilde)
+
     def test_fifty_over_fortynine_cap(self):
         # with d=1 and a large ctilde the 9d window passes but lam^2 >= 50/49
         lam = math.sqrt(1.05)  # window allows up to 1.1089 here
@@ -365,8 +370,8 @@ class TestOverflowHorizon:
     @pytest.fixture(params=["kernel", "numpy_body"])
     def body(self, request, monkeypatch):
         if request.param == "numpy_body":
-            monkeypatch.setattr(_kernel, "_loaded", False)
-        elif _kernel.load() is None:
+            monkeypatch.setitem(_kernel._libs, "step kernel", "turned off")
+        elif _kernel.load("step kernel") is None:
             pytest.skip("the step kernel does not load here")
 
     def _run(self, T):
@@ -525,8 +530,8 @@ class TestOneStepBuffers:
         # The draws, then u - s a in their place: one (DRIFT_CHUNK, d) buffer, plus
         # per-draw vectors.  numpy's row norms square a few rows at a time.
         if not fill:
-            monkeypatch.setattr(_kernel, "_fill", False)
-        elif _kernel.load_fill() is None:
+            monkeypatch.setitem(_kernel._libs, "Gaussian fill", "turned off")
+        elif _kernel.load("Gaussian fill") is None:
             pytest.skip("the compiled fill does not load here")
         chunks = 1.5
         d, lam, p = 100, 1.00001, 0.4

@@ -1,9 +1,11 @@
 """The compiled parts, step kernel and Gaussian fill: loading, per-part fallback to numpy, mutation checks."""
 
 import ctypes
+import dataclasses
 import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -46,6 +48,7 @@ needs_npyrandom = pytest.mark.skipif(
     not (_kernel.NPYRANDOM.is_file() and (_kernel.NUMPY_INCLUDE / "numpy/random/bitgen.h").is_file()),
     reason="this numpy ships no libnpyrandom.a or bitgen.h to build the Gaussian fill",
 )
+KERNEL, FILL = "step kernel", "Gaussian fill"
 GATE = "(dt >= 0.0 ? 1.0 : 0.0)"
 DOT_ORDER = (
     "static inline __attribute__((always_inline)) void dot4("
@@ -67,11 +70,30 @@ def _bits(arr):
 
 
 def _kernel_warnings(record):
-    return [w for w in record if "step kernel" in str(w.message)]
+    return [w for w in record if KERNEL in str(w.message)]
 
 
 def _fill_warnings(record):
-    return [w for w in record if "Gaussian fill" in str(w.message)]
+    return [w for w in record if FILL in str(w.message)]
+
+
+def _turn_off(monkeypatch, name):
+    """Run the part ``name`` on numpy, as a part that did not load does."""
+    monkeypatch.setitem(_kernel._libs, name, "turned off")
+
+
+def _mutant(tmp_path, name, old, new):
+    """The part ``name`` with ``old`` replaced by ``new`` in a copy of its source."""
+    part = _kernel.PARTS[name]
+    source = part.source.read_text()
+    assert old in source
+    mutant = tmp_path / part.source.name
+    mutant.write_text(source.replace(old, new))
+    return dataclasses.replace(part, source=mutant)
+
+
+def _opened(part, directory):
+    return _kernel.open_library(part, _kernel.build(part, directory))
 
 
 @pytest.fixture
@@ -80,15 +102,14 @@ def fresh_load(monkeypatch, tmp_path):
 
     The Gaussian fill stays off, so that only the kernel can warn.
     """
-    monkeypatch.setattr(_kernel, "_loaded", None)
-    monkeypatch.setattr(_kernel, "_fill", False)
+    monkeypatch.setattr(_kernel, "_libs", {FILL: "turned off"})
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
 
 @pytest.fixture
 def fresh_fill(monkeypatch, tmp_path):
     """The next Gaussian draw loads the fill anew, from an empty cache under tmp_path."""
-    monkeypatch.setattr(_kernel, "_fill", None)
+    monkeypatch.delitem(_kernel._libs, FILL, raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
 
@@ -118,11 +139,21 @@ def test_import_does_not_load_the_kernel():
 def test_kernel_loads_where_gcc_exists(fresh_load):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert _kernel.load() is not None
+        assert _kernel.load(KERNEL) is not None
     assert list((Path(os.environ["XDG_CACHE_HOME"]) / "sgdexp").glob("*.so")) != []
 
 
-def test_missing_gcc_runs_numpy_body_with_one_warning(fresh_load, monkeypatch, tmp_path):
+@pytest.mark.parametrize("name", list(_kernel.PARTS))
+def test_exports_are_the_declared_functions(name):
+    part = _kernel.PARTS[name]
+    defined = re.findall(r"^(?!static\b)[A-Za-z_][\w\s*]*?\b(sk_\w+)\s*\(", part.source.read_text(), re.M)
+    assert sorted(defined) == sorted(part.functions)
+    assert part.init is None or part.init in part.functions
+
+
+def test_missing_gcc_runs_numpy_with_one_warning_per_part(monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernel, "_libs", {})
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("PATH", "")
     with pytest.warns(RuntimeWarning) as record:
         digests = emit_digests("relu_signflip", tmp_path / "out")
@@ -130,7 +161,8 @@ def test_missing_gcc_runs_numpy_body_with_one_warning(fresh_load, monkeypatch, t
     assert digests == DIGESTS["relu_signflip"]
     (warning,) = _kernel_warnings(record)
     assert "gcc not found" in str(warning.message)
-    assert _kernel._loaded is False
+    assert len(_fill_warnings(record)) == 1 and len(record) == 2
+    assert _kernel.load(KERNEL) is None and _kernel.load(FILL) is None
 
 
 @needs_gcc
@@ -141,17 +173,17 @@ def test_unwritable_cache_builds_in_a_temp_dir(fresh_load, monkeypatch, tmp_path
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         digests = emit_digests("relu_signflip", tmp_path / "out")
-    assert _kernel._loaded
+    assert _kernel.load(KERNEL) is not None
     assert digests == DIGESTS["relu_signflip"]
 
 
 @needs_gcc
 def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
     cache = tmp_path / "cache"
-    built = _kernel.build(_kernel.SOURCE.read_text(), cache / "sgdexp")
+    built = _kernel.build(_kernel.PARTS[KERNEL], cache / "sgdexp")
     load = (
         "import warnings; warnings.simplefilter('error', RuntimeWarning);"
-        "from sgdexp import _kernel; assert _kernel.load() is not None"
+        "from sgdexp import _kernel; assert _kernel.load('step kernel') is not None"
     )
     env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(cache), PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", load], env=env, capture_output=True, text=True)
@@ -161,32 +193,28 @@ def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
 
 @needs_gcc
 def test_gateless_kernel_reports_gate_violations(monkeypatch, tmp_path):
-    source = _kernel.SOURCE.read_text()
-    assert GATE in source
-    lib = _kernel.open_library(_kernel.build(source.replace(GATE, "1.0"), tmp_path))
-    _kernel.self_test(lib)  # the dot is untouched
-    monkeypatch.setattr(_kernel, "_loaded", lib)
+    mutant = _mutant(tmp_path, KERNEL, GATE, "1.0")
+    lib = _opened(mutant, tmp_path)
+    mutant.self_test(lib)  # the dot is untouched
+    monkeypatch.setitem(_kernel._libs, KERNEL, lib)
     assert _relu_gate_violations() > 0
-    monkeypatch.setattr(_kernel, "_loaded", False)
+    _turn_off(monkeypatch, KERNEL)
     assert _relu_gate_violations() == 0
 
 
 @needs_gcc
 def test_sequential_dot_fails_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
-    source = _kernel.SOURCE.read_text()
-    assert DOT_ORDER in source
-    mutant = tmp_path / "_stepkernel.c"
-    mutant.write_text(source.replace(DOT_ORDER, SEQUENTIAL_DOT))
+    mutant = _mutant(tmp_path, KERNEL, DOT_ORDER, SEQUENTIAL_DOT)
     with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-        _kernel.self_test(_kernel.open_library(_kernel.build(mutant.read_text(), tmp_path)))
+        mutant.self_test(_opened(mutant, tmp_path))
 
-    monkeypatch.setattr(_kernel, "SOURCE", mutant)
+    monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
         digests = emit_digests("relu_signflip", tmp_path / "out")
     assert digests == DIGESTS["relu_signflip"]
     (warning,) = _kernel_warnings(record)
     assert "self-test" in str(warning.message)
-    assert _kernel._loaded is False
+    assert _kernel.load(KERNEL) is None
 
 
 @needs_gcc
@@ -200,9 +228,9 @@ def test_hitting_times_match_numpy_body(corruption, level, monkeypatch):
     spec = SolverSpec(method="sgd_exp_linear", d=5, T=2100, lam=1.01, G=0.5)
     stream = StreamSpec(model=GaussianSphere(5), corruption=corruption)
     kwargs = dict(x_true=np.full(5, 0.1), checkpoint_every=100, hitting_level=level)
-    assert _kernel.load() is not None
+    assert _kernel.load(KERNEL) is not None
     kernel = run_batch(spec, stream, range(12), **kwargs)
-    monkeypatch.setattr(_kernel, "_loaded", False)
+    _turn_off(monkeypatch, KERNEL)
     reference = run_batch(spec, stream, range(12), **kwargs)
     assert [t.hit_k for t in kernel] == [t.hit_k for t in reference]
     assert any(t.hit_k is not None for t in kernel)
@@ -218,9 +246,9 @@ def test_zero_coefficient_updates_match_numpy_body(monkeypatch):
     spec = SolverSpec(method="sgd_exp_linear", d=d, T=60, lam=1.01, G=0.5)
     stream = StreamSpec(model=GaussianSphere(d), corruption=NoCorruption())
     kwargs = dict(x_true=np.zeros(d), x0=np.full(d, -0.0), checkpoint_every=1, record_iterates=True)
-    assert _kernel.load() is not None
+    assert _kernel.load(KERNEL) is not None
     kernel = run_batch(spec, stream, range(3), **kwargs)
-    monkeypatch.setattr(_kernel, "_loaded", False)
+    _turn_off(monkeypatch, KERNEL)
     reference = run_batch(spec, stream, range(3), **kwargs)
     for a, b in zip(kernel, reference):
         assert np.array_equal(_bits(a.iterates), _bits(b.iterates))
@@ -229,20 +257,17 @@ def test_zero_coefficient_updates_match_numpy_body(monkeypatch):
 
 @needs_gcc
 def test_swapped_dot4_steps_fail_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
-    source = _kernel.SOURCE.read_text()
-    assert DOT4_ORDER in source
-    mutant = tmp_path / "_stepkernel.c"
-    mutant.write_text(source.replace(DOT4_ORDER, DOT4_SWAPPED))
+    mutant = _mutant(tmp_path, KERNEL, DOT4_ORDER, DOT4_SWAPPED)
     with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-        _kernel.self_test(_kernel.open_library(_kernel.build(mutant.read_text(), tmp_path)))
+        mutant.self_test(_opened(mutant, tmp_path))
 
-    monkeypatch.setattr(_kernel, "SOURCE", mutant)
+    monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
         digests = emit_digests("relu_signflip", tmp_path / "out")
     assert digests == DIGESTS["relu_signflip"]
     (warning,) = _kernel_warnings(record)
     assert "self-test" in str(warning.message)
-    assert _kernel._loaded is False
+    assert _kernel.load(KERNEL) is None
 
 
 @needs_gcc
@@ -250,8 +275,8 @@ def test_kernel_self_test_is_quick():
     # It takes ~1.3 ms on a 2-vCPU VM, up to twice that when the machine is
     # busy; scripts/step_kernel_bench.py reports the figure itself.  The
     # bound catches only a self-test grown several times over.
-    lib = _kernel.load()
-    best = min(timeit.repeat(lambda: _kernel.self_test(lib), number=1, repeat=5))
+    lib = _kernel.load(KERNEL)
+    best = min(timeit.repeat(lambda: _kernel.dot_self_test(lib), number=1, repeat=5))
     assert best < 10e-3
 
 
@@ -305,7 +330,7 @@ def _stepped(st, advance):
 def test_seed_tiles_match_numpy_body(S, channel):
     # S = 1..9 has 0, 1 or 2 full tiles of four seeds, and 0..3 seeds in a
     # short tile whose unused slots repeat its first seed.
-    lib = _kernel.load()
+    lib = _kernel.load(KERNEL)
     assert lib is not None
     counts = np.zeros(3, dtype=np.int64)  # step-law and gate violations, hits
     for d in TILE_DIMS:
@@ -322,66 +347,65 @@ ACCEPT = "if (rabs < ki[idx])"
 SIGN_FLIP = "bits ^= ((r >> 8) & 1) << 63;"
 
 
-def _numpy_fill(seed, n):
-    """Generator.standard_normal(out=) of a fresh generator: its values and its final state."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(out=np.empty(n)), rng.bit_generator.state
+def _state(rng):
+    """A generator's state, comparable also where it holds arrays."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
 
 
-def _compiled_fill(lib, seed, n):
-    rng = np.random.default_rng(seed)
-    out = np.empty(n)
-    lib.sk_normal_fill(rng.bit_generator.ctypes.bit_generator, n, out.ctypes.data)
-    return out, rng.bit_generator.state
+def _with_and_without_fill(monkeypatch, draw):
+    """``draw()`` with the compiled fill, then with numpy's ``standard_normal`` and row norms."""
+    lib = _kernel.load(FILL)
+    assert lib is not None
+    results = [draw()]
+    _turn_off(monkeypatch, FILL)
+    results.append(draw())
+    return results
 
 
-def _mutant_fill(tmp_path, old, new):
-    source = _kernel.FILL_SOURCE.read_text()
-    assert old in source
-    mutant = tmp_path / "_normalfill.c"
-    mutant.write_text(source.replace(old, new))
-    return mutant
+def _sphere_rows(make_rng, n, d):
+    """``sample_block`` of n rows on S^{d-1} from a fresh generator: the rows and its final state."""
+    rng = make_rng()
+    return sample_block(GaussianSphere(d), rng, n)[0], _state(rng)
 
 
 @needs_gcc
 @needs_npyrandom
 class TestGaussianFill:
-    """``sk_normal_fill`` against ``Generator.standard_normal``, and its per-part fallback."""
+    """``sample_block``'s Gaussian rows with the fill against numpy's path, and the per-part fallback."""
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 2048, 200_000])
+    @pytest.mark.parametrize("n, d", [(0, 5), (1, 2), (7, 3), (2048, 2), (20_000, 10)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 12345, 2**63 + 11])
-    def test_values_and_state_match_numpy(self, seed, n):
-        # 200k draws take numpy's slow path ~3000 times.
-        lib = _kernel.load_fill()
-        assert lib is not None
-        got, got_state = _compiled_fill(lib, seed, n)
-        want, want_state = _numpy_fill(seed, n)
+    def test_values_and_state_match_numpy(self, seed, n, d, monkeypatch):
+        # 20000 x 10 draws take numpy's slow path ~3000 times.
+        draw = functools.partial(_sphere_rows, lambda: np.random.default_rng(seed), n, d)
+        (got, got_state), (want, want_state) = _with_and_without_fill(monkeypatch, draw)
         assert np.array_equal(_bits(got), _bits(want))
         assert got_state == want_state
 
     @pytest.mark.parametrize("kind", ["PCG64DXSM", "MT19937", "Philox", "SFC64"])
-    def test_other_bit_generators_match_numpy(self, kind):
-        lib = _kernel.load_fill()
-        want_rng, got_rng = (np.random.Generator(getattr(np.random, kind)(3)) for _ in range(2))
-        want, got = want_rng.standard_normal(50_000), np.empty(50_000)
-        lib.sk_normal_fill(got_rng.bit_generator.ctypes.bit_generator, got.size, got.ctypes.data)
+    def test_other_bit_generators_match_numpy(self, kind, monkeypatch):
+        make_rng = lambda: np.random.Generator(getattr(np.random, kind)(3))  # noqa: E731
+        (got, got_state), (want, want_state) = _with_and_without_fill(
+            monkeypatch, functools.partial(_sphere_rows, make_rng, 10_000, 5)
+        )
         assert np.array_equal(_bits(got), _bits(want))
-        # Some states hold arrays: compare them as JSON.
-        state = [json.dumps(r.bit_generator.state, default=np.ndarray.tolist) for r in (got_rng, want_rng)]
-        assert state[0] == state[1]
+        assert got_state == want_state
 
-    def test_two_threads_fill_as_in_sequence(self):
-        lib = _kernel.load_fill()
-        n, seeds = 400_000, (31, 32)
-        want = [_numpy_fill(seed, n)[0] for seed in seeds]
+    def test_two_threads_fill_as_in_sequence(self, monkeypatch):
+        n, d, seeds = 50_000, 8, (31, 32)
+        lib = _kernel.load(FILL)
+        assert lib is not None
+        _turn_off(monkeypatch, FILL)
+        want = [_sphere_rows(lambda: np.random.default_rng(seed), n, d)[0] for seed in seeds]
+        monkeypatch.setitem(_kernel._libs, FILL, lib)
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        outs = [np.empty(n) for _ in seeds]
+        outs = [np.empty((n, d)) for _ in seeds]
         barrier = threading.Barrier(len(seeds))
 
         def fill(rng, out):
             barrier.wait(timeout=10)
             for part in np.array_split(out, 8):  # many calls, interleaved with the other thread
-                lib.sk_normal_fill(rng.bit_generator.ctypes.bit_generator, part.size, part.ctypes.data)
+                sample_block(GaussianSphere(d), rng, len(part), out=part)
 
         threads = [threading.Thread(target=fill, args=pair) for pair in zip(rngs, outs)]
         for t in threads:
@@ -396,56 +420,55 @@ class TestGaussianFill:
         "model", [GaussianSphere(11), NormalizedIIDSubGaussian(11, "gaussian")], ids=["sphere", "iid"]
     )
     def test_sample_block_unchanged_with_the_fill_off(self, model, monkeypatch):
-        assert _kernel.load_fill() is not None
+        assert _kernel.load(FILL) is not None
         fast, _ = sample_block(model, np.random.default_rng(4), 3000)
         into = sample_block(model, np.random.default_rng(4), 3000, out=np.empty((3000, 11)))[0]
-        monkeypatch.setattr(_kernel, "_fill", False)
+        _turn_off(monkeypatch, FILL)
         slow, _ = sample_block(model, np.random.default_rng(4), 3000)
         assert np.array_equal(_bits(fast), _bits(slow))
         assert np.array_equal(_bits(into), _bits(slow))
 
-    def test_cache_name_follows_the_archive_bytes(self, tmp_path, fresh_fill, monkeypatch):
-        assert _kernel.load_fill() is not None
+    def test_cache_name_follows_the_archive_bytes(self, tmp_path, fresh_fill):
+        assert _kernel.load(FILL) is not None
         cache = Path(os.environ["XDG_CACHE_HOME"]) / "sgdexp"
         (built,) = cache.glob("normalfill-*.so")
         archive = tmp_path / "libnpyrandom.a"
         shutil.copyfile(_kernel.NPYRANDOM, archive)
-        monkeypatch.setattr(_kernel, "NPYRANDOM", archive)
-        source = _kernel.FILL_SOURCE.read_text()
-        assert _kernel.build_fill(source, cache) == built  # same bytes: the cached library
+        part = dataclasses.replace(_kernel.PARTS[FILL], archive=archive)
+        assert _kernel.build(part, cache) == built  # same bytes: the cached library
         with open(archive, "ab") as fh:
             fh.write(b"\n")  # an upgraded numpy: other bytes at the same path
-        key = _kernel.cache_key(source, _kernel.FILL_ARGS, archive)
+        key = _kernel.cache_key(part.source.read_text(), part.args, archive)
         assert key not in built.name
 
     def test_accepting_rejected_words_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
-        mutant = _mutant_fill(tmp_path, ACCEPT, "if (1)")
+        mutant = _mutant(tmp_path, FILL, ACCEPT, "if (1)")
         with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-            _kernel.fill_self_test(_kernel.open_fill(_kernel.build_fill(mutant.read_text(), tmp_path)))
+            mutant.self_test(_opened(mutant, tmp_path))
 
-        monkeypatch.setattr(_kernel, "FILL_SOURCE", mutant)
+        monkeypatch.setitem(_kernel.PARTS, FILL, mutant)
         with pytest.warns(RuntimeWarning) as record:
             digests = emit_digests("relu_signflip", tmp_path / "out")
         assert digests == DIGESTS["relu_signflip"]
         (warning,) = _fill_warnings(record)
         assert "Gaussian fill unavailable, using numpy: self-test" in str(warning.message)
-        assert _kernel._fill is False
-        assert _kernel._loaded  # the step kernel is a part of its own
+        assert _kernel.load(FILL) is None
+        assert _kernel.load(KERNEL) is not None  # the step kernel is a part of its own
         assert _kernel_warnings(record) == []
 
     def test_dropped_sign_flip_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
-        mutant = _mutant_fill(tmp_path, SIGN_FLIP, "")
+        mutant = _mutant(tmp_path, FILL, SIGN_FLIP, "")
         with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-            _kernel.fill_self_test(_kernel.open_fill(_kernel.build_fill(mutant.read_text(), tmp_path)))
+            mutant.self_test(_opened(mutant, tmp_path))
 
-        monkeypatch.setattr(_kernel, "FILL_SOURCE", mutant)
+        monkeypatch.setitem(_kernel.PARTS, FILL, mutant)
         model = GaussianSphere(9)
         with pytest.warns(RuntimeWarning) as record:
             first, _ = sample_block(model, np.random.default_rng(8), 500)
             second, _ = sample_block(model, np.random.default_rng(8), 500)
         (warning,) = record
         assert "Gaussian fill unavailable" in str(warning.message)
-        monkeypatch.setattr(_kernel, "_fill", False)
+        _turn_off(monkeypatch, FILL)
         ref, _ = sample_block(model, np.random.default_rng(8), 500)
         assert np.array_equal(_bits(first), _bits(ref)) and np.array_equal(_bits(second), _bits(ref))
 
@@ -509,15 +532,15 @@ class TestSpherePass:
 
     @GAUSSIAN_MODELS
     def test_bits_and_state_match_numpy_path(self, model_of, monkeypatch):
-        lib = _kernel.load_fill()
+        lib = _kernel.load(FILL)
         assert lib is not None
         # Every branch of numpy's pairwise sum; n = 20000 at a few d, to keep the buffers small.
         cases = [(d, n) for d in (*range(1, 131), 257, 1000) for n in (1, 97)]
         cases += [(d, 20_000) for d in (1, 8, 20, 100, 129)]
         for d, n in cases:
             draws = []
-            for fill in (lib, False):
-                monkeypatch.setattr(_kernel, "_fill", fill)
+            for fill in (lib, "turned off"):
+                monkeypatch.setitem(_kernel._libs, FILL, fill)
                 rng = np.random.default_rng(1000 * d + n)
                 draws.append((sample_block(model_of(d), rng, n)[0], rng.bit_generator.state))
             (got, got_state), (want, want_state) = draws
@@ -527,12 +550,12 @@ class TestSpherePass:
     @pytest.mark.parametrize("d", [1, 5, 8, 20, 129])
     def test_zero_row_is_redrawn_as_normalize_rows_does(self, d, monkeypatch):
         n, seed = 4, 77
-        stand_in = _ZeroWordsFill(_kernel.load_fill(), np.random.PCG64(seed), zeros=d)
-        monkeypatch.setattr(_kernel, "_fill", stand_in)
+        stand_in = _ZeroWordsFill(_kernel.load(FILL), np.random.PCG64(seed), zeros=d)
+        monkeypatch.setitem(_kernel._libs, FILL, stand_in)
         got, _ = sample_block(GaussianSphere(d), np.random.default_rng(0), n)
         assert stand_in.zeros < 0  # every zero word was drawn
 
-        monkeypatch.setattr(_kernel, "_fill", False)
+        _turn_off(monkeypatch, FILL)
         ref_rng = np.random.Generator(np.random.PCG64(seed))
         g = np.zeros((n, d))
         g[1:] = ref_rng.standard_normal((n - 1, d))
@@ -542,33 +565,32 @@ class TestSpherePass:
         assert stand_in.inner.state == ref_rng.bit_generator.state
 
     def test_sequential_sum_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
-        mutant = _mutant_fill(tmp_path, SHORT_SUM, "if (1) {")
-        lib = _kernel.open_fill(_kernel.build_fill(mutant.read_text(), tmp_path))
+        mutant = _mutant(tmp_path, FILL, SHORT_SUM, "if (1) {")
         with pytest.raises(_kernel.KernelUnavailable, match="self-test: the sphere pass differs"):
-            _kernel.fill_self_test(lib)
+            mutant.self_test(_opened(mutant, tmp_path))
 
-        monkeypatch.setattr(_kernel, "FILL_SOURCE", mutant)
+        monkeypatch.setitem(_kernel.PARTS, FILL, mutant)
         model = GaussianSphere(20)
         with pytest.warns(RuntimeWarning) as record:
             first, _ = sample_block(model, np.random.default_rng(8), 500)
             second, _ = sample_block(model, np.random.default_rng(8), 500)
         (warning,) = record
         assert "Gaussian fill unavailable, using numpy: self-test" in str(warning.message)
-        assert _kernel._fill is False
+        assert _kernel.load(FILL) is None
         ref, _ = sample_block(model, np.random.default_rng(8), 500)
         assert np.array_equal(_bits(first), _bits(ref)) and np.array_equal(_bits(second), _bits(ref))
 
     def test_self_test_is_quick(self):
-        lib = _kernel.load_fill()
+        lib = _kernel.load(FILL)
         best = min(timeit.repeat(lambda: _kernel.sphere_self_test(lib), number=1, repeat=5))
         assert best < 3e-3
 
 
 @needs_gcc
 def test_missing_archive_turns_off_only_the_fill(fresh_fill, monkeypatch, tmp_path):
-    monkeypatch.setattr(_kernel, "_loaded", None)
+    monkeypatch.delitem(_kernel._libs, KERNEL, raising=False)
     missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
-    monkeypatch.setattr(_kernel, "NPYRANDOM", missing)
+    monkeypatch.setitem(_kernel.PARTS, FILL, dataclasses.replace(_kernel.PARTS[FILL], archive=missing))
     with pytest.warns(RuntimeWarning) as record:
         digests = emit_digests("relu_signflip", tmp_path / "out")
         emit_digests("linear_signflip", tmp_path / "out2")
@@ -576,5 +598,5 @@ def test_missing_archive_turns_off_only_the_fill(fresh_fill, monkeypatch, tmp_pa
     (warning,) = record
     assert str(warning.message).startswith("sgdexp Gaussian fill unavailable, using numpy: ")
     assert str(missing) in str(warning.message)
-    assert _kernel._fill is False
-    assert _kernel._loaded  # the step kernel still loads
+    assert _kernel.load(FILL) is None
+    assert _kernel.load(KERNEL) is not None  # the step kernel still loads

@@ -17,4 +17,4 @@ from test_solvers import TestEngineMatchesOracle, TestLanes  # noqa: F401
 
 @pytest.fixture(autouse=True)
 def numpy_body(monkeypatch):
-    monkeypatch.setattr(_kernel, "_loaded", False)
+    monkeypatch.setitem(_kernel._libs, "step kernel", "turned off")

@@ -357,7 +357,7 @@ class TestRun:
 
     def test_relu_gate_audit_counts_ungated_steps(self, monkeypatch):
         # The patched rule lives in the numpy body; the compiled kernel has its own.
-        monkeypatch.setattr(_kernel, "_loaded", False)
+        monkeypatch.setitem(_kernel._libs, "step kernel", "turned off")
         real = solvers_mod._coef
         monkeypatch.setattr(
             solvers_mod, "_coef", lambda dot, y, step, tron, gate: real(dot, y, step, tron, False)
@@ -680,7 +680,7 @@ class TestDrawPipeline:
                 **kwargs,
             )
         ]
-        monkeypatch.setattr(_kernel, "_loaded", False)
+        monkeypatch.setitem(_kernel._libs, "step kernel", "turned off")
         numpy_body = [
             self._summary(t) for t in run_batch(Lanes(groups), stream, seeds, x_true=x_true, **kwargs)
         ]
