@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .corruption import ResidualSignAdversary
+from .corruption import AdditiveOblivious, ResidualSignAdversary
 from .datasets import load_csv
 from .drift import drift_params, hitting_bound, mc_hitting_probability
 from .experiment import (
+    build_corruption,
     build_stream,
     draw_signals,
     resolve_solver,
@@ -32,11 +33,16 @@ from .experiment import (
 )
 from .measurement import estimate_ctilde
 from .results import emit_plot, emit_results, emit_sweep_csv, read_results_csv
+from .solvers import METHODS
 
 
-def _common_flags(parser):
-    """The flags of run, sweep and drift-check.  Each other subcommand takes only those it reads."""
-    parser.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
+def _common_flags(parser, seed=True):
+    """The flags of run, sweep and drift-check; sweep takes --seeds, not --seed.
+
+    Each other subcommand takes only the flags it reads.
+    """
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="override config seeds with one seed")
     parser.add_argument("--out-dir", default=None, help="output directory (beats RSGD_OUT_DIR)")
     _quiet_flag(parser)
 
@@ -102,7 +108,7 @@ def _parse_list(text, cast, flag):
 
 
 def _cmd_sweep(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     out_dir = _resolve_out_dir(args, config)
     p_grid = _parse_list(args.p, float, "--p")
     seed_grid = _parse_list(args.seeds, int, "--seeds") if args.seeds else None
@@ -119,13 +125,10 @@ def _cmd_drift_check(args) -> int:
     config = _load(args)
     out_dir = _resolve_out_dir(args, config)
     solver_cfg = config.solvers[0]
-    if not solver_cfg["method"].startswith("sgd_exp"):
+    if METHODS[solver_cfg["method"]][0] != "G":
         raise ConfigError("drift-check: the first solver must be an sgd_exp method")
-    regime = "relu" if config.response == "relu" else "linear"
-    noise = (
-        "oblivious" if config.corruption["kind"] == "additive_oblivious" else "massart"
-    )
-    p = 0.0 if config.corruption["kind"] == "none" else config.corruption["p"]
+    corruption = build_corruption(config)
+    noise = "oblivious" if isinstance(corruption, AdditiveOblivious) else "massart"
 
     signals = draw_signals(config) if args.mc else None
     if args.mc and signals is None:
@@ -139,7 +142,9 @@ def _cmd_drift_check(args) -> int:
         ctilde = est.value
         _say(args, f"estimated ctilde = {ctilde:.6f} (stderr {est.stderr:.2g})")
 
-    params = drift_params(solver_cfg["lam"], p, config.dimension, ctilde, regime=regime, noise=noise)
+    params = drift_params(
+        solver_cfg["lam"], corruption.p, config.dimension, ctilde, regime=config.response, noise=noise
+    )
     K = args.K if args.K is not None else config.horizon
     bound = hitting_bound(params, K)
     report = {
@@ -242,11 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a config across corruption probabilities")
+    # No abbreviations, or --seed would read as --seeds.
+    p_sweep = sub.add_parser("sweep", help="run a config across corruption probabilities", allow_abbrev=False)
     p_sweep.add_argument("config")
     p_sweep.add_argument("--p", required=True, help="comma-separated corruption probabilities")
     p_sweep.add_argument("--seeds", default=None, help="comma-separated seed overrides")
-    _common_flags(p_sweep)
+    _common_flags(p_sweep, seed=False)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_drift = sub.add_parser("drift-check", help="drift constants and hitting bound for a config")
@@ -291,13 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: What str.splitlines splits at, escaped, so that an error is one line whatever key or file it names.
+_LINE_BREAKS = {c: repr(chr(c))[1:-1] for c in (10, 11, 12, 13, 28, 29, 30, 133, 0x2028, 0x2029)}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
 
 

@@ -11,19 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .solvers import GLMTRON_SCHEDULES, METHODS, RELU_METHODS
+from .solvers import GLMTRON_SCHEDULES, METHODS, RELU_METHODS, _schedule
 
-MEASUREMENT_KINDS = (
-    "gaussian_sphere",
-    "normalized_rademacher",
-    "normalized_iid_subgaussian",
-    "dataset_rows",
-)
-CORRUPTION_KINDS = ("none", "sign_flip", "residual_sign", "additive_oblivious")
-SIGNAL_KINDS = ("standard_normal", "scaled_standard_normal", "fixed")
 METRICS = ("relative_error", "clean_l2_loss")
 
 
@@ -127,105 +119,73 @@ def _string_list(v, path):
     return list(v)
 
 
-def _check_measurement(obj, path):
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind not in MEASUREMENT_KINDS:
-        _fail(f"{path}.kind", f"must be one of {list(MEASUREMENT_KINDS)}, got {kind!r}")
-    if kind == "normalized_iid_subgaussian":
-        return _check_dict(
-            obj,
-            path,
-            {"kind": _string(MEASUREMENT_KINDS)},
-            {"base": (_string(("gaussian", "rademacher", "uniform")), "uniform")},
-        )
-    if kind == "dataset_rows":
-        return _check_dict(
-            obj,
-            path,
-            {
-                "kind": _string(MEASUREMENT_KINDS),
-                "path": _string(),
-                "features": _string_list,
-                "response": _string(),
-            },
-            {
-                "z_score": (_bool, False),
-                "center": (_bool, False),
-                "row_normalize": (_bool, False),
-                "center_response": (_bool, False),
-                "delimiter": (_string(), ","),
-            },
-        )
-    return _check_dict(obj, path, {"kind": _string(MEASUREMENT_KINDS)}, {})
+def _tagged(table):
+    """Checker of an object whose ``kind`` picks its fields from ``table``."""
+
+    def check(obj, path):
+        if not isinstance(obj, dict):
+            _fail(path, f"expected an object, got {type(obj).__name__}")
+        kind = obj.get("kind")
+        if not isinstance(kind, str) or kind not in table:
+            _fail(f"{path}.kind", f"must be one of {list(table)}, got {kind!r}")
+        required, optional = table[kind]
+        return _check_dict(obj, path, {"kind": _string(table), **required}, optional)
+
+    return check
 
 
-def _check_noise_law(obj, path):
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind == "uniform":
-        return _check_dict(
-            obj, path, {"kind": _string(("uniform",)), "half_width": _positive}, {}
-        )
-    if kind == "gaussian":
-        return _check_dict(
-            obj, path, {"kind": _string(("gaussian",)), "variance": _positive}, {}
-        )
-    _fail(f"{path}.kind", f"must be 'uniform' or 'gaussian', got {kind!r}")
+def _delimiter(v, path):
+    v = _string()(v, path)
+    if len(v) != 1:
+        _fail(path, f"expected a single character, got {v!r}")
+    return v
 
 
-def _check_corruption(obj, path):
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind not in CORRUPTION_KINDS:
-        _fail(f"{path}.kind", f"must be one of {list(CORRUPTION_KINDS)}, got {kind!r}")
-    if kind == "none":
-        return _check_dict(obj, path, {"kind": _string(CORRUPTION_KINDS)}, {})
-    if kind == "additive_oblivious":
-        return _check_dict(
-            obj,
-            path,
-            {
-                "kind": _string(CORRUPTION_KINDS),
-                "p": _probability,
-                "law": _check_noise_law,
-            },
-            {},
-        )
-    return _check_dict(
-        obj, path, {"kind": _string(CORRUPTION_KINDS), "p": _probability}, {}
-    )
+def _signal_values(v, path):
+    if not isinstance(v, list) or not v:
+        _fail(path, "expected a nonempty list of numbers")
+    values = [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    # The sum of squares is 0 or inf exactly where the engine's norm of the signal is.
+    if not 0.0 < sum(x * x for x in values) < math.inf:
+        _fail(path, "a fixed signal needs a nonzero, finite norm")
+    return values
 
 
-def _check_signal(obj, path):
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind not in SIGNAL_KINDS:
-        _fail(f"{path}.kind", f"must be one of {list(SIGNAL_KINDS)}, got {kind!r}")
-    if kind == "scaled_standard_normal":
-        return _check_dict(
-            obj, path, {"kind": _string(SIGNAL_KINDS), "norm": _positive}, {}
-        )
-    if kind == "fixed":
-        def values(v, p):
-            if not isinstance(v, list) or not v:
-                _fail(p, "expected a nonempty list of numbers")
-            return [_number(x, f"{p}[{i}]") for i, x in enumerate(v)]
-
-        return _check_dict(
-            obj, path, {"kind": _string(SIGNAL_KINDS), "values": values}, {}
-        )
-    return _check_dict(obj, path, {"kind": _string(SIGNAL_KINDS)}, {})
+#: Each section tagged by ``kind``: kind -> (required fields, optional fields with defaults).
+MEASUREMENT_KINDS = {
+    "gaussian_sphere": ({}, {}),
+    "normalized_rademacher": ({}, {}),
+    "normalized_iid_subgaussian": ({}, {"base": (_string(("gaussian", "rademacher", "uniform")), "uniform")}),
+    "dataset_rows": (
+        {"path": _string(), "features": _string_list, "response": _string()},
+        {
+            "z_score": (_bool, False),
+            "center": (_bool, False),
+            "row_normalize": (_bool, False),
+            "center_response": (_bool, False),
+            "delimiter": (_delimiter, ","),
+        },
+    ),
+}
+NOISE_LAW_KINDS = {
+    "uniform": ({"half_width": _positive}, {}),
+    "gaussian": ({"variance": _positive}, {}),
+}
+CORRUPTION_KINDS = {
+    "none": ({}, {}),
+    "sign_flip": ({"p": _probability}, {}),
+    "residual_sign": ({"p": _probability}, {}),
+    "additive_oblivious": ({"p": _probability, "law": _tagged(NOISE_LAW_KINDS)}, {}),
+}
+SIGNAL_KINDS = {
+    "standard_normal": ({}, {}),
+    "scaled_standard_normal": ({"norm": _positive}, {}),
+    "fixed": ({"values": _signal_values}, {}),
+}
 
 
 def _auto_or_positive(v, path):
-    if v == "auto":
-        return "auto"
-    return _positive(v, path)
+    return "auto" if v == "auto" else _positive(v, path)
 
 
 def _decay(v, path):
@@ -253,21 +213,16 @@ def _check_solver(obj, path):
     method = out["method"]
     if out["name"] is None:
         out["name"] = method
-    if method.startswith("sgd_exp"):
-        if out["lam"] is None:
-            _fail(f"{path}.lam", "sgd_exp methods require lam")
-        if out["G"] is None:
-            _fail(f"{path}.G", "sgd_exp methods require G (a number or 'auto')")
-    elif method.startswith("sgd_root"):
-        if out["gamma"] is None:
-            _fail(f"{path}.gamma", "sgd_root methods require gamma (a number or 'auto')")
-    else:
+    scale = METHODS[method][0]
+    if scale is None:
         if out["schedule"] is None:
-            _fail(f"{path}.schedule", "glmtron requires a schedule")
+            _fail(f"{path}.schedule", f"{method} requires a schedule")
         if out["m"] is None:
-            _fail(f"{path}.m", "glmtron requires m")
-        if out["schedule"] == "exp" and out["lam"] is None:
-            _fail(f"{path}.lam", "glmtron exp schedule requires lam")
+            _fail(f"{path}.m", f"{method} requires m")
+    if _schedule(method, out["schedule"]) == "exp" and out["lam"] is None:
+        _fail(f"{path}.lam", f"the exp schedule of {method} requires lam")
+    if scale is not None and out[scale] is None:
+        _fail(f"{path}.{scale}", f"{method} requires {scale} (a number or 'auto')")
     return out
 
 
@@ -310,25 +265,8 @@ class ExperimentConfig:
     ctilde: Optional[float]
 
     def to_dict(self) -> dict:
-        out = {
-            "dimension": self.dimension,
-            "horizon": self.horizon,
-            "seeds": list(self.seeds),
-            "checkpoint_every": self.checkpoint_every,
-            "response": self.response,
-            "measurement": dict(self.measurement),
-            "corruption": dict(self.corruption),
-            "solvers": [
-                {k: v for k, v in s.items() if v is not None} for s in self.solvers
-            ],
-            "metrics": list(self.metrics),
-        }
-        if self.signal is not None:
-            out["signal"] = dict(self.signal)
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        if self.ctilde is not None:
-            out["ctilde"] = self.ctilde
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        out["solvers"] = [{k: v for k, v in s.items() if v is not None} for s in out["solvers"]]
         return out
 
     def fingerprint(self) -> str:
@@ -350,14 +288,14 @@ def validate_config(data: dict) -> ExperimentConfig:
             "dimension": _int_at_least(1),
             "horizon": _int_at_least(0),
             "seeds": _seed_list,
-            "measurement": _check_measurement,
-            "corruption": _check_corruption,
+            "measurement": _tagged(MEASUREMENT_KINDS),
+            "corruption": _tagged(CORRUPTION_KINDS),
             "solvers": _check_solvers,
         },
         {
             "checkpoint_every": (_int_at_least(1), 1000),
             "response": (_string(("linear", "relu")), "linear"),
-            "signal": (_check_signal, None),
+            "signal": (_tagged(SIGNAL_KINDS), None),
             "metrics": (_check_metrics, ["relative_error"]),
             "output_dir": (_string(), None),
             "ctilde": (_positive, None),
@@ -387,20 +325,7 @@ def validate_config(data: dict) -> ExperimentConfig:
                     f"{s['method']!r} is inconsistent with response={out['response']!r}",
                 )
 
-    return ExperimentConfig(
-        dimension=out["dimension"],
-        horizon=out["horizon"],
-        seeds=out["seeds"],
-        checkpoint_every=out["checkpoint_every"],
-        response=out["response"],
-        measurement=out["measurement"],
-        corruption=out["corruption"],
-        signal=out["signal"],
-        solvers=out["solvers"],
-        metrics=out["metrics"],
-        output_dir=out["output_dir"],
-        ctilde=out["ctilde"],
-    )
+    return ExperimentConfig(**out)
 
 
 def load_config(path) -> ExperimentConfig:

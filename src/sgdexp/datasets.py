@@ -58,6 +58,8 @@ class DatasetMatrix:
 
 
 def _parse_table(path, delimiter: str):
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = [row for row in reader if row]
@@ -84,8 +86,9 @@ def load_csv(
     (ddof=1).  ``center_response`` subtracts the response mean, which a
     model without an intercept needs when the features are centered.
 
-    Raises ValueError naming the offending column for missing columns
-    and the (row, column) location for non-numeric or non-finite cells.
+    Raises ValueError for a delimiter that is not one character, naming
+    the offending column for missing columns and the (row, column)
+    location for non-numeric or non-finite cells.
     """
     header, body = _parse_table(path, delimiter)
     feature_columns = list(feature_columns)

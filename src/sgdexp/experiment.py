@@ -16,7 +16,7 @@ from .measurement import (
     NormalizedIIDSubGaussian,
     NormalizedRademacher,
 )
-from .solvers import Lanes, SolverSpec, StreamSpec, recommend_G, run_batch, signal_rng
+from .solvers import METHODS, Lanes, SolverSpec, StreamSpec, recommend_G, run_batch, signal_rng
 
 
 def synthetic_measurement(kind: str, d: int, base: Optional[str]):
@@ -57,22 +57,25 @@ def build_measurement(config: ExperimentConfig):
     return DatasetRows(data.features), data
 
 
+#: Constructor of each corruption kind and noise law; config fields are their arguments.
+_CHANNELS = {
+    "none": corr_mod.NoCorruption,
+    "sign_flip": corr_mod.SignFlip,
+    "residual_sign": corr_mod.ResidualSignAdversary,
+    "additive_oblivious": corr_mod.AdditiveOblivious,
+}
+_NOISE_LAWS = {"uniform": corr_mod.Uniform, "gaussian": corr_mod.Gaussian}
+
+
+def _build(table, spec: dict):
+    return table[spec["kind"]](**{k: v for k, v in spec.items() if k != "kind"})
+
+
 def build_corruption(config: ExperimentConfig):
-    spec = config.corruption
-    kind = spec["kind"]
-    if kind == "none":
-        return corr_mod.NoCorruption()
-    if kind == "sign_flip":
-        return corr_mod.SignFlip(spec["p"])
-    if kind == "residual_sign":
-        return corr_mod.ResidualSignAdversary(spec["p"])
-    law = spec["law"]
-    noise = (
-        corr_mod.Uniform(law["half_width"])
-        if law["kind"] == "uniform"
-        else corr_mod.Gaussian(law["variance"])
-    )
-    return corr_mod.AdditiveOblivious(spec["p"], noise)
+    spec = dict(config.corruption)
+    if "law" in spec:
+        spec["law"] = _build(_NOISE_LAWS, spec["law"])
+    return _build(_CHANNELS, spec)
 
 
 def build_stream(config: ExperimentConfig) -> StreamSpec:
@@ -116,13 +119,11 @@ def resolve_solver(solver_cfg: dict, config: ExperimentConfig, signal_norms=None
     recommend_G(lam, ||x_true||) times g_scale, per seed; sgd_root's
     auto gamma follows the same rule (shared scale, different decay).
     """
-    method = solver_cfg["method"]
-    lam = solver_cfg["lam"]
-    G = solver_cfg["G"]
-    gamma = solver_cfg["gamma"]
-    per_seed_G = per_seed_gamma = None
-
-    def auto_scale():
+    method, lam = solver_cfg["method"], solver_cfg["lam"]
+    scales = {"G": solver_cfg["G"], "gamma": solver_cfg["gamma"]}
+    per_seed = {}
+    field = METHODS[method][0]
+    if field is not None and scales[field] == "auto":
         if signal_norms is None:
             raise ConfigError(
                 f"solvers: {solver_cfg['name']!r} uses an 'auto' step scale, which "
@@ -132,30 +133,19 @@ def resolve_solver(solver_cfg: dict, config: ExperimentConfig, signal_norms=None
             raise ConfigError(
                 f"solvers: {solver_cfg['name']!r} uses an 'auto' step scale, which needs lam"
             )
-        return solver_cfg["g_scale"] * np.array(
-            [recommend_G(lam, n) for n in signal_norms]
-        )
-
-    if method.startswith("sgd_exp"):
-        if G == "auto":
-            per_seed_G = auto_scale()
-            G = float(per_seed_G[0])
-    elif method.startswith("sgd_root"):
-        if gamma == "auto":
-            per_seed_gamma = auto_scale()
-            gamma = float(per_seed_gamma[0])
+        per_seed[field] = solver_cfg["g_scale"] * np.array([recommend_G(lam, n) for n in signal_norms])
+        scales[field] = float(per_seed[field][0])
 
     spec = SolverSpec(
         method=method,
         d=config.dimension,
         T=config.horizon,
         lam=lam,
-        G=G if isinstance(G, float) else None,
-        gamma=gamma if isinstance(gamma, float) else None,
         schedule=solver_cfg["schedule"],
         m=solver_cfg["m"],
+        **{k: v if isinstance(v, float) else None for k, v in scales.items()},
     )
-    return spec, per_seed_G, per_seed_gamma
+    return spec, per_seed.get("G"), per_seed.get("gamma")
 
 
 def _run_lanes(config: ExperimentConfig, p_grid) -> list:
@@ -241,8 +231,8 @@ def run_sweep(config: ExperimentConfig, p_grid, seed_grid=None) -> list:
     Returns SweepRow records: the across-seed mean of the primary metric
     at every checkpoint, per (solver, p).
     """
-    if config.corruption["kind"] == "none":
-        raise ConfigError("corruption.kind: cannot sweep p over the 'none' channel")
+    if "p" not in config.corruption:
+        raise ConfigError(f"corruption.kind: cannot sweep p over the {config.corruption['kind']!r} channel")
     metric = "relative_error" if "relative_error" in config.metrics else "clean_l2_loss"
     if seed_grid is not None:
         config = config.with_updates(seeds=list(seed_grid))

@@ -62,17 +62,17 @@ def emit_results(trajectories, out_dir):
                     ]
                 )
 
+    # Each mean is the last point of the plotted mean, when that point is the final k;
+    # a metric that no final checkpoint carries is not averaged at all.
+    fields = ("relative_error", "clean_loss")
+    carried = [f for f in fields if any(getattr(t.checkpoints[-1], f) is not None for t in ordered)]
+    means = {f: aggregate_mean(trajectories, f) for f in carried}
     summary = {}
-    for traj in ordered:
-        entry = summary.setdefault(
-            traj.solver, {"finals_rel": [], "finals_clean": [], "final_k": 0}
-        )
-        last = traj.checkpoints[-1]
-        entry["final_k"] = last.k
-        if last.relative_error is not None:
-            entry["finals_rel"].append(last.relative_error)
-        if last.clean_loss is not None:
-            entry["finals_clean"].append(last.clean_loss)
+    for solver, k in {t.solver: t.checkpoints[-1].k for t in ordered}.items():
+        summary[solver] = {"final_k": k}
+        for f in fields:
+            ks, values = means.get(f, {}).get(solver, ([None], None))
+            summary[solver][f"mean_final_{f}"] = float(values[-1]) if ks[-1] == k else None
     manifest = {
         "fingerprint": trajectories[0].fingerprint,
         "seeds": sorted({t.seed for t in trajectories}),
@@ -80,18 +80,7 @@ def emit_results(trajectories, out_dir):
         "n_trajectories": len(trajectories),
         "step_law_violations": int(sum(t.step_law_violations for t in trajectories)),
         "relu_gate_violations": int(sum(t.relu_gate_violations for t in trajectories)),
-        "summary": {
-            name: {
-                "final_k": entry["final_k"],
-                "mean_final_relative_error": (
-                    float(np.mean(entry["finals_rel"])) if entry["finals_rel"] else None
-                ),
-                "mean_final_clean_loss": (
-                    float(np.mean(entry["finals_clean"])) if entry["finals_clean"] else None
-                ),
-            }
-            for name, entry in summary.items()
-        },
+        "summary": summary,
     }
     with open(manifest_path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

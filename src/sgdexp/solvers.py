@@ -39,15 +39,17 @@ from .measurement import (
     sample_block,
 )
 
-METHODS = (
-    "sgd_exp_linear",
-    "sgd_exp_relu",
-    "sgd_root_linear",
-    "sgd_root_relu",
-    "glmtron",
-)
-#: Methods that fit a ReLU response: the ``_relu`` sign methods and GLM-Tron.
-RELU_METHODS = ("sgd_exp_relu", "sgd_root_relu", "glmtron")
+#: Each method's step-scale field and response link.  The field names the
+#: decay: G the G lam^-k of SGD-exp, gamma the gamma (k+1)^-1/2 of the
+#: root baseline; GLM-Tron (None) steps decay / m on a schedule of its own.
+METHODS = {
+    "sgd_exp_linear": ("G", "linear"),
+    "sgd_exp_relu": ("G", "relu"),
+    "sgd_root_linear": ("gamma", "linear"),
+    "sgd_root_relu": ("gamma", "relu"),
+    "glmtron": (None, "relu"),
+}
+RELU_METHODS = tuple(m for m, (_, link) in METHODS.items() if link == "relu")
 GLMTRON_SCHEDULES = ("const", "root", "exp")
 
 #: Theorem-side dimension thresholds: ctilde * factor / sqrt(d) must stay
@@ -77,21 +79,16 @@ class SolverSpec:
             raise ValueError("dimension must be at least 1")
         if self.T < 0:
             raise ValueError("horizon must be nonnegative")
-        if self.method.startswith("sgd_exp"):
-            if self.lam is None or not self.lam > 1.0:
-                raise ValueError("sgd_exp requires lam > 1")
-            if self.G is None or not self.G > 0.0:
-                raise ValueError("sgd_exp requires G > 0")
-        elif self.method.startswith("sgd_root"):
-            if self.gamma is None or not self.gamma > 0.0:
-                raise ValueError("sgd_root requires gamma > 0")
-        else:  # glmtron
+        scale = METHODS[self.method][0]
+        if scale is None:
             if self.schedule not in GLMTRON_SCHEDULES:
                 raise ValueError(f"glmtron schedule must be one of {GLMTRON_SCHEDULES}")
             if self.m is None or self.m < 1:
                 raise ValueError("glmtron requires m >= 1")
-            if self.schedule == "exp" and (self.lam is None or not self.lam > 1.0):
-                raise ValueError("glmtron exp schedule requires lam > 1")
+        if _schedule(self.method, self.schedule) == "exp" and (self.lam is None or not self.lam > 1.0):
+            raise ValueError(f"the exp schedule of {self.method} requires lam > 1")
+        if scale is not None and not (getattr(self, scale) or 0.0) > 0.0:
+            raise ValueError(f"{self.method} requires {scale} > 0")
 
 
 @dataclass(frozen=True)
@@ -313,11 +310,9 @@ def _coef(dot, y, step, tron, gate: bool):
     return step * np.where(tron, res, sgn)
 
 
-def _schedule(spec: SolverSpec) -> str:
-    """Decay schedule of a spec's steps: exp (sgd_exp), root (sgd_root) or GLM-Tron's own."""
-    if spec.method == "glmtron":
-        return spec.schedule
-    return "exp" if spec.method.startswith("sgd_exp") else "root"
+def _schedule(method: str, schedule: Optional[str]) -> str:
+    """Decay schedule of a method's steps: exp (G), root (gamma) or GLM-Tron's ``schedule``."""
+    return {"G": "exp", "gamma": "root"}.get(METHODS[method][0], schedule)
 
 
 #: Rule kinds and audit bits of the step function, as the enums of ``_stepkernel.c``.
@@ -548,11 +543,12 @@ def run_batch(
         )
     if x_true is None and not is_dataset:
         raise ValueError("x_true is required for synthetic streams")
-    is_tron = np.array([s.method == "glmtron" for s in specs])
-    is_exp = [s.method.startswith("sgd_exp") for s in specs]
+    scale_fields = [METHODS[s.method][0] for s in specs]
+    is_tron = np.array([f is None for f in scale_fields])
+    is_exp = [f == "G" for f in scale_fields]
     # The ReLU gate of the sign rule follows the stream's response link.
     relu_response = stream.relu
-    if any((s.method in RELU_METHODS) != relu_response for s in specs if s.method != "glmtron"):
+    if any((s.method in RELU_METHODS) != relu_response for s, f in zip(specs, scale_fields) if f):
         raise ValueError("sign methods must match the stream's response link (ReLU or linear)")
     if hitting_level is not None and not (G == 1 and is_exp[0] and x_true is not None):
         raise ValueError("hitting-time tracking requires one sgd_exp lane group and x_true")
@@ -583,10 +579,10 @@ def run_batch(
         data = DatasetMatrix(features=stream.model.rows, responses=resp)
 
     # Step sizes: per-seed scale times decay for the sign family, decay / m for GLM-Tron.
-    schedules, scales = [(_schedule(s), s.lam) for s in specs], []
-    for s, tron, exp, scale in zip(specs, is_tron, is_exp, given_scales):
-        if not tron:
-            scale = np.full(S, s.G if exp else s.gamma) if scale is None else np.asarray(scale, dtype=float)
+    schedules, scales = [(_schedule(s.method, s.schedule), s.lam) for s in specs], []
+    for s, name, scale in zip(specs, scale_fields, given_scales):
+        if name:
+            scale = np.full(S, getattr(s, name)) if scale is None else np.asarray(scale, dtype=float)
             if scale.shape != (S,) or not np.all(scale > 0):
                 raise ValueError("step scales must be positive with one entry per seed")
         scales.append(scale)

@@ -183,6 +183,7 @@ def test_drift_check_bad_flag_names_itself(capsys, tmp_path, flags, message):
 _PLOT = ["plot", "results.csv", "-o", "chart.svg"]
 _PREP = ["dataset", "prep", "raw.csv", "--features", "a", "--response", "y", "-o", "prepped.csv"]
 _CTILDE = ["ctilde", "--model", "gaussian_sphere", "--d", "5", "--samples", "1000"]
+_SWEEP = ["sweep", "config.json", "--p", "0.1"]
 
 
 @pytest.mark.parametrize(
@@ -194,8 +195,11 @@ _CTILDE = ["ctilde", "--model", "gaussian_sphere", "--d", "5", "--samples", "100
         (_PREP, ["--out-dir", "out"]),
         (_CTILDE, ["--out-dir", "/nonexistent/x"]),
         (_CTILDE, ["--quiet"]),
+        (_SWEEP, ["--seed", "3"]),  # --seeds 3 does its job
     ],
-    ids=["plot-seed", "plot-out-dir", "prep-seed", "prep-out-dir", "ctilde-out-dir", "ctilde-quiet"],
+    ids=[
+        "plot-seed", "plot-out-dir", "prep-seed", "prep-out-dir", "ctilde-out-dir", "ctilde-quiet", "sweep-seed"
+    ],
 )
 def test_flag_a_subcommand_ignores_is_refused(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
@@ -367,6 +371,19 @@ def test_dataset_prep_missing_column(tmp_path, capsys):
     assert "'b'" in capsys.readouterr().err
 
 
+def test_dataset_prep_delimiter_of_two_characters(tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    src.write_text("a;;b;;y\n1;;2;;0\n")
+    out = tmp_path / "x.csv"
+    code = main(
+        ["dataset", "prep", str(src), "--features", "a,b", "--response", "y", "--delimiter", ";;",
+         "-o", str(out)]
+    )
+    assert code == 2
+    assert _error_line(capsys) == "error: delimiter must be a single character, got ';;'"
+    assert not out.exists()
+
+
 def test_plot_from_csv(config_path, tmp_path):
     out = tmp_path / "run_out"
     assert main(["run", str(config_path), "--out-dir", str(out), "--quiet"]) == 0
@@ -383,6 +400,13 @@ def _error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     return err[0]
+
+
+def test_error_naming_a_key_with_line_breaks_is_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dimension": 1, "a\r\nb\u2028": 0}))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert _error_line(capsys) == "error: a\\r\\nb\\u2028: unknown key"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgdexp.cli import main
 from sgdexp.config import ConfigError, load_config, validate_config
+from sgdexp.datasets import RED_WINE_FEATURES, RED_WINE_RESPONSE
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal():
@@ -166,6 +175,43 @@ def test_synthetic_cannot_use_clean_loss():
         validate_config(data)
 
 
+def test_delimiter_must_be_one_character(tmp_path):
+    data = {
+        "dimension": 2,
+        "horizon": 10,
+        "seeds": [1],
+        "measurement": {
+            "kind": "dataset_rows",
+            "path": str(tmp_path / "d.csv"),
+            "features": ["a", "b"],
+            "response": "y",
+            "delimiter": ";;",
+        },
+        "corruption": {"kind": "none"},
+        "solvers": [{"method": "sgd_exp_linear", "lam": 1.001, "G": 1.0}],
+        "metrics": ["clean_l2_loss"],
+    }
+    with pytest.raises(ConfigError, match=r"^measurement\.delimiter: expected a single character, got ';;'$"):
+        validate_config(data)
+
+
+@pytest.mark.parametrize("G", [1.0, "auto"])
+def test_all_zero_fixed_signal_rejected_up_front(G, tmp_path, capsys):
+    # Its relative error is undefined, and it is the only metric of a synthetic run.
+    data = minimal()
+    data["solvers"][0]["G"] = G
+    data["signal"] = {"kind": "fixed", "values": [0.0] * data["dimension"]}
+    with pytest.raises(ConfigError, match=r"^signal\.values: "):
+        validate_config(data)
+    config_path = tmp_path / "zero.json"
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signal.values: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_oblivious_law_required():
     data = minimal()
     data["corruption"] = {"kind": "additive_oblivious", "p": 0.5}
@@ -216,3 +262,119 @@ def test_non_finite_number_rejected(path, spoil, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# Every shipped config at a small horizon and two seeds; the dataset config
+# reads a small CSV that the fuzz test writes (its path stands in for it).
+WINE = "wine.csv"
+
+
+def _small_shipped(path):
+    data = json.loads(path.read_text())
+    data.update(horizon=200, seeds=[1, 2], checkpoint_every=100)
+    if data["measurement"]["kind"] == "dataset_rows":
+        data["measurement"]["path"] = WINE
+    return data
+
+
+SHIPPED = {p.stem: _small_shipped(p) for p in sorted(CONFIGS.glob("*.json"))}
+_KEYS = st.sampled_from(
+    ["kind", "p", "law", "delimiter", "base", "norm", "values", "G", "gamma", "lam", "g_scale",
+     "schedule", "m", "name", "method", "signal", "metrics", "ctilde", "response", "z_score"]
+) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["auto", "relu", "fixed", "uniform", "gaussian", "sign_flip", "none", ";;"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _walk(obj, path=()):
+    """(path, value) of the object and of everything inside it."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _walk(value, (*path, key))
+
+
+@st.composite
+def _edits(draw):
+    """(config name, key path, value or None to drop): one key replaced, dropped or added."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    parents = [(p, v) for p, v in _walk(SHIPPED[name]) if isinstance(v, (dict, list))]
+    parent, node = draw(st.sampled_from(parents))
+    key = draw(st.sampled_from(sorted(node)) | _KEYS if isinstance(node, dict) else st.integers(0, len(node)))
+    return name, (*parent, key), draw(st.none() | _JSON.map(lambda v: [v]))
+
+
+def _apply(data, path, value):
+    *parent, key = path
+    for k in parent:
+        data = data[k]
+    if value is not None:
+        if isinstance(data, list) and key == len(data):
+            data.append(value[0])
+        else:
+            data[key] = value[0]
+    elif isinstance(data, dict):
+        data.pop(key, None)
+    elif key < len(data):
+        del data[key]
+
+
+def _names_a_key_path(message, data):
+    """Whether the message starts with a key path of ``data``, or of a key missing under one."""
+    for path, _ in _walk(data):
+        text = ""
+        for k in path:  # as config.py writes a key path
+            text = f"{text}[{k}]" if isinstance(k, int) else f"{text}.{k}" if text else k
+        if message.startswith(f"{text}: ") or re.match(re.escape(f"{text}." if text else "") + r"\w+: ", message):
+            return True
+    return False
+
+
+@given(edit=_edits())
+@example(edit=("redwine", ("measurement", "delimiter"), [";;"]))
+@settings(max_examples=150, deadline=None)
+def test_edited_shipped_config_validates_or_names_its_key(edit):
+    """One key replaced, dropped or added anywhere in a shipped config:
+    validation returns or names a key path of the input, and ``run`` writes
+    its outputs or exits 2 with one error line and no output directory."""
+    name, path, value = edit
+    data = json.loads(json.dumps(SHIPPED[name]))
+    _apply(data, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        columns = [*RED_WINE_FEATURES, RED_WINE_RESPONSE]
+        rows = [[(i * 7 + j * 3) % 11 for j in range(len(columns))] for i in range(30)]  # no constant column
+        wine = Path(tmp) / WINE
+        wine.write_text("".join(",".join(map(str, row)) + "\n" for row in [columns, *rows]))
+        measurement = data.get("measurement")
+        if isinstance(measurement, dict) and measurement.get("path") == WINE:
+            measurement["path"] = str(wine)
+        try:
+            config = validate_config(data)
+        except ConfigError as exc:
+            assert _names_a_key_path(str(exc), data), str(exc)
+            config = None
+        # Larger runs are checked by validation alone, to keep the test fast.
+        if config is not None and max(config.horizon, 1) * config.dimension * len(config.seeds) * len(
+            config.solvers
+        ) > 200_000:
+            return
+        config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config_path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(config_path), "--out-dir", str(out)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert config is not None and (out / "results.csv").exists()
+        else:
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()

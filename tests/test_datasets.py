@@ -54,6 +54,12 @@ def test_center_only(small_csv):
     assert np.all(np.abs(data.features.mean(axis=0)) < 1e-12)
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_delimiter_must_be_one_character(small_csv, delimiter):
+    with pytest.raises(ValueError, match=f"^delimiter must be a single character, got {delimiter!r}$"):
+        load_csv(small_csv, ["a", "b"], "y", delimiter=delimiter)
+
+
 def test_center_response(small_csv):
     data = load_csv(small_csv, ["a", "b"], "y", center_response=True)
     assert abs(data.responses.mean()) < 1e-12

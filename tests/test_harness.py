@@ -1,6 +1,7 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from sgdexp.results import (
     read_results_csv,
 )
 from sgdexp.solvers import run_batch
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -242,6 +245,21 @@ class TestEmitResults:
         assert set(manifest["solvers"]) == {"sgd-exp", "sgd-root"}
         assert manifest["step_law_violations"] == 0
         assert "sgd-exp" in manifest["summary"]
+
+    @pytest.mark.parametrize("name", ["oblivious_high_p", "relu_signflip"])
+    def test_manifest_means_are_the_plotted_means(self, name, tmp_path):
+        """At the config's ten seeds, past the 8 terms where numpy's pairwise
+        sum starts, the manifest's final means are aggregate_mean's last
+        points bit for bit."""
+        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        data.update(horizon=2000, checkpoint_every=500)
+        trajs = run_experiment(validate_config(data))
+        _, manifest_path = emit_results(trajs, tmp_path)
+        summary = json.loads(manifest_path.read_text())["summary"]
+        for solver, (ks, means) in aggregate_mean(trajs).items():
+            assert summary[solver]["final_k"] == ks[-1] == 2000
+            assert summary[solver]["mean_final_relative_error"] == float(means[-1])
+            assert summary[solver]["mean_final_clean_loss"] is None
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
