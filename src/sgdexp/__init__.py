@@ -14,14 +14,12 @@ from .datasets import (
     evaluate_clean_loss,
     least_squares_baseline,
     load_csv,
-    load_red_wine,
 )
 from .drift import (
     DriftParams,
     DriftWindowError,
     HittingReport,
     drift_params,
-    extract_Y_process,
     find_nonvacuous_hitting_config,
     hitting_bound,
     mc_drift_c2,

@@ -151,6 +151,14 @@ def _signal_values(v, path):
     return values
 
 
+def _signal_norm(v, path):
+    v = _positive(v, path)
+    # The engine's norm of the signal is the root of its sum of squares.
+    if not math.isfinite(v * v):
+        _fail(path, f"a signal norm needs a finite square, got {v}")
+    return v
+
+
 #: Each section tagged by ``kind``: kind -> (required fields, optional fields with defaults).
 MEASUREMENT_KINDS = {
     "gaussian_sphere": ({}, {}),
@@ -179,7 +187,7 @@ CORRUPTION_KINDS = {
 }
 SIGNAL_KINDS = {
     "standard_normal": ({}, {}),
-    "scaled_standard_normal": ({"norm": _positive}, {}),
+    "scaled_standard_normal": ({"norm": _signal_norm}, {}),
     "fixed": ({"values": _signal_values}, {}),
 }
 

@@ -8,36 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Feature/response schema used by the red-wine benchmark (10 numeric features).
-RED_WINE_FEATURES = [
-    "fixedAcidity",
-    "volatileAcidity",
-    "citricAcid",
-    "residualSugar",
-    "chlorides",
-    "freeSulfurDioxide",
-    "density",
-    "pH",
-    "sulphates",
-    "alcohol",
-]
-RED_WINE_RESPONSE = "quality"
-
-# Column names as distributed in the raw UCI file, mapped to the schema above.
-_UCI_WINE_NAMES = {
-    "fixed acidity": "fixedAcidity",
-    "volatile acidity": "volatileAcidity",
-    "citric acid": "citricAcid",
-    "residual sugar": "residualSugar",
-    "chlorides": "chlorides",
-    "free sulfur dioxide": "freeSulfurDioxide",
-    "density": "density",
-    "pH": "pH",
-    "sulphates": "sulphates",
-    "alcohol": "alcohol",
-    "quality": "quality",
-}
-
 
 @dataclass
 class DatasetMatrix:
@@ -55,18 +25,6 @@ class DatasetMatrix:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-
-def _parse_table(path, delimiter: str):
-    if len(delimiter) != 1:
-        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0]]
-    return header, rows[1:]
 
 
 def load_csv(
@@ -87,10 +45,19 @@ def load_csv(
     model without an intercept needs when the features are centered.
 
     Raises ValueError for a delimiter that is not one character, naming
-    the offending column for missing columns and the (row, column)
-    location for non-numeric or non-finite cells.
+    the offending column for missing columns, the line of a row shorter
+    than the header, and the (row, column) location for non-numeric or
+    non-finite cells.
     """
-    header, body = _parse_table(path, delimiter)
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: file is empty")
+    header = [h.strip() for h in rows[0][1]]
+    body = rows[1:]
     feature_columns = list(feature_columns)
     col_index = {}
     for name in feature_columns + [response_column]:
@@ -103,7 +70,9 @@ def load_csv(
         raise ValueError(f"{path}: no data rows")
     X = np.empty((m, len(feature_columns)))
     y = np.empty(m)
-    for i, row in enumerate(body):
+    for i, (line, row) in enumerate(body):
+        if len(row) < len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} cells, the header has {len(header)}")
         for j, name in enumerate(feature_columns + [response_column]):
             cell = row[col_index[name]].strip()
             try:
@@ -146,39 +115,6 @@ def load_csv(
     )
 
 
-def red_wine_schema(path):
-    """Returns (delimiter, feature columns, response column) of a red-wine CSV.
-
-    The comma schema uses the camelCase names of ``RED_WINE_FEATURES``;
-    the raw UCI export is semicolon separated with prose column names.
-    """
-    header, _ = _parse_table(path, ",")
-    if not (len(header) == 1 and ";" in header[0]):
-        return ",", list(RED_WINE_FEATURES), RED_WINE_RESPONSE
-    raw_header, _ = _parse_table(path, ";")
-    by_schema_name = {_UCI_WINE_NAMES.get(n, n): n for n in raw_header}
-    missing = [f for f in RED_WINE_FEATURES + [RED_WINE_RESPONSE] if f not in by_schema_name]
-    if missing:
-        raise ValueError(f"{path}: missing column {missing[0]!r}")
-    return ";", [by_schema_name[f] for f in RED_WINE_FEATURES], by_schema_name[RED_WINE_RESPONSE]
-
-
-def load_red_wine(path, z_score: bool = True, center_response: bool = True) -> DatasetMatrix:
-    """Load the red-wine quality CSV in either schema (comma or UCI semicolon)."""
-    delimiter, features, response = red_wine_schema(path)
-    data = load_csv(
-        path,
-        features,
-        response,
-        z_score=z_score,
-        center_response=center_response,
-        delimiter=delimiter,
-    )
-    data.feature_names = list(RED_WINE_FEATURES)
-    data.response_name = RED_WINE_RESPONSE
-    return data
-
-
 def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False):
     """Mean squared loss (1/m) sum (<a_i, x> - y_i)^2 against the stored responses.
 
@@ -199,16 +135,8 @@ def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False):
 
 
 def least_squares_baseline(data: DatasetMatrix) -> np.ndarray:
-    """Ordinary least-squares minimizer of the clean loss.
+    """Minimum-norm minimizer of the clean loss, for any feature matrix.
 
-    Requires m >= d and a numerically nonsingular system (smallest
-    singular value above 1e-12 relative); raises ValueError otherwise.
+    Singular values below 1e-12 of the largest count as zero.
     """
-    if data.m < data.d:
-        raise ValueError(f"need at least d={data.d} rows, got m={data.m}")
-    solution, _, rank, _ = np.linalg.lstsq(data.features, data.responses, rcond=1e-12)
-    if rank < data.d:
-        raise ValueError(
-            f"singular system: feature matrix has numerical rank {rank} < d = {data.d}"
-        )
-    return solution
+    return np.linalg.lstsq(data.features, data.responses, rcond=1e-12)[0]

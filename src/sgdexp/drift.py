@@ -209,25 +209,6 @@ def theorem_failure_probability(
     return (coeff * d / (ctilde * f) ** 2) * T ** (1.0 - math.sqrt(R) / div)
 
 
-def extract_Y_process(
-    iterates, x_true, lam: float, G: float, ks=None
-) -> np.ndarray:
-    """Scaled residual process Y_k = lam^{2k} ||x_true - x_k||^2 / G^2.
-
-    ``iterates`` is an (n, d) array of solver iterates; ``ks`` gives the
-    iteration index of each row (defaults to 0..n-1 for dense records).
-    """
-    if not lam > 1.0:
-        raise ValueError("lam must exceed 1")
-    if not G > 0.0:
-        raise ValueError("G must be positive")
-    X = np.atleast_2d(np.asarray(iterates, dtype=float))
-    x_true = np.asarray(x_true, dtype=float)
-    ks = np.arange(X.shape[0]) if ks is None else np.asarray(ks)
-    sq = np.sum((x_true[None, :] - X) ** 2, axis=1)
-    return lam ** (2.0 * ks.astype(float)) * sq / (G * G)
-
-
 def mc_hitting_probability(
     spec: SolverSpec,
     stream: StreamSpec,

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import corruption as corr_mod
 from .config import ConfigError, ExperimentConfig
-from .datasets import load_csv
+from .datasets import DatasetMatrix, evaluate_clean_loss, least_squares_baseline, load_csv
 from .measurement import (
     DatasetRows,
     GaussianSphere,
@@ -167,9 +167,14 @@ def _run_lanes(config: ExperimentConfig, p_grid) -> list:
         checkpoint_every=config.checkpoint_every,
     )
     fingerprint = config.fingerprint()
+    ls_loss = None
+    if stream.responses is not None and not stream.relu:
+        data = DatasetMatrix(stream.model.rows, stream.responses)
+        ls_loss = evaluate_clean_loss(least_squares_baseline(data), data)
     for i, traj in enumerate(trajectories):
         traj.solver = config.solvers[i // len(config.seeds) % len(config.solvers)]["name"]
         traj.fingerprint = fingerprint
+        traj.least_squares_clean_loss = ls_loss
     return trajectories
 
 

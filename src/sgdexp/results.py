@@ -36,7 +36,8 @@ def emit_results(trajectories, out_dir):
 
     Returns (csv_path, manifest_path).  Every byte of both files is
     determined by the config and seeds except the elapsed_seconds
-    column, which is informational.
+    column, which is informational.  The manifest holds
+    least_squares_clean_loss when the trajectories carry one.
     """
     if not trajectories:
         raise ValueError("no trajectories to emit")
@@ -82,6 +83,8 @@ def emit_results(trajectories, out_dir):
         "relu_gate_violations": int(sum(t.relu_gate_violations for t in trajectories)),
         "summary": summary,
     }
+    if trajectories[0].least_squares_clean_loss is not None:
+        manifest["least_squares_clean_loss"] = trajectories[0].least_squares_clean_loss
     with open(manifest_path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -156,6 +156,7 @@ class Trajectory:
     checkpoints: list
     x_final: np.ndarray
     fingerprint: str = ""
+    least_squares_clean_loss: Optional[float] = None  # of a linear dataset run
     step_law_violations: int = 0
     relu_gate_violations: int = 0
     iterates: Optional[np.ndarray] = None  # (n_checkpoints, d) when recorded

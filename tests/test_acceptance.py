@@ -5,6 +5,7 @@ lines.  The replication runs (criteria 3-6) execute once in module-scoped
 fixtures and are shared with the step-invariant audit (criterion 10).
 """
 
+import json
 import math
 import os
 from pathlib import Path
@@ -12,27 +13,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdexp.config import validate_config
+from sgdexp.cli import main
+from sgdexp.config import load_config, validate_config
 from sgdexp.corruption import AdditiveOblivious, ResidualSignAdversary, Uniform
-from sgdexp.datasets import (
-    DatasetMatrix,
-    evaluate_clean_loss,
-    least_squares_baseline,
-    load_red_wine,
-    red_wine_schema,
-)
+from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss, least_squares_baseline, load_csv
 from sgdexp.drift import (
     drift_params,
     find_nonvacuous_hitting_config,
     hitting_bound,
     mc_drift_linear_term,
-    mc_hitting_probability,
 )
 from sgdexp.experiment import run_experiment
 from sgdexp.measurement import GaussianSphere, estimate_ctilde, exact_sphere_constant
-from sgdexp.solvers import SolverSpec, StreamSpec, recommend_G, run_batch
 
 CT = math.sqrt(2.0 / math.pi)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _report(num, name, ok, detail):
@@ -234,18 +229,22 @@ def test_c06_relu_contrast(relu_runs):
     assert clean_root <= 0.1
 
 
-def test_c07_hitting_time_bound():
-    d, p = 20, 0.4
+def test_c07_hitting_time_bound(tmp_path):
+    config_path = CONFIGS / "hitting_time.json"
+    config = load_config(config_path)
+    d, p = config.dimension, config.corruption["p"]
     ct = exact_sphere_constant(d)
     params = find_nonvacuous_hitting_config(d, p, ct, target_exponent=70.0)
+    # The config writes in the search's lam and the sphere's constant.
+    assert config.solvers[0]["lam"] == params.lam and config.ctilde == ct
     exponent = params.eta * (params.b - params.a)
-    K = 10_000
-    bound = hitting_bound(params, K)
-    x_true = np.random.default_rng(123).standard_normal(d)
-    G = 1.05 * recommend_G(params.lam, float(np.linalg.norm(x_true)))
-    spec = SolverSpec(method="sgd_exp_linear", d=d, T=K, lam=params.lam, G=G)
-    stream = StreamSpec(model=GaussianSphere(d), corruption=ResidualSignAdversary(p))
-    report = mc_hitting_probability(spec, stream, x_true, params, K, 100, seed=7)
+    code = main(
+        ["drift-check", str(config_path), "--mc", "100", "--seed", "7", "--out-dir", str(tmp_path), "--quiet"]
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "drift_report.json").read_text())
+    assert report["drift_params"] == params.to_dict()
+    K, bound_raw, mc = report["K"], report["hitting_bound_raw"], report["mc"]
 
     one = hitting_bound(params, 1).raw
     linear_exact = all(
@@ -256,16 +255,16 @@ def test_c07_hitting_time_bound():
         hitting_bound(params, k1).raw <= hitting_bound(params, k2).raw
         for k1, k2 in [(0, 1), (1, 5), (5, 500), (500, K)]
     )
-    ok = exponent >= 60.0 and bound.raw < 1e-20 and report.empirical_prob == 0.0 and linear_exact and monotone
+    ok = exponent >= 60.0 and bound_raw < 1e-20 and mc["empirical_prob"] == 0.0 and linear_exact and monotone
     _report(
         7,
         "hitting-time tail bound",
         ok,
-        f"eta(b-a)={exponent:.1f}, bound {bound.raw:.2e}, hits {report.empirical_prob:.0%} of {report.n_runs}",
+        f"eta(b-a)={exponent:.1f}, bound {bound_raw:.2e}, hits {mc['empirical_prob']:.0%} of {mc['n_runs']}",
     )
     assert exponent >= 60.0
-    assert bound.raw < 1e-20
-    assert report.empirical_prob == 0.0
+    assert bound_raw < 1e-20
+    assert mc["empirical_prob"] == 0.0
     assert linear_exact and monotone
 
 
@@ -297,7 +296,7 @@ def _wine_path():
     return None
 
 
-def test_c09_dataset_pipeline():
+def test_c09_dataset_pipeline(tmp_path):
     path = _wine_path()
     if path is None:
         # dataset absent: the criterion falls back to the planted oracle
@@ -312,12 +311,20 @@ def test_c09_dataset_pipeline():
         assert ok
         return
 
-    data = load_red_wine(path)
-    assert data.m == 1599
-    x_ls = least_squares_baseline(data)
-    clean_ls = evaluate_clean_loss(x_ls, data)
+    # The shipped config, pointed at the file, does the pipeline's own preprocessing.
+    redwine = json.loads((CONFIGS / "redwine.json").read_text())
+    redwine["measurement"]["path"] = str(path)
+    config_path, out = tmp_path / "redwine.json", tmp_path / "out"
+    config_path.write_text(json.dumps(redwine))
+    assert main(["run", str(config_path), "--out-dir", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "results.manifest.json").read_text())
+    clean_ls = manifest["least_squares_clean_loss"]
+    sgd_loss = manifest["summary"]["sgd-exp"]["mean_final_clean_loss"]
 
-    # corrupt responses: p=0.2, uniform on [-300, 300]
+    # least squares on corrupted responses: p=0.2, uniform on [-300, 300]
+    m = redwine["measurement"]
+    data = load_csv(path, m["features"], m["response"], z_score=True, center_response=True)
+    assert data.m == 1599
     rng = np.random.default_rng(7)
     corrupted = data.responses.copy()
     mask = rng.random(data.m) < 0.2
@@ -325,34 +332,6 @@ def test_c09_dataset_pipeline():
     corrupted_data = DatasetMatrix(features=data.features, responses=corrupted)
     corrupted_ls_loss = evaluate_clean_loss(least_squares_baseline(corrupted_data), data)
 
-    # the config pipeline owns all preprocessing, in the file's own schema
-    delimiter, features, response = red_wine_schema(path)
-    config = validate_config(
-        {
-            "dimension": 10,
-            "horizon": 1599,
-            "seeds": list(range(1, 11)),
-            "checkpoint_every": 1599,
-            "measurement": {
-                "kind": "dataset_rows",
-                "path": str(path),
-                "features": features,
-                "response": response,
-                "delimiter": delimiter,
-                "z_score": True,
-                "center_response": True,
-            },
-            "corruption": {
-                "kind": "additive_oblivious",
-                "p": 0.2,
-                "law": {"kind": "uniform", "half_width": 300.0},
-            },
-            "solvers": [{"name": "sgd-exp", "method": "sgd_exp_linear", "lam": 1.006, "G": 0.5}],
-            "metrics": ["clean_l2_loss"],
-        }
-    )
-    trajs = run_experiment(config)
-    sgd_loss = float(np.mean([t.checkpoints[-1].clean_loss for t in trajs]))
     ok = abs(clean_ls - 0.4220) <= 0.021 and corrupted_ls_loss > 10.0 and sgd_loss <= 0.55
     _report(
         9,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdexp
-from sgdexp.cli import main
+from sgdexp.cli import build_parser, main
 from sgdexp.results import CSV_HEADER
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -384,6 +384,38 @@ def test_dataset_prep_delimiter_of_two_characters(tmp_path, capsys):
     assert not out.exists()
 
 
+SHORT_ROW_CSV = "a,b,y\n1,2,3\n4,5\n"
+
+
+def test_dataset_prep_row_shorter_than_header(tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    src.write_text(SHORT_ROW_CSV)
+    out = tmp_path / "x.csv"
+    code = main(["dataset", "prep", str(src), "--features", "a,b", "--response", "y", "-o", str(out)])
+    assert code == 2
+    assert _error_line(capsys) == f"error: {src}: line 3 has 2 cells, the header has 3"
+    assert not out.exists()
+
+
+def test_run_on_a_row_shorter_than_header(tmp_path, capsys):
+    src = tmp_path / "raw.csv"
+    src.write_text(SHORT_ROW_CSV)
+    config = {
+        "dimension": 2,
+        "horizon": 10,
+        "seeds": [1],
+        "measurement": {"kind": "dataset_rows", "path": str(src), "features": ["a", "b"], "response": "y"},
+        "corruption": {"kind": "none"},
+        "solvers": [{"method": "sgd_exp_linear", "lam": 1.001, "G": 1.0}],
+        "metrics": ["clean_l2_loss"],
+    }
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
+    assert _error_line(capsys) == f"error: {src}: line 3 has 2 cells, the header has 3"
+    assert not out.exists()
+
+
 def test_plot_from_csv(config_path, tmp_path):
     out = tmp_path / "run_out"
     assert main(["run", str(config_path), "--out-dir", str(out), "--quiet"]) == 0
@@ -553,3 +585,18 @@ def test_sweep_dataset_config_clean_loss(dataset_config_path, tmp_path):
     assert lines[0] == "solver,p,k,mean_value,n_seeds,metric"
     assert len(lines) == 1 + 2 * 4
     assert all(line.endswith(",2,clean_l2_loss") for line in lines[1:])
+
+
+def test_readme_experiment_commands_exist():
+    """Each command of the README's experiment block parses and names a file that exists."""
+    root = CONFIGS.parent
+    block = (root / "README.md").read_text().split("## Experiment scripts", 1)[1].split("```")[1]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines() if line.strip()]
+    assert commands
+    for words in commands:
+        if words[0] == "sgdexp":
+            target = build_parser().parse_args(words[1:]).config
+        else:
+            assert words[0] == "python", words
+            target = words[1]
+        assert (root / target).is_file(), words

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from sgdexp.cli import main
 from sgdexp.config import ConfigError, load_config, validate_config
-from sgdexp.datasets import RED_WINE_FEATURES, RED_WINE_RESPONSE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -212,6 +211,22 @@ def test_all_zero_fixed_signal_rejected_up_front(G, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_signal_norm_whose_square_overflows_rejected_up_front(tmp_path, capsys):
+    # Its relative error would be NaN at every checkpoint, leaving nothing to plot.
+    data = minimal()
+    data["dimension"] = 5
+    data["signal"] = {"kind": "scaled_standard_normal", "norm": 1e300}
+    with pytest.raises(ConfigError, match=r"^signal\.norm: a signal norm needs a finite square"):
+        validate_config(data)
+    config_path = tmp_path / "huge.json"
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signal.norm") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_oblivious_law_required():
     data = minimal()
     data["corruption"] = {"kind": "additive_oblivious", "p": 0.5}
@@ -278,6 +293,7 @@ def _small_shipped(path):
 
 
 SHIPPED = {p.stem: _small_shipped(p) for p in sorted(CONFIGS.glob("*.json"))}
+WINE_COLUMNS = SHIPPED["redwine"]["measurement"]
 _KEYS = st.sampled_from(
     ["kind", "p", "law", "delimiter", "base", "norm", "values", "G", "gamma", "lam", "g_scale",
      "schedule", "m", "name", "method", "signal", "metrics", "ctilde", "response", "z_score"]
@@ -349,7 +365,7 @@ def test_edited_shipped_config_validates_or_names_its_key(edit):
     data = json.loads(json.dumps(SHIPPED[name]))
     _apply(data, path, value)
     with tempfile.TemporaryDirectory() as tmp:
-        columns = [*RED_WINE_FEATURES, RED_WINE_RESPONSE]
+        columns = [*WINE_COLUMNS["features"], WINE_COLUMNS["response"]]
         rows = [[(i * 7 + j * 3) % 11 for j in range(len(columns))] for i in range(30)]  # no constant column
         wine = Path(tmp) / WINE
         wine.write_text("".join(",".join(map(str, row)) + "\n" for row in [columns, *rows]))

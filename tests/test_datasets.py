@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from pathlib import Path
@@ -5,17 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdexp.datasets import (
-    RED_WINE_FEATURES,
-    RED_WINE_RESPONSE,
-    DatasetMatrix,
-    evaluate_clean_loss,
-    least_squares_baseline,
-    load_csv,
-    load_red_wine,
-    red_wine_schema,
-)
+from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss, least_squares_baseline, load_csv
 
+REDWINE = json.loads((Path(__file__).resolve().parent.parent / "configs" / "redwine.json").read_text())
 WINE_PATHS = [
     Path(__file__).resolve().parent.parent / "data" / "winequality-red.csv",
 ]
@@ -196,67 +189,25 @@ class TestLeastSquares:
         x_hat = least_squares_baseline(data)
         assert np.max(np.abs(A.T @ (A @ x_hat - y))) <= 1e-8
 
-    def test_rank_deficiency_errors(self):
-        A = np.ones((6, 2))  # duplicate columns
-        data = DatasetMatrix(features=A, responses=np.arange(6.0))
-        with pytest.raises(ValueError, match="singular"):
-            least_squares_baseline(data)
-
-    def test_underdetermined_errors(self):
-        data = DatasetMatrix(features=np.ones((2, 3)), responses=np.zeros(2))
-        with pytest.raises(ValueError, match="rows"):
-            least_squares_baseline(data)
-
 
 class TestRedWineLoader:
-    def test_uci_schema_mapping(self, tmp_path):
-        # raw UCI export style: semicolon delimiter, prose column names
+    def test_raw_uci_export_reads_with_its_delimiter_and_names(self, tmp_path):
+        # The raw UCI file is semicolon separated, with quoted prose column names.
         path = tmp_path / "uci.csv"
-        header = (
-            "fixed acidity;volatile acidity;citric acid;residual sugar;chlorides;"
-            "free sulfur dioxide;density;pH;sulphates;alcohol;quality"
-        )
+        names = [
+            "fixed acidity", "volatile acidity", "citric acid", "residual sugar", "chlorides",
+            "free sulfur dioxide", "density", "pH", "sulphates", "alcohol",
+        ]
+        header = ";".join(f'"{n}"' for n in names + ["quality"])
         rows = [";".join(str(v + i) for v in range(11)) for i in range(12)]
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
-        data = load_red_wine(path, z_score=False, center_response=False)
-        assert data.feature_names == RED_WINE_FEATURES
-        assert data.response_name == RED_WINE_RESPONSE
+        data = load_csv(path, names, "quality", delimiter=";")
         assert data.m == 12 and data.d == 10
         assert data.responses[0] == 10.0
 
-    def test_schema_of_each_layout(self, tmp_path):
-        uci = tmp_path / "uci.csv"
-        uci.write_text(
-            '"fixed acidity";"volatile acidity";"citric acid";"residual sugar";'
-            '"chlorides";"free sulfur dioxide";"density";"pH";"sulphates";"alcohol";'
-            '"quality"\n' + ";".join(["1"] * 11) + "\n"
-        )
-        delimiter, features, response = red_wine_schema(uci)
-        assert delimiter == ";"
-        assert features[0] == "fixed acidity" and features[-1] == "alcohol"
-        assert len(features) == 10 and response == "quality"
-
-        comma = tmp_path / "wine.csv"
-        comma.write_text(",".join(RED_WINE_FEATURES + [RED_WINE_RESPONSE]) + "\n")
-        assert red_wine_schema(comma) == (",", RED_WINE_FEATURES, RED_WINE_RESPONSE)
-
-    def test_uci_schema_missing_column(self, tmp_path):
-        path = tmp_path / "uci.csv"
-        path.write_text("fixed acidity;quality\n1;2\n")
-        with pytest.raises(ValueError, match="missing column 'volatileAcidity'"):
-            red_wine_schema(path)
-
-    def test_comma_schema(self, tmp_path):
-        path = tmp_path / "wine.csv"
-        header = ",".join(RED_WINE_FEATURES + [RED_WINE_RESPONSE])
-        rows = [",".join(str(v + i) for v in range(11)) for i in range(12)]
-        path.write_text(header + "\n" + "\n".join(rows) + "\n")
-        data = load_red_wine(path, z_score=True)
-        assert data.m == 12
-        assert np.all(np.abs(data.features.mean(axis=0)) < 1e-9)
-
     @pytest.mark.skipif(wine_path() is None, reason="red wine CSV not present")
     def test_real_dataset_row_count(self):
-        data = load_red_wine(wine_path())
+        m = REDWINE["measurement"]
+        data = load_csv(wine_path(), m["features"], m["response"])
         assert data.m == 1599
         assert data.d == 10

@@ -15,7 +15,6 @@ from sgdexp.drift import (
     DRIFT_CHUNK,
     DriftWindowError,
     drift_params,
-    extract_Y_process,
     find_nonvacuous_hitting_config,
     hitting_bound,
     mc_drift_c2,
@@ -212,27 +211,7 @@ class TestTheoremBounds:
 
 
 class TestExtractYProcess:
-    def test_initial_point(self):
-        x_true = np.array([3.0, 4.0])
-        y = extract_Y_process(np.zeros((1, 2)), x_true, 1.5, 2.0)
-        assert y[0] == pytest.approx(25.0 / 4.0, rel=1e-15)
-
-    def test_zero_error_iterate(self):
-        x_true = np.array([1.0, -1.0])
-        y = extract_Y_process(np.vstack([np.zeros(2), x_true]), x_true, 1.5, 2.0)
-        assert y[1] == 0.0
-
-    def test_recomputation_oracle(self):
-        d, lam, G = 3, 1.2, 0.7
-        x_true = np.array([0.3, -1.0, 2.0])
-        spec = SolverSpec(method="sgd_exp_linear", d=d, T=5, lam=lam, G=G)
-        stream = StreamSpec(model=GaussianSphere(d), corruption=NoCorruption())
-        traj = run_batch(spec, stream, [21], x_true=x_true, checkpoint_every=1, record_iterates=True)[0]
-        ks = [cp.k for cp in traj.checkpoints]
-        ys = extract_Y_process(traj.iterates, x_true, lam, G, ks=ks)
-        for k, x_k in zip(ks, traj.iterates):
-            manual = lam ** (2.0 * k) * np.sum((x_true - x_k) ** 2) / G**2
-            assert ys[ks.index(k)] == pytest.approx(manual, rel=1e-12)
+    """The scaled residual Y_k = lam^{2k} ||x_true - x_k||^2 / G^2 of recorded iterates."""
 
     def test_consistency_with_squared_norm_recursion(self):
         # Y_{k+1} from raw iterates matches lam^2 (Y_k - 2 <u_k, a_k> s_k + s_k^2)
@@ -245,19 +224,13 @@ class TestExtractYProcess:
         # replay the measurement substream to recover a_k
         meas = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1])
         A, _ = sample_block(GaussianSphere(d), meas, T)
-        ys = extract_Y_process(traj.iterates, x_true, lam, G)
+        ys = lam ** (2.0 * np.arange(T + 1.0)) * np.sum((x_true - traj.iterates) ** 2, axis=1) / (G * G)
         for k in range(T):
             u_k = lam**k * (x_true - traj.iterates[k]) / G
             resid = float(np.dot(x_true - traj.iterates[k], A[k]))
             s = np.sign(resid)
             want = lam**2 * (ys[k] - 2.0 * float(u_k @ A[k]) * s + s * s)
             assert ys[k + 1] == pytest.approx(want, rel=1e-10, abs=1e-12)
-
-    def test_requires_valid_scales(self):
-        with pytest.raises(ValueError):
-            extract_Y_process(np.zeros((1, 2)), np.ones(2), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            extract_Y_process(np.zeros((1, 2)), np.ones(2), 1.5, 0.0)
 
 
 def _hitting_setup(scale=1.05, seed=123):

@@ -17,16 +17,23 @@ import numpy as np
 import pytest
 
 from sgdexp.config import validate_config
-from sgdexp.datasets import RED_WINE_FEATURES, RED_WINE_RESPONSE
+from sgdexp.datasets import evaluate_clean_loss, least_squares_baseline, load_csv
 from sgdexp.experiment import run_experiment, run_sweep
 from sgdexp.results import emit_plot, emit_results, emit_sweep_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL = {"horizon": 2000, "seeds": [1, 2], "checkpoint_every": 250}
 WINE_CSV = "winequality-red-small.csv"
+WINE_COLUMNS = json.loads((CONFIGS / "redwine.json").read_text())["measurement"]
 
 # Computed at the commit before the engine's rule table, from that commit's code.
 DIGESTS = {
+    # Computed at the commit before this config shipped, from that commit's code.
+    "hitting_time": {
+        "results": "4dad3825e383602b21b5b8b05f2992344de4a21d2aa285a83f9c29f83896044e",
+        "manifest": "44a2bf1cb3dfc1cfff39b740a7cab6c9f082a482fee00f2ef8a94efc0e5a1abd",
+        "svg": "7818fa85f8cd51c8c5558935ba315a6f9ccb1ac2ab114588c7a6cd9611dce885",
+    },
     "linear_signflip": {
         "results": "a3a31dde55ecd8148a96250dde496cc1ee3c8c8ce3db4cd6e67962fbdcd1d286",
         "manifest": "629152cd37e24326dc8bc9a8e32d8fcff80d481b085eb8a51994d7ce7ce70d99",
@@ -39,7 +46,8 @@ DIGESTS = {
     },
     "redwine": {
         "results": "7f3ef339cb21a0d5e61eb4ac81b8ff4f25fd2c55b6c8afd4dcc3f36021244827",
-        "manifest": "473412504a42d026e47ca54d3a9836ffc9f4ba5f416e123e84af9171bbcef3a4",
+        # Recomputed when the manifest gained least_squares_clean_loss; nothing else moved.
+        "manifest": "1839908aa69193c59efdcc379194e7f410ca346fcbb56f566581c3c3f0256b59",
         "svg": "744b7a87ad22d19fc062f436730c321b73d36582b3ae9d2f09bc5343380bc2b5",
     },
     "relu_clean_glmtron": {
@@ -95,9 +103,10 @@ def _sha(data: bytes) -> str:
 def _write_wine_csv(path: Path) -> None:
     """A 200-row CSV in the red-wine schema, fixed by its numpy seed."""
     rng = np.random.default_rng(20240301)
-    X = rng.normal(size=(200, len(RED_WINE_FEATURES))) * 2.0 + 5.0
+    features = WINE_COLUMNS["features"]
+    X = rng.normal(size=(200, len(features))) * 2.0 + 5.0
     quality = np.clip(np.round(5.6 + 0.3 * (X[:, 9] - 5.0) + rng.normal(size=200)), 3, 8)
-    lines = [",".join(RED_WINE_FEATURES + [RED_WINE_RESPONSE])]
+    lines = [",".join(features + [WINE_COLUMNS["response"]])]
     for row, q in zip(X, quality):
         lines.append(",".join(format(v, ".6f") for v in row) + f",{int(q)}")
     path.write_text("\n".join(lines) + "\n")
@@ -134,12 +143,26 @@ def sweep_digest(out_dir: Path) -> str:
 
 @pytest.mark.parametrize(
     "name",
-    ["linear_signflip", "oblivious_high_p", "redwine", "relu_clean_glmtron", "relu_signflip"],
+    ["hitting_time", "linear_signflip", "oblivious_high_p", "redwine", "relu_clean_glmtron", "relu_signflip"],
 )
 def test_shipped_config_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_wine_csv(tmp_path / WINE_CSV)
     assert emit_digests(name, tmp_path / "out") == DIGESTS[name]
+
+
+def test_redwine_least_squares_reference(tmp_path, monkeypatch):
+    """The manifest's least_squares_clean_loss is the clean loss of the
+    least-squares fit to the run's preprocessed rows, bit for bit."""
+    monkeypatch.chdir(tmp_path)
+    _write_wine_csv(tmp_path / WINE_CSV)
+    config = small_config("redwine")
+    _, manifest_path = emit_results(run_experiment(config), tmp_path / "out")
+    m = config.measurement
+    preprocessing = ("center", "z_score", "row_normalize", "center_response", "delimiter")
+    data = load_csv(m["path"], m["features"], m["response"], **{k: m[k] for k in preprocessing})
+    want = evaluate_clean_loss(least_squares_baseline(data), data)
+    assert json.loads(manifest_path.read_text())["least_squares_clean_loss"] == want
 
 
 def test_sweep_digest(tmp_path):

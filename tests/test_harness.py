@@ -261,6 +261,27 @@ class TestEmitResults:
             assert summary[solver]["mean_final_relative_error"] == float(means[-1])
             assert summary[solver]["mean_final_clean_loss"] is None
 
+    @pytest.mark.parametrize("name", ["linear_signflip", "relu_signflip", "relu_dataset"])
+    def test_least_squares_reference_only_in_linear_dataset_manifests(self, name, tmp_path):
+        if name == "relu_dataset":
+            solver = {"name": "sgd-exp", "method": "sgd_exp_relu", "lam": 1.01, "G": 1.0}
+            cfg = dataset_config(tmp_path, response="relu", solvers=[solver])
+        else:
+            data = json.loads((CONFIGS / f"{name}.json").read_text())
+            data.update(horizon=200, seeds=[1], checkpoint_every=100)
+            cfg = validate_config(data)
+        _, manifest_path = emit_results(run_experiment(cfg), tmp_path / "out")
+        assert "least_squares_clean_loss" not in json.loads(manifest_path.read_text())
+
+    def test_least_squares_reference_of_a_duplicated_feature_column(self, tmp_path):
+        cfg = dataset_config(tmp_path)
+        cfg = cfg.with_updates(measurement=dict(cfg.measurement, features=["f1", "f2", "f1"]))
+        trajs = run_experiment(cfg)
+        _, manifest_path = emit_results(trajs, tmp_path / "out")
+        reference = json.loads(manifest_path.read_text())["least_squares_clean_loss"]
+        assert np.isfinite(reference)
+        assert all(reference <= cp.clean_loss for t in trajs for cp in t.checkpoints)
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], tmp_path)
