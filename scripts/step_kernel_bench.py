@@ -2,19 +2,23 @@
 """Time the engine's step function alone: ns per lane-step, compiled kernel against numpy body.
 
 One block of steps in each of three shapes, the step function's share of
-the three benchmark workloads:
+the three benchmark workloads, at the engine's block length for the
+shape (``solvers.BLOCK_VALUES`` measurement values, at most 1024 steps):
 
 - sweep:   G 8, S 10, d 100.  Per corruption level, one gated sign group
            (step-law and gate audits on) and three GLM-Tron groups, under
-           sign flips; 250 steps, the engine's block at 80 lanes of d 100.
+           sign flips; 262 steps.
 - dataset: G 1, S 10, d 10.  One audited sign group; 1024 steps.
 - hitting: G 1, S 100, d 20.  One sign group under the residual-sign
-           adversary, with hitting times and no audit; 1000 steps.
+           adversary, with hitting times and no audit; 131 steps.
 
 Inputs come from a fixed seed, the block is stepped on the calling thread
-from the same starting iterates in every repeat, and the best repeat is
-reported.  (That both bodies end in the same bits is tested in
-tests/test_kernel.py.)  Last, the best time of each compiled part's
+over all seeds (``sk_advance``'s seed range [0, S)) from the same starting
+iterates in every repeat, and the best repeat is reported.  (That both
+bodies end in the same bits is tested in tests/test_kernel.py.)  Then the
+draw the engine makes per block of a sphere stream, ``sample_seeds`` of
+every seed's rows and corruption uniforms, in ns per measurement value on
+the sweep and hitting shapes; last, the best time of each compiled part's
 load-time self-test, from ``_kernel.PARTS``.
 
     PYTHONPATH=src python scripts/step_kernel_bench.py [--repeat 7]
@@ -30,16 +34,17 @@ import numpy as np
 
 from sgdexp import _kernel
 from sgdexp.corruption import ResidualSignAdversary, SignFlip
-from sgdexp.measurement import GaussianSphere, sample_block
+from sgdexp.measurement import GaussianSphere, sample_block, sample_seeds
 from sgdexp.solvers import (
     AUDIT_GATE,
     AUDIT_STEP_LAW,
+    BLOCK_VALUES,
     GATED_SIGN,
     GLMTRON,
     SIGN,
     _bind_c,
     _decays,
-    _set_block,
+    _set_responses,
     _step_numpy,
     _step_state,
 )
@@ -63,20 +68,38 @@ def _state(kinds, audits, ps, S, d, n, relu, adversary, hitting, seed=0):
         steps[g] = decay if kinds[g] == GLMTRON else 2.0 * decay
     corr = (ResidualSignAdversary if adversary else SignFlip)(max(ps))
     st = _step_state(
-        np.zeros((G, S, d)), kinds, audits, relu, corr, P,
+        np.zeros((G, S, d)), kinds, audits, relu, corr, P, n,
         hitting=(Xt, np.full(S, 4.0), 1e300, LAM) if hitting else None,
     )
-    _set_block(st, A, clean, XI, steps)
+    st.A[...], st.clean[...], st.XI[...], st.steps[...] = A, clean, XI, steps
+    _set_responses(st, slice(None), n)
     return st
+
+
+def _block(S, d):
+    """The engine's block length for S seeds of dimension d."""
+    return min(1024, BLOCK_VALUES // (S * d))
 
 
 def _shapes():
     sweep_kinds = [GATED_SIGN, GLMTRON, GLMTRON, GLMTRON] * 2
     sweep_audits = [AUDIT_STEP_LAW | AUDIT_GATE, 0, 0, 0] * 2
-    sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, 250, True, False, False)
-    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, 1024, False, False, False)
-    hitting = _state([SIGN], [0], [0.4], 100, 20, 1000, False, True, True)
+    sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, _block(10, 100), True, False, False)
+    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, _block(10, 10), False, False, False)
+    hitting = _state([SIGN], [0], [0.4], 100, 20, _block(100, 20), False, True, True)
     return {"sweep": sweep, "dataset": dataset, "hitting": hitting}
+
+
+def _draw_ns(S, d, repeat):
+    """Best ns per measurement value of one ``sample_seeds`` block: S seeds' rows of d and their uniforms."""
+    n = _block(S, d)
+    A, XI = np.empty((S, n, d)), np.empty((S, n))
+    rngs = [np.random.default_rng(seed) for seed in range(2 * S)]
+    model = GaussianSphere(d)
+    best = min(
+        timeit.repeat(lambda: sample_seeds(model, rngs[:S], A, uniforms=(rngs[S:], XI)), number=1, repeat=repeat)
+    )
+    return 1e9 * best / A.size
 
 
 def _time(st, advance, repeat):
@@ -106,9 +129,12 @@ def main():
         (G, S, d), n = st.x.shape, st.A.shape[1]
         lane_steps = G * S * n
         numpy_s = _time(st, lambda j0, j1, k: _step_numpy(st, j0, j1, k), max(1, args.repeat // 3))
-        kernel_s = float("nan") if lib is None else _time(st, _bind_c(lib, st), args.repeat)
+        kernel_s = float("nan") if lib is None else _time(st, _bind_c(lib, st, range(S)), args.repeat)
         kernel_ns, numpy_ns = 1e9 * kernel_s / lane_steps, 1e9 * numpy_s / lane_steps
         print(f"{name:8} {G:3d} {S:4d} {d:4d} {n:5d} {kernel_ns:10.1f} {numpy_ns:10.1f} {numpy_ns / kernel_ns:6.1f}")
+    print(f"Gaussian fill: {_kernel.status()['Gaussian fill']}")
+    for name, S, d in (("sweep", 10, 100), ("hitting", 100, 20)):
+        print(f"{name} draw (S {S}, d {d}, n {_block(S, d)}): {_draw_ns(S, d, args.repeat):.2f} ns per value")
     for name, part in _kernel.PARTS.items():
         part_lib = _kernel.load(name)
         if part_lib is not None:

@@ -10,7 +10,10 @@ it copies belong to this numpy build, not to numpy's contract.
 - ``_stepkernel.c``, the engine's step, tested on its einsum-order dot.
 - ``_normalfill.c``, rows of ``Generator.standard_normal`` by numpy's own
   ziggurat (linked from numpy's ``random/lib/libnpyrandom.a``), each divided by
-  its norm in the same pass; tested on values and generator state.
+  its norm in the same pass.  Its one draw entry, ``sk_sphere_fill``, takes a
+  list of generators, and optionally one more per seed for ``Generator.random``
+  uniforms, so one call draws a whole engine block; tested on values and on
+  the state each generator ends in.
 
 When gcc, the archive or numpy's ``bitgen.h`` is missing, the build fails
 or a self-test finds a difference, that part alone is turned off, with one
@@ -115,6 +118,11 @@ def open_library(part: Part, path: Path):
     return lib
 
 
+def bitgens(rngs):
+    """A C array of the ``bitgen_t *`` of each Generator in ``rngs``, as ``sk_sphere_fill`` takes them."""
+    return (_ptr * len(rngs))(*(rng.bit_generator.ctypes.bit_generator.value for rng in rngs))
+
+
 def dot_self_test(lib) -> None:
     """Raise KernelUnavailable unless the kernel's dot equals np.einsum on every entry.
 
@@ -148,30 +156,40 @@ def dot_self_test(lib) -> None:
 
 
 def sphere_self_test(lib) -> None:
-    """Raise KernelUnavailable unless ``sk_sphere_fill`` gives numpy's normalized rows.
+    """Raise KernelUnavailable unless ``sk_sphere_fill`` gives numpy's normalized rows and uniforms.
 
-    Two rows at each of SPHERE_TEST_DIMS, drawn in that order, against one
-    ``standard_normal`` of them all (~300 words through numpy's slow path),
-    each block's ``sqrt(add.reduce(g * g, axis=1))`` (``np.linalg.norm``'s
-    sum) and the divide; the generator must also end in the same state.
+    Per length in SPHERE_TEST_DIMS, one call draws a row from each of two
+    generators, and a uniform from each of two more, into strided
+    outputs.  Against each generator's one ``standard_normal`` of all its
+    rows (~150 words each through numpy's slow path), each row's
+    ``sqrt(add.reduce(g * g, axis=1))`` (``np.linalg.norm``'s sum) and the
+    divide, and each ``random`` of all its uniforms; every generator must
+    also end in the same state.
     """
-    want_rng, got_rng = np.random.default_rng(20240502), np.random.default_rng(20240502)
-    dims = np.repeat(SPHERE_TEST_DIMS, 2)  # the length of each row
-    starts = np.concatenate([[0], np.cumsum(dims)])[::2].tolist()  # each block's first value
-    blocks = list(zip(starts, SPHERE_TEST_DIMS))
-    want = want_rng.standard_normal(starts[-1])
+    seeds, dims = (20240502, 20240503, 20240504, 20240505), SPHERE_TEST_DIMS
+    want_rngs, got_rngs = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+    total, calls = sum(dims), len(dims)
+    starts = np.concatenate([[0], np.cumsum(dims)])[:-1].tolist()  # each row's first value
+    want = np.stack([rng.standard_normal(total) for rng in want_rngs[:2]])
     squares = want * want
-    sums = [np.add.reduce(squares[i : i + 2 * d].reshape(2, d), axis=1) for i, d in blocks]
-    want /= np.repeat(np.sqrt(np.concatenate(sums)), dims)
-    got = np.empty_like(want)
-    bitgen, at = got_rng.bit_generator.ctypes.bit_generator, got.ctypes.data
-    zeros = sum(lib.sk_sphere_fill(bitgen, 2, d, at + 8 * i) for i, d in blocks)
+    norms = [np.add.reduce(squares[:, i : i + d].reshape(2, 1, d), axis=2) for i, d in zip(starts, dims)]
+    want /= np.repeat(np.sqrt(np.concatenate(norms, axis=1)), dims, axis=1)
+    want_xi = np.stack([rng.random(calls) for rng in want_rngs[2:]])
+    got, got_xi, zeros = np.empty_like(want), np.empty_like(want_xi), np.empty(2, dtype=np.int64)
+    gens, xi_gens = (bitgens(got_rngs[i : i + 2]) for i in (0, 2))
+    at, xi_at, zeros_at = got.ctypes.data, got_xi.ctypes.data, zeros.ctypes.data
+    lost = sum(
+        lib.sk_sphere_fill(2, gens, xi_gens, 1, d, at + 8 * i, total, xi_at + 8 * c, calls, zeros_at)
+        for c, (i, d) in enumerate(zip(starts, dims))
+    )
     bad = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
-    if bad or zeros:
+    bad += int(np.count_nonzero(got_xi.view(np.uint64) != want_xi.view(np.uint64)))
+    if bad or lost:
         raise KernelUnavailable(
-            f"self-test: the sphere pass differs from numpy's normalized rows on {bad} of {want.size} values"
+            f"self-test: the sphere pass differs from numpy's normalized rows and uniforms on {bad} of "
+            f"{want.size + want_xi.size} values"
         )
-    if got_rng.bit_generator.state != want_rng.bit_generator.state:
+    if any(g.bit_generator.state != w.bit_generator.state for g, w in zip(got_rngs, want_rngs)):
         raise KernelUnavailable("self-test: the sphere pass leaves another generator state")
 
 
@@ -182,11 +200,11 @@ PARTS = {
         source=Path(__file__).with_name("_stepkernel.c"),
         functions={
             "sk_dots": (None, [_i64, _i64, _ptr, _ptr, _ptr]),
-            # G, S, n, d, j0, j1; x, A, Y, clean, XI, P; the relu link; steps,
-            # kind, audit, step_viol, gate_viol; then the hitting-time state.
+            # G, S, n, d, s_lo, s_hi, j0, j1; x, A, Y, clean, XI, P; the relu link;
+            # steps, kind, audit, step_viol, gate_viol; then the hitting-time state.
             "sk_advance": (
                 None,
-                [_i64] * 6 + [_ptr] * 6 + [ctypes.c_int] + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _i64, _ptr],
+                [_i64] * 8 + [_ptr] * 6 + [ctypes.c_int] + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _i64, _ptr],
             ),
         },
         self_test=dot_self_test,
@@ -194,7 +212,11 @@ PARTS = {
     "Gaussian fill": Part(
         stem="normalfill",
         source=Path(__file__).with_name("_normalfill.c"),
-        functions={"sk_sphere_fill": (_i64, [_ptr, _i64, _i64, _ptr]), "sk_normal_init": (None, [])},
+        functions={
+            # m, gens, xi_gens, rows, d; out and its seed stride, xi and its seed stride; zeros.
+            "sk_sphere_fill": (_i64, [_i64, _ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr]),
+            "sk_normal_init": (None, []),
+        },
         self_test=sphere_self_test,
         # -O3 vectorizes the sphere pass's lane sums and divide, which moves no bit: lanewise
         # adds keep their order, and IEEE divide and sqrt are correctly rounded in every lane.
@@ -207,7 +229,7 @@ PARTS = {
 
 #: Each part tried so far: its library, or why numpy runs in its place.
 _libs = {}
-# The draw pool's workers can ask for the fill while the engine asks for the kernel.
+# An engine call's two seed owners (or two calls on their own threads) can ask for a part at once.
 _lock = threading.Lock()
 
 

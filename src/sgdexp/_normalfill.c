@@ -13,7 +13,10 @@
  * sk_sphere_fill draws rows of such normals and divides each row by its
  * norm while it is still in L1, as np.linalg.norm(g, axis=1) and g / norms
  * would: the sum of squares in the order of numpy's pairwise add.reduce,
- * then a correctly rounded sqrt and divide.
+ * then a correctly rounded sqrt and divide.  One call serves several
+ * generators (the seeds of one engine block), and draws each seed's
+ * uniforms too, so a block's draws take one call without the interpreter
+ * lock.
  */
 #include <math.h>
 #include <stdint.h>
@@ -117,25 +120,41 @@ static double pairwise_sumsq(const double *a, int64_t n)
     return pairwise_sumsq(a, n2) + pairwise_sumsq(a + n2, n - n2);
 }
 
-/* Fill `rows` rows of d normals and divide each by its norm.  (numpy's
- * reduce adds its sum to add's identity 0.0, which moves no sum of squares.)
- * A row of norm 0 is left as drawn; the number of such rows is returned,
- * for the caller to redraw. */
-int64_t sk_sphere_fill(bitgen_t *bitgen, int64_t rows, int64_t d, double *out)
+/* For each of m seeds i: `rows` rows of d normals from gens[i] at
+ * out + i * out_stride, each divided by its norm, and, where xi_gens is not
+ * NULL, `rows` doubles from xi_gens[i]'s own next_double at xi + i * xi_stride,
+ * as Generator.random(out=) draws them.  Each generator is drawn in
+ * sequence, as numpy's fills would draw it.  (numpy's reduce adds its sum
+ * to add's identity 0.0, which moves no sum of squares.)  A row of norm 0
+ * is left as drawn; zeros[i] counts seed i's and the total is returned, for
+ * the caller to redraw. */
+int64_t sk_sphere_fill(int64_t m, bitgen_t *const *gens, bitgen_t *const *xi_gens, int64_t rows,
+                       int64_t d, double *out, int64_t out_stride, double *xi, int64_t xi_stride,
+                       int64_t *zeros)
 {
-    int64_t zeros = 0;
-    for (int64_t k = 0; k < rows; k++) {
-        double *row = out + k * d;
-        fill(bitgen, d, row);
-        const double norm = sqrt(pairwise_sumsq(row, d));
-        if (norm == 0.0) {
-            zeros++;
-            continue;
+    int64_t total = 0;
+    for (int64_t s = 0; s < m; s++) {
+        zeros[s] = 0;
+        for (int64_t k = 0; k < rows; k++) {
+            double *row = out + s * out_stride + k * d;
+            fill(gens[s], d, row);
+            const double norm = sqrt(pairwise_sumsq(row, d));
+            if (norm == 0.0) {
+                zeros[s]++;
+                continue;
+            }
+            for (int64_t i = 0; i < d; i++)
+                row[i] /= norm;
         }
-        for (int64_t i = 0; i < d; i++)
-            row[i] /= norm;
+        total += zeros[s];
+        if (xi_gens != NULL) {
+            bitgen_t *u = xi_gens[s];
+            double *col = xi + s * xi_stride;
+            for (int64_t k = 0; k < rows; k++)
+                col[k] = u->next_double(u->state);
+        }
     }
-    return zeros;
+    return total;
 }
 
 /* A scripted bit generator for the probe: `word` first, then, should numpy

@@ -126,7 +126,8 @@ void sk_dots(int64_t m, int64_t d, const int64_t *pairs, const double *buf, doub
     }
 }
 
-/* Steps j0 <= j < j1 of a block of n steps, for G lane groups x S seeds.
+/* Steps j0 <= j < j1 <= n of a block whose arrays hold n steps per seed,
+ * for G lane groups x S seeds.
  *
  * x      (G, S, d)  lane iterates, advanced in place
  * A      (S, n, d)  measurements of the block
@@ -136,15 +137,19 @@ void sk_dots(int64_t m, int64_t d, const int64_t *pairs, const double *buf, doub
  * steps  (G, S, n)  step sizes
  * kind, audit (G,)  rule and audit flags of each group
  * step_viol, gate_viol (G, S)  audit counts, added to
- * Xt (S, d) non-NULL tracks hitting times (G == 1): lam2k is lam^{2k} at the
- * block's step j0 and is returned at step j1, hit_k (S,) is set at the first
- * k = k_base + j + 1 with lam^{2k} ||Xt - x||^2 / g_sq >= level, and diff
- * holds TILE * d doubles of scratch.
+ * Xt (S, d) non-NULL tracks hitting times (G == 1): lam2k (S,) is lam^{2k}
+ * at the block's step j0 and is returned at step j1, hit_k (S,) is set at
+ * the first k = k_base + j + 1 with lam^{2k} ||Xt - x||^2 / g_sq >= level,
+ * and diff holds TILE * d doubles of scratch.
  *
- * Seeds are walked in tiles of TILE, each tile step by step and group by
- * group, so the dots of a tile's lanes run as one pass.  Each lane still
- * does exactly its own arithmetic, in its own order. */
-void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t j1,
+ * Only the seeds s_lo <= s < s_hi are stepped, and only their entries of
+ * x, the audit counts, lam2k and hit_k are written, so two threads with
+ * disjoint seed ranges and their own diff can step one block at once.
+ * Seeds are walked in tiles of TILE from s_lo, each tile step by step and
+ * group by group, so the dots of a tile's lanes run as one pass.  Each
+ * lane still does exactly its own arithmetic, in its own order. */
+void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t s_lo, int64_t s_hi,
+                int64_t j0, int64_t j1,
                 double *x, const double *A,
                 const double *Y,
                 const double *clean, const double *XI, const double *P, int relu_link,
@@ -156,16 +161,14 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t 
     int need_norm = 0;
     for (int64_t g = 0; g < G; g++)
         need_norm |= audit[g] & AUDIT_STEP_LAW;
-    const double lam2k_start = Xt != NULL ? *lam2k : 0.0;
-    double lk = lam2k_start;
 
-    for (int64_t s0 = 0; s0 < S; s0 += TILE) {
+    for (int64_t s0 = s_lo; s0 < s_hi; s0 += TILE) {
         /* The tile's w seeds; a short tile's unused slots repeat its first. */
-        const int w = S - s0 < TILE ? (int)(S - s0) : TILE;
+        const int w = s_hi - s0 < TILE ? (int)(s_hi - s0) : TILE;
         int64_t seed[TILE];
         for (int t = 0; t < TILE; t++)
             seed[t] = s0 + (t < w ? t : 0);
-        lk = lam2k_start;
+        double lk = Xt != NULL ? lam2k[s0] : 0.0;
         for (int64_t j = j0; j < j1; j++) {
             const double *a[TILE], *xs[TILE];
             double norm[TILE] = {0.0}, dts[TILE];
@@ -221,7 +224,8 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j0, int64_t 
                         hit_k[s0 + t] = k_base + j + 1;
             }
         }
+        if (Xt != NULL)
+            for (int t = 0; t < w; t++)
+                lam2k[s0 + t] = lk;
     }
-    if (Xt != NULL)
-        *lam2k = lk;
 }

@@ -46,8 +46,9 @@ def load_csv(
 
     Raises ValueError for a delimiter that is not one character, naming
     the offending column for missing columns, the line of a row shorter
-    than the header, and the (row, column) location for non-numeric or
-    non-finite cells.
+    than the header, and the (line, column) location for non-numeric or
+    non-finite cells.  Lines count from 1 at the header, blank lines
+    included.
     """
     if len(delimiter) != 1:
         raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
@@ -81,7 +82,7 @@ def load_csv(
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(
-                    f"{path}: non-numeric or non-finite cell {cell!r} at row {i + 2}, "
+                    f"{path}: non-numeric or non-finite cell {cell!r} at line {line}, "
                     f"column {name!r}"
                 )
             if j < len(feature_columns):

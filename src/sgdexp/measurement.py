@@ -152,27 +152,71 @@ def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return rng.standard_normal(out=out)
 
 
+def _fill_library(rngs):
+    """The compiled fill where it loads and every one of ``rngs`` is a Generator, else None."""
+    if not all(isinstance(rng, np.random.Generator) for rng in rngs):
+        return None
+    from . import _kernel  # on the first draw, not at import
+
+    return _kernel.load("Gaussian fill")
+
+
+def _sphere_pass(lib, rngs, g, uniforms=None) -> None:
+    """One ``sk_sphere_fill`` call: ``g[i]``, (n, d) rows, gets ``rngs[i]``'s normalized rows.
+
+    With ``uniforms = (xi_rngs, XI)``, ``XI[i]`` also gets
+    ``xi_rngs[i].random(out=XI[i])``'s values.  Each row block ``g[i]`` and
+    each ``XI[i]`` must be C-contiguous; the seeds may be any stride apart.
+    The generators, all distinct, have their locks held for the call, as
+    numpy's fills hold them.  The rare rows of norm 0 come back undivided and are redrawn,
+    normalized alike, with the generator calls of ``_normalize_rows``.
+    """
+    from ._kernel import bitgens
+
+    m, n, d = g.shape
+    xi_rngs, XI = uniforms if uniforms is not None else ((), None)
+    zeros = np.empty(m, dtype=np.int64)
+    locks = [rng.bit_generator.lock for rng in (*rngs, *xi_rngs)]
+    for lock in locks:
+        lock.acquire()
+    try:
+        lost = lib.sk_sphere_fill(
+            m, bitgens(rngs), bitgens(xi_rngs) if XI is not None else None, n, d,
+            g.ctypes.data, g.strides[0] // 8,
+            None if XI is None else XI.ctypes.data, 0 if XI is None else XI.strides[0] // 8,
+            zeros.ctypes.data,
+        )
+    finally:
+        for lock in locks:
+            lock.release()
+    if lost:
+        for i in np.flatnonzero(zeros):
+            rows = g[i]
+            rows[_row_norms(rows) == 0.0] = _gaussian_rows(rngs[i], np.empty((int(zeros[i]), d)))
+
+
+def _seed_major(a) -> bool:
+    """Whether each ``a[i]`` of a float array is C-contiguous, aligned and writable, a whole number of values apart."""
+    return (
+        a.dtype == np.float64
+        and a.flags.aligned
+        and a.flags.writeable
+        and a.strides[0] % 8 == 0
+        and (a.size == 0 or a[0].flags.c_contiguous)
+    )
+
+
 def _gaussian_rows(rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
     """``_normalize_rows(_standard_normal(rng, g), rng, _standard_normal)`` bit for bit.
 
     Where the compiled fill loads, and for a Generator and a C-contiguous,
     aligned, writable float ``g``, one compiled pass draws each row and
-    divides it by its norm, under the bit generator's lock as numpy's fill
-    runs.  The rare rows of norm 0 come back undivided and are redrawn,
-    normalized alike, with the generator calls of ``_normalize_rows``.
+    divides it by its norm (``_sphere_pass`` with one generator).
     """
-    lib = None
-    if isinstance(rng, np.random.Generator) and g.dtype == np.float64 and g.flags.carray:
-        from . import _kernel  # on the first draw, not at import
-
-        lib = _kernel.load("Gaussian fill")
+    lib = _fill_library([rng]) if g.flags.carray and g.dtype == np.float64 else None
     if lib is None:
         return _normalize_rows(_standard_normal(rng, g), rng, _standard_normal)
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        zeros = lib.sk_sphere_fill(bitgen.ctypes.bit_generator, *g.shape, g.ctypes.data)
-    if zeros:
-        g[_row_norms(g) == 0.0] = _gaussian_rows(rng, np.empty((zeros, g.shape[1])))
+    _sphere_pass(lib, [rng], g[None])
     return g
 
 
@@ -215,6 +259,47 @@ def sample_block(model: MeasurementModel, rng: np.random.Generator, n: int, out=
         return _gaussian_rows(rng, A), None
     draw = _ENTRY_DRAWS[model.base]
     return _normalize_rows(draw(rng, A), rng, draw), None
+
+
+def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
+    """Draw one block for each of several seeds: ``out[i]`` gets ``sample_block(model, rngs[i], n, out=out[i])``.
+
+    ``out`` is (m, n, d), and each ``out[i]`` C-contiguous: a slice along
+    the second axis of a larger (m, cap, d) buffer serves.  With
+    ``uniforms = (xi_rngs, XI)``, ``XI[i]`` of the (m, n) ``XI`` also gets
+    ``xi_rngs[i].random(out=XI[i])``.  Returns the (m, n) source row indices
+    of DatasetRows models, else None.  Each generator is drawn as those
+    calls draw it, bit for bit.
+
+    For GaussianSphere (and Gaussian-base) models where the compiled fill
+    loads, one call without the interpreter lock draws every seed's rows
+    and uniforms; elsewhere, and where one generator is passed twice, the
+    seeds are drawn one at a time.
+    """
+    m, n = out.shape[:2]
+    xi_rngs, XI = uniforms if uniforms is not None else ((), None)
+    if len(rngs) != m or (XI is not None and (len(xi_rngs) != m or XI.shape != (m, n))):
+        raise ValueError(
+            f"sample_seeds: {len(rngs)} generators for {m} seeds of {n} steps"
+            + ("" if XI is None else f", {len(xi_rngs)} uniform generators for uniforms of shape {XI.shape}")
+        )
+    everyone = [*rngs, *xi_rngs]
+    gaussian = isinstance(model, GaussianSphere) or getattr(model, "base", None) == "gaussian"
+    # One call holds each generator's lock once and draws a seed's zero-norm rows after the other seeds'.
+    distinct = len({id(rng) for rng in everyone}) == len(everyone)
+    fits = _seed_major(out) and (XI is None or _seed_major(XI))
+    lib = _fill_library(everyone) if gaussian and fits and distinct else None
+    if lib is not None:
+        _sphere_pass(lib, rngs, out, uniforms)
+        return None
+    idx = np.empty((m, n), dtype=int) if isinstance(model, DatasetRows) else None
+    for i, rng in enumerate(rngs):
+        _, ib = sample_block(model, rng, n, out=out[i])
+        if idx is not None:
+            idx[i] = ib
+        if XI is not None:
+            xi_rngs[i].random(out=XI[i])
+    return idx
 
 
 def exact_sphere_constant(d: int) -> float:

@@ -33,11 +33,7 @@ from .corruption import (
     apply_channel,
 )
 from .datasets import DatasetMatrix, evaluate_clean_loss
-from .measurement import (
-    DatasetRows,
-    MeasurementModel,
-    sample_block,
-)
+from .measurement import DatasetRows, MeasurementModel, sample_seeds
 
 #: Each method's step-scale field and response link.  The field names the
 #: decay: G the G lam^-k of SGD-exp, gamma the gamma (k+1)^-1/2 of the
@@ -321,6 +317,13 @@ SIGN, GATED_SIGN, GLMTRON = 0, 1, 2
 AUDIT_STEP_LAW, AUDIT_GATE = 1, 2
 
 
+#: Seeds per tile of the step kernel (``TILE`` of ``_stepkernel.c``).
+TILE = 4
+#: Doubles in the engine's one block buffer of measurements (2 MiB), so that a
+#: seed owner's half of a block is still in L2 when it is stepped.
+BLOCK_VALUES = 1 << 18
+
+
 class _StepState(SimpleNamespace):
     """What the step function reads and advances over one run_batch call.
 
@@ -329,24 +332,26 @@ class _StepState(SimpleNamespace):
     AUDIT_STEP_LAW | AUDIT_GATE bits) and, for the residual-sign adversary,
     the (G, 1) probabilities ``P``; per lane, the (G, S) int64 counts
     ``step_viol`` and ``gate_viol``.  ``relu`` is the response link and
-    ``corr`` the corruption channel.  The block fields hold the block's
-    (S, n, d) measurements ``A``, its (G, S, n) ``steps`` and responses
-    ``Y``, or, for the adversary (``Y`` None), the (S, n) ``clean``
-    responses and indicator draws ``XI``.  ``hit_k`` (S,) is None unless
-    hitting times are tracked: then ``Xt``, ``g_sq``, ``level``, ``lam2``
-    and ``lam2k``, a 1-array holding lam^{2k} at the current step.
+    ``corr`` the corruption channel.  The block arrays hold ``cap`` steps
+    per seed, each block in their first n: the (S, cap, d) measurements
+    ``A``, the (S, cap) ``clean`` responses and indicator draws ``XI``, the
+    (G, S, cap) ``steps`` and, for every channel but the residual-sign
+    adversary (which leaves ``Y`` None), responses ``Y``.  ``hit_k`` (S,)
+    is None unless hitting times are tracked: then ``Xt``, ``g_sq``,
+    ``level``, ``lam2`` and ``lam2k``, which holds each seed's lam^{2k} at
+    its current step.
     """
 
 
-def _step_state(x, kind, audit, relu: bool, corr, P, hitting=None) -> _StepState:
-    """The step function's state for the (G, S, d) lanes ``x``, before its first block.
+def _step_state(x, kind, audit, relu: bool, corr, P, cap: int, hitting=None) -> _StepState:
+    """The step function's state for the (G, S, d) lanes ``x``, with block arrays of ``cap`` steps.
 
     ``kind``, ``audit`` (per group) and ``P`` (G, 1) are as in _StepState,
     and the audit counts start at zero.  ``hitting`` is None, or (Xt,
     g_sq, level, lam) to track hitting times from k = 0: a seed whose
     Y_0 = ||Xt - x||^2 / g_sq already reaches the level hits at k = 0.
     """
-    G, S = x.shape[:2]
+    G, S, d = x.shape
     st = _StepState(
         x=x,
         kind=np.asarray(kind, dtype=np.int32),
@@ -356,30 +361,33 @@ def _step_state(x, kind, audit, relu: bool, corr, P, hitting=None) -> _StepState
         relu=relu,
         corr=corr,
         P=P,
-        Y=None,
+        A=np.empty((S, cap, d)),
+        clean=np.empty((S, cap)),
+        XI=np.empty((S, cap)),
+        steps=np.empty((G, S, cap)),
+        Y=None if isinstance(corr, ResidualSignAdversary) else np.empty((G, S, cap)),
         hit_k=None,
     )
     if hitting is not None:
         st.Xt, st.g_sq, st.level, lam = hitting
-        st.lam2, st.lam2k = lam * lam, np.ones(1)
+        st.lam2, st.lam2k = lam * lam, np.ones(S)
         diff = st.Xt - x[0]
         st.hit_k = np.full(S, -1, dtype=np.int64)
         st.hit_k[_dots(diff[None], diff)[0] / st.g_sq >= st.level] = 0
     return st
 
 
-def _set_block(st: _StepState, A, clean, XI, steps, NU=None) -> None:
-    """Point ``st`` at one block: (S, n, d) rows ``A``, (S, n) ``clean`` and ``XI``, (G, S, n) ``steps``.
+def _set_responses(st: _StepState, rows: slice, n: int, NU=None) -> None:
+    """The responses ``Y`` of the seeds in ``rows`` for a block of ``n`` steps.
 
-    Every channel but the residual-sign adversary, which reads the
-    iterate, gives its (G, S, n) responses ``Y`` here, once per block;
-    ``NU`` (S, n) is the additive channel's noise.
+    Every channel but the residual-sign adversary, which reads the iterate
+    (``Y`` None), gives them here from the block's ``clean`` and ``XI``,
+    once per block; ``NU`` (the seeds' (S', n)) is the additive channel's
+    noise.
     """
-    st.A, st.clean, st.XI, st.steps = A, clean, XI, steps
-    if not isinstance(st.corr, ResidualSignAdversary):
-        Y = apply_channel(st.corr, clean, XI, NU, p=st.P[..., None])
-        # Without corruption Y is the (S, n) clean responses, the same for every group.
-        st.Y = np.ascontiguousarray(np.broadcast_to(Y, steps.shape))
+    if st.Y is not None:
+        # Without corruption the channel gives the (S', n) clean responses, the same for every group.
+        st.Y[:, rows, :n] = apply_channel(st.corr, st.clean[rows, :n], st.XI[rows, :n], NU, p=st.P[..., None])
 
 
 def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
@@ -396,7 +404,7 @@ def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
         dots = np.empty(x.shape[:-1] + (n,))
     track_hit = st.hit_k is not None
     if track_hit:
-        lam2k = float(st.lam2k[0])
+        lam2k = float(st.lam2k[0])  # every seed's: this body steps them all
 
     for j in range(j0, j1):
         a = st.A[:, j, :]
@@ -421,7 +429,7 @@ def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
             st.hit_k[newly] = k + j + 1
 
     if track_hit:
-        st.lam2k[0] = lam2k
+        st.lam2k[:] = lam2k
     if audited:
         moved = coefs != 0.0
         law = (st.audit & AUDIT_STEP_LAW).astype(bool)[:, None, None]
@@ -442,11 +450,13 @@ def _address(arr, dtype):
     return arr.ctypes.data
 
 
-def _bind_c(lib, st: _StepState):
-    """The kernel call for the stretches of the current block: (j0, j1, k) -> None.
+def _bind_c(lib, st: _StepState, seeds: range):
+    """The kernel call for the seeds in ``seeds``: (j0, j1, k) -> None.
 
-    Advances steps j0 <= j < j1 of the block that starts at step k.  The
-    block's arrays are checked and their addresses taken once, here.
+    Advances steps j0 <= j < j1 of the block that starts at step k, for
+    those seeds alone.  The arrays are checked and their addresses taken
+    once, here; the hitting-time scratch is this binding's own, so two
+    bindings of disjoint seeds can run at once.
     """
     G, S = st.step_viol.shape
     n, d = st.A.shape[1:]
@@ -464,12 +474,34 @@ def _bind_c(lib, st: _StepState):
     def advance(j0: int, j1: int, k: int, _keep=f64) -> None:
         # _keep holds the arrays whose addresses the call passes.
         lib.sk_advance(
-            G, S, n, d, j0, j1, x, A, Y, clean, XI, P, int(st.relu),
+            G, S, n, d, seeds.start, seeds.stop, j0, j1, x, A, Y, clean, XI, P, int(st.relu),
             steps, kind, audit, step_viol, gate_viol,
             Xt, g_sq, level, lam2, lam2k, hit_k, k, diff_,
         )
 
     return advance
+
+
+def _in_step(caller, worker):
+    """Each k that the owner generators ``caller`` and ``worker`` yield, once both have reached it.
+
+    ``worker`` runs on the one thread of a pool that lives as long as this
+    generator.  An exception raised in either owner is raised here, once,
+    after the worker has stopped.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # on the first engine call, not at import
+
+    with ThreadPoolExecutor(1) as pool:
+        while True:
+            theirs = pool.submit(next, worker, None)
+            try:
+                k = next(caller, None)
+            finally:
+                theirs.exception()  # waits for the worker
+            theirs.result()
+            if k is None:
+                return
+            yield k
 
 
 def _spawn_streams(seed: int):
@@ -519,20 +551,27 @@ def run_batch(
     ReLU methods).  The steps between two checkpoints are one call of the
     step function: the compiled kernel where it loads, else its numpy body.
 
-    Synthetic streams are drawn in blocks by a pool of two threads that
-    lives for the call: each draws half of the seeds' measurements,
-    corruption draws and clean responses for block b+1 while the calling
-    thread steps block b.  A seed's generators are used by one draw at a
-    time, in block order, so every lane gets the bits of a sequential
-    draw.  Dataset streams, whose draws are row gathers, are drawn by the
-    calling thread.  A T = 0 call starts no thread; an exception raised in
-    a draw is raised here once the pool is shut down.
+    The seeds are drawn and stepped in blocks of at most BLOCK_VALUES
+    measurement values, so that a block is still in cache when it is
+    stepped.  With the compiled kernel, a synthetic stream of more than
+    four seeds has two seed owners, the calling thread and one worker
+    thread, split at a multiple of the kernel's four-seed tiles.  Each
+    owner draws a block of its seeds (one compiled call for a sphere's
+    rows and the corruption indicators) and steps it at once; the owners
+    meet only at checkpoints, where every lane is read.  A seed's
+    generators are used by its owner alone, in block order, so every lane
+    gets the bits of a sequential draw.  Dataset streams, the numpy body,
+    T = 0 and four seeds or fewer run on the calling thread alone.  An
+    exception raised in either owner is raised here once, after the
+    worker has stopped.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
     if isinstance(spec, SolverSpec):
         spec = Lanes([(spec, stream.corruption.p, None)])
     (specs, ps, given_scales), seeds = zip(*spec), list(seeds)
+    if not seeds:
+        raise ValueError("run_batch needs at least one seed")
     G, S, d, T = len(specs), len(seeds), specs[0].d, spec.T
     L = G * S
     is_dataset = isinstance(stream.model, DatasetRows)
@@ -568,8 +607,6 @@ def run_batch(
         x[...] = x0  # (d,) or (S, d)
     lanes = x.reshape(L, d)  # a view: lane g * S + s
 
-    gens = [_spawn_streams(s) for s in seeds]
-
     corr = stream.corruption
     is_oblivious = isinstance(corr, AdditiveOblivious)
     P = np.array(ps, dtype=float)[:, None]  # (G, 1)
@@ -590,7 +627,9 @@ def run_batch(
     if hitting_level is not None:
         _check_horizon("T", T, scales[0], xt_norms, specs[0].lam)
 
-    # The step function's inputs; the block fields are set once per block.
+    # One block layout for the whole call: each seed's block of up to `block`
+    # steps has a fixed place in the step function's block arrays.
+    block = max(1, min(1024, T, BLOCK_VALUES // (S * d)))
     sign_kind, gate_bit = (GATED_SIGN, AUDIT_GATE) if relu_response else (SIGN, 0)
     audited = ~is_tron & validate_steps
     track_hit = hitting_level is not None
@@ -601,14 +640,14 @@ def run_batch(
         relu_response,
         corr,
         P,
+        block,
         hitting=(
             (np.ascontiguousarray(Xt), scales[0] * scales[0], hitting_level, specs[0].lam) if track_hit else None
         ),
     )
-    # On the first engine call, not at import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import _kernel
+    NU = np.empty((S, block)) if is_oblivious else None
+    _, meas_rngs, xi_rngs, noise_rngs = zip(*(_spawn_streams(s) for s in seeds))
+    from . import _kernel  # on the first engine call, not at import
 
     lib = _kernel.load("step kernel")
 
@@ -634,84 +673,52 @@ def run_batch(
         if record_iterates:
             snaps.append(lanes.copy())
 
-    _record(0)
-
-    # At most 2e6 / (lanes * d) steps a block: the two A buffers together stay within 4e6 doubles.
-    block = max(1, min(1024, T, int(2_000_000 / max(L * d, 1)) or 1))
-    A_bufs = [np.empty(S * block * d) for _ in range(2)]
-    # One draw task per half of the seeds; with one seed, one task.
-    halves = [h for h in (range(0, (S + 1) // 2), range((S + 1) // 2, S)) if h]
-
-    def draw(blk, n, part):
-        """Draw one block of the seeds in ``part`` into their rows of ``blk``."""
-        for s_i in part:
-            _, meas_rng, xi_rng, noise_rng = gens[s_i]
-            _, ib = sample_block(stream.model, meas_rng, n, out=blk.A[s_i])
-            if is_dataset:
-                blk.idx[s_i] = ib
-            xi_rng.random(out=blk.XI[s_i])
-            if is_oblivious:
-                blk.NU[s_i] = corr.law.draw(noise_rng, n)
-        rows = slice(part.start, part.stop)
+    def draw(rows: slice, n: int) -> None:
+        """Draw the seeds in ``rows``: a block of ``n`` steps into their rows of the block arrays."""
+        A, clean = st.A[rows, :n], st.clean[rows, :n]
+        idx = sample_seeds(stream.model, meas_rngs[rows], A, uniforms=(xi_rngs[rows], st.XI[rows, :n]))
+        if is_oblivious:
+            for nu, rng in zip(NU[rows, :n], noise_rngs[rows]):
+                nu[...] = corr.law.draw(rng, n)
         if is_dataset:
             # Responses and noise in unit-row space.
-            idx = blk.idx[rows]
-            blk.clean[rows] = resp[idx] / row_norms[idx]
+            clean[...] = resp[idx] / row_norms[idx]
             if is_oblivious:
-                blk.NU[rows] /= row_norms[idx]
+                NU[rows, :n] /= row_norms[idx]
         else:
-            blk.clean[rows] = np.einsum("snd,sd->sn", blk.A[rows], Xt[rows])
+            clean[...] = np.einsum("snd,sd->sn", A, Xt[rows])
             if relu_response:
-                np.maximum(blk.clean[rows], 0.0, out=blk.clean[rows])
+                np.maximum(clean, 0.0, out=clean)
 
-    def submit(pool, k):
-        """Start drawing the block of steps from k, into the A buffer the steps do not read."""
-        n = min(block, T - k)
-        blk = SimpleNamespace(
-            A=A_bufs[k // block % 2][: S * n * d].reshape(S, n, d),
-            XI=np.empty((S, n)),
-            NU=np.empty((S, n)) if is_oblivious else None,
-            idx=np.empty((S, n), dtype=int) if is_dataset else None,
-            clean=np.empty((S, n)),
-        )
-        if is_dataset:
-            # A gather of rows already in memory: cheaper here than a thread
-            # handoff and the GIL it would take from the clean-loss checkpoints.
-            draw(blk, n, range(S))
-            return blk, []
-        return blk, [pool.submit(draw, blk, n, part) for part in halves]
-
-    # The pool draws the next block of a synthetic stream while this thread
-    # steps the current one (the kernel releases the GIL).  A block is stepped only once both halves
-    # are drawn, and the next is submitted only then, so each seed's
-    # generators serve one task at a time, in block order.
-    with ThreadPoolExecutor(2) as pool:
-        pending = submit(pool, 0) if T else None
-        k = 0
-        while k < T:
+    def own(part: range):
+        """Draw and step the seeds in ``part`` block by block; yield each checkpoint's k on reaching it."""
+        rows = slice(part.start, part.stop)
+        advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st, part)
+        for k in range(0, T, block):
             n = min(block, T - k)
-            blk, futures = pending
-            for f in futures:
-                f.result()
-            if k + n < T:
-                pending = submit(pool, k + n)
-
+            draw(rows, n)
             decay = {key: _decays(*key, k, n) for key in set(schedules)}
-            steps = np.empty((G, S, n))
             for g, (s, tron, key, scale) in enumerate(zip(specs, is_tron, schedules, scales)):
-                steps[g] = decay[key] / s.m if tron else scale[:, None] * decay[key]
-            _set_block(st, blk.A, blk.clean, blk.XI, steps, blk.NU)
-
+                st.steps[g, rows, :n] = decay[key] / s.m if tron else scale[rows, None] * decay[key]
+            _set_responses(st, rows, n, NU[rows, :n] if is_oblivious else None)
             # One call per stretch between checkpoints.
-            advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st)
             j = 0
             while j < n:
                 j1 = min(n, j + checkpoint_every - (k + j) % checkpoint_every)
                 advance(j, j1, k)
                 j = j1
                 if (k + j) % checkpoint_every == 0 or k + j == T:
-                    _record(k + j)
-            k += n
+                    yield k + j
+
+    # Seed owners.  With the compiled kernel, a synthetic stream of more than
+    # one tile of seeds is split between this thread and one worker at the
+    # multiple of TILE nearest S / 2; each draws and steps its own seeds, and
+    # they meet at checkpoints.
+    split = 0 if lib is None or is_dataset or T == 0 else TILE * round(S / (2 * TILE))
+    owners = [own(part) for part in (range(0, split), range(split, S)) if part]
+    _record(0)
+    for k in owners[0] if len(owners) == 1 else _in_step(*owners):
+        _record(k)
 
     out = []
     for i in range(L):

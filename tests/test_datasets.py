@@ -68,18 +68,19 @@ def test_missing_column_named(small_csv):
 def test_non_numeric_cell_located(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,y\n1,2\noops,3\n")
-    with pytest.raises(ValueError, match=r"row 3.*'a'"):
+    with pytest.raises(ValueError, match=r"line 3.*'a'"):
         load_csv(path, ["a"], "y")
 
 
 @pytest.mark.parametrize(
     "body, location",
     [
-        ("1,2\nnan,3\n", r"row 3, column 'a'"),
-        ("1,2\ninf,3\n", r"row 3, column 'a'"),
-        ("1,2\n2,-Infinity\n", r"row 3, column 'y'"),
+        ("1,2\nnan,3\n", r"line 3, column 'a'"),
+        ("1,2\ninf,3\n", r"line 3, column 'a'"),
+        ("1,2\n2,-Infinity\n", r"line 3, column 'y'"),
+        ("\n1,2\n\nnan,3\n", r"line 5, column 'a'"),
     ],
-    ids=["nan", "inf", "response-neg-inf"],
+    ids=["nan", "inf", "response-neg-inf", "after-blank-lines"],
 )
 def test_non_finite_cell_located(tmp_path, body, location):
     # a NaN cell would otherwise turn the whole z-scored column into NaN

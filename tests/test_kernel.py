@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgdexp.measurement as measurement_mod
 from sgdexp import _kernel
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
 from sgdexp.measurement import (
@@ -25,6 +26,7 @@ from sgdexp.measurement import (
     _normalize_rows,
     _standard_normal,
     sample_block,
+    sample_seeds,
 )
 from sgdexp.solvers import (
     AUDIT_GATE,
@@ -35,7 +37,7 @@ from sgdexp.solvers import (
     SolverSpec,
     StreamSpec,
     _bind_c,
-    _set_block,
+    _set_responses,
     _step_numpy,
     _step_state,
     run_batch,
@@ -310,10 +312,20 @@ def _block_state(S, d, kinds, channel, hitting, n=24):
         relu,
         channel,
         P,
+        n,
         hitting=(Xt, rng.uniform(0.5, 2.0, S), 10.0 * d, np.sqrt(1.2)) if hitting else None,
     )
-    _set_block(st, A, clean, XI, rng.uniform(0.01, 0.1, (G, S, n)))
+    st.A[...], st.clean[...], st.XI[...] = A, clean, XI
+    st.steps[...] = rng.uniform(0.01, 0.1, (G, S, n))
+    _set_responses(st, slice(None), n)
     return st
+
+
+def _split(lib, st, s):
+    """The kernel call for seeds [0, s), then for seeds [s, S), each with its own binding."""
+    S = st.x.shape[1]
+    first, second = _bind_c(lib, st, range(0, s)), _bind_c(lib, st, range(s, S))
+    return lambda j0, j1, k: (first(j0, j1, k), second(j0, j1, k))
 
 
 def _stepped(st, advance):
@@ -329,15 +341,19 @@ def _stepped(st, advance):
 @pytest.mark.parametrize("S", range(1, 10))
 def test_seed_tiles_match_numpy_body(S, channel):
     # S = 1..9 has 0, 1 or 2 full tiles of four seeds, and 0..3 seeds in a
-    # short tile whose unused slots repeat its first seed.
+    # short tile whose unused slots repeat its first seed; split at S // 2,
+    # each range has tiles of its own.
     lib = _kernel.load(KERNEL)
     assert lib is not None
     counts = np.zeros(3, dtype=np.int64)  # step-law and gate violations, hits
     for d in TILE_DIMS:
         for kinds in ([SIGN, GLMTRON], [GATED_SIGN, GLMTRON], [SIGN], [GATED_SIGN]):
             hitting = len(kinds) == 1
-            st, ref = (_block_state(S, d, kinds, channel, hitting) for _ in range(2))
-            assert _stepped(st, _bind_c(lib, st)) == _stepped(ref, functools.partial(_step_numpy, ref)), (d, kinds)
+            st, ref, halves = (_block_state(S, d, kinds, channel, hitting) for _ in range(3))
+            want = _stepped(ref, functools.partial(_step_numpy, ref))
+            assert _stepped(st, _bind_c(lib, st, range(S))) == want, (d, kinds)
+            # Two seed ranges, split anywhere, step their seeds alone.
+            assert _stepped(halves, _split(lib, halves, S // 2)) == want, (d, kinds)
             counts += [st.step_viol.sum(), st.gate_viol.sum(), 0 if st.hit_k is None else np.sum(st.hit_k >= 0)]
     assert np.all(counts > 0)
 
@@ -498,31 +514,41 @@ class _Bitgen(ctypes.Structure):
 
 
 class _ZeroWordsFill:
-    """The loaded fill drawing from a bitgen_t whose first ``zeros`` words are 0, then ``inner``'s.
+    """The loaded fill with ``rngs[i]`` drawing from a bitgen_t whose first ``zeros[i]`` words are 0, then ``inners[i]``'s.
 
-    A 0 word is the ziggurat's +0.0, so ``zeros = d`` makes the first row
-    all zero.  Stands in for the fill library; the Generator that
-    sample_block passes only lends its lock.
+    A 0 word is the ziggurat's +0.0, so ``zeros[i] = d`` makes seed i's
+    first row all zero.  Stands in for the fill library; each Generator
+    that the draw passes only lends its lock and names its stand-in.
     """
 
-    def __init__(self, lib, inner, zeros):
-        self.lib, self.inner, self.zeros = lib, inner, zeros
-        c = inner.ctypes
-        words = _NEXT_U64(lambda _: 0 if self._take_zero() else c.next_uint64(c.state))
-        self.bitgen = _Bitgen(
-            None,
-            words,
-            _NEXT_U32(lambda _: c.next_uint32(c.state)),
-            _NEXT_DOUBLE(lambda _: c.next_double(c.state)),
-            words,
-        )
+    def __init__(self, lib, rngs, inners, zeros):
+        self.lib, self.inners, self.zeros = lib, inners, list(zeros)
+        self.bitgens = {}
+        for i, (rng, inner) in enumerate(zip(rngs, inners)):
+            c = inner.ctypes
+            words = _NEXT_U64(lambda _, i=i, c=c: 0 if self._take_zero(i) else c.next_uint64(c.state))
+            self.bitgens[rng.bit_generator.ctypes.bit_generator.value] = _Bitgen(
+                None,
+                words,
+                _NEXT_U32(lambda _, c=c: c.next_uint32(c.state)),
+                _NEXT_DOUBLE(lambda _, c=c: c.next_double(c.state)),
+                words,
+            )
 
-    def _take_zero(self):
-        self.zeros -= 1
-        return self.zeros >= 0
+    def _take_zero(self, i):
+        self.zeros[i] -= 1
+        return self.zeros[i] >= 0
 
-    def sk_sphere_fill(self, _bitgen, rows, d, out):
-        return self.lib.sk_sphere_fill(ctypes.addressof(self.bitgen), rows, d, out)
+    def sk_sphere_fill(self, m, gens, *args):
+        stand_ins = (ctypes.c_void_p * m)(*(ctypes.addressof(self.bitgens[gens[i]]) for i in range(m)))
+        return self.lib.sk_sphere_fill(m, stand_ins, *args)
+
+
+def _zero_led_rows(rng, n, d, zero_rows):
+    """``_normalize_rows`` of n rows whose first ``zero_rows`` are 0 and the rest ``rng``'s normals, on numpy."""
+    g = np.zeros((n, d))
+    g[zero_rows:] = rng.standard_normal((n - zero_rows, d))
+    return _normalize_rows(g, rng, _standard_normal)
 
 
 @needs_gcc
@@ -547,22 +573,105 @@ class TestSpherePass:
             assert np.array_equal(_bits(got), _bits(want)), (d, n)
             assert got_state == want_state, (d, n)
 
+    @GAUSSIAN_MODELS
+    def test_sample_seeds_in_one_call_match_per_seed_draws(self, model_of, monkeypatch):
+        # Three seeds' rows and uniforms into the first n steps of (m, cap) blocks, as the engine draws.
+        m, cap, n, d = 3, 40, 33, 20
+        lib = _kernel.load(FILL)
+        assert lib is not None
+        rngs = [np.random.default_rng(s) for s in range(2 * m)]
+        A, XI = np.full((m, cap, d), np.nan), np.full((m, cap), np.nan)
+        monkeypatch.setattr(measurement_mod, "sample_block", None)  # one compiled call, no per-seed draw
+        assert sample_seeds(model_of(d), rngs[:m], A[:, :n], uniforms=(rngs[m:], XI[:, :n])) is None
+        monkeypatch.undo()
+
+        _turn_off(monkeypatch, FILL)
+        refs = [np.random.default_rng(s) for s in range(2 * m)]
+        want = np.stack([sample_block(model_of(d), rng, n)[0] for rng in refs[:m]])
+        want_xi = np.stack([rng.random(n) for rng in refs[m:]])
+        assert np.array_equal(_bits(A[:, :n]), _bits(want)) and np.array_equal(_bits(XI[:, :n]), _bits(want_xi))
+        assert [_state(r) for r in rngs] == [_state(r) for r in refs]
+        assert np.isnan(A[:, n:]).all() and np.isnan(XI[:, n:]).all()
+
     @pytest.mark.parametrize("d", [1, 5, 8, 20, 129])
     def test_zero_row_is_redrawn_as_normalize_rows_does(self, d, monkeypatch):
-        n, seed = 4, 77
-        stand_in = _ZeroWordsFill(_kernel.load(FILL), np.random.PCG64(seed), zeros=d)
+        n, seed, rng = 4, 77, np.random.default_rng(0)
+        stand_in = _ZeroWordsFill(_kernel.load(FILL), [rng], [np.random.PCG64(seed)], zeros=[d])
         monkeypatch.setitem(_kernel._libs, FILL, stand_in)
-        got, _ = sample_block(GaussianSphere(d), np.random.default_rng(0), n)
-        assert stand_in.zeros < 0  # every zero word was drawn
+        got, _ = sample_block(GaussianSphere(d), rng, n)
+        assert stand_in.zeros[0] < 0  # every zero word was drawn
 
         _turn_off(monkeypatch, FILL)
         ref_rng = np.random.Generator(np.random.PCG64(seed))
-        g = np.zeros((n, d))
-        g[1:] = ref_rng.standard_normal((n - 1, d))
-        want = _normalize_rows(g, ref_rng, _standard_normal)
+        want = _zero_led_rows(ref_rng, n, d, 1)
         assert np.array_equal(_bits(got), _bits(want))
         assert np.linalg.norm(got[0]) == pytest.approx(1.0, rel=1e-12)
-        assert stand_in.inner.state == ref_rng.bit_generator.state
+        assert stand_in.inners[0].state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 20])
+    def test_later_seeds_zero_rows_are_redrawn_from_their_own_generators(self, d, monkeypatch):
+        # Three seeds in one call: none, one and two zero rows; each redraw comes after every seed's rows.
+        m, n, zero_rows = 3, 5, (0, 1, 2)
+        rngs = [np.random.default_rng(s) for s in range(m)]
+        xi_rngs = [np.random.default_rng(s) for s in range(m, 2 * m)]
+        inners = [np.random.PCG64(70 + s) for s in range(m)]
+        stand_in = _ZeroWordsFill(_kernel.load(FILL), rngs, inners, zeros=[z * d for z in zero_rows])
+        monkeypatch.setitem(_kernel._libs, FILL, stand_in)
+        A, XI = np.empty((m, n, d)), np.empty((m, n))
+        sample_seeds(GaussianSphere(d), rngs, A, uniforms=(xi_rngs, XI))
+        assert all(z < 0 for z in stand_in.zeros[1:])
+
+        _turn_off(monkeypatch, FILL)
+        refs = [np.random.Generator(np.random.PCG64(70 + s)) for s in range(m)]
+        want = np.stack([_zero_led_rows(ref, n, d, z) for ref, z in zip(refs, zero_rows)])
+        xi_refs = [np.random.default_rng(s) for s in range(m, 2 * m)]
+        want_xi = np.stack([ref.random(n) for ref in xi_refs])
+        assert np.array_equal(_bits(A), _bits(want)) and np.array_equal(_bits(XI), _bits(want_xi))
+        assert [inner.state for inner in inners] == [ref.bit_generator.state for ref in refs]
+        assert [_state(r) for r in xi_rngs] == [_state(r) for r in xi_refs]
+
+    def test_a_generator_passed_twice_redraws_zero_rows_in_sequence(self, monkeypatch):
+        # Seed 0's zero row is redrawn before seed 1's rows, which come from the same generator.
+        n, d, rng = 3, 20, np.random.default_rng(0)
+        stand_in = _ZeroWordsFill(_kernel.load(FILL), [rng], [np.random.PCG64(71)], zeros=[d])
+        monkeypatch.setitem(_kernel._libs, FILL, stand_in)
+        A = np.empty((2, n, d))
+        sample_seeds(GaussianSphere(d), [rng, rng], A)
+
+        _turn_off(monkeypatch, FILL)
+        ref = np.random.Generator(np.random.PCG64(71))
+        want = np.stack([_zero_led_rows(ref, n, d, 1), sample_block(GaussianSphere(d), ref, n)[0]])
+        assert np.array_equal(_bits(A), _bits(want))
+        assert stand_in.inners[0].state == ref.bit_generator.state
+
+    def test_a_generator_passed_twice_draws_in_sequence(self):
+        # One generator for both seeds' rows, and each seed's rows and uniforms from one
+        # generator.  (Where numpy's generator lock is not reentrant, one call taking it twice would hang.)
+        n, d = 7, 20
+        for rngs, xi_of in (([0, 0], None), ([1, 2], [1, 2]), ([3, 4], [4, 3])):
+            gens = {s: np.random.default_rng(s) for s in set(rngs)}
+            refs = {s: np.random.default_rng(s) for s in set(rngs)}
+            A, XI = np.empty((2, n, d)), np.empty((2, n))
+            uniforms = None if xi_of is None else ([gens[s] for s in xi_of], XI)
+            sample_seeds(GaussianSphere(d), [gens[s] for s in rngs], A, uniforms=uniforms)
+            for i, s in enumerate(rngs):
+                assert np.array_equal(_bits(A[i]), _bits(sample_block(GaussianSphere(d), refs[s], n)[0]))
+                if xi_of is not None:
+                    assert np.array_equal(_bits(XI[i]), _bits(refs[xi_of[i]].random(n)))
+            assert [_state(gens[s]) for s in sorted(gens)] == [_state(refs[s]) for s in sorted(refs)]
+
+    @pytest.mark.parametrize(
+        "rngs, xi_rngs, xi_shape",
+        [(2, None, None), (4, None, None), (3, 2, (3, 5)), (3, 3, (3, 4)), (3, 3, (2, 5))],
+        ids=["short-rngs", "long-rngs", "short-xi-rngs", "narrow-XI", "short-XI"],
+    )
+    def test_mismatched_generators_or_uniforms_are_refused(self, rngs, xi_rngs, xi_shape):
+        out = np.empty((3, 5, 4))
+        uniforms = None
+        if xi_rngs is not None:
+            uniforms = ([np.random.default_rng(9 + i) for i in range(xi_rngs)], np.empty(xi_shape))
+        with pytest.raises(ValueError, match="sample_seeds: "):
+            sample_seeds(GaussianSphere(4), [np.random.default_rng(i) for i in range(rngs)], out, uniforms=uniforms)
 
     def test_sequential_sum_fails_self_test(self, fresh_fill, monkeypatch, tmp_path):
         mutant = _mutant(tmp_path, FILL, SHORT_SUM, "if (1) {")

@@ -1,6 +1,8 @@
 import math
+import shutil
 import sys
 import threading
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +20,7 @@ from sgdexp.corruption import (
 import sgdexp.solvers as solvers_mod
 from sgdexp import _kernel
 from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
-from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block
+from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block, sample_seeds
 from sgdexp.solvers import (
     Lanes,
     SolverSpec,
@@ -278,11 +280,11 @@ def _linear_spec(d=4, T=500, lam=1.01, G=1.0):
     return SolverSpec(method="sgd_exp_linear", d=d, T=T, lam=lam, G=G)
 
 
-def _norm_two_rows(model, rng, n, out=None):
-    """sample_block with every row scaled to norm 2, drawn into ``out`` as the engine asks."""
-    A, idx = sample_block(model, rng, n, out=out)
-    A *= 2.0
-    return A, idx
+def _norm_two_rows(model, rngs, out, uniforms=None):
+    """sample_seeds with every row scaled to norm 2, drawn into ``out`` as the engine asks."""
+    idx = sample_seeds(model, rngs, out, uniforms)
+    out *= 2.0
+    return idx
 
 
 def _stream(d=4, p=0.0):
@@ -328,6 +330,10 @@ class TestRun:
         with pytest.raises(ValueError, match="x_true"):
             run_batch(_linear_spec(d=4), _stream(d=4), [0], x_true=np.ones(3))
 
+    def test_seeds_required(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_batch(_linear_spec(), _stream(), [], x_true=np.ones(4))
+
     def test_x_true_required_for_synthetic(self):
         with pytest.raises(ValueError, match="x_true"):
             run_batch(_linear_spec(), _stream(), [0])
@@ -346,7 +352,7 @@ class TestRun:
         assert traj.relu_gate_violations == 0
 
     def test_step_law_audit_counts_off_norm_rows(self, monkeypatch):
-        monkeypatch.setattr(solvers_mod, "sample_block", _norm_two_rows)
+        monkeypatch.setattr(solvers_mod, "sample_seeds", _norm_two_rows)
         traj = run_batch(
             _linear_spec(T=300), _stream(p=0.2), [9], x_true=np.ones(4), checkpoint_every=1,
             record_iterates=True,
@@ -580,7 +586,7 @@ class TestLanes:
             )
 
     def test_step_law_counted_on_sign_lanes_only(self, monkeypatch):
-        monkeypatch.setattr(solvers_mod, "sample_block", _norm_two_rows)
+        monkeypatch.setattr(solvers_mod, "sample_seeds", _norm_two_rows)
         for lane, solo in self._pairs(*self._setup(SignFlip(0.3), dataset=False)):
             assert lane.step_law_violations == solo.step_law_violations
             if lane.solver == "sgd_exp_relu":
@@ -621,12 +627,12 @@ _PIPE_GROUPS = [
 ]
 
 
-class TestDrawPipeline:
-    """Blocks drawn one block ahead of the steps (by the two draw workers on
-    synthetic streams) give every lane the bits of a solo call and of the
-    numpy body: for one seed (one worker idle) and three (uneven halves),
-    horizons of no step, less than a block and a partial last block, and
-    stretches between checkpoints that cross block boundaries."""
+class TestBlocks:
+    """Streams drawn and stepped in blocks give every lane the bits of a
+    solo call and of the numpy body: for one seed and three, horizons of
+    no step, less than a block and a partial last block, and stretches
+    between checkpoints that cross block boundaries.  (Two seed owners:
+    TestSeedOwners.)"""
 
     @staticmethod
     def _stream(corruption, dataset):
@@ -690,10 +696,10 @@ class TestDrawPipeline:
         assert [cp[0] for cp in batch[0][4]] == sorted({*range(0, T, every), T})
 
     def test_concurrent_calls_under_fast_switching(self):
-        """Two calls at once (four draw workers and two stepping threads on a
-        small machine), switching threads every microsecond, give the bits of
-        one call alone."""
-        seeds = [5, 6, 7]
+        """Two calls at once (two seed owners each, four threads on a small
+        machine), switching threads every microsecond, give the bits of one
+        call alone."""
+        seeds = [5, 6, 7, 8, 9, 10]
         x_true = np.vstack([signal_rng(s).standard_normal(_PIPE_D) for s in seeds])
         spec = replace(_PIPE_GROUPS[0][0], T=2500)
         stream = self._stream(SignFlip(0.3), dataset=False)
@@ -724,30 +730,126 @@ class _DrawFailed(Exception):
 
 @dataclass(frozen=True)
 class _FailingGaussian(Gaussian):
-    """A noise law whose draw raises, after noting the thread it ran on."""
+    """A noise law whose draw notes the thread it runs on, and raises on the ``failing`` owner's."""
 
     threads: list = None
+    failing: str = "both"  # "caller", "worker" or "both"
 
     def draw(self, rng, size=None):
-        self.threads.append(threading.current_thread())
-        raise _DrawFailed("noise draw failed")
+        here = threading.current_thread()
+        self.threads.append(here)
+        if self.failing == "both" or (here is threading.main_thread()) == (self.failing == "caller"):
+            raise _DrawFailed("noise draw failed")
+        return super().draw(rng, size)
 
 
-class TestDrawPoolLifetime:
-    def test_worker_failure_raises_and_joins_the_pool(self):
-        law = _FailingGaussian(1.0, threads=[])
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH to build the kernel")
+
+
+@needs_gcc
+class TestSeedOwners:
+    """With the compiled kernel, a synthetic stream of more than four seeds is
+    drawn and stepped by two seed owners, the calling thread and one worker,
+    split at a whole tile of four seeds; everything else runs on the caller."""
+
+    @pytest.mark.parametrize("failing", ["caller", "worker", "both"])
+    def test_draw_error_raised_once_after_both_owners_stop(self, failing):
+        law = _FailingGaussian(1.0, threads=[], failing=failing)
         stream = StreamSpec(model=GaussianSphere(4), corruption=AdditiveOblivious(0.3, law))
+        with pytest.raises(_DrawFailed, match="noise draw failed") as info:
+            run_batch(_linear_spec(T=3000), stream, range(1, 9), x_true=np.ones(4))
+        # Raised once: not while handling the other owner's error.
+        assert info.value.__context__ is None
+        workers = {t for t in law.threads if t is not threading.main_thread()}
+        assert len(workers) == 1 and threading.main_thread() in law.threads
+        assert not any(t.is_alive() for t in workers)
+
+    @staticmethod
+    def _starts(monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        return started
+
+    def test_one_worker_for_two_owners(self, monkeypatch):
+        started = self._starts(monkeypatch)
         before = threading.active_count()
-        with pytest.raises(_DrawFailed, match="noise draw failed"):
-            run_batch(_linear_spec(T=3000), stream, [1, 2, 3], x_true=np.ones(4))
-        assert law.threads and threading.main_thread() not in law.threads
+        run_batch(_linear_spec(T=3000), _stream(p=0.2), range(1, 9), x_true=np.ones(4))
+        assert len(started) == 1
         assert threading.active_count() == before
 
-    def test_zero_horizon_starts_no_thread(self, monkeypatch):
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
-        before = threading.active_count()
-        traj = run_batch(_linear_spec(T=0), _stream(), [1, 2], x_true=np.ones(4))
-        assert [len(t.checkpoints) for t in traj] == [1, 1]
+    @pytest.mark.parametrize("case", ["T0", "S1", "S4", "dataset", "numpy_body"])
+    def test_one_owner_starts_no_thread(self, case, monkeypatch):
+        T, seeds, stream = 3000, range(1, 9), _stream(p=0.2)
+        if case == "T0":
+            T = 0
+        elif case in ("S1", "S4"):
+            seeds = range(1, 1 + int(case[1:]))
+        elif case == "dataset":
+            rows = np.random.default_rng(2).standard_normal((50, 4))
+            stream = StreamSpec(model=DatasetRows(rows), corruption=SignFlip(0.2), responses=rows @ np.ones(4))
+        else:
+            monkeypatch.setitem(_kernel._libs, "step kernel", "turned off")
+        started = self._starts(monkeypatch)
+        traj = run_batch(_linear_spec(T=T), stream, seeds, x_true=np.ones(4), checkpoint_every=1000)
+        assert [len(t.checkpoints) for t in traj] == [1 + T // 1000] * len(seeds)
         assert started == []
-        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "corruption", [ResidualSignAdversary(0.0), AdditiveOblivious(0.0, Gaussian(2.0))], ids=["residual_sign", "oblivious"]
+    )
+    @pytest.mark.parametrize("S", [2, 3, 5, 10, 13])
+    def test_lanes_match_one_seed_calls(self, S, corruption):
+        # Odd counts, short tiles and uneven splits; checkpoints inside blocks.
+        seeds = list(range(5, 5 + S))
+        groups = [(replace(spec, T=2500), p, None) for spec, p in _PIPE_GROUPS]
+        stream = StreamSpec(model=GaussianSphere(_PIPE_D), corruption=corruption)
+        x_true = np.vstack([signal_rng(s).standard_normal(_PIPE_D) for s in seeds])
+        kwargs = dict(checkpoint_every=700, record_iterates=True)
+        summary = TestBlocks._summary
+        batch = [summary(t) for t in run_batch(Lanes(groups), stream, seeds, x_true=x_true, **kwargs)]
+        solo = [
+            summary(t)
+            for group in groups
+            for s_i, seed in enumerate(seeds)
+            for t in run_batch(
+                Lanes([group]),
+                replace(stream, corruption=replace(corruption, p=group[1])),
+                [seed],
+                x_true=x_true[s_i],
+                **kwargs,
+            )
+        ]
+        assert batch == solo
+
+    def test_hitting_times_match_one_seed_calls(self):
+        d, seeds = 8, list(range(5, 10))
+        spec = SolverSpec(method="sgd_exp_linear", d=d, T=3000, lam=1.001, G=1.0)
+        stream = StreamSpec(model=GaussianSphere(d), corruption=ResidualSignAdversary(0.4))
+        x_true = np.vstack([signal_rng(s).standard_normal(d) for s in seeds])
+        kwargs = dict(checkpoint_every=3000, validate_steps=False, hitting_level=300.0)
+        batch = [t.hit_k for t in run_batch(spec, stream, seeds, x_true=x_true, **kwargs)]
+        solo = [run_batch(spec, stream, [s], x_true=x_true[i], **kwargs)[0].hit_k for i, s in enumerate(seeds)]
+        assert batch == solo
+        assert None in batch and sum(k is not None for k in batch) >= 3
+
+    def test_hitting_run_memory_is_one_block_buffer(self):
+        # The hitting shape of drift-check: 100 seeds at d = 20.  Its traced
+        # peak is the one block buffer of BLOCK_VALUES doubles (2 MiB), plus
+        # ~1.2 MiB for the (S, block) per-step arrays and the 400 seed
+        # generators; a second block buffer would break the bound.
+        d, seeds = 20, list(range(100))
+        spec = SolverSpec(method="sgd_exp_linear", d=d, T=2000, lam=1.0001, G=20.0)
+        stream = StreamSpec(model=GaussianSphere(d), corruption=ResidualSignAdversary(0.4))
+        x_true = np.ones(d)
+
+        def call():
+            run_batch(spec, stream, seeds, x_true=x_true, checkpoint_every=2000, validate_steps=False, hitting_level=1e9)
+
+        call()  # builds and loads the compiled parts first
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * solvers_mod.BLOCK_VALUES + 2 * 2**20
