@@ -18,8 +18,11 @@ iterates in every repeat, and the best repeat is reported.  (That both
 bodies end in the same bits is tested in tests/test_kernel.py.)  Then the
 draw the engine makes per block of a sphere stream, ``sample_seeds`` of
 every seed's rows and corruption uniforms, in ns per measurement value on
-the sweep and hitting shapes; last, the best time of each compiled part's
-load-time self-test, from ``_kernel.PARTS``.
+the sweep and hitting shapes, next to the drift validators' draw
+(``sample_drift_terms`` of one ``DRIFT_CHUNK`` of rows at d 100, reduced as
+they are drawn), so the record shows whether the validators are at the draw
+floor; last, the best time of each compiled part's load-time self-test,
+from ``_kernel.PARTS``.
 
     PYTHONPATH=src python scripts/step_kernel_bench.py [--repeat 7]
 """
@@ -34,7 +37,8 @@ import numpy as np
 
 from sgdexp import _kernel
 from sgdexp.corruption import ResidualSignAdversary, SignFlip
-from sgdexp.measurement import GaussianSphere, sample_block, sample_seeds
+from sgdexp.drift import DRIFT_CHUNK
+from sgdexp.measurement import GaussianSphere, sample_block, sample_drift_terms, sample_seeds
 from sgdexp.solvers import (
     AUDIT_GATE,
     AUDIT_STEP_LAW,
@@ -102,6 +106,16 @@ def _draw_ns(S, d, repeat):
     return 1e9 * best / A.size
 
 
+def _drift_ns(d, repeat):
+    """Best ns per measurement value of one validator chunk: DRIFT_CHUNK rows of d reduced against u."""
+    rng, out = np.random.default_rng(0), np.empty((3, DRIFT_CHUNK))
+    u = np.random.default_rng(1).standard_normal(d)
+    if not sample_drift_terms(GaussianSphere(d), rng, u, out):
+        return float("nan")
+    best = min(timeit.repeat(lambda: sample_drift_terms(GaussianSphere(d), rng, u, out), number=1, repeat=repeat))
+    return 1e9 * best / (DRIFT_CHUNK * d)
+
+
 def _time(st, advance, repeat):
     """Best seconds for the whole block over ``repeat`` runs from the same inputs."""
     x0 = st.x.copy()
@@ -135,6 +149,7 @@ def main():
     print(f"Gaussian fill: {_kernel.status()['Gaussian fill']}")
     for name, S, d in (("sweep", 10, 100), ("hitting", 100, 20)):
         print(f"{name} draw (S {S}, d {d}, n {_block(S, d)}): {_draw_ns(S, d, args.repeat):.2f} ns per value")
+    print(f"drift pass (d 100, n {DRIFT_CHUNK}): {_drift_ns(100, args.repeat):.2f} ns per value")
     for name, part in _kernel.PARTS.items():
         part_lib = _kernel.load(name)
         if part_lib is not None:

@@ -10,10 +10,12 @@ it copies belong to this numpy build, not to numpy's contract.
 - ``_stepkernel.c``, the engine's step, tested on its einsum-order dot.
 - ``_normalfill.c``, rows of ``Generator.standard_normal`` by numpy's own
   ziggurat (linked from numpy's ``random/lib/libnpyrandom.a``), each divided by
-  its norm in the same pass.  Its one draw entry, ``sk_sphere_fill``, takes a
-  list of generators, and optionally one more per seed for ``Generator.random``
-  uniforms, so one call draws a whole engine block; tested on values and on
-  the state each generator ends in.
+  its norm in the same pass.  It has two draw entries.  ``sk_sphere_fill``
+  takes a list of generators, and optionally one more per seed for
+  ``Generator.random`` uniforms, so one call draws a whole engine block.
+  ``sk_drift_pass`` keeps no row: it reduces each against a fixed u to the
+  three einsum-order sums of the drift validators.  Both are tested on values
+  and on the state each generator ends in.
 
 When gcc, the archive or numpy's ``bitgen.h`` is missing, the build fails
 or a self-test finds a difference, that part alone is turned off, with one
@@ -42,6 +44,8 @@ NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 NUMPY_INCLUDE = Path(np.get_include())
 #: Row lengths of the sphere pass's self-test: every branch of numpy's pairwise sum.
 SPHERE_TEST_DIMS = (*range(1, 131), 257, 1000)
+#: Row lengths of the drift pass's self-test: each branch of the einsum loop, and a split norm.
+DRIFT_TEST_DIMS = (1, 2, 7, 8, 13, 20, 100, 130)
 
 _i64, _ptr, _f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 
@@ -193,6 +197,45 @@ def sphere_self_test(lib) -> None:
         raise KernelUnavailable("self-test: the sphere pass leaves another generator state")
 
 
+def drift_pass_self_test(lib) -> None:
+    """Raise KernelUnavailable unless ``sk_drift_pass`` gives numpy's sums of normalized rows.
+
+    Per length in DRIFT_TEST_DIMS, one call reduces two rows from one
+    generator against a fixed u; against the same generator's
+    ``standard_normal`` of all rows, divided by ``np.linalg.norm``'s sum, and
+    ``np.einsum("ij,j->i", A, u)``, ``np.einsum("ij,ij->i", W, W)`` of
+    ``W = u - A`` and of ``u + A``.  The generator must end in the same state.
+    """
+    rows, dims = 2, DRIFT_TEST_DIMS
+    want_rng, got_rng = np.random.default_rng(20240506), np.random.default_rng(20240506)
+    us = np.random.default_rng(20240507).standard_normal(sum(dims))
+    draws = want_rng.standard_normal(rows * sum(dims))
+    got, want = np.empty((len(dims), 3, rows)), np.empty((len(dims), 3, rows))
+    gen, row, at, lost = got_rng.bit_generator.ctypes.bit_generator.value, np.empty(max(dims)), 0, 0
+    for i, d in enumerate(dims):
+        u, g = us[at : at + d], draws[rows * at : rows * (at + d)].reshape(rows, d)
+        A = g / np.sqrt(np.add.reduce(g * g, axis=1))[:, None]
+        np.einsum("ij,j->i", A, u, out=want[i, 0])
+        for k, W in ((1, u - A), (2, u + A)):
+            np.einsum("ij,ij->i", W, W, out=want[i, k])
+        sums = [got[i, k].ctypes.data for k in range(3)]
+        lost += lib.sk_drift_pass(gen, rows, d, u.ctypes.data, row.ctypes.data, *sums)
+        at += d
+    bad = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+    if bad or lost:
+        raise KernelUnavailable(
+            f"self-test: the drift pass differs from np.einsum on {bad} of {want.size} sums"
+        )
+    if got_rng.bit_generator.state != want_rng.bit_generator.state:
+        raise KernelUnavailable("self-test: the drift pass leaves another generator state")
+
+
+def fill_self_test(lib) -> None:
+    """Both draw entries of the Gaussian fill against numpy: the sphere pass, then the drift pass."""
+    sphere_self_test(lib)
+    drift_pass_self_test(lib)
+
+
 #: Every compiled part, by the name its warning and ``status`` give it.
 PARTS = {
     "step kernel": Part(
@@ -215,9 +258,11 @@ PARTS = {
         functions={
             # m, gens, xi_gens, rows, d; out and its seed stride, xi and its seed stride; zeros.
             "sk_sphere_fill": (_i64, [_i64, _ptr, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i64, _ptr]),
+            # gen, rows, d, u, a row of scratch; dots, ||u - a||^2, ||u + a||^2.
+            "sk_drift_pass": (_i64, [_ptr, _i64, _i64] + [_ptr] * 5),
             "sk_normal_init": (None, []),
         },
-        self_test=sphere_self_test,
+        self_test=fill_self_test,
         # -O3 vectorizes the sphere pass's lane sums and divide, which moves no bit: lanewise
         # adds keep their order, and IEEE divide and sqrt are correctly rounded in every lane.
         args=("-O3", f"-I{NUMPY_INCLUDE}"),

@@ -17,12 +17,19 @@
  * generators (the seeds of one engine block), and draws each seed's
  * uniforms too, so a block's draws take one call without the interpreter
  * lock.
+ *
+ * sk_drift_pass draws rows the same way for the drift validators, but keeps
+ * none: while a row is in L1 it reduces it against a fixed u to <a, u>,
+ * ||u - a||^2 and ||u + a||^2, each summed in the order of numpy's einsum.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 #include "numpy/random/bitgen.h"
+
+/* Two doubles, added and multiplied lanewise: IEEE in each lane. */
+typedef double v2 __attribute__((vector_size(16)));
 
 /* numpy/random/distributions.h, which also needs Python.h. */
 double random_standard_normal(bitgen_t *bitgen_state);
@@ -120,6 +127,19 @@ static double pairwise_sumsq(const double *a, int64_t n)
     return pairwise_sumsq(a, n2) + pairwise_sumsq(a + n2, n - n2);
 }
 
+/* One row of d normals from gen into row, divided by its norm, as
+ * sk_sphere_fill draws it; returns the norm, and leaves a row of norm 0
+ * undivided. */
+static double sphere_row(bitgen_t *gen, int64_t d, double *row)
+{
+    fill(gen, d, row);
+    const double norm = sqrt(pairwise_sumsq(row, d));
+    if (norm != 0.0)
+        for (int64_t i = 0; i < d; i++)
+            row[i] /= norm;
+    return norm;
+}
+
 /* For each of m seeds i: `rows` rows of d normals from gens[i] at
  * out + i * out_stride, each divided by its norm, and, where xi_gens is not
  * NULL, `rows` doubles from xi_gens[i]'s own next_double at xi + i * xi_stride,
@@ -135,17 +155,8 @@ int64_t sk_sphere_fill(int64_t m, bitgen_t *const *gens, bitgen_t *const *xi_gen
     int64_t total = 0;
     for (int64_t s = 0; s < m; s++) {
         zeros[s] = 0;
-        for (int64_t k = 0; k < rows; k++) {
-            double *row = out + s * out_stride + k * d;
-            fill(gens[s], d, row);
-            const double norm = sqrt(pairwise_sumsq(row, d));
-            if (norm == 0.0) {
-                zeros[s]++;
-                continue;
-            }
-            for (int64_t i = 0; i < d; i++)
-                row[i] /= norm;
-        }
+        for (int64_t k = 0; k < rows; k++)
+            zeros[s] += sphere_row(gens[s], d, out + s * out_stride + k * d) == 0.0;
         total += zeros[s];
         if (xi_gens != NULL) {
             bitgen_t *u = xi_gens[s];
@@ -155,6 +166,66 @@ int64_t sk_sphere_fill(int64_t m, bitgen_t *const *gens, bitgen_t *const *xi_gen
         }
     }
     return total;
+}
+
+static v2 load2(const double *p)
+{
+    v2 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* The products of elements i, i+1 added into the three sums: a u, (u - a)^2
+ * and (u + a)^2. */
+static inline void add3(v2 *c, const double *a, const double *u, int64_t i)
+{
+    const v2 av = load2(a + i), uv = load2(u + i);
+    const v2 minus = uv - av, plus = uv + av;
+    c[0] = av * uv + c[0];
+    c[1] = minus * minus + c[1];
+    c[2] = plus * plus + c[2];
+}
+
+/* For each of `rows` rows a drawn from gen as sk_sphere_fill draws them
+ * (row is d doubles of scratch): dots[k] = <a, u>, minus[k] = ||u - a||^2
+ * and plus[k] = ||u + a||^2, each summed as numpy's einsum sum-of-products
+ * loop on two SSE2 lanes sums np.einsum("ij,j->i") and ("ij,ij->i"): one
+ * two-wide accumulator, 8 elements per iteration added as p + c in the
+ * order 6-7, 4-5, 2-3, 0-1, a zero-filled 2-wide tail, then
+ * 0.0 + (c0 + c1).  u - a and u + a are u - s a for s = +1 and -1, both
+ * exact.  A row of norm 0 gets minus[k] = -1, which no sum of squares is,
+ * for the caller to redraw; their count is returned. */
+int64_t sk_drift_pass(bitgen_t *gen, int64_t rows, int64_t d, const double *u, double *row,
+                      double *dots, double *minus, double *plus)
+{
+    int64_t zeros = 0;
+    for (int64_t k = 0; k < rows; k++) {
+        if (sphere_row(gen, d, row) == 0.0) {
+            zeros++;
+            minus[k] = -1.0;
+            continue;
+        }
+        v2 c[3] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
+        int64_t i = 0;
+        for (; i + 8 <= d; i += 8) {
+            add3(c, row, u, i + 6);
+            add3(c, row, u, i + 4);
+            add3(c, row, u, i + 2);
+            add3(c, row, u, i);
+        }
+        for (; i + 2 <= d; i += 2)
+            add3(c, row, u, i);
+        if (i < d) {
+            const double m = u[i] - row[i], p = u[i] + row[i];
+            c[0] = (v2){row[i] * u[i], 0.0 * 0.0} + c[0];
+            c[1] = (v2){m * m, 0.0 * 0.0} + c[1];
+            c[2] = (v2){p * p, 0.0 * 0.0} + c[2];
+        }
+        dots[k] = 0.0 + (c[0][0] + c[0][1]);
+        minus[k] = 0.0 + (c[1][0] + c[1][1]);
+        plus[k] = 0.0 + (c[2][0] + c[2][1]);
+    }
+    return zeros;
 }
 
 /* A scripted bit generator for the probe: `word` first, then, should numpy

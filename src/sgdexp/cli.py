@@ -32,7 +32,7 @@ from .experiment import (
     synthetic_measurement,
 )
 from .measurement import estimate_ctilde
-from .results import emit_plot, emit_results, emit_sweep_csv, read_results_csv
+from .results import emit_plot, emit_results, emit_sweep_csv, read_results_csv, replaced
 from .solvers import METHODS
 
 
@@ -166,7 +166,7 @@ def _cmd_drift_check(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "drift_report.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -201,7 +201,7 @@ def _cmd_dataset_prep(args) -> int:
     )
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n", encoding="utf-8") as fh:
+    with replaced(out) as fh:
         fh.write(",".join(data.feature_names + [data.response_name]) + "\n")
         for row, y in zip(data.features, data.responses):
             cells = [format(v, ".17g") for v in row] + [format(y, ".17g")]

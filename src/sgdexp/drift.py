@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .corruption import CorruptionSpec, NoCorruption, ResidualSignAdversary, apply_channel
-from .measurement import MeasurementModel, sample_block
+from .measurement import MeasurementModel, sample_block, sample_drift_terms
 from .solvers import SolverSpec, StreamSpec, _check_horizon, _corruption_factor, run_batch
 
 #: Denominators of the admissible step-decay window lam^2 - 1 <= ctilde^2 f^2 / (den d).
@@ -44,7 +44,8 @@ RHO_DEN = {"linear": 60.0, "relu": 100.0}
 #: Denominators of the below-band ceiling D = exp(ctilde f / (den sqrt(d))).
 D_DEN = {"linear": 3.0, "relu": 6.0}
 #: One-step draws per block in the drift Monte Carlo validators, which hold
-#: one (DRIFT_CHUNK, d) buffer for the call.
+#: three DRIFT_CHUNK sums per draw for the call (and, where the compiled fill
+#: cannot reduce the rows as they are drawn, one (DRIFT_CHUNK, d) buffer).
 DRIFT_CHUNK = 20_000
 
 
@@ -117,7 +118,8 @@ def drift_params(
 
     Raises DriftWindowError when lam^2 - 1 falls outside
     (0, ctilde^2 f^2 / (9 d)] (linear; 49 d for relu) or lam^2 >= 50/49:
-    outside the window the constants are not bounds at all.
+    outside the window the constants are not bounds at all.  ctilde must
+    lie in (0, 1], where every measurement model's constant lies.
     """
     if regime not in WINDOW_DEN:
         raise ValueError(f"regime must be 'linear' or 'relu', got {regime!r}")
@@ -125,6 +127,8 @@ def drift_params(
         raise ValueError("dimension must be at least 1")
     if not 0 < ctilde < math.inf:
         raise ValueError("ctilde must be positive and finite")
+    if ctilde > 1.0:  # sqrt(d) E|<u, a>| <= sqrt(d E<u, a>^2) = ||u|| for isotropic sqrt(d) a
+        raise ValueError(f"ctilde must be at most 1, the bound of any unit-norm isotropic model; got {ctilde}")
     f = _corruption_factor(p, noise)
     ls1 = lam * lam - 1.0
     window = ctilde * ctilde * f * f / (WINDOW_DEN[regime] * d)
@@ -263,10 +267,14 @@ def mc_hitting_probability(
 def _realized_signs(
     dots: np.ndarray, adversary: CorruptionSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    """Residual signs in {-1, +1}, flipped by the reflection adversary w.p. p."""
+    """Residual signs in {-1, +1}, flipped by the reflection adversary w.p. p.
+
+    The adversary's uniforms are drawn into ``dots``, a C-contiguous float
+    array, once the signs are read from it.
+    """
     s = np.where(dots >= 0.0, 1.0, -1.0)
     if adversary.p > 0.0:  # reflecting s about the prediction 0 flips it
-        s = apply_channel(adversary, s, rng.random(dots.shape[0]), pred=0.0)
+        s = apply_channel(adversary, s, rng.random(out=dots), pred=0.0)
     return s
 
 
@@ -302,30 +310,44 @@ def _one_step_report(u, lam, model, adversary, n_samples, rng, value, ceiling):
     """Report of the mean and standard error of value(Y') over n_samples one-step draws from u.
 
     Each draw is Y' = lam^2 ||u - s a||^2 with a fresh measurement a and
-    realized sign s, sampled ``DRIFT_CHUNK`` at a time into one chunk
-    buffer held for the call, where u - s a then replaces the draws.  The
-    sums are shifted by the first value so the variance does not cancel
-    catastrophically.  The report passes when the mean is at most
-    ``ceiling`` + 4 stderr.
+    realized sign s, taken ``DRIFT_CHUNK`` at a time.  Since s a is a or -a
+    exactly, ``sample_drift_terms`` keeps per draw only <a, u>,
+    ||u - a||^2 and ||u + a||^2 in three reused arrays, reduced in the
+    compiled fill as each row is drawn.  Where it cannot (models other
+    than the Gaussian ones, or no fill), the draws go into one chunk buffer
+    held for the call, where u - s a then replaces them; both ways give the
+    same bits.  The sums are shifted by the first value so the variance
+    does not cancel catastrophically.  The report passes when the mean is
+    at most ``ceiling`` + 4 stderr.
     """
     total = 0.0
     total_sq = 0.0
     shift = None
     remaining = n_samples
-    buf = np.empty((min(DRIFT_CHUNK, n_samples), u.size))
+    chunk = min(DRIFT_CHUNK, n_samples)
+    terms, buf = np.empty((3, chunk)), None
     while remaining > 0:
         m = min(DRIFT_CHUNK, remaining)
-        A, _ = sample_block(model, rng, m, out=buf[:m])
-        s = _realized_signs(A @ u, adversary, rng)
-        w = np.multiply(A, s[:, None], out=A)  # exact: s is +-1
-        np.subtract(u[None, :], w, out=w)  # u - s a
-        vals = value(lam * lam * np.einsum("ij,ij->i", w, w))
+        dots, y1, plus = terms[:, :m]
+        if sample_drift_terms(model, rng, u, terms[:, :m]):
+            s = _realized_signs(dots, adversary, rng)
+            np.copyto(y1, plus, where=s < 0.0)  # ||u - s a||^2
+        else:
+            buf = np.empty((chunk, u.size)) if buf is None else buf
+            A, _ = sample_block(model, rng, m, out=buf[:m])
+            s = _realized_signs(np.einsum("ij,j->i", A, u), adversary, rng)
+            w = np.multiply(A, s[:, None], out=A)  # exact: s is +-1
+            np.subtract(u[None, :], w, out=w)  # u - s a
+            np.einsum("ij,ij->i", w, w, out=y1)
+        del s
+        vals = value(lam * lam * y1)
         if shift is None:
             shift = float(vals[0])
         vals -= shift
         total += vals.sum()
         total_sq += (vals * vals).sum()
         remaining -= m
+        del vals  # freed before the next chunk's signs and uniforms
 
     mean_c = total / n_samples
     var = max(total_sq / n_samples - mean_c * mean_c, 0.0) * n_samples / (n_samples - 1)

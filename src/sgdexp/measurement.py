@@ -302,6 +302,43 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
     return idx
 
 
+def sample_drift_terms(model: MeasurementModel, rng: np.random.Generator, u, out) -> bool:
+    """Draw n rows ``a`` as ``sample_block(model, rng, n)`` would and keep, per row, only three sums.
+
+    ``out`` is a (3, n) float array with C-contiguous rows, and gets
+    ``<a, u>``, ``||u - a||^2`` and ``||u + a||^2``: ``np.einsum("ij,j->i", A, u)``
+    and ``np.einsum("ij,ij->i", W, W)`` of ``W = u - A`` and ``u + A``, bit for
+    bit, with ``rng`` left as ``sample_block`` leaves it.  The compiled fill
+    reduces each row while it is in L1, so no (n, d) array is made.  The rare
+    rows of norm 0 are redrawn after the others, as ``sample_block`` redraws
+    them, and reduced here.  Returns False, having drawn nothing, where the
+    model is not Gaussian-based or the fill does not load.
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    if u.shape != (model.d,):
+        raise ValueError(f"sample_drift_terms: u has shape {u.shape}, the model draws rows of {model.d}")
+    if out.ndim != 2 or len(out) != 3 or not _seed_major(out):
+        raise ValueError("sample_drift_terms: out must be a (3, n) float array of C-contiguous, writable rows")
+    gaussian = isinstance(model, GaussianSphere) or getattr(model, "base", None) == "gaussian"
+    lib = _fill_library([rng]) if gaussian else None
+    if lib is None:
+        return False
+    dots, minus, plus = out
+    row = np.empty(u.size)
+    with rng.bit_generator.lock:
+        lost = lib.sk_drift_pass(
+            rng.bit_generator.ctypes.bit_generator.value, dots.size, u.size, u.ctypes.data,
+            row.ctypes.data, dots.ctypes.data, minus.ctypes.data, plus.ctypes.data,
+        )
+    if lost:
+        bad = np.flatnonzero(minus < 0.0)  # the rows of norm 0, as the pass marks them
+        A = _gaussian_rows(rng, np.empty((lost, u.size)))
+        dots[bad] = np.einsum("ij,j->i", A, u)
+        for sums, W in ((minus, u - A), (plus, u + A)):
+            sums[bad] = np.einsum("ij,ij->i", W, W)
+    return True
+
+
 def exact_sphere_constant(d: int) -> float:
     """sqrt(d) * E|<u, a>| for a uniform on S^{d-1} and any fixed unit u.
 

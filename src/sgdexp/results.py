@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -27,6 +29,24 @@ _PALETTE = [
 ]
 
 
+@contextlib.contextmanager
+def replaced(path, errors="strict"):
+    """A UTF-8 text file, newlines as written, that takes the place of ``path`` once the block ends.
+
+    The text goes to a temp file in ``path``'s directory, which must exist,
+    and ``os.replace`` moves it onto ``path``; if the block raises, the temp
+    file is removed and ``path`` keeps what it held.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="\n", encoding="utf-8", errors=errors) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _fmt(v) -> str:
     return "" if v is None else format(float(v), ".17g")
 
@@ -47,7 +67,7 @@ def emit_results(trajectories, out_dir):
     manifest_path = out_dir / "results.manifest.json"
 
     ordered = sorted(trajectories, key=lambda t: (t.solver, t.seed))
-    with open(csv_path, "w", newline="\n", encoding="utf-8") as fh:
+    with replaced(csv_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for traj in ordered:
@@ -85,7 +105,7 @@ def emit_results(trajectories, out_dir):
     }
     if trajectories[0].least_squares_clean_loss is not None:
         manifest["least_squares_clean_loss"] = trajectories[0].least_squares_clean_loss
-    with open(manifest_path, "w", newline="\n", encoding="utf-8") as fh:
+    with replaced(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, manifest_path
@@ -235,8 +255,8 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    ET.ElementTree(svg).write(path, encoding="unicode", xml_declaration=True)
-    with open(path, "a", encoding="utf-8") as fh:
+    with replaced(path, errors="xmlcharrefreplace") as fh:
+        ET.ElementTree(svg).write(fh, encoding="unicode", xml_declaration=True)
         fh.write("\n")
     return path
 
@@ -248,7 +268,7 @@ def emit_sweep_csv(rows, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["solver", "p", "k", "mean_value", "n_seeds", "metric"])
         for row in sorted(rows, key=lambda r: (r.solver, r.p, r.k)):

@@ -600,3 +600,130 @@ def test_readme_experiment_commands_exist():
             assert words[0] == "python", words
             target = words[1]
         assert (root / target).is_file(), words
+
+
+class _BreakingFile:
+    """A text file that takes its first write and raises on the next."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise ValueError("no space left on the test's device")
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("run", "results.csv"),
+        ("run", "results.manifest.json"),
+        ("run", "results.svg"),
+        ("sweep", "sweep.csv"),
+        ("drift-check", "drift_report.json"),
+        ("dataset", "prep.csv"),
+    ],
+)
+def test_failed_write_leaves_the_earlier_file(command, target, config_path, tmp_path, monkeypatch, capsys):
+    """Each output is written whole or not at all: a write that fails midway leaves
+    the file from the run before byte for byte, and no temp file."""
+    out = tmp_path / "out"
+    src = tmp_path / "raw.csv"
+    src.write_text("a,b,y\n1,10,0\n2,20,1\n3,30,0\n")
+    argv = {
+        "run": ["run", str(config_path), "--out-dir", str(out)],
+        "sweep": ["sweep", str(config_path), "--p", "0.1,0.3", "--out-dir", str(out)],
+        "drift-check": ["drift-check", str(CONFIGS / "oblivious_high_p.json"), "--ctilde", "0.7979", "--out-dir", str(out)],
+        "dataset": ["dataset", "prep", str(src), "--features", "a,b", "--response", "y", "-o", str(out / "prep.csv")],
+    }[command] + ["--quiet"]
+    assert main(argv) == 0
+    before = (out / target).read_bytes()
+    capsys.readouterr()
+
+    real = sgdexp.results.replaced
+
+    @contextlib.contextmanager
+    def breaking(path, **kwargs):
+        with real(path, **kwargs) as fh:
+            yield _BreakingFile(fh) if Path(path).name == target else fh
+
+    monkeypatch.setattr(sgdexp.results, "replaced", breaking)
+    monkeypatch.setattr(sgdexp.cli, "replaced", breaking)
+    assert main(argv) == 2
+    assert _error_line(capsys) == "error: no space left on the test's device"
+    assert (out / target).read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A drift-check config whose lam is inside the drift window at the sphere's ctilde, for the fuzz tests."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    config = {
+        "dimension": 8,
+        "horizon": 300,
+        "seeds": [1],
+        "measurement": {"kind": "gaussian_sphere"},
+        "corruption": {"kind": "residual_sign", "p": 0.3},
+        "solvers": [{"name": "sgd-exp", "method": "sgd_exp_linear", "lam": 1.00001, "G": "auto", "g_scale": 1.05}],
+        "signal": {"kind": "scaled_standard_normal", "norm": 1.0},
+    }
+    (directory / "drift.json").write_text(json.dumps(config))
+    return directory
+
+
+def _exits_0_or_with_one_error_line(argv):
+    """Run argv; return its exit code, having checked that a failure printed one error line and no warning."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code != 0:
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return code
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+def _flags(**values):
+    return [f"--{name}={value}" for name, value in values.items() if value is not None]
+
+
+@given(
+    K=_maybe(st.integers(-3, 400)),
+    mc=_maybe(st.integers(-2, 3)),
+    seed=_maybe(st.integers(-3, 2**64)),
+    ctilde=_maybe(st.floats(allow_subnormal=True) | st.floats(0.5, 1.0)),
+)
+@settings(max_examples=25, deadline=None)
+def test_drift_check_exits_0_or_with_one_error_line(fuzz_dir, K, mc, seed, ctilde):
+    """Whatever --K, --mc, --seed and --ctilde hold, drift-check writes its whole report
+    or exits 2 with one error line and no report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["drift-check", str(fuzz_dir / "drift.json"), "--out-dir", str(out), "--quiet"]
+        code = _exits_0_or_with_one_error_line(argv + _flags(K=K, mc=mc, seed=seed, ctilde=ctilde))
+        report = out / "drift_report.json"
+        if code == 0:
+            assert json.loads(report.read_text())["K"] == (300 if K is None else K)
+        else:
+            assert not report.exists()
+        assert not out.exists() or [p.name for p in out.iterdir()] in ([], ["drift_report.json"])
+
+
+@given(
+    d=st.integers(-2, 12),
+    samples=st.integers(-5, 400),
+    directions=_maybe(st.integers(-2, 5)),
+    seed=_maybe(st.integers(-3, 2**64)),
+)
+@settings(max_examples=25, deadline=None)
+def test_ctilde_exits_0_or_with_one_error_line(d, samples, directions, seed):
+    argv = ["ctilde", "--model", "gaussian_sphere", f"--d={d}", f"--samples={samples}"]
+    _exits_0_or_with_one_error_line(argv + _flags(directions=directions, seed=seed))

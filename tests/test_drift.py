@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdexp.drift as drift_mod
 from sgdexp import _kernel
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
 from sgdexp.drift import (
@@ -26,6 +27,7 @@ from sgdexp.drift import (
 from sgdexp.drift import _one_step_report, _realized_signs
 from sgdexp.measurement import DatasetRows, GaussianSphere, exact_sphere_constant, sample_block
 from sgdexp.solvers import Lanes, SolverSpec, StreamSpec, recommend_G, run_batch
+from test_kernel import FILL, _ZeroWordsFill
 
 CT = math.sqrt(2.0 / math.pi)
 
@@ -469,7 +471,7 @@ def _one_step_allocating(u, lam, model, adversary, n_samples, rng, value):
     while remaining > 0:
         m = min(DRIFT_CHUNK, remaining)
         A, _ = sample_block(model, rng, m)
-        s = _realized_signs(A @ u, adversary, rng)
+        s = _realized_signs(np.einsum("ij,j->i", A, u), adversary, rng)
         w = u[None, :] - s[:, None] * A
         vals = value(lam * lam * np.einsum("ij,ij->i", w, w))
         if shift is None:
@@ -484,11 +486,20 @@ def _one_step_allocating(u, lam, model, adversary, n_samples, rng, value):
 
 
 class TestOneStepBuffers:
-    """The validators draw into one reused chunk buffer without moving a bit."""
+    """The validators reduce each draw in the compiled fill, or draw into one reused chunk buffer, without moving a bit."""
 
     LAM, D = 1.001, 20
+    ADVERSARIES = pytest.mark.parametrize(
+        "adversary", [NoCorruption(), ResidualSignAdversary(0.3)], ids=["clean", "adversary"]
+    )
 
-    @pytest.mark.parametrize("adversary", [NoCorruption(), ResidualSignAdversary(0.3)], ids=["clean", "adversary"])
+    @staticmethod
+    def _report(d, adversary, n_samples, rng):
+        u = np.random.default_rng(4).standard_normal(d) * 10.0
+        value = lambda y1: np.exp(1e-3 * y1)
+        return _one_step_report(u, TestOneStepBuffers.LAM, GaussianSphere(d), adversary, n_samples, rng, value, 1.0)
+
+    @ADVERSARIES
     @pytest.mark.parametrize("n_samples", [2, DRIFT_CHUNK, 2 * DRIFT_CHUNK + 123])
     def test_estimates_match_allocating_reference(self, adversary, n_samples):
         u = np.random.default_rng(4).standard_normal(self.D) * 10.0
@@ -498,15 +509,57 @@ class TestOneStepBuffers:
         est, se = _one_step_allocating(u, self.LAM, model, adversary, n_samples, np.random.default_rng(5), value)
         assert (rep.estimate, rep.stderr) == (est, se)
 
+    @ADVERSARIES
+    @pytest.mark.parametrize("n_samples", [2, DRIFT_CHUNK, 2 * DRIFT_CHUNK + 123])
+    def test_drift_pass_matches_numpy_body(self, adversary, n_samples, monkeypatch):
+        # Every branch of the einsum loop (d = 1..9), and a norm split in two halves (130).
+        if _kernel.load(FILL) is None:
+            pytest.skip("the compiled fill does not load here")
+        for d in (*range(1, 10), 20, 100, 130):
+            runs = []
+            for fill in (_kernel.load(FILL), "turned off"):
+                monkeypatch.setitem(_kernel._libs, FILL, fill)
+                rng = np.random.default_rng(1000 * d + n_samples)
+                rep = self._report(d, adversary, n_samples, rng)
+                runs.append((rep.estimate, rep.stderr, rng.bit_generator.state))
+            assert runs[0] == runs[1], d
+
+    @pytest.mark.parametrize("zero_rows", [1, 2])
+    @pytest.mark.parametrize("d", [1, 13, 100])
+    def test_zero_norm_rows_are_redrawn_as_the_numpy_body_does(self, d, zero_rows, monkeypatch):
+        # The first rows' words are all 0; the drift pass hands them back, the numpy body's
+        # sample_block redraws them in the sphere pass.  Both redraw from the same stand-in.
+        lib = _kernel.load(FILL)
+        if lib is None:
+            pytest.skip("the compiled fill does not load here")
+        runs = []
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(drift_mod, "sample_drift_terms", lambda *args: False)
+            rng = np.random.default_rng(0)
+            stand_in = _ZeroWordsFill(lib, [rng], [np.random.PCG64(77)], zeros=[zero_rows * d])
+            monkeypatch.setitem(_kernel._libs, FILL, stand_in)
+            rep = self._report(d, ResidualSignAdversary(0.3), 50, rng)
+            assert stand_in.zeros[0] < 0  # every zero word was drawn
+            runs.append((rep.estimate, rep.stderr, stand_in.inners[0].state, rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("fill", [True, False], ids=["fill", "numpy_fill"])
+    def test_state_and_model_dimensions_must_agree(self, fill, monkeypatch):
+        if not fill:
+            monkeypatch.setitem(_kernel._libs, FILL, "turned off")
+        with pytest.raises(ValueError):
+            _one_step_report(np.ones(5), self.LAM, GaussianSphere(6), NoCorruption(), 10, np.random.default_rng(0), abs, 1.0)
+
     @pytest.mark.parametrize("fill", [True, False], ids=["fill", "numpy_fill"])
     def test_memory_is_one_chunk_buffer(self, fill, monkeypatch):
-        # The draws, then u - s a in their place: one (DRIFT_CHUNK, d) buffer, plus
-        # per-draw vectors.  numpy's row norms square a few rows at a time.
+        # On numpy: the draws, then u - s a in their place, in one (DRIFT_CHUNK, d) buffer,
+        # plus per-draw vectors; numpy's row norms square a few rows at a time.  In the fill
+        # not even that: three sums per draw, the signs and the channel's temporaries, under 1 MiB.
         if not fill:
-            monkeypatch.setitem(_kernel._libs, "Gaussian fill", "turned off")
-        elif _kernel.load("Gaussian fill") is None:
+            monkeypatch.setitem(_kernel._libs, FILL, "turned off")
+        elif _kernel.load(FILL) is None:
             pytest.skip("the compiled fill does not load here")
-        chunks = 1.5
         d, lam, p = 100, 1.00001, 0.4
         a_edge = 1.0 / (2.0 * (lam * lam - 1.0))
         args = (p, lam, d, CT, GaussianSphere(d), ResidualSignAdversary(p), 40_000, np.random.default_rng(0))
@@ -516,7 +569,7 @@ class TestOneStepBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < chunks * DRIFT_CHUNK * d * 8
+        assert peak < (2**20 if fill else 1.5 * DRIFT_CHUNK * d * 8)
 
 
 class TestMcDriftC2:

@@ -20,6 +20,7 @@ import pytest
 import sgdexp.measurement as measurement_mod
 from sgdexp import _kernel
 from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
+from sgdexp.drift import mc_drift_linear_term
 from sgdexp.measurement import (
     GaussianSphere,
     NormalizedIIDSubGaussian,
@@ -110,8 +111,12 @@ def fresh_load(monkeypatch, tmp_path):
 
 @pytest.fixture
 def fresh_fill(monkeypatch, tmp_path):
-    """The next Gaussian draw loads the fill anew, from an empty cache under tmp_path."""
-    monkeypatch.delitem(_kernel._libs, FILL, raising=False)
+    """The next Gaussian draw loads the fill anew, from an empty cache under tmp_path.
+
+    Whatever the test loads goes into a copy of the loaded parts, so no later
+    test sees it, even when none had loaded the fill before.
+    """
+    monkeypatch.setattr(_kernel, "_libs", {name: lib for name, lib in _kernel._libs.items() if name != FILL})
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
 
@@ -491,6 +496,9 @@ class TestGaussianFill:
 
 #: The sphere pass's branch for fewer than 8 terms, the target of its mutation check.
 SHORT_SUM = "if (n < 8) {"
+#: The drift pass's first two chain steps, and the same two swapped.
+DRIFT_ORDER = "            add3(c, row, u, i + 6);\n            add3(c, row, u, i + 4);\n"
+DRIFT_SWAPPED = "            add3(c, row, u, i + 4);\n            add3(c, row, u, i + 6);\n"
 GAUSSIAN_MODELS = pytest.mark.parametrize(
     "model_of", [GaussianSphere, lambda d: NormalizedIIDSubGaussian(d, "gaussian")], ids=["sphere", "iid"]
 )
@@ -542,6 +550,9 @@ class _ZeroWordsFill:
     def sk_sphere_fill(self, m, gens, *args):
         stand_ins = (ctypes.c_void_p * m)(*(ctypes.addressof(self.bitgens[gens[i]]) for i in range(m)))
         return self.lib.sk_sphere_fill(m, stand_ins, *args)
+
+    def sk_drift_pass(self, gen, *args):
+        return self.lib.sk_drift_pass(ctypes.addressof(self.bitgens[gen]), *args)
 
 
 def _zero_led_rows(rng, n, d, zero_rows):
@@ -689,9 +700,25 @@ class TestSpherePass:
         ref, _ = sample_block(model, np.random.default_rng(8), 500)
         assert np.array_equal(_bits(first), _bits(ref)) and np.array_equal(_bits(second), _bits(ref))
 
+    def test_swapped_drift_pass_sums_fail_self_test(self, fresh_fill, monkeypatch, tmp_path):
+        mutant = _mutant(tmp_path, FILL, DRIFT_ORDER, DRIFT_SWAPPED)
+        with pytest.raises(_kernel.KernelUnavailable, match="self-test: the drift pass differs from np.einsum"):
+            mutant.self_test(_opened(mutant, tmp_path))
+
+        monkeypatch.setitem(_kernel.PARTS, FILL, mutant)
+        d, lam, p = 20, 1.0001, 0.3
+        args = (1.5 / (2.0 * (lam * lam - 1.0)), p, lam, d, 0.8, GaussianSphere(d), ResidualSignAdversary(p), 500)
+        with pytest.warns(RuntimeWarning) as record:
+            got = mc_drift_linear_term(*args, np.random.default_rng(8))
+        (warning,) = record
+        assert "Gaussian fill unavailable, using numpy: self-test: the drift pass" in str(warning.message)
+        _turn_off(monkeypatch, FILL)
+        assert got == mc_drift_linear_term(*args, np.random.default_rng(8))
+
     def test_self_test_is_quick(self):
+        # Both draw entries' checks, which every process that draws a sphere pays once.
         lib = _kernel.load(FILL)
-        best = min(timeit.repeat(lambda: _kernel.sphere_self_test(lib), number=1, repeat=5))
+        best = min(timeit.repeat(lambda: _kernel.fill_self_test(lib), number=1, repeat=5))
         assert best < 3e-3
 
 
