@@ -21,9 +21,18 @@ import numpy as np
 #: Large-d limit of the sphere constant, sqrt(2/pi).
 GAUSSIAN_LIMIT_CONSTANT = math.sqrt(2.0 / math.pi)
 
-#: Measurement draws per block in ``estimate_ctilde``, drawn into one reused
-#: (CTILDE_CHUNK, d) buffer.
+#: Measurement draws per chunk in ``estimate_ctilde``: each chunk's sums are
+#: added to the running totals on their own.
 CTILDE_CHUNK = 50_000
+
+#: Values in each of ``estimate_ctilde``'s two block buffers, the draws and
+#: their products with the directions (256 KiB each).
+CTILDE_BLOCK_VALUES = 32768
+
+#: Least values in a full block's product in ``estimate_ctilde``.  OpenBLAS
+#: takes products of up to about 1200 values through small-matrix kernels
+#: that sum in another order than the kernels of a whole chunk's product.
+CTILDE_PRODUCT_VALUES = 4096
 
 #: Values in ``_row_norms``'s scratch for the squares of a slice of rows (64 KiB).
 ROW_NORM_VALUES = 8192
@@ -354,6 +363,44 @@ def exact_sphere_constant(d: int) -> float:
     )
 
 
+def _ctilde_block_rows(d: int, n_directions: int) -> int:
+    """Rows per full block of ``estimate_ctilde``'s draws.
+
+    CTILDE_BLOCK_VALUES over the wider of d and J, so that neither buffer
+    grows with the other, but at least CTILDE_PRODUCT_VALUES over J.
+    """
+    return max(4, CTILDE_BLOCK_VALUES // max(d, n_directions), CTILDE_PRODUCT_VALUES // n_directions)
+
+
+def _chunk_blocks(m: int, rows: int):
+    """(start, length) of each block of a chunk of m rows.
+
+    Blocks are ``rows`` long, but where more than one and less than two are
+    left, the last two split what is left; so a block is the whole chunk
+    or at least half of ``rows`` (never one row when ``rows`` >= 3).
+    """
+    i = 0
+    while i < m:
+        left = m - i
+        r = left if left <= rows else rows if left >= 2 * rows else left // 2
+        yield i, r
+        i += r
+
+
+def _directions(directions, d: int) -> np.ndarray:
+    """The (J, d) unit rows of user ``directions``, or one ValueError naming what is wrong."""
+    U = np.atleast_2d(np.asarray(directions, dtype=float))
+    if U.ndim != 2 or U.shape[0] == 0 or U.shape[1] != d:
+        raise ValueError(f"directions: expected a (J, {d}) array with J >= 1, got shape {np.shape(directions)}")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(U, axis=1)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"directions: row {i} has norm {norms[i]}, expected a finite nonzero norm")
+    return U / norms[:, None]
+
+
 def estimate_ctilde(
     model: MeasurementModel,
     n_samples: int,
@@ -368,10 +415,29 @@ def estimate_ctilde(
     mean of sqrt(d)*|<u, a>| for each, and reports the minimum across
     directions as a lower-confidence proxy for the infimum over all u.
 
+    The draws come in chunks of CTILDE_CHUNK rows, and each chunk's sums
+    of sqrt(d)|<u, a>| and of its square are added to the totals.  A chunk
+    is drawn and reduced in blocks of ``_ctilde_block_rows(d, J)`` rows,
+    each block's draws and products in one reused buffer apiece, with the
+    bits of drawing and reducing the chunk whole:
+
+    - ``sample_block`` draws the same rows in blocks as in one call.
+    - A product row of ``A @ U.T`` has the same bits in any block whose
+      product has more than about 1200 values: OpenBLAS runs it through
+      a whole chunk's kernels.  A smaller product goes through its
+      small-matrix kernels, and a one-row product is a gemv, so
+      ``_chunk_blocks`` keeps every block at least half of a full one
+      unless it is the whole chunk.
+    - ``add.reduce`` over the rows of a C-contiguous (m, J >= 2) array
+      adds row by row, so the chunk's sums so far, put in the row above a
+      block, carry on into it.  A lone column it sums pairwise, so for
+      J = 1 the chunk's whole column is kept and summed once.
+
     Parameters
     ----------
-    directions : optional (J, d) array of unit directions. When given,
-        overrides ``n_directions`` and the internal direction draw.
+    directions : optional (J, d) array of nonzero, finite directions. When
+        given, overrides ``n_directions`` and the internal direction draw;
+        it is checked before anything is drawn.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -381,29 +447,40 @@ def estimate_ctilde(
             raise ValueError("n_directions must be at least 1")
         U, _ = sample_block(GaussianSphere(d), rng, n_directions)
     else:
-        U = np.atleast_2d(np.asarray(directions, dtype=float))
-        norms = np.linalg.norm(U, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("directions must be nonzero")
-        U = U / norms[:, None]
+        U = _directions(directions, d)
     n_dir = U.shape[0]
 
+    rows = min(_ctilde_block_rows(d, n_dir), n_samples)
+    block = np.empty((rows, d))
+    whole = n_dir == 1
+    z = np.empty((min(CTILDE_CHUNK, n_samples), 1) if whole else (rows + 1, n_dir))
+    chunk = np.empty((2, n_dir))  # the chunk's sum and sum of squares so far
     sums = np.zeros(n_dir)
     sumsqs = np.zeros(n_dir)
-    remaining = n_samples
     scale = math.sqrt(d)
-    buf = np.empty((min(CTILDE_CHUNK, n_samples), d))
-    while remaining > 0:
-        m = min(CTILDE_CHUNK, remaining)
-        A, _ = sample_block(model, rng, m, out=buf[:m])
-        z = A @ U.T  # (m, n_dir)
-        np.abs(z, out=z)
-        z *= scale
-        sums += z.sum(axis=0)
-        z *= z
-        sumsqs += z.sum(axis=0)
-        del z  # freed before the next draw, whose numpy row norms allocate their squares
-        remaining -= m
+    for start in range(0, n_samples, CTILDE_CHUNK):
+        m = min(CTILDE_CHUNK, n_samples - start)
+        for i, r in _chunk_blocks(m, rows):
+            A, _ = sample_block(model, rng, r, out=block[:r])
+            prod = z[i : i + r] if whole else z[1 : r + 1]
+            np.matmul(A, U.T, out=prod)
+            np.abs(prod, out=prod)
+            prod *= scale
+            if whole:
+                continue
+            for k in (0, 1):  # the sum, then the sum of squares, carried on from the row above
+                if k:
+                    np.multiply(prod, prod, out=prod)
+                if i:
+                    z[0] = chunk[k]
+                np.add.reduce(z[0 if i else 1 : r + 1], axis=0, out=chunk[k])
+        if whole:
+            col = z[:m]
+            np.add.reduce(col, axis=0, out=chunk[0])
+            np.multiply(col, col, out=col)
+            np.add.reduce(col, axis=0, out=chunk[1])
+        sums += chunk[0]
+        sumsqs += chunk[1]
 
     means = sums / n_samples
     var = np.maximum(sumsqs / n_samples - means**2, 0.0) * n_samples / max(n_samples - 1, 1)

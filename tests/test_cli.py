@@ -727,3 +727,73 @@ def test_drift_check_exits_0_or_with_one_error_line(fuzz_dir, K, mc, seed, ctild
 def test_ctilde_exits_0_or_with_one_error_line(d, samples, directions, seed):
     argv = ["ctilde", "--model", "gaussian_sphere", f"--d={d}", f"--samples={samples}"]
     _exits_0_or_with_one_error_line(argv + _flags(directions=directions, seed=seed))
+
+
+# Comma-separated lists of numbers, of words and of nothing, for the list flags.
+_ITEMS = st.one_of(
+    st.floats(allow_subnormal=True).map(repr),
+    st.integers(-3, 2**64).map(str),
+    st.sampled_from(["", " ", "-0.0", "1e400", "0x1p-2", "1_0", "١"]),
+    st.text(max_size=4),
+)
+_LISTS = st.lists(_ITEMS, max_size=4).map(",".join)
+
+
+def _well_formed(items):
+    return st.lists(items, min_size=1, max_size=3).map(",".join)
+
+
+@given(
+    p=st.one_of(_well_formed(st.floats(0.0, 0.5).map(repr)), _LISTS),
+    seeds=_maybe(st.one_of(_well_formed(st.integers(0, 9).map(str)), _LISTS)),
+)
+@settings(max_examples=50, deadline=None)
+def test_sweep_exits_0_or_with_one_error_line(fuzz_dir, p, seeds):
+    """Whatever --p and --seeds hold, sweep writes its whole CSV or exits 2
+    with one error line and no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["sweep", str(fuzz_dir / "drift.json"), f"--p={p}", "--out-dir", str(out), "--quiet"]
+        code = _exits_0_or_with_one_error_line(argv + _flags(seeds=seeds))
+        if code == 0:
+            assert [path.name for path in out.iterdir()] == ["sweep.csv"]
+            assert (out / "sweep.csv").read_text().startswith("solver,p,k,mean_value,n_seeds,metric\n")
+        else:
+            assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def prep_csv(tmp_path_factory):
+    """A small CSV with a constant column and a row whose a and b are zero, for the dataset prep fuzz."""
+    path = tmp_path_factory.mktemp("prep") / "raw.csv"
+    path.write_text('a,b,c,y,"q;r"\n1,2,5,1,0\n0,0,5,0,1\n3,-1,5,2,x\n')
+    return path
+
+
+_COLUMNS = st.one_of(st.sampled_from(["a", "b", "c", "y", "q;r", "q", " a", ""]), st.text(max_size=3))
+
+
+@given(
+    features=st.one_of(
+        _well_formed(st.sampled_from(["a", "b", "c"])), st.lists(_COLUMNS, max_size=3).map(",".join), _LISTS
+    ),
+    response=st.one_of(st.just("y"), _COLUMNS),
+    delimiter=st.one_of(st.just(","), st.sampled_from([";", "\t", '"', "\n", "\r", "", ",,"]), st.text(max_size=2)),
+    flags=st.sets(st.sampled_from(["--center", "--z-score", "--row-normalize", "--center-response"])),
+)
+@settings(max_examples=100, deadline=None)
+def test_dataset_prep_exits_0_or_with_one_error_line(prep_csv, features, response, delimiter, flags):
+    """Whatever --features, --response, --delimiter and the four preprocessing
+    flags hold, dataset prep writes its whole CSV or exits 2 with one error
+    line and no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out" / "prepped.csv"
+        argv = [
+            "dataset", "prep", str(prep_csv), f"--features={features}", f"--response={response}",
+            f"--delimiter={delimiter}", "-o", str(out), "--quiet", *sorted(flags),
+        ]
+        if _exits_0_or_with_one_error_line(argv) == 0:
+            assert [path.name for path in out.parent.iterdir()] == ["prepped.csv"]
+            assert len(out.read_text().splitlines()) == 4
+        else:
+            assert not out.parent.exists()

@@ -6,19 +6,25 @@ synthetic configs also run through ``run_sweep``, one of them at ten
 seeds.  The digests cover the results CSV without its elapsed_seconds
 column, the manifest and the SVG, so any change to the update rules, the
 corruption channels, the draw order or the emission format moves them.
-A change that moves a digest on purpose says why in CHANGES.md.
+The anti-concentration estimates that drift-check and ``sgdexp ctilde``
+make are pinned bit for bit as well.  A change that moves a digest on
+purpose says why in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sgdexp.cli import main
 from sgdexp.config import validate_config
 from sgdexp.datasets import evaluate_clean_loss, least_squares_baseline, load_csv
 from sgdexp.experiment import run_experiment, run_sweep
+from sgdexp.measurement import GaussianSphere, estimate_ctilde
 from sgdexp.results import emit_plot, emit_results, emit_sweep_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -94,6 +100,18 @@ TEN_SEED_SWEEP = (
     range(1, 11),
     "9550a32d73414833581357ca8b036c7ad447d97b1ab7ce835cc8a57a951e8ad4",
 )
+
+# ``estimate_ctilde``'s (value, stderr) as float.hex, computed at the commit
+# before the estimate streamed its chunks through row blocks: drift-check's
+# own call when a config gives no ctilde (GaussianSphere(20), 200 000
+# samples, default_rng(0), 16 directions), and ``sgdexp ctilde`` at d = 20,
+# 200 000 samples and its default seed and 32 directions.
+DRIFT_CHECK_CTILDE = ("0x1.9bf05e4d0d67ap-1", "0x1.58a12e3611fcfp-10")
+CTILDE_CLI = {
+    "gaussian_sphere": ("0x1.9bf2f654ca75dp-1", "0x1.58a2d01ba9714p-10"),
+    "normalized_rademacher": ("0x1.9b6bfd6d15a6ap-1", "0x1.59ae6cc4c8174p-10"),
+    "normalized_iid_subgaussian": ("0x1.9c375d438c462p-1", "0x1.5a55de5ce79d2p-10"),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -184,3 +202,18 @@ def test_ten_seed_sweep_digest(tmp_path):
     config = small_config(name).with_updates(horizon=500, checkpoint_every=50)
     rows = run_sweep(config, p_grid, seeds)
     assert _sha(emit_sweep_csv(rows, tmp_path).read_bytes()) == digest
+
+
+def test_drift_check_ctilde_estimate():
+    est = estimate_ctilde(GaussianSphere(20), 200_000, np.random.default_rng(0), n_directions=16)
+    assert (est.value.hex(), est.stderr.hex()) == DRIFT_CHECK_CTILDE
+
+
+@pytest.mark.parametrize("model", sorted(CTILDE_CLI))
+def test_ctilde_cli_estimate(model):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["ctilde", "--model", model, "--d", "20", "--samples", "200000"]) == 0
+    report = json.loads(out.getvalue())
+    assert report["n_directions"] == 32
+    assert (report["value"].hex(), report["stderr"].hex()) == CTILDE_CLI[model]

@@ -1,13 +1,16 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdexp import _kernel
 from sgdexp.measurement import (
+    CTILDE_BLOCK_VALUES,
     CTILDE_CHUNK,
     GAUSSIAN_LIMIT_CONSTANT,
     CtildeEstimate,
@@ -19,7 +22,7 @@ from sgdexp.measurement import (
     exact_sphere_constant,
     sample_block,
 )
-from sgdexp.measurement import _row_norms
+from sgdexp.measurement import _ctilde_block_rows, _row_norms
 
 MODELS = [
     GaussianSphere(7),
@@ -255,21 +258,96 @@ class TestEstimateCtilde:
         assert est.value == pytest.approx(math.sqrt(2) / 2, rel=0.05)
         assert est.n_directions == 2
 
-    def test_memory_is_one_chunk_buffer(self):
-        # The reused draw buffer, the chunk's |<u, a>| and the row-norm squares
-        # while drawing, never all at once: about 2.6 chunks at d = 20.
-        d = 20
+    @staticmethod
+    def _peak(n_directions, n_samples, d=20):
         tracemalloc.start()
         try:
-            estimate_ctilde(GaussianSphere(d), 200_000, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
+            estimate_ctilde(GaussianSphere(d), n_samples, np.random.default_rng(1), n_directions=n_directions)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * CTILDE_CHUNK * d * 8
+
+    def test_memory_is_one_block_per_buffer(self):
+        # The draw buffer and the product buffer of one block, and a few small
+        # arrays: no (CTILDE_CHUNK, d) draws and no (CTILDE_CHUNK, J) product.
+        d, n_dir = 20, 16
+        rows = _ctilde_block_rows(d, n_dir)
+        assert rows * max(d, n_dir) <= CTILDE_BLOCK_VALUES
+        assert self._peak(n_dir, 200_000) < 8 * rows * (d + n_dir) + 64 * 1024
+
+    def test_memory_grows_with_neither_directions_nor_samples(self):
+        assert self._peak(64, 400_000) <= self._peak(16, 200_000)
 
     def test_value_must_be_positive(self):
         with pytest.raises(ValueError):
             CtildeEstimate(value=0.0, stderr=0.0, n_samples=100, n_directions=1)
+
+
+def _whole_chunk_estimate(model, n_samples, rng, n_directions):
+    """The estimate as drawn and reduced a whole CTILDE_CHUNK at a time: (value, stderr)."""
+    d = model.d
+    U, _ = sample_block(GaussianSphere(d), rng, n_directions)
+    sums = np.zeros(n_directions)
+    sumsqs = np.zeros(n_directions)
+    for start in range(0, n_samples, CTILDE_CHUNK):
+        A, _ = sample_block(model, rng, min(CTILDE_CHUNK, n_samples - start))
+        z = np.abs(A @ U.T) * math.sqrt(d)
+        sums += z.sum(axis=0)
+        sumsqs += (z * z).sum(axis=0)
+    means = sums / n_samples
+    var = np.maximum(sumsqs / n_samples - means**2, 0.0) * n_samples / (n_samples - 1)
+    j = int(np.argmin(means))
+    return float(means[j]), math.sqrt(var[j] / n_samples)
+
+
+_CHUNK_MODELS = {
+    "sphere": (GaussianSphere(20), True),
+    "sphere-numpy-fill": (GaussianSphere(20), False),
+    "sphere-d64": (GaussianSphere(64), True),  # d >= 32: a short block takes OpenBLAS's small-matrix kernels
+    "rademacher": (NormalizedRademacher(20), True),
+    "dataset": (DatasetRows(np.random.default_rng(4).standard_normal((37, 20))), True),
+}
+
+
+@pytest.mark.parametrize("edge", ["chunk-1", "chunk+1", "block+1", "block+3"])
+@pytest.mark.parametrize("n_directions", [1, 2, 16])
+@pytest.mark.parametrize("name", sorted(_CHUNK_MODELS))
+def test_estimate_has_the_bits_of_whole_chunks(name, n_directions, edge, monkeypatch):
+    """Blocks change no bit: CTILDE_CHUNK - 1 rows; a one-row last chunk;
+    a block and one row, whose lone row must not be a block of its own; and
+    a block and three rows, whose short tail splits with the block before."""
+    model, fill = _CHUNK_MODELS[name]
+    if not fill:
+        monkeypatch.setitem(_kernel._libs, "Gaussian fill", "turned off")
+    rows = _ctilde_block_rows(model.d, n_directions)
+    n = {"chunk-1": CTILDE_CHUNK - 1, "chunk+1": CTILDE_CHUNK + 1, "block+1": rows + 1, "block+3": rows + 3}[edge]
+    want = _whole_chunk_estimate(model, n, np.random.default_rng(n), n_directions)
+    est = estimate_ctilde(model, n, np.random.default_rng(n), n_directions=n_directions)
+    assert (est.value.hex(), est.stderr.hex()) == tuple(x.hex() for x in want)
+
+
+@pytest.mark.parametrize(
+    "directions, message",
+    [
+        (np.ones((2, 3)), r"directions: expected a \(J, 4\) array with J >= 1, got shape \(2, 3\)"),
+        (np.ones(5), r"directions: expected a \(J, 4\) array with J >= 1, got shape \(5,\)"),
+        (np.ones((2, 2, 4)), r"directions: expected a \(J, 4\) array with J >= 1, got shape \(2, 2, 4\)"),
+        (np.ones((0, 4)), r"directions: expected a \(J, 4\) array with J >= 1, got shape \(0, 4\)"),
+        ([[1, 0, 0, 0], [0, np.nan, 1, 0]], "directions: row 1 has norm nan, expected a finite nonzero norm"),
+        ([[1, 0, 0, 0], [0, 0, -np.inf, 0]], "directions: row 1 has norm inf, expected a finite nonzero norm"),
+        ([[0, 0, 0, 0], [1, 0, 0, 0]], "directions: row 0 has norm 0.0, expected a finite nonzero norm"),
+        ([[1e300, 1e300, 0, 0]], "directions: row 0 has norm inf, expected a finite nonzero norm"),
+    ],
+    ids=["wrong-d", "one-d", "three-d", "no-rows", "nan", "inf", "zero", "norm-overflows"],
+)
+def test_bad_directions_are_refused_before_any_draw(directions, message):
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_ctilde(GaussianSphere(4), 1000, rng, directions=directions)
+    assert rng.bit_generator.state == state
 
 
 def test_exact_sphere_constant_limits():
