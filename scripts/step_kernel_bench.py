@@ -21,8 +21,10 @@ every seed's rows and corruption uniforms, in ns per measurement value on
 the sweep and hitting shapes, next to the drift validators' draw
 (``sample_drift_terms`` of one ``DRIFT_CHUNK`` of rows at d 100, reduced as
 they are drawn), so the record shows whether the validators are at the draw
-floor; last, the best time of each compiled part's load-time self-test,
-from ``_kernel.PARTS``.
+floor; then the engine's clean loss per checkpoint on the dataset shape (G 1,
+S 10, n 1599 rows, d 10), in µs, with the compiled residual and with its
+numpy body; last, the best time of each compiled part's load-time
+self-test, from ``_kernel.PARTS``.
 
     PYTHONPATH=src python scripts/step_kernel_bench.py [--repeat 7]
 """
@@ -37,6 +39,7 @@ import numpy as np
 
 from sgdexp import _kernel
 from sgdexp.corruption import ResidualSignAdversary, SignFlip
+from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
 from sgdexp.drift import DRIFT_CHUNK
 from sgdexp.measurement import GaussianSphere, sample_block, sample_drift_terms, sample_seeds
 from sgdexp.solvers import (
@@ -116,6 +119,21 @@ def _drift_ns(d, repeat):
     return 1e9 * best / (DRIFT_CHUNK * d)
 
 
+def _clean_loss_us(repeat):
+    """Best µs of one checkpoint's clean loss on the dataset shape: (compiled residual, numpy body)."""
+    rng = np.random.default_rng(0)
+    data = DatasetMatrix(features=rng.standard_normal((1599, 10)), responses=rng.standard_normal(1599))
+    x = rng.standard_normal((1, 10, 10))
+    def best_us():
+        return 1e6 * min(timeit.repeat(lambda: evaluate_clean_loss(x, data), number=100, repeat=repeat)) / 100
+
+    compiled_us = float("nan") if _kernel.load("clean loss") is None else best_us()
+    loaded, _kernel._libs["clean loss"] = _kernel._libs["clean loss"], "turned off"
+    numpy_us = best_us()
+    _kernel._libs["clean loss"] = loaded
+    return compiled_us, numpy_us
+
+
 def _time(st, advance, repeat):
     """Best seconds for the whole block over ``repeat`` runs from the same inputs."""
     x0 = st.x.copy()
@@ -150,6 +168,9 @@ def main():
     for name, S, d in (("sweep", 10, 100), ("hitting", 100, 20)):
         print(f"{name} draw (S {S}, d {d}, n {_block(S, d)}): {_draw_ns(S, d, args.repeat):.2f} ns per value")
     print(f"drift pass (d 100, n {DRIFT_CHUNK}): {_drift_ns(100, args.repeat):.2f} ns per value")
+    print(f"clean loss: {_kernel.status()['clean loss']}")
+    compiled_us, numpy_us = _clean_loss_us(args.repeat)
+    print(f"clean loss per checkpoint (G 1, S 10, n 1599, d 10): {compiled_us:.1f} µs, numpy {numpy_us:.1f} µs")
     for name, part in _kernel.PARTS.items():
         part_lib = _kernel.load(name)
         if part_lib is not None:

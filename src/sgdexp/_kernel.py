@@ -7,7 +7,8 @@ loads it through ctypes, which releases the interpreter lock for the length of
 each call, and self-tests it against numpy bit for bit: the orders of summation
 it copies belong to this numpy build, not to numpy's contract.
 
-- ``_stepkernel.c``, the engine's step, tested on its einsum-order dot.
+- ``_stepkernel.c``, the engine's step, tested on its einsum-order dot, and
+  the step decays of a block, tested against ``math.pow``.
 - ``_normalfill.c``, rows of ``Generator.standard_normal`` by numpy's own
   ziggurat (linked from numpy's ``random/lib/libnpyrandom.a``), each divided by
   its norm in the same pass.  It has two draw entries.  ``sk_sphere_fill``
@@ -16,6 +17,10 @@ it copies belong to this numpy build, not to numpy's contract.
   ``sk_drift_pass`` keeps no row: it reduces each against a fixed u to the
   three einsum-order sums of the drift validators.  Both are tested on values
   and on the state each generator ends in.
+- ``_cleanloss.c``, the residual ``F x - y`` of the dataset clean loss in
+  the order of this build's OpenBLAS ``dgemv_t``, in AVX2 with FMA.  It is
+  tested against ``np.matmul`` for every row length it is used for, and
+  only where the CPU reports both instruction sets.
 
 When gcc, the archive or numpy's ``bitgen.h`` is missing, the build fails
 or a self-test finds a difference, that part alone is turned off, with one
@@ -27,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
+import math
 import os
 import shutil
 import tempfile
@@ -46,6 +52,10 @@ NUMPY_INCLUDE = Path(np.get_include())
 SPHERE_TEST_DIMS = (*range(1, 131), 257, 1000)
 #: Row lengths of the drift pass's self-test: each branch of the einsum loop, and a split norm.
 DRIFT_TEST_DIMS = (1, 2, 7, 8, 13, 20, 100, 130)
+#: Row lengths of the clean-loss residual's self-test, and so the only ones it is used for.
+CLEANLOSS_TEST_DIMS = range(1, 131)
+#: (lam, first step k) of the decays' self-test: the rates of redwine, linear_signflip and hitting_time, and a fast one.
+DECAYS_TEST_CASES = ((1.006, 0), (1.00003, 98_304), (1.000000004162813, 9_000), (1.5, 1_900))
 
 _i64, _ptr, _f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 
@@ -159,6 +169,30 @@ def dot_self_test(lib) -> None:
         )
 
 
+def decays_self_test(lib) -> None:
+    """Raise KernelUnavailable unless ``sk_decays`` gives ``math.pow``'s decays.
+
+    64 steps of the exp schedule per (lam, k) in DECAYS_TEST_CASES, and of
+    the root schedule from each k, against one ``math.pow`` per step.
+    """
+    n, got = 64, np.empty(64)
+    for lam, k in DECAYS_TEST_CASES:
+        # The schedules exp (2) and root (1), as the enum of _stepkernel.c numbers them.
+        for schedule, want in (
+            (2, [math.pow(lam, float(-k - j)) for j in range(n)]),
+            (1, [math.pow(float(k + j + 1), -0.5) for j in range(n)]),
+        ):
+            lib.sk_decays(schedule, lam, k, n, got.ctypes.data)
+            if got.tolist() != want:
+                raise KernelUnavailable(f"self-test: the step decays differ from math.pow at lam {lam}, k {k}")
+
+
+def step_kernel_self_test(lib) -> None:
+    """Both checks of the step kernel: its dot against np.einsum, its decays against math.pow."""
+    dot_self_test(lib)
+    decays_self_test(lib)
+
+
 def sphere_self_test(lib) -> None:
     """Raise KernelUnavailable unless ``sk_sphere_fill`` gives numpy's normalized rows and uniforms.
 
@@ -236,6 +270,46 @@ def fill_self_test(lib) -> None:
     drift_pass_self_test(lib)
 
 
+def cleanloss_self_test(lib) -> None:
+    """Raise KernelUnavailable unless ``sk_resid`` gives numpy's clean-loss residual bit for bit.
+
+    Nothing runs on a CPU without AVX2 and FMA (``sk_cpu_ok``).  Per d in
+    CLEANLOSS_TEST_DIMS, two calls of three lanes, one with the ReLU link and
+    one without: one of n = 4..7 rows (a block of four, then every n % 4)
+    and one of n = 2 or 3 (no block), each n and link met with every d % 4,
+    against ``np.matmul(F, x[..., None])[..., 0]``, ``np.maximum(., 0.0)``
+    and the subtraction.  Up to d = 5, row 0 of F against lane 0 sums to
+    -0.0 before the output's +0.0 is added.
+    """
+    if not lib.sk_cpu_ok():
+        raise KernelUnavailable("this CPU lacks AVX2 or FMA")
+    lanes, dims, rows = 3, CLEANLOSS_TEST_DIMS, 7
+    rng = np.random.default_rng(20240508)
+    F_buf, X_buf, y = (rng.standard_normal(size) for size in (5 + rows * dims[-1], lanes * dims[-1], rows))
+    # Products that round to -0.0, row 0 of F against lane 0 at d <= 5; F starts past them at d > 5,
+    # since each such product costs a microcode assist.
+    F_buf[:5], X_buf[:5], y[0] = 5e-324, -0.25, 0.0
+    cases = [(d, n, (d // 16 + (n < 4)) % 2) for d in dims for n in (4 + d // 4 % 4, 2 + d % 2)]
+    sizes = [lanes * n for _, n, _ in cases]
+    starts = np.cumsum([0] + sizes).tolist()
+    want, got = np.empty(starts[-1]), np.empty(starts[-1])
+    F_at, X_at, y_at, got_at = (a.ctypes.data for a in (F_buf, X_buf, y, got))
+    for (d, n, link), at in zip(cases, starts):
+        out = want[at : at + lanes * n].reshape(lanes, n, 1)
+        f0 = 0 if d <= 5 else 5
+        np.matmul(F_buf[f0 : f0 + n * d].reshape(n, d), X_buf[: lanes * d].reshape(lanes, d, 1), out=out)
+        lib.sk_resid(lanes, n, d, F_at + 8 * f0, X_at, y_at, link, got_at + 8 * at)
+    links = np.repeat([link for _, _, link in cases], sizes).astype(bool)
+    np.maximum(want, 0.0, out=want, where=links)
+    tiled = {n: np.tile(y[:n], lanes) for n in range(2, rows + 1)}
+    want -= np.concatenate([tiled[n] for _, n, _ in cases])
+    bad = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+    if bad:
+        raise KernelUnavailable(
+            f"self-test: the clean-loss residual differs from np.matmul on {bad} of {want.size} entries"
+        )
+
+
 #: Every compiled part, by the name its warning and ``status`` give it.
 PARTS = {
     "step kernel": Part(
@@ -249,8 +323,10 @@ PARTS = {
                 None,
                 [_i64] * 8 + [_ptr] * 6 + [ctypes.c_int] + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _i64, _ptr],
             ),
+            # schedule, lam, k, n, out
+            "sk_decays": (None, [ctypes.c_int, _f64, _i64, _i64, _ptr]),
         },
-        self_test=dot_self_test,
+        self_test=step_kernel_self_test,
     ),
     "Gaussian fill": Part(
         stem="normalfill",
@@ -269,6 +345,16 @@ PARTS = {
         archive=NPYRANDOM,
         needs=(NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h",),
         init="sk_normal_init",
+    ),
+    "clean loss": Part(
+        stem="cleanloss",
+        source=Path(__file__).with_name("_cleanloss.c"),
+        functions={
+            "sk_cpu_ok": (ctypes.c_int, []),
+            # L, n, d; F, X, y; the relu link; out.
+            "sk_resid": (None, [_i64, _i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int, _ptr]),
+        },
+        self_test=cleanloss_self_test,
     ),
 }
 

@@ -1,4 +1,5 @@
-/* The sequential step of sgdexp.solvers.run_batch, for every lane of a block.
+/* The sequential step of sgdexp.solvers.run_batch, for every lane of a block,
+ * and the step decays of a block (sk_decays).
  *
  * Bit for bit the arithmetic of the numpy body (solvers._step_numpy): the
  * dot product follows the order of numpy's einsum sum-of-products loop on
@@ -14,6 +15,7 @@
 
 enum { SIGN = 0, GATED_SIGN = 1, GLMTRON = 2 };
 enum { AUDIT_STEP_LAW = 1, AUDIT_GATE = 2 };
+enum { CONST = 0, ROOT = 1, EXP = 2 };
 /* Seeds stepped together: the dots of a tile's lanes run as one pass. */
 enum { TILE = 4 };
 
@@ -106,6 +108,21 @@ static double sign(double v)
     if (v < 0.0)
         return -1.0;
     return v == 0.0 ? 0.0 : v;
+}
+
+/* Step decays at steps k..k+n-1 into out: 1 (const), (k+j+1)^{-1/2} (root)
+ * or lam^{-(k+j)} (exp), one libm pow per step, the call math.pow makes for
+ * finite arguments.  A vectorized pow differs from it in the last bit. */
+void sk_decays(int schedule, double lam, int64_t k, int64_t n, double *out)
+{
+    for (int64_t j = 0; j < n; j++) {
+        if (schedule == EXP)
+            out[j] = pow(lam, (double)(-k - j));
+        else if (schedule == ROOT)
+            out[j] = pow((double)(k + j + 1), -0.5);
+        else
+            out[j] = 1.0;
+    }
 }
 
 /* out[i] = <buf + pairs[2i], buf + pairs[2i+1]> of length d, four at a time

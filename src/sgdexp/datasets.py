@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -116,21 +117,59 @@ def load_csv(
     )
 
 
+def _residual_numpy(x, F, y, relu: bool):
+    """``F x - y`` per iterate of the (..., d) stack ``x``, the prediction max(0, F x) with ``relu``."""
+    pred = np.matmul(F, x[..., None])[..., 0]
+    if relu:
+        pred = np.maximum(pred, 0.0)
+    return pred - y
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a C-contiguous array's data, for a compiled part.
+
+    Through a ctypes view of its buffer where it is writable and not empty,
+    which costs a fifth of ``a.ctypes.data`` (four addresses per clean loss).
+    """
+    if a.flags.writeable and a.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
+def _residual(x, F, y, relu: bool):
+    """``_residual_numpy``'s bits, from the compiled clean-loss residual where it loads and fits.
+
+    It fits C-contiguous float64 ``F`` and (n,) ``y``, at least two rows (one
+    row is numpy's dot, not its matrix-vector product) and a row length its
+    self-test covers; ``x`` is made a contiguous float64 stack.
+    """
+    from . import _kernel  # on the first clean loss, not at import
+
+    n, d = F.shape
+    fits = n >= 2 and d in _kernel.CLEANLOSS_TEST_DIMS and y.shape == (n,) and F.dtype == y.dtype == np.float64
+    lib = _kernel.load("clean loss") if fits and F.flags.c_contiguous and y.flags.c_contiguous else None
+    if lib is None:
+        return _residual_numpy(x, F, y, relu)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty(x.shape[:-1] + (n,))
+    lib.sk_resid(x.size // d, n, d, _address(F), _address(x), _address(y), int(relu), _address(out))
+    return out
+
+
 def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False):
     """Mean squared loss (1/m) sum (<a_i, x> - y_i)^2 against the stored responses.
 
     With ``relu`` the prediction is max(0, <a_i, x>).  ``x`` is one (d,)
     iterate, giving a float, or a (..., d) stack, giving an array of shape
     ``x.shape[:-1]``; each iterate of a stack gets the bits of its own call
-    (numpy runs the same matrix-vector product and dot per iterate).
+    (numpy runs the same matrix-vector product and dot per iterate).  The
+    residual comes from the compiled clean-loss part where it loads, in the
+    same bits (``_residual``); the sum of squares is numpy's.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (data.d,):
         raise ValueError(f"dimension mismatch: x has shape {x.shape}, data d = {data.d}")
-    pred = np.matmul(data.features, x[..., None])[..., 0]
-    if relu:
-        pred = np.maximum(pred, 0.0)
-    resid = pred - data.responses
+    resid = _residual(x, data.features, data.responses, relu)
     loss = np.matmul(resid[..., None, :], resid[..., :, None])[..., 0, 0] / data.m
     return float(loss) if x.ndim == 1 else loss
 

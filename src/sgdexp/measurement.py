@@ -283,7 +283,8 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
     For GaussianSphere (and Gaussian-base) models where the compiled fill
     loads, one call without the interpreter lock draws every seed's rows
     and uniforms; elsewhere, and where one generator is passed twice, the
-    seeds are drawn one at a time.
+    seeds are drawn one at a time.  DatasetRows rows are gathered once, for
+    every seed, after the seeds' indices are drawn.
     """
     m, n = out.shape[:2]
     xi_rngs, XI = uniforms if uniforms is not None else ((), None)
@@ -303,11 +304,15 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
         return None
     idx = np.empty((m, n), dtype=int) if isinstance(model, DatasetRows) else None
     for i, rng in enumerate(rngs):
-        _, ib = sample_block(model, rng, n, out=out[i])
         if idx is not None:
-            idx[i] = ib
+            idx[i] = rng.integers(0, model.n_rows, size=n)  # sample_block's draw of the rows' indices
+        else:
+            sample_block(model, rng, n, out=out[i])
         if XI is not None:
             xi_rngs[i].random(out=XI[i])
+    if idx is not None:
+        # Every seed's rows in one gather; idx is in range.
+        np.take(model.unit_rows, idx, axis=0, out=out, mode="clip")
     return idx
 
 

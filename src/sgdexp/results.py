@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -51,6 +52,13 @@ def _fmt(v) -> str:
     return "" if v is None else format(float(v), ".17g")
 
 
+def _csv_line(cells) -> str:
+    """``cells`` as ``csv.writer`` writes them, one line ending in a newline."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(cells)
+    return line.getvalue()
+
+
 def emit_results(trajectories, out_dir):
     """Write the trajectory CSV and its JSON manifest.
 
@@ -68,20 +76,16 @@ def emit_results(trajectories, out_dir):
 
     ordered = sorted(trajectories, key=lambda t: (t.solver, t.seed))
     with replaced(csv_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(_csv_line(CSV_HEADER))
         for traj in ordered:
-            for cp in traj.checkpoints:
-                writer.writerow(
-                    [
-                        traj.solver,
-                        traj.seed,
-                        cp.k,
-                        _fmt(cp.relative_error),
-                        _fmt(cp.clean_loss),
-                        _fmt(cp.elapsed_seconds),
-                    ]
+            # The solver and seed cells, quoted once; the other cells never need quoting.
+            lead = _csv_line([traj.solver, traj.seed])[:-1]
+            fh.write(
+                "".join(
+                    f"{lead},{cp.k},{_fmt(cp.relative_error)},{_fmt(cp.clean_loss)},{_fmt(cp.elapsed_seconds)}\n"
+                    for cp in traj.checkpoints
                 )
+            )
 
     # Each mean is the last point of the plotted mean, when that point is the final k;
     # a metric that no final checkpoint carries is not averaged at all.

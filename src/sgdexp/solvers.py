@@ -290,6 +290,17 @@ def _decays(schedule: str, lam: Optional[float], k: int, n: int) -> np.ndarray:
     return np.ones(n)
 
 
+#: Decay schedules, as the enum of ``_stepkernel.c``.
+SCHEDULES = {"const": 0, "root": 1, "exp": 2}
+
+
+def _decays_c(lib, schedule: str, lam: Optional[float], k: int, n: int) -> np.ndarray:
+    """``_decays``' bits from the step kernel's ``sk_decays``: the same libm pow per step, in C."""
+    out = np.empty(n)
+    lib.sk_decays(SCHEDULES[schedule], 0.0 if lam is None else lam, k, n, out.ctypes.data)
+    return out
+
+
 def _coef(dot, y, step, tron, gate: bool):
     """Step coefficient: GLM-Tron where ``tron``, the sign rule elsewhere.
 
@@ -682,9 +693,10 @@ def run_batch(
                 nu[...] = corr.law.draw(rng, n)
         if is_dataset:
             # Responses and noise in unit-row space.
-            clean[...] = resp[idx] / row_norms[idx]
+            norms = row_norms[idx]
+            clean[...] = resp[idx] / norms
             if is_oblivious:
-                NU[rows, :n] /= row_norms[idx]
+                NU[rows, :n] /= norms
         else:
             clean[...] = np.einsum("snd,sd->sn", A, Xt[rows])
             if relu_response:
@@ -694,10 +706,11 @@ def run_batch(
         """Draw and step the seeds in ``part`` block by block; yield each checkpoint's k on reaching it."""
         rows = slice(part.start, part.stop)
         advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st, part)
+        decays = _decays if lib is None else functools.partial(_decays_c, lib)
         for k in range(0, T, block):
             n = min(block, T - k)
             draw(rows, n)
-            decay = {key: _decays(*key, k, n) for key in set(schedules)}
+            decay = {key: decays(*key, k, n) for key in set(schedules)}
             for g, (s, tron, key, scale) in enumerate(zip(specs, is_tron, schedules, scales)):
                 st.steps[g, rows, :n] = decay[key] / s.m if tron else scale[rows, None] * decay[key]
             _set_responses(st, rows, n, NU[rows, :n] if is_oblivious else None)

@@ -221,19 +221,22 @@ def _version_lines(capsys):
 def test_version_names_each_compiled_part(capsys, monkeypatch, tmp_path):
     from sgdexp import _kernel
 
-    monkeypatch.setattr(_kernel, "_libs", {"step kernel": object(), "Gaussian fill": object()})
+    monkeypatch.setattr(_kernel, "_libs", {name: object() for name in ("step kernel", "Gaussian fill", "clean loss")})
     assert _version_lines(capsys) == [
         f"sgdexp {sgdexp.__version__}",
         "step kernel: loaded",
         "Gaussian fill: loaded",
+        "clean loss: loaded",
     ]
     missing = tmp_path / "libnpyrandom.a"
-    monkeypatch.setattr(_kernel, "_libs", {"step kernel": "turned off"})  # as the tests turn it off
+    # As the tests turn a part off.
+    monkeypatch.setattr(_kernel, "_libs", {"step kernel": "turned off", "clean loss": "turned off"})
     fill = dataclasses.replace(_kernel.PARTS["Gaussian fill"], archive=missing)
     monkeypatch.setitem(_kernel.PARTS, "Gaussian fill", fill)
     assert _version_lines(capsys)[1:] == [
         "step kernel: numpy: turned off",
         f"Gaussian fill: numpy: numpy's libnpyrandom.a not found at {missing}",
+        "clean loss: numpy: turned off",
     ]
 
 

@@ -15,7 +15,7 @@ from sgdexp.results import (
     emit_sweep_csv,
     read_results_csv,
 )
-from sgdexp.solvers import run_batch
+from sgdexp.solvers import Checkpoint, Trajectory, run_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -285,6 +285,33 @@ class TestEmitResults:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], tmp_path)
+
+    def test_rows_are_csv_writer_rows_for_names_that_need_quoting(self, tmp_path):
+        """Solver names with a comma, a quote and a newline are quoted as
+        ``csv.writer`` quotes them, every row has its bytes, and the file
+        reads back."""
+        values = [None, 0.0, -0.0, 1e-300, 0.1, 2.5e17, -7.0]
+        trajs = [
+            Trajectory(
+                solver=name,
+                seed=seed,
+                checkpoints=[Checkpoint(k, values[k % 7], values[(k + 3) % 7], 0.25 * k) for k in range(9)],
+                x_final=np.empty(0),
+            )
+            for name in ("a,b", 'say "hi"', "two\nlines", "plain")
+            for seed in (3, -1)
+        ]
+        csv_path, _ = emit_results(trajs, tmp_path)
+        with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            for t in sorted(trajs, key=lambda t: (t.solver, t.seed)):
+                for cp in t.checkpoints:
+                    cells = (cp.relative_error, cp.clean_loss, cp.elapsed_seconds)
+                    writer.writerow([t.solver, t.seed, cp.k, *("" if v is None else format(v, ".17g") for v in cells)])
+        assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        back = {(t.solver, t.seed): t.checkpoints for t in read_results_csv(csv_path)}
+        assert back == {(t.solver, t.seed): t.checkpoints for t in trajs}
 
 
 class TestEmitPlot:

@@ -1,7 +1,7 @@
-"""The engine's bitwise tests again, with the step function on its numpy body.
+"""The engine's bitwise tests again, with the step function and the clean-loss residual on their numpy bodies.
 
-Elsewhere the engine runs the compiled kernel wherever it loads; the
-numpy body is its reference and the fallback where it does not.
+Elsewhere the engine runs the compiled parts wherever they load; the
+numpy bodies are their reference and the fallback where they do not.
 """
 
 import pytest
@@ -18,3 +18,4 @@ from test_solvers import TestEngineMatchesOracle, TestLanes  # noqa: F401
 @pytest.fixture(autouse=True)
 def numpy_body(monkeypatch):
     monkeypatch.setitem(_kernel._libs, "step kernel", "turned off")
+    monkeypatch.setitem(_kernel._libs, "clean loss", "turned off")

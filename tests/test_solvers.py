@@ -26,6 +26,7 @@ from sgdexp.solvers import (
     SolverSpec,
     StreamSpec,
     _decays,
+    _decays_c,
     _dots,
     recommend_G,
     recommend_lambda,
@@ -601,21 +602,36 @@ class TestLanes:
 
 
 class TestDecays:
-    """The engine's step decays are the scalar Python pow of each step."""
+    """The engine's step decays are the scalar Python pow of each step (numpy body)."""
+
+    @staticmethod
+    def decays(*args):
+        return _decays(*args)
 
     @pytest.mark.parametrize("k", [0, 200_000])
     @pytest.mark.parametrize("lam", [1.00003, 1.006, 1.007, 1.0000100005])
     def test_exp_matches_scalar_pow(self, lam, k):
         want = np.array([lam ** (-float(j)) for j in range(k, k + 3000)])
-        assert np.array_equal(_decays("exp", lam, k, 3000).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(self.decays("exp", lam, k, 3000).view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("k", [0, 200_000])
     def test_root_matches_scalar_pow(self, k):
         want = np.array([(j + 1) ** (-0.5) for j in range(k, k + 3000)])
-        assert np.array_equal(_decays("root", None, k, 3000).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(self.decays("root", None, k, 3000).view(np.uint64), want.view(np.uint64))
 
     def test_const(self):
-        assert np.array_equal(_decays("const", None, 7, 5), np.ones(5))
+        assert np.array_equal(self.decays("const", None, 7, 5), np.ones(5))
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH to build the kernel")
+class TestCompiledDecays(TestDecays):
+    """TestDecays on the step kernel's ``sk_decays``, which the engine runs where the kernel loads."""
+
+    @staticmethod
+    def decays(*args):
+        lib = _kernel.load("step kernel")
+        assert lib is not None
+        return _decays_c(lib, *args)
 
 
 _PIPE_D = 8
