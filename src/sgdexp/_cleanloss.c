@@ -15,6 +15,10 @@
  * - the last row when n % 4 is odd (the 4x1 kernel): four accumulators,
  *   one per k % 4, unfused; then (a0 + a2) + (a1 + a3).
  *
+ * That is one thread's order; a gemv that OpenBLAS splits among threads
+ * gives each thread's range its own last rows, so the caller probes each
+ * shape first (sgdexp._kernel.cleanloss_rows_agree).
+ *
  * Each row's sum is added to the output's +0.0 (t + 0.0 turns -0.0 into
  * +0.0), and the d % 4 last columns are added in C with contracted
  * multiply-adds: t = fma(F[c], x[c], t) for one; t + fma(F[c], x[c],

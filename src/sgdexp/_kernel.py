@@ -20,7 +20,9 @@ it copies belong to this numpy build, not to numpy's contract.
 - ``_cleanloss.c``, the residual ``F x - y`` of the dataset clean loss in
   the order of this build's OpenBLAS ``dgemv_t``, in AVX2 with FMA.  It is
   tested against ``np.matmul`` for every row length it is used for, and
-  only where the CPU reports both instruction sets.
+  only where the CPU reports both instruction sets.  It sums the rows as
+  one OpenBLAS thread does, so each shape of F is also probed once for
+  numpy splitting its rows among BLAS threads (``cleanloss_rows_agree``).
 
 When gcc, the archive or numpy's ``bitgen.h`` is missing, the build fails
 or a self-test finds a difference, that part alone is turned off, with one
@@ -308,6 +310,52 @@ def cleanloss_self_test(lib) -> None:
         raise KernelUnavailable(
             f"self-test: the clean-loss residual differs from np.matmul on {bad} of {want.size} entries"
         )
+
+
+def _cleanloss_rows_probe(lib, n: int, d: int) -> bool:
+    """Whether ``sk_resid`` and np.matmul sum every row of an (n, d) F with the same dgemv_t kernel.
+
+    Row i of the probe F is -(1 + 2^-29) at column 0 and 1 + 2^-30 at column 4,
+    against x = 1 and 1 + 2^-30 there and 0 elsewhere: the 4x4 kernel's fused
+    sum keeps the product's rounding error 2^-60, the 4x2 and 4x1 kernels'
+    unfused sums give 0.  Below d = 8 each kernel sums the first four columns
+    alike (one product per accumulator), so the rows cannot differ.
+    """
+    if d < 8:
+        return True
+    F, x = np.zeros((n, d)), np.zeros(d)
+    F[:, 0], F[:, 4], x[0], x[4] = -(1 + 2.0**-29), 1 + 2.0**-30, 1.0, 1 + 2.0**-30
+    got, y = np.empty(n), np.zeros(n)
+    lib.sk_resid(1, n, d, F.ctypes.data, x.ctypes.data, y.ctypes.data, 0, got.ctypes.data)
+    return np.array_equal(got, np.matmul(F, x[:, None])[:, 0])
+
+
+#: Each (n, d) of F that ``cleanloss_rows_agree`` has checked, and its answer.
+_cleanloss_shapes = {}
+
+
+def cleanloss_rows_agree(lib, n: int, d: int) -> bool:
+    """Whether numpy sums each row of an (n, d) F as ``sk_resid`` does, checked once per shape.
+
+    ``sk_resid`` sums the rows as one OpenBLAS thread does: the last n % 4
+    by the 4x2 and 4x1 kernels, the others by the 4x4 kernel.  Past a size
+    (n d > 460800 in OpenBLAS 0.3.31) OpenBLAS splits the rows among its
+    threads, and each thread's range whose length is not a multiple of 4
+    ends in its own 4x2 and 4x1 rows.  So each shape is probed on its first
+    clean loss, at the BLAS thread count of that call, on a probe F that
+    tells the kernels apart in every row; a shape that disagrees runs numpy,
+    with one RuntimeWarning.
+    """
+    with _lock:
+        if (n, d) not in _cleanloss_shapes:
+            _cleanloss_shapes[n, d] = _cleanloss_rows_probe(lib, n, d)
+            if not _cleanloss_shapes[n, d]:
+                warnings.warn(
+                    f"sgdexp clean loss unavailable for {n} x {d} features, using numpy: "
+                    "numpy sums some rows with other dgemv_t kernels (BLAS threads split the rows)",
+                    RuntimeWarning,
+                )
+        return _cleanloss_shapes[n, d]
 
 
 #: Every compiled part, by the name its warning and ``status`` give it.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -125,34 +124,24 @@ def _residual_numpy(x, F, y, relu: bool):
     return pred - y
 
 
-def _address(a: np.ndarray) -> int:
-    """The address of a C-contiguous array's data, for a compiled part.
-
-    Through a ctypes view of its buffer where it is writable and not empty,
-    which costs a fifth of ``a.ctypes.data`` (four addresses per clean loss).
-    """
-    if a.flags.writeable and a.size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    return a.ctypes.data
-
-
 def _residual(x, F, y, relu: bool):
     """``_residual_numpy``'s bits, from the compiled clean-loss residual where it loads and fits.
 
     It fits C-contiguous float64 ``F`` and (n,) ``y``, at least two rows (one
-    row is numpy's dot, not its matrix-vector product) and a row length its
-    self-test covers; ``x`` is made a contiguous float64 stack.
+    row is numpy's dot, not its matrix-vector product), a row length its
+    self-test covers and a shape whose rows numpy sums as the part does
+    (``_kernel.cleanloss_rows_agree``); ``x`` is made a contiguous float64 stack.
     """
     from . import _kernel  # on the first clean loss, not at import
 
     n, d = F.shape
     fits = n >= 2 and d in _kernel.CLEANLOSS_TEST_DIMS and y.shape == (n,) and F.dtype == y.dtype == np.float64
     lib = _kernel.load("clean loss") if fits and F.flags.c_contiguous and y.flags.c_contiguous else None
-    if lib is None:
+    if lib is None or not _kernel.cleanloss_rows_agree(lib, n, d):
         return _residual_numpy(x, F, y, relu)
     x = np.ascontiguousarray(x, dtype=np.float64)
     out = np.empty(x.shape[:-1] + (n,))
-    lib.sk_resid(x.size // d, n, d, _address(F), _address(x), _address(y), int(relu), _address(out))
+    lib.sk_resid(x.size // d, n, d, F.ctypes.data, x.ctypes.data, y.ctypes.data, int(relu), out.ctypes.data)
     return out
 
 

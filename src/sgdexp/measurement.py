@@ -283,8 +283,8 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
     For GaussianSphere (and Gaussian-base) models where the compiled fill
     loads, one call without the interpreter lock draws every seed's rows
     and uniforms; elsewhere, and where one generator is passed twice, the
-    seeds are drawn one at a time.  DatasetRows rows are gathered once, for
-    every seed, after the seeds' indices are drawn.
+    seeds are drawn one at a time.  DatasetRows rows are gathered after
+    every seed's indices are drawn, in one call where ``out`` is C-contiguous.
     """
     m, n = out.shape[:2]
     xi_rngs, XI = uniforms if uniforms is not None else ((), None)
@@ -311,8 +311,10 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
         if XI is not None:
             xi_rngs[i].random(out=XI[i])
     if idx is not None:
-        # Every seed's rows in one gather; idx is in range.
-        np.take(model.unit_rows, idx, axis=0, out=out, mode="clip")
+        # Every seed's rows in one gather where out is one C-contiguous buffer (np.take would gather
+        # a partial block's strided slice into a temporary), else seed by seed; idx is in range.
+        for dst, src in [(out, idx)] if out.flags.c_contiguous else zip(out, idx):
+            np.take(model.unit_rows, src, axis=0, out=dst, mode="clip")
     return idx
 
 

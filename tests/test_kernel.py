@@ -809,6 +809,7 @@ def fresh_clean(monkeypatch, tmp_path):
     digests is written in tmp_path, the working directory.
     """
     monkeypatch.setattr(_kernel, "_libs", {name: lib for name, lib in _kernel._libs.items() if name != CLEAN})
+    monkeypatch.setattr(_kernel, "_cleanloss_shapes", {})
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.chdir(tmp_path)
     _write_wine_csv(tmp_path / WINE_CSV)
@@ -834,7 +835,6 @@ class TestCleanLoss:
             assert np.array_equal(_bits(datasets_mod._residual(X[1, 2], F, y, relu)), _bits(want[1, 2])), d
 
     def test_read_only_and_empty_stacks_match_numpy_body(self):
-        # Read-only arrays and empty stacks take their addresses through ndarray.ctypes.
         assert _kernel.load(CLEAN) is not None
         rng = np.random.default_rng(12)
         F, y, X = rng.standard_normal((9, 6)), rng.standard_normal(9), rng.standard_normal((3, 6))
@@ -863,6 +863,60 @@ class TestCleanLoss:
         monkeypatch.setattr(datasets_mod, "_residual_numpy", lambda *args: calls.append(1) or numpy_body(*args))
         datasets_mod._residual(np.ones((2, F.shape[1])), F, y, False)
         assert calls == [1]
+
+    def test_rows_split_unlike_numpy_fail_the_probe_and_run_numpy(self, monkeypatch):
+        # A body that sums rows 0..5 and 6..n-1 in two calls, as two BLAS threads would: rows 4 and 5
+        # take the 4x2 kernel where numpy's one-range gemv takes the 4x4 one.
+        lib = _kernel.load(CLEAN)
+        assert lib is not None
+
+        def split_rows(L, n, d, F, X, y, link, out):
+            lib.sk_resid(L, 6, d, F, X, y, link, out)
+            lib.sk_resid(L, n - 6, d, F + 8 * 6 * d, X, y + 8 * 6, link, out + 8 * 6)
+
+        split = type("SplitRows", (), {"sk_resid": staticmethod(split_rows)})()
+        monkeypatch.setitem(_kernel._libs, CLEAN, split)
+        monkeypatch.setattr(_kernel, "_cleanloss_shapes", {})
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(10)
+        for d, n, agree in ((7, 12, True), (8, 12, False), (10, 1599, False), (10, 6, True)):
+            F, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                got = datasets_mod._residual(x[:d], F, y, False)
+                datasets_mod._residual(x[:d], F, y, False)  # probed once per shape
+            assert _kernel._cleanloss_shapes[n, d] is agree, (n, d)
+            assert [str(w.message) for w in record] == [] if agree else [
+                f"sgdexp clean loss unavailable for {n} x {d} features, using numpy: "
+                "numpy sums some rows with other dgemv_t kernels (BLAS threads split the rows)"
+            ]
+            if not agree:
+                assert np.array_equal(_bits(got), _bits(datasets_mod._residual_numpy(x[:d], F, y, False)))
+
+    def test_residual_matches_numpy_body_on_threaded_gemv(self, monkeypatch):
+        # numpy's OpenBLAS splits the rows of a large enough gemv among its threads (n d > 460800 in
+        # OpenBLAS 0.3.31): at 3 threads a 46081-row F splits 15364 / 15364 / 15353, so rows 15360..15363
+        # and 30724..30727 of sk_resid's order would differ; the engine's 1599 x 10 stays one range.
+        import glob
+
+        libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas64_*"))
+        blas = ctypes.CDLL(libs[0]) if libs else None
+        if blas is None or not hasattr(blas, "scipy_openblas_set_num_threads64_"):
+            pytest.skip("numpy's BLAS thread count cannot be set here")
+        assert _kernel.load(CLEAN) is not None
+        monkeypatch.setattr(_kernel, "_cleanloss_shapes", {})
+        threads = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(3)
+        try:
+            rng = np.random.default_rng(14)
+            for n, d in ((46081, 10), (1599, 10), (4001, 130)):
+                F, y, X = rng.standard_normal((n, d)), rng.standard_normal(n), rng.standard_normal((3, d))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = datasets_mod._residual(X, F, y, True)
+                assert np.array_equal(_bits(got), _bits(datasets_mod._residual_numpy(X, F, y, True))), (n, d)
+        finally:
+            blas.scipy_openblas_set_num_threads64_(threads)
 
     def test_self_test_is_quick(self):
         # ~2.4 times numpy's matrix-vector products of the same cases alone (1.4 ms on a 2-vCPU VM).
