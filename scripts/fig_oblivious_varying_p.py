@@ -52,7 +52,7 @@ def main():
     all_trajectories = []
     for p in P_GRID:
         trajs = run_experiment(config_for(p))
-        final = sum(t.checkpoints[-1].relative_error for t in trajs) / len(trajs)
+        final = sum(t.checkpoints.relative_error[-1] for t in trajs) / len(trajs)
         print(f"p={p}: mean final relative error {final:.3e}")
         all_trajectories.extend(trajs)
     emit_results(all_trajectories, out)

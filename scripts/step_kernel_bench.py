@@ -3,14 +3,15 @@
 
 One block of steps in each of three shapes, the step function's share of
 the three benchmark workloads, at the engine's block length for the
-shape (``solvers.BLOCK_VALUES`` measurement values, at most 1024 steps):
+shape (block arrays of at most ``solvers.BLOCK_VALUES`` values):
 
 - sweep:   G 8, S 10, d 100.  Per corruption level, one gated sign group
            (step-law and gate audits on) and three GLM-Tron groups, under
-           sign flips; 262 steps.
-- dataset: G 1, S 10, d 10.  One audited sign group; 1024 steps.
+           sign flips; 222 steps.
+- dataset: G 1, S 10, d 10.  One audited sign group; 1638 steps, the
+           block of the red-wine run (oblivious noise, row indices).
 - hitting: G 1, S 100, d 20.  One sign group under the residual-sign
-           adversary, with hitting times and no audit; 131 steps.
+           adversary, with hitting times and no audit; 113 steps.
 
 Inputs come from a fixed seed, the block is stepped on the calling thread
 over all seeds (``sk_advance``'s seed range [0, S)) from the same starting
@@ -23,7 +24,8 @@ the sweep and hitting shapes, next to the drift validators' draw
 they are drawn), so the record shows whether the validators are at the draw
 floor; then the engine's clean loss per checkpoint on the dataset shape (G 1,
 S 10, n 1599 rows, d 10), in µs, with the compiled residual and with its
-numpy body; last, the best time of each compiled part's load-time
+numpy body, for one checkpoint alone and for the checkpoints the engine's
+buffer evaluates in one call; last, the best time of each compiled part's load-time
 self-test, from ``_kernel.PARTS``.
 
     PYTHONPATH=src python scripts/step_kernel_bench.py [--repeat 7]
@@ -46,6 +48,7 @@ from sgdexp.solvers import (
     AUDIT_GATE,
     AUDIT_STEP_LAW,
     BLOCK_VALUES,
+    CHECKPOINT_VALUES,
     GATED_SIGN,
     GLMTRON,
     SIGN,
@@ -83,23 +86,29 @@ def _state(kinds, audits, ps, S, d, n, relu, adversary, hitting, seed=0):
     return st
 
 
-def _block(S, d):
-    """The engine's block length for S seeds of dimension d."""
-    return min(1024, BLOCK_VALUES // (S * d))
+#: Per shape: S, d and the values a step of a seed holds in the engine's block arrays
+#: (d + 2 + G, G more for responses, one each for oblivious noise and dataset row indices).
+BLOCKS = {"sweep": (10, 100, 100 + 2 + 16), "dataset": (10, 10, 10 + 2 + 2 + 2), "hitting": (100, 20, 20 + 2 + 1)}
+
+
+def _block(name):
+    """The engine's block length on a shape of BLOCKS."""
+    S, _, per_step = BLOCKS[name]
+    return BLOCK_VALUES // (S * per_step)
 
 
 def _shapes():
     sweep_kinds = [GATED_SIGN, GLMTRON, GLMTRON, GLMTRON] * 2
     sweep_audits = [AUDIT_STEP_LAW | AUDIT_GATE, 0, 0, 0] * 2
-    sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, _block(10, 100), True, False, False)
-    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, _block(10, 10), False, False, False)
-    hitting = _state([SIGN], [0], [0.4], 100, 20, _block(100, 20), False, True, True)
+    sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, _block("sweep"), True, False, False)
+    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, _block("dataset"), False, False, False)
+    hitting = _state([SIGN], [0], [0.4], 100, 20, _block("hitting"), False, True, True)
     return {"sweep": sweep, "dataset": dataset, "hitting": hitting}
 
 
-def _draw_ns(S, d, repeat):
+def _draw_ns(name, repeat):
     """Best ns per measurement value of one ``sample_seeds`` block: S seeds' rows of d and their uniforms."""
-    n = _block(S, d)
+    (S, d, _), n = BLOCKS[name], _block(name)
     A, XI = np.empty((S, n, d)), np.empty((S, n))
     rngs = [np.random.default_rng(seed) for seed in range(2 * S)]
     model = GaussianSphere(d)
@@ -119,13 +128,16 @@ def _drift_ns(d, repeat):
     return 1e9 * best / (DRIFT_CHUNK * d)
 
 
-def _clean_loss_us(repeat):
-    """Best µs of one checkpoint's clean loss on the dataset shape: (compiled residual, numpy body)."""
+def _clean_loss_us(checkpoints, repeat):
+    """Best µs per checkpoint of the clean loss of ``checkpoints`` checkpoints in one call, on the
+    dataset shape: (compiled residual, numpy body)."""
     rng = np.random.default_rng(0)
     data = DatasetMatrix(features=rng.standard_normal((1599, 10)), responses=rng.standard_normal(1599))
-    x = rng.standard_normal((1, 10, 10))
+    x = rng.standard_normal((checkpoints, 1, 10, 10))
+
     def best_us():
-        return 1e6 * min(timeit.repeat(lambda: evaluate_clean_loss(x, data), number=100, repeat=repeat)) / 100
+        best = min(timeit.repeat(lambda: evaluate_clean_loss(x, data), number=100, repeat=repeat))
+        return 1e6 * best / (100 * checkpoints)
 
     compiled_us = float("nan") if _kernel.load("clean loss") is None else best_us()
     loaded, _kernel._libs["clean loss"] = _kernel._libs["clean loss"], "turned off"
@@ -165,12 +177,18 @@ def main():
         kernel_ns, numpy_ns = 1e9 * kernel_s / lane_steps, 1e9 * numpy_s / lane_steps
         print(f"{name:8} {G:3d} {S:4d} {d:4d} {n:5d} {kernel_ns:10.1f} {numpy_ns:10.1f} {numpy_ns / kernel_ns:6.1f}")
     print(f"Gaussian fill: {_kernel.status()['Gaussian fill']}")
-    for name, S, d in (("sweep", 10, 100), ("hitting", 100, 20)):
-        print(f"{name} draw (S {S}, d {d}, n {_block(S, d)}): {_draw_ns(S, d, args.repeat):.2f} ns per value")
+    for name in ("sweep", "hitting"):
+        S, d, _ = BLOCKS[name]
+        print(f"{name} draw (S {S}, d {d}, n {_block(name)}): {_draw_ns(name, args.repeat):.2f} ns per value")
     print(f"drift pass (d 100, n {DRIFT_CHUNK}): {_drift_ns(100, args.repeat):.2f} ns per value")
     print(f"clean loss: {_kernel.status()['clean loss']}")
-    compiled_us, numpy_us = _clean_loss_us(args.repeat)
-    print(f"clean loss per checkpoint (G 1, S 10, n 1599, d 10): {compiled_us:.1f} µs, numpy {numpy_us:.1f} µs")
+    buffered = CHECKPOINT_VALUES // (10 * (10 + 1599))  # the engine's checkpoints per buffer on this shape
+    for checkpoints in (1, buffered):
+        compiled_us, numpy_us = _clean_loss_us(checkpoints, args.repeat)
+        print(
+            f"clean loss per checkpoint, {checkpoints} per call (G 1, S 10, n 1599, d 10): "
+            f"{compiled_us:.1f} µs, numpy {numpy_us:.1f} µs"
+        )
     for name, part in _kernel.PARTS.items():
         part_lib = _kernel.load(name)
         if part_lib is not None:

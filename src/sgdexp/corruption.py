@@ -31,8 +31,12 @@ class Uniform:
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
 
-    def draw(self, rng: np.random.Generator, size=None):
-        return rng.uniform(-self.half_width, self.half_width, size=size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        """``rng.uniform(-half_width, half_width, size)``, as numpy draws it (low + (high - low) u), into ``out``."""
+        out = rng.random(size) if out is None else rng.random(out=out)
+        out *= 2.0 * self.half_width
+        out += -self.half_width
+        return out
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,12 @@ class Gaussian:
         if not self.variance > 0:
             raise ValueError("variance must be positive")
 
-    def draw(self, rng: np.random.Generator, size=None):
-        return rng.normal(0.0, math.sqrt(self.variance), size=size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        """``rng.normal(0, sqrt(variance), size)``, as numpy draws it (0 + sd z), into ``out`` when given."""
+        out = rng.standard_normal(size) if out is None else rng.standard_normal(out=out)
+        out *= math.sqrt(self.variance)
+        out += 0.0
+        return out
 
 
 NoiseLaw = Union[Uniform, Gaussian]

@@ -159,13 +159,7 @@ def _run_lanes(config: ExperimentConfig, p_grid) -> list:
         for p in p_grid
         for spec, per_g, per_gamma in resolved
     ]
-    trajectories = run_batch(
-        Lanes(groups),
-        stream,
-        config.seeds,
-        x_true=signals,
-        checkpoint_every=config.checkpoint_every,
-    )
+    trajectories = run_batch(Lanes(groups), stream, config.seeds, signals, config.checkpoint_every)
     fingerprint = config.fingerprint()
     ls_loss = None
     if stream.responses is not None and not stream.relu:
@@ -183,18 +177,18 @@ def run_experiment(config: ExperimentConfig) -> list:
     return _run_lanes(config, [build_corruption(config).p])
 
 
-#: Checkpoint field behind each config metric name.
+#: CheckpointTable column behind each config metric name.
 METRIC_FIELDS = {"relative_error": "relative_error", "clean_l2_loss": "clean_loss"}
 
 
 def aggregate_mean(trajectories, metric: str = "relative_error"):
     """Pointwise mean of a checkpoint metric across seeds, per solver.
 
-    ``metric`` is a config metric name or a Checkpoint field; anything
-    else is a ValueError.  Returns {solver: (ks, means)} in sorted solver
-    order, with ks shared across that solver's trajectories.  Missing
-    values are left out of the mean; a checkpoint or solver with no
-    value at all is left out.
+    ``metric`` is a config metric name or a CheckpointTable metric column;
+    anything else is a ValueError.  Returns {solver: (ks, means)} in sorted
+    solver order, with ks shared across that solver's trajectories.  Values
+    not measured, and NaN values, are left out of the mean; a checkpoint or
+    solver with no value at all is left out.
     """
     if metric not in {*METRIC_FIELDS, *METRIC_FIELDS.values()}:
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRIC_FIELDS)}")
@@ -205,18 +199,15 @@ def aggregate_mean(trajectories, metric: str = "relative_error"):
     out = {}
     for solver in sorted(by_solver):
         trajs = by_solver[solver]
-        ks = [cp.k for cp in trajs[0].checkpoints]
-        for t in trajs[1:]:
-            if [cp.k for cp in t.checkpoints] != ks:
-                raise ValueError(f"trajectories of {solver!r} have mismatched checkpoints")
-        values = np.array(
-            [[getattr(cp, field) for cp in t.checkpoints] for t in trajs], dtype=float
-        )
+        ks = trajs[0].checkpoints.k
+        if any(not np.array_equal(t.checkpoints.k, ks) for t in trajs[1:]):
+            raise ValueError(f"trajectories of {solver!r} have mismatched checkpoints")
+        values = np.array([getattr(t.checkpoints, field) for t in trajs])  # NaN where not measured
         has = ~np.all(np.isnan(values), axis=0)
         if has.any():
             # Fill, not drop, the empty columns: a column subset would change the sum's order.
             values[:, ~has] = 0.0
-            out[solver] = (np.array(ks)[has], np.nanmean(values, axis=0)[has])
+            out[solver] = (ks[has], np.nanmean(values, axis=0)[has])
     return out
 
 
@@ -249,20 +240,10 @@ def run_sweep(config: ExperimentConfig, p_grid, seed_grid=None) -> list:
     if len(set(p_grid)) < len(p_grid):
         raise ConfigError(f"--p: a probability is repeated in {p_grid}")
     trajs = _run_lanes(config, p_grid)
-    cell = len(config.solvers) * len(config.seeds)
+    cell = len(config.solvers) * (n_seeds := len(config.seeds))
     rows = []
     for i, p in enumerate(p_grid):
         lanes = trajs[i * cell : (i + 1) * cell]
         for solver, (ks, means) in aggregate_mean(lanes, metric).items():
-            for k, v in zip(ks, means):
-                rows.append(
-                    SweepRow(
-                        solver=solver,
-                        p=float(p),
-                        k=int(k),
-                        mean_value=float(v),
-                        n_seeds=len(config.seeds),
-                        metric=metric,
-                    )
-                )
+            rows += [SweepRow(solver, float(p), int(k), float(v), n_seeds, metric) for k, v in zip(ks, means)]
     return rows

@@ -8,13 +8,14 @@ import io
 import json
 import math
 import os
+from itertools import chain
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 
 from .experiment import aggregate_mean
-from .solvers import Checkpoint, Trajectory
+from .solvers import METRIC_COLUMNS, CheckpointTable, Trajectory
 
 CSV_HEADER = ["solver", "seed", "k", "relative_error", "clean_loss", "elapsed_seconds"]
 
@@ -78,24 +79,25 @@ def emit_results(trajectories, out_dir):
     with replaced(csv_path) as fh:
         fh.write(_csv_line(CSV_HEADER))
         for traj in ordered:
-            # The solver and seed cells, quoted once; the other cells never need quoting.
-            lead = _csv_line([traj.solver, traj.seed])[:-1]
-            fh.write(
-                "".join(
-                    f"{lead},{cp.k},{_fmt(cp.relative_error)},{_fmt(cp.clean_loss)},{_fmt(cp.elapsed_seconds)}\n"
-                    for cp in traj.checkpoints
-                )
-            )
+            # One format per trajectory: the solver and seed cells, quoted once, then
+            # "%.17g" for a column measured throughout and "" for one never measured.
+            cps, formats, columns = traj.checkpoints, [], [traj.checkpoints.k.tolist()]
+            for name in (*METRIC_COLUMNS, "elapsed_seconds"):
+                has, values = np.broadcast_to(getattr(cps, f"has_{name}", True), len(cps)), getattr(cps, name).tolist()
+                formats.append("%.17g" if has.all() else "%s" if has.any() else "")
+                if has.any():
+                    columns.append(values if has.all() else [_fmt(v) if h else "" for v, h in zip(values, has)])
+            row = _csv_line([traj.solver, traj.seed])[:-1].replace("%", "%%") + ",%d," + ",".join(formats) + "\n"
+            fh.write((row * len(cps)) % tuple(chain.from_iterable(zip(*columns))))
 
     # Each mean is the last point of the plotted mean, when that point is the final k;
     # a metric that no final checkpoint carries is not averaged at all.
-    fields = ("relative_error", "clean_loss")
-    carried = [f for f in fields if any(getattr(t.checkpoints[-1], f) is not None for t in ordered)]
+    carried = [f for f in METRIC_COLUMNS if any(getattr(t.checkpoints, f"has_{f}")[-1] for t in ordered)]
     means = {f: aggregate_mean(trajectories, f) for f in carried}
     summary = {}
-    for solver, k in {t.solver: t.checkpoints[-1].k for t in ordered}.items():
+    for solver, k in {t.solver: int(t.checkpoints.k[-1]) for t in ordered}.items():
         summary[solver] = {"final_k": k}
-        for f in fields:
+        for f in METRIC_COLUMNS:
             ks, values = means.get(f, {}).get(solver, ([None], None))
             summary[solver][f"mean_final_{f}"] = float(values[-1]) if ks[-1] == k else None
     manifest = {
@@ -116,7 +118,7 @@ def emit_results(trajectories, out_dir):
 
 
 def read_results_csv(path) -> list:
-    """Rebuild trajectories from an emitted CSV (inverse of emit_results).
+    """Rebuild trajectories from an emitted CSV (inverse of emit_results), each with a one-lane table.
 
     Raises ValueError naming the line of a row with the wrong number of
     cells, and the line and column of a non-numeric or non-finite cell.
@@ -141,18 +143,17 @@ def read_results_csv(path) -> list:
                 if not math.isfinite(value):
                     raise ValueError(f"{where}, column {name!r}: non-numeric or non-finite cell {cell!r}")
                 cells.append(None if cell == "" and name != "elapsed_seconds" else value)
-            seed, k, rel, clean, elapsed = cells
-            grouped.setdefault((row[0], seed), []).append(Checkpoint(k, rel, clean, elapsed))
+            grouped.setdefault((row[0], cells[0]), []).append(cells[1:])
     return [
-        Trajectory(solver=solver, seed=seed, checkpoints=cps, x_final=np.empty(0))
-        for (solver, seed), cps in sorted(grouped.items())
+        Trajectory(solver=solver, seed=seed, checkpoints=CheckpointTable.from_rows(rows), x_final=np.empty(0))
+        for (solver, seed), rows in sorted(grouped.items())
     ]
 
 
 def emit_plot(trajectories, path, metric: str = "relative_error", title: str = ""):
     """Write a semilog-y SVG line chart: one polyline per solver.
 
-    ``metric`` is a config metric name or a Checkpoint field.  Values
+    ``metric`` is a config metric name or a CheckpointTable metric.  Values
     are averaged across seeds at each checkpoint (``aggregate_mean``);
     nonpositive values are clamped to 1e-16 for the log scale.
     """
@@ -181,12 +182,11 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     def sy(log_y):
         return top + (hi - log_y) / (hi - lo) * plot_h
 
+    def text(parent, content, attrib=None, **xy):
+        ET.SubElement(parent, "text", attrib=attrib or {}, **xy).text = content
+
     svg = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=str(width),
-        height=str(height),
-        viewBox=f"0 0 {width} {height}",
+        "svg", xmlns="http://www.w3.org/2000/svg", width=str(width), height=str(height), viewBox=f"0 0 {width} {height}"
     )
     ET.SubElement(svg, "rect", x="0", y="0", width=str(width), height=str(height), fill="white")
     axes = ET.SubElement(svg, "g", attrib={"class": "axes", "stroke": "#333"})
@@ -194,68 +194,30 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     ET.SubElement(axes, "line", x1=str(left), y1=str(top), x2=str(left), y2=str(top + plot_h))
 
     labels = ET.SubElement(svg, "g", attrib={"font-family": "sans-serif", "font-size": "13"})
+    end, middle = {"text-anchor": "end"}, {"text-anchor": "middle"}
     for decade in range(lo, hi + 1):
         py = sy(decade)
-        ET.SubElement(
-            svg, "line", x1=str(left), y1=f"{py:.2f}", x2=str(left + plot_w), y2=f"{py:.2f}",
-            stroke="#ddd",
-        )
-        tick = ET.SubElement(labels, "text", x=str(left - 8), y=f"{py + 4:.2f}", attrib={"text-anchor": "end"})
-        tick.text = f"1e{decade}"
+        ET.SubElement(svg, "line", x1=str(left), y1=f"{py:.2f}", x2=str(left + plot_w), y2=f"{py:.2f}", stroke="#ddd")
+        text(labels, f"1e{decade}", end, x=str(left - 8), y=f"{py + 4:.2f}")
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = x_lo + frac * (x_hi - x_lo)
-        tick = ET.SubElement(
-            labels, "text", x=f"{sx(x):.2f}", y=str(top + plot_h + 18), attrib={"text-anchor": "middle"}
-        )
-        tick.text = f"{x:.0f}"
-    xlabel = ET.SubElement(
-        labels, "text", x=str(left + plot_w // 2), y=str(height - 12), attrib={"text-anchor": "middle"}
-    )
-    xlabel.text = "iteration k"
-    ylabel = ET.SubElement(
-        labels,
-        "text",
-        x="18",
-        y=str(top + plot_h // 2),
-        attrib={"text-anchor": "middle", "transform": f"rotate(-90 18 {top + plot_h // 2})"},
-    )
-    ylabel.text = metric.replace("_", " ")
+        text(labels, f"{x:.0f}", middle, x=f"{sx(x):.2f}", y=str(top + plot_h + 18))
+    text(labels, "iteration k", middle, x=str(left + plot_w // 2), y=str(height - 12))
+    turned = {**middle, "transform": f"rotate(-90 18 {top + plot_h // 2})"}
+    text(labels, metric.replace("_", " "), turned, x="18", y=str(top + plot_h // 2))
     if title:
-        t = ET.SubElement(
-            labels, "text", x=str(left + plot_w // 2), y="22", attrib={"text-anchor": "middle"}
-        )
-        t.text = title
+        text(labels, title, middle, x=str(left + plot_w // 2), y="22")
 
     legend = ET.SubElement(svg, "g", attrib={"class": "legend", "font-family": "sans-serif", "font-size": "13"})
     for i, (solver, (ks, vals)) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{sx(k):.2f},{sy(math.log10(v)):.2f}" for k, v in zip(ks, np.maximum(vals, floor))
-        )
-        ET.SubElement(
-            svg,
-            "polyline",
-            attrib={
-                "points": pts,
-                "fill": "none",
-                "stroke": color,
-                "stroke-width": "1.6",
-                "class": f"series-{solver}",
-            },
-        )
-        ly = top + 10 + 20 * i
-        ET.SubElement(
-            legend,
-            "line",
-            x1=str(left + plot_w + 12),
-            y1=str(ly),
-            x2=str(left + plot_w + 36),
-            y2=str(ly),
-            stroke=color,
-            attrib={"stroke-width": "2"},
-        )
-        label = ET.SubElement(legend, "text", x=str(left + plot_w + 42), y=str(ly + 4))
-        label.text = solver
+        pts = " ".join(f"{sx(k):.2f},{sy(math.log10(v)):.2f}" for k, v in zip(ks, np.maximum(vals, floor)))
+        line = {"points": pts, "fill": "none", "stroke": color, "stroke-width": "1.6", "class": f"series-{solver}"}
+        ET.SubElement(svg, "polyline", attrib=line)
+        ly, lx = top + 10 + 20 * i, left + plot_w
+        ends = dict(x1=str(lx + 12), y1=str(ly), x2=str(lx + 36), y2=str(ly))
+        ET.SubElement(legend, "line", {"stroke-width": "2"}, **ends, stroke=color)
+        text(legend, solver, x=str(lx + 42), y=str(ly + 4))
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,8 +18,9 @@ import functools
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Optional, Union
 
@@ -137,19 +138,54 @@ class Lanes(tuple):
         return self[0][0].T
 
 
-@dataclass
-class Checkpoint:
-    k: int
-    relative_error: Optional[float]
-    clean_loss: Optional[float]
-    elapsed_seconds: float
+#: The metric columns of a CheckpointTable; a CheckpointRow's metric is None where not measured.
+METRIC_COLUMNS = ("relative_error", "clean_loss")
+CheckpointRow = namedtuple("CheckpointRow", "k relative_error clean_loss elapsed_seconds")
+
+
+@dataclass(frozen=True, eq=False)
+class CheckpointTable:
+    """Checkpoints as columns: a row per checkpoint and, in a run's table, a column per lane.
+
+    Each field is a (checkpoints, lanes) array or a view broadcast to that shape;
+    ``has_relative_error`` and ``has_clean_loss`` mark the metric cells measured,
+    and a cell not measured is NaN.  ``lane(i)`` is lane i's table of (checkpoints,)
+    views: its ``len`` counts checkpoints, and its row ``[j]`` is a CheckpointRow.
+    """
+
+    k: np.ndarray
+    elapsed_seconds: np.ndarray
+    relative_error: np.ndarray
+    clean_loss: np.ndarray
+    has_relative_error: np.ndarray
+    has_clean_loss: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "CheckpointTable":
+        """One lane's table of (k, relative_error, clean_loss, elapsed_seconds) rows, None where not measured."""
+        k, rel, loss, elapsed = zip(*rows)  # np.array(..., dtype=float) reads None as NaN
+        has = (np.array([v is not None for v in c]) for c in (rel, loss))
+        return cls(np.array(k, dtype=np.int64), *(np.array(c, dtype=float) for c in (elapsed, rel, loss)), *has)
+
+    def lane(self, i: int) -> "CheckpointTable":
+        return CheckpointTable(*(column[:, i] for column in vars(self).values()))
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, j: int) -> CheckpointRow:
+        rel, loss = (float(getattr(self, m)[j]) if getattr(self, f"has_{m}")[j] else None for m in METRIC_COLUMNS)
+        return CheckpointRow(int(self.k[j]), rel, loss, float(self.elapsed_seconds[j]))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 @dataclass
 class Trajectory:
     solver: str
     seed: int
-    checkpoints: list
+    checkpoints: CheckpointTable  # the lane's
     x_final: np.ndarray
     fingerprint: str = ""
     least_squares_clean_loss: Optional[float] = None  # of a linear dataset run
@@ -330,9 +366,12 @@ AUDIT_STEP_LAW, AUDIT_GATE = 1, 2
 
 #: Seeds per tile of the step kernel (``TILE`` of ``_stepkernel.c``).
 TILE = 4
-#: Doubles in the engine's one block buffer of measurements (2 MiB), so that a
-#: seed owner's half of a block is still in L2 when it is stepped.
+#: Values in the engine's block arrays (2 MiB), so that a seed owner's half of a
+#: block is still in L2 when it is stepped.
 BLOCK_VALUES = 1 << 18
+#: Doubles of the checkpoints evaluated together (1 MiB): each holds its (G, S, d)
+#: lanes and, on a dataset stream, the clean-loss residual of every lane.
+CHECKPOINT_VALUES = 1 << 17
 
 
 class _StepState(SimpleNamespace):
@@ -544,7 +583,8 @@ def run_batch(
     its draws and clean responses are shared by every group, so each
     lane is bitwise identical to a one-group, one-seed call of its solver
     at its p.
-    Returns one Trajectory per lane, group-major.  ``x_true`` may be
+    Returns one Trajectory per lane, group-major, whose ``checkpoints`` is
+    that lane's view of the call's one CheckpointTable.  ``x_true`` may be
     (d,) shared or (S, d) per seed; it is required for synthetic streams
     (it generates the clean responses) and ignored for dataset streams
     except as the relative-error reference.
@@ -555,21 +595,25 @@ def run_batch(
     horizon or past the overflow of lam^{2k} (``_check_horizon``) is a
     ValueError.
 
-    Checkpoints of DatasetRows streams carry the clean loss of the
-    iterate against the stream's rows and responses.  With
+    At each checkpoint the lanes and the elapsed time are copied into a
+    buffer of snapshots, at most CHECKPOINT_VALUES values with a dataset
+    stream's residuals; each full buffer, and the last, is evaluated at
+    once: every relative error in one matmul and, for DatasetRows streams,
+    every clean loss against the stream's rows and responses in one
+    ``evaluate_clean_loss`` call, each with the bits of its own call.  With
     ``validate_steps`` the sign methods count steps whose length differs
     from the scheduled step (sgd_exp) and steps taken at <x, a> < 0 (the
     ReLU methods).  The steps between two checkpoints are one call of the
     step function: the compiled kernel where it loads, else its numpy body.
 
-    The seeds are drawn and stepped in blocks of at most BLOCK_VALUES
-    measurement values, so that a block is still in cache when it is
+    The seeds are drawn and stepped in blocks whose arrays hold at most
+    BLOCK_VALUES values, so that a block is still in cache when it is
     stepped.  With the compiled kernel, a synthetic stream of more than
     four seeds has two seed owners, the calling thread and one worker
     thread, split at a multiple of the kernel's four-seed tiles.  Each
     owner draws a block of its seeds (one compiled call for a sphere's
     rows and the corruption indicators) and steps it at once; the owners
-    meet only at checkpoints, where every lane is read.  A seed's
+    meet only at checkpoints, where every lane is copied.  A seed's
     generators are used by its owner alone, in block order, so every lane
     gets the bits of a sequential draw.  Dataset streams, the numpy body,
     T = 0 and four seeds or fewer run on the calling thread alone.  An
@@ -616,7 +660,6 @@ def run_batch(
     x = np.zeros((G, S, d))
     if x0 is not None:
         x[...] = x0  # (d,) or (S, d)
-    lanes = x.reshape(L, d)  # a view: lane g * S + s
 
     corr = stream.corruption
     is_oblivious = isinstance(corr, AdditiveOblivious)
@@ -625,6 +668,7 @@ def run_batch(
     if is_dataset:
         resp = np.asarray(stream.responses, dtype=float)
         row_norms = stream.model.row_norms
+        unit_resp = resp / row_norms  # in unit-row space; each block gathers its rows of it
         data = DatasetMatrix(features=stream.model.rows, responses=resp)
 
     # Step sizes: per-seed scale times decay for the sign family, decay / m for GLM-Tron.
@@ -639,8 +683,10 @@ def run_batch(
         _check_horizon("T", T, scales[0], xt_norms, specs[0].lam)
 
     # One block layout for the whole call: each seed's block of up to `block`
-    # steps has a fixed place in the step function's block arrays.
-    block = max(1, min(1024, T, BLOCK_VALUES // (S * d)))
+    # steps has a fixed place in the step function's block arrays.  A seed's step
+    # holds A, clean, XI and steps, G more values for Y, and one each for NU and idx.
+    per_step = d + 2 + G * (1 + (not isinstance(corr, ResidualSignAdversary))) + is_oblivious + is_dataset
+    block = max(1, min(T, BLOCK_VALUES // (S * per_step)))
     sign_kind, gate_bit = (GATED_SIGN, AUDIT_GATE) if relu_response else (SIGN, 0)
     audited = ~is_tron & validate_steps
     track_hit = hitting_level is not None
@@ -662,27 +708,15 @@ def run_batch(
 
     lib = _kernel.load("step kernel")
 
-    checkpoints = [[] for _ in range(L)]
-    snaps = [] if record_iterates else None
-    t0 = time.perf_counter()
-
-    def _record(k):
-        elapsed = time.perf_counter() - t0
-        rel = loss = repeat(None)
-        if Xt is not None:
-            # ||x* - x|| per lane as np.linalg.norm takes it: the sqrt of one dot.
-            diff = Xt - x
-            dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
-            norms = np.tile(xt_norms, G)  # lane g * S + s has seed s's norm
-            rel = [float(r / nrm) if nrm > 0 else None for r, nrm in zip(dist.ravel(), norms)]
-        if is_dataset:
-            loss = evaluate_clean_loss(x, data, relu=relu_response).ravel().tolist()
-        for cps, r, c in zip(checkpoints, rel, loss):
-            cps.append(
-                Checkpoint(k=k, relative_error=r, clean_loss=c, elapsed_seconds=elapsed)
-            )
-        if record_iterates:
-            snaps.append(lanes.copy())
+    # Checkpoints k = 0, each multiple of checkpoint_every below T, and T, buffered
+    # `per_buffer` at a time; the relative errors of seeds whose x_true is missing or 0 stay NaN.
+    n_cp = 1 + -(-T // checkpoint_every)
+    per_buffer = min(n_cp, max(1, CHECKPOINT_VALUES // (L * (d + (stream.model.n_rows if is_dataset else 0)))))
+    snaps = np.empty((per_buffer, G, S, d))
+    ks, elapsed = np.empty(n_cp, dtype=np.int64), np.empty(n_cp)
+    rel, loss = np.full((n_cp, G, S), np.nan), np.full((n_cp, G, S), np.nan)
+    has_rel = np.zeros(S, dtype=bool) if Xt is None else xt_norms > 0.0
+    iterates = np.empty((n_cp, G, S, d)) if record_iterates else None
 
     def draw(rows: slice, n: int) -> None:
         """Draw the seeds in ``rows``: a block of ``n`` steps into their rows of the block arrays."""
@@ -690,13 +724,12 @@ def run_batch(
         idx = sample_seeds(stream.model, meas_rngs[rows], A, uniforms=(xi_rngs[rows], st.XI[rows, :n]))
         if is_oblivious:
             for nu, rng in zip(NU[rows, :n], noise_rngs[rows]):
-                nu[...] = corr.law.draw(rng, n)
+                corr.law.draw(rng, n, out=nu)
         if is_dataset:
             # Responses and noise in unit-row space.
-            norms = row_norms[idx]
-            clean[...] = resp[idx] / norms
+            np.take(unit_resp, idx, out=clean, mode="clip")
             if is_oblivious:
-                NU[rows, :n] /= norms
+                NU[rows, :n] /= row_norms[idx]
         else:
             clean[...] = np.einsum("snd,sd->sn", A, Xt[rows])
             if relu_response:
@@ -729,23 +762,39 @@ def run_batch(
     # they meet at checkpoints.
     split = 0 if lib is None or is_dataset or T == 0 else TILE * round(S / (2 * TILE))
     owners = [own(part) for part in (range(0, split), range(split, S)) if part]
-    _record(0)
-    for k in owners[0] if len(owners) == 1 else _in_step(*owners):
-        _record(k)
+    t0 = time.perf_counter()
+    for i, k in enumerate(chain([0], owners[0] if len(owners) == 1 else _in_step(*owners))):
+        ks[i], elapsed[i] = k, time.perf_counter() - t0
+        snaps[i % per_buffer] = x
+        if i % per_buffer == per_buffer - 1 or i == n_cp - 1:
+            x_, rows = snaps[: i % per_buffer + 1], slice(i - i % per_buffer, i + 1)
+            if record_iterates:
+                iterates[rows] = x_
+            if is_dataset:
+                loss[rows] = evaluate_clean_loss(x_, data, relu=relu_response)
+            if Xt is not None:
+                # ||x* - x|| per lane as np.linalg.norm takes it: the sqrt of one dot (x* - x in place).
+                diff = np.subtract(Xt, x_, out=x_)
+                dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+                np.divide(dist, xt_norms, out=rel[rows], where=has_rel)
 
-    out = []
-    for i in range(L):
-        g, s_i = divmod(i, S)
-        out.append(
-            Trajectory(
-                solver=specs[g].method,
-                seed=seeds[s_i],
-                checkpoints=checkpoints[i],
-                x_final=lanes[i].copy(),
-                step_law_violations=int(st.step_viol[g, s_i]),
-                relu_gate_violations=int(st.gate_viol[g, s_i]),
-                iterates=np.array([sn[i] for sn in snaps]) if record_iterates else None,
-                hit_k=(int(st.hit_k[s_i]) if track_hit and st.hit_k[s_i] >= 0 else None),
-            )
+    table = CheckpointTable(
+        *(np.broadcast_to(col[:, None], (n_cp, L)) for col in (ks, elapsed)),
+        rel.reshape(n_cp, L),
+        loss.reshape(n_cp, L),
+        *(np.broadcast_to(has, (n_cp, L)) for has in (np.tile(has_rel, G), is_dataset)),
+    )
+    return [
+        Trajectory(
+            solver=specs[g].method,
+            seed=seeds[s_i],
+            checkpoints=table.lane(g * S + s_i),
+            x_final=x[g, s_i].copy(),
+            step_law_violations=int(st.step_viol[g, s_i]),
+            relu_gate_violations=int(st.gate_viol[g, s_i]),
+            iterates=iterates[:, g, s_i] if record_iterates else None,
+            hit_k=(int(st.hit_k[s_i]) if track_hit and st.hit_k[s_i] >= 0 else None),
         )
-    return out
+        for g in range(G)
+        for s_i in range(S)
+    ]

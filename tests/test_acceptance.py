@@ -39,7 +39,7 @@ def _mean_error_at(trajectories, solver, k):
     for t in trajectories:
         if t.solver != solver:
             continue
-        matches = [cp.relative_error for cp in t.checkpoints if cp.k == k]
+        matches = t.checkpoints.relative_error[t.checkpoints.k == k].tolist()
         assert matches, f"no checkpoint at k={k} for {solver}"
         vals.append(matches[0])
     assert vals, f"no trajectories for solver {solver}"
@@ -353,7 +353,7 @@ def test_c10_step_invariants(linear_runs, oblivious_runs, relu_runs):
     )
     step = sum(t.step_law_violations for t in all_trajs)
     gate = sum(t.relu_gate_violations for t in all_trajs)
-    n_steps = sum(t.checkpoints[-1].k for t in all_trajs)
+    n_steps = sum(int(t.checkpoints.k[-1]) for t in all_trajs)
     ok = step == 0 and gate == 0
     _report(10, "universal step invariants", ok, f"{n_steps:,} instrumented steps, {step} magnitude / {gate} gate violations")
     assert step == 0

@@ -36,6 +36,25 @@ def test_noise_law_validation():
         Gaussian(-1.0)
 
 
+@pytest.mark.parametrize(
+    "law, numpy_draw",
+    [
+        (Uniform(0.7), lambda rng, n: rng.uniform(-0.7, 0.7, n)),
+        (Uniform(300.0), lambda rng, n: rng.uniform(-300.0, 300.0, n)),
+        (Gaussian(2.0), lambda rng, n: rng.normal(0.0, math.sqrt(2.0), n)),
+    ],
+    ids=["uniform", "uniform_wide", "gaussian"],
+)
+@pytest.mark.parametrize("n", [1, 7, 5000])
+def test_noise_draw_in_place_is_numpys_draw(law, numpy_draw, n):
+    """A noise law draws numpy's uniform or normal bits, into a new array or in place into ``out``."""
+    want = numpy_draw(np.random.default_rng(3), n).view(np.uint64)
+    assert np.array_equal(law.draw(np.random.default_rng(3), n).view(np.uint64), want)
+    out = np.full(n, -0.0)
+    assert law.draw(np.random.default_rng(3), n, out=out) is out
+    assert np.array_equal(out.view(np.uint64), want)
+
+
 def test_sign_flip_deterministic_at_p1():
     y = apply_channel(SignFlip(1.0), np.array([3.0]), np.random.default_rng(0).random(1))
     assert y[0] == -3.0

@@ -639,7 +639,7 @@ class TestTheoremEnvelope:
         trajs = run_batch(Lanes([(spec, p, G)]), stream, seeds, x_true=x_true,
                           checkpoint_every=T, validate_steps=False)
         for i, traj in enumerate(trajs):
-            abs_err = traj.checkpoints[-1].relative_error * norms[i]
+            abs_err = traj.checkpoints.relative_error[-1] * norms[i]
             bound = theorem_error_bound(float(G[i]), CT, R, d, p, T)
             assert abs_err <= bound
 

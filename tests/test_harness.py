@@ -15,7 +15,7 @@ from sgdexp.results import (
     emit_sweep_csv,
     read_results_csv,
 )
-from sgdexp.solvers import Checkpoint, Trajectory, run_batch
+from sgdexp.solvers import CheckpointTable, Trajectory, run_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -84,20 +84,16 @@ class TestRunExperiment:
         agg = aggregate_mean(trajs)
         exp = [t for t in trajs if t.solver == "sgd-exp"]
         ks, means = agg["sgd-exp"]
-        manual = np.mean(
-            [[cp.relative_error for cp in t.checkpoints] for t in exp], axis=0
-        )
+        manual = np.mean([t.checkpoints.relative_error for t in exp], axis=0)
         assert np.allclose(means, manual, rtol=0, atol=0)
-        assert list(ks) == [cp.k for cp in exp[0].checkpoints]
+        assert list(ks) == list(exp[0].checkpoints.k)
 
     def test_deterministic_across_calls(self):
         t1 = run_experiment(small_config())
         t2 = run_experiment(small_config())
         for a, b in zip(t1, t2):
             assert np.array_equal(a.x_final, b.x_final)
-            assert [c.relative_error for c in a.checkpoints] == [
-                c.relative_error for c in b.checkpoints
-            ]
+            assert a.checkpoints.relative_error.tolist() == b.checkpoints.relative_error.tolist()
 
     def test_matches_solo_run_bitwise(self):
         from sgdexp.experiment import build_stream, draw_signals, resolve_solver
@@ -122,9 +118,10 @@ class TestRunExperiment:
         cfg = dataset_config(tmp_path)
         trajs = run_experiment(cfg)
         assert len(trajs) == 1
-        losses = [cp.clean_loss for cp in trajs[0].checkpoints]
-        assert all(v is not None for v in losses)
-        assert all(cp.relative_error is None for cp in trajs[0].checkpoints)
+        cps = trajs[0].checkpoints
+        losses = cps.clean_loss
+        assert cps.has_clean_loss.all()
+        assert not cps.has_relative_error.any()
         # noise-free consistent system: loss shrinks from ||y||^2 scale
         assert losses[-1] < losses[0]
 
@@ -201,7 +198,7 @@ class TestEmitResults:
         ])
         trajs = run_experiment(cfg)
         # checkpoints at k = 0, 100, 200, 300
-        trajs[0].checkpoints = trajs[0].checkpoints[1:]  # drop k=0 -> 3 checkpoints
+        trajs[0].checkpoints = CheckpointTable.from_rows(list(trajs[0].checkpoints)[1:])  # drop k=0
         csv_path, _ = emit_results(trajs, tmp_path)
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 4  # header + 3 rows
@@ -214,12 +211,10 @@ class TestEmitResults:
         by_key = {(t.solver, t.seed): t for t in back}
         for t in trajs:
             parsed = by_key[(t.solver, t.seed)]
-            assert [c.k for c in parsed.checkpoints] == [c.k for c in t.checkpoints]
-            for a, b in zip(parsed.checkpoints, t.checkpoints):
-                if b.relative_error is None:
-                    assert a.relative_error is None
-                else:
-                    assert a.relative_error == b.relative_error  # 17g round-trips floats
+            assert parsed.checkpoints.k.tolist() == t.checkpoints.k.tolist()
+            assert np.array_equal(parsed.checkpoints.has_relative_error, t.checkpoints.has_relative_error)
+            # 17g round-trips floats; a value not measured reads back as not measured.
+            assert np.array_equal(parsed.checkpoints.relative_error, t.checkpoints.relative_error, equal_nan=True)
 
     def test_byte_determinism_except_elapsed(self, tmp_path):
         cfg = small_config()
@@ -280,7 +275,7 @@ class TestEmitResults:
         _, manifest_path = emit_results(trajs, tmp_path / "out")
         reference = json.loads(manifest_path.read_text())["least_squares_clean_loss"]
         assert np.isfinite(reference)
-        assert all(reference <= cp.clean_loss for t in trajs for cp in t.checkpoints)
+        assert all(np.all(reference <= t.checkpoints.clean_loss) for t in trajs)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -295,7 +290,9 @@ class TestEmitResults:
             Trajectory(
                 solver=name,
                 seed=seed,
-                checkpoints=[Checkpoint(k, values[k % 7], values[(k + 3) % 7], 0.25 * k) for k in range(9)],
+                checkpoints=CheckpointTable.from_rows(
+                    (k, values[k % 7], values[(k + 3) % 7], 0.25 * k) for k in range(9)
+                ),
                 x_final=np.empty(0),
             )
             for name in ("a,b", 'say "hi"', "two\nlines", "plain")
@@ -312,6 +309,18 @@ class TestEmitResults:
         assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
         back = {(t.solver, t.seed): t.checkpoints for t in read_results_csv(csv_path)}
         assert back == {(t.solver, t.seed): t.checkpoints for t in trajs}
+
+    def test_rows_keep_the_bytes_of_nan_infinity_and_negative_zero(self, tmp_path):
+        """A column measured throughout and a column measured in part write
+        each value as ``format(v, ".17g")`` does, and "" where not measured."""
+        nan, inf = float("nan"), float("inf")
+        rows = [(0, nan, -0.0, 0.0), (5, -inf, None, 1.5), (10, -0.0, nan, 2.0)]
+        traj = Trajectory(solver="s%d", seed=7, checkpoints=CheckpointTable.from_rows(rows), x_final=np.empty(0))
+        csv_path, _ = emit_results([traj], tmp_path)
+        cells = [[str(row[0]), *("" if v is None else format(v, ".17g") for v in row[1:])] for row in rows]
+        want = [",".join(CSV_HEADER), *(",".join(["s%d", "7", *c]) for c in cells)]
+        assert csv_path.read_text().splitlines() == want
+        assert "nan" in want[1] and "-inf" in want[2] and "-0" in want[3]
 
 
 class TestEmitPlot:

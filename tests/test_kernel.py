@@ -971,6 +971,6 @@ class TestCleanLoss:
             for part in (_kernel.load(CLEAN), "turned off"):
                 monkeypatch.setitem(_kernel._libs, CLEAN, part)
                 trajectories = run_batch(spec, stream, range(3), checkpoint_every=50)
-                losses.setdefault(relu, []).append([cp.clean_loss for t in trajectories for cp in t.checkpoints])
+                losses.setdefault(relu, []).append(np.concatenate([t.checkpoints.clean_loss for t in trajectories]))
         for got, want in losses.values():
             assert np.array_equal(_bits(got), _bits(want))

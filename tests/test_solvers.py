@@ -1,3 +1,4 @@
+import json
 import math
 import shutil
 import sys
@@ -22,6 +23,7 @@ from sgdexp import _kernel
 from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
 from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block, sample_seeds
 from sgdexp.solvers import (
+    METRIC_COLUMNS,
     Lanes,
     SolverSpec,
     StreamSpec,
@@ -277,6 +279,12 @@ class TestSolverSpec:
             SolverSpec(method="glmtron", d=2, T=10, schedule="const")
 
 
+def _columns(cps):
+    """A lane's checkpoint columns bit for bit, with their masks; elapsed_seconds is left out."""
+    values = [getattr(cps, m).tobytes() for m in METRIC_COLUMNS]
+    return (cps.k.tolist(), *values, *(getattr(cps, f"has_{m}").tolist() for m in METRIC_COLUMNS))
+
+
 def _linear_spec(d=4, T=500, lam=1.01, G=1.0):
     return SolverSpec(method="sgd_exp_linear", d=d, T=T, lam=lam, G=G)
 
@@ -298,8 +306,8 @@ class TestRun:
         x_true = np.array([1.0, 2.0, 3.0, 4.0])
         traj = run_batch(_linear_spec(T=0), _stream(), [1], x_true=x_true)[0]
         assert len(traj.checkpoints) == 1
-        assert traj.checkpoints[0].k == 0
-        assert traj.checkpoints[0].relative_error == 1.0
+        assert traj.checkpoints.k.tolist() == [0]
+        assert traj.checkpoints.relative_error.tolist() == [1.0]
         assert np.array_equal(traj.x_final, np.zeros(4))
 
     def test_clean_stream_error_decreases(self):
@@ -307,7 +315,7 @@ class TestRun:
         x_true = signal_rng(3).standard_normal(d)
         spec = SolverSpec(method="sgd_exp_linear", d=d, T=10_000, lam=1.0001, G=1.0)
         traj = run_batch(spec, _stream(d=d), [3], x_true=x_true, checkpoint_every=1000)[0]
-        final = traj.checkpoints[-1].relative_error
+        final = traj.checkpoints.relative_error[-1]
         assert final < 1.0
         assert final < 0.5  # pilot-calibrated: clean runs converge well below start
 
@@ -316,9 +324,7 @@ class TestRun:
         t1 = run_batch(_linear_spec(), _stream(p=0.3), [11], x_true=x_true)[0]
         t2 = run_batch(_linear_spec(), _stream(p=0.3), [11], x_true=x_true)[0]
         assert np.array_equal(t1.x_final, t2.x_final)
-        assert [c.relative_error for c in t1.checkpoints] == [
-            c.relative_error for c in t2.checkpoints
-        ]
+        assert t1.checkpoints.relative_error.tolist() == t2.checkpoints.relative_error.tolist()
 
     def test_batch_matches_solo_runs(self):
         x_true = np.vstack([signal_rng(s).standard_normal(4) for s in (5, 6)])
@@ -397,9 +403,9 @@ class TestRun:
         )
         data = DatasetMatrix(features=rows, responses=responses)
         for traj in run_batch(spec, stream, [1, 2], checkpoint_every=100, record_iterates=True):
-            assert [cp.k for cp in traj.checkpoints] == [0, 100, 200, 250]
-            for cp, x in zip(traj.checkpoints, traj.iterates):
-                assert cp.clean_loss == evaluate_clean_loss(x, data, relu=relu)
+            assert traj.checkpoints.k.tolist() == [0, 100, 200, 250]
+            want = [evaluate_clean_loss(x, data, relu=relu) for x in traj.iterates]
+            assert traj.checkpoints.clean_loss.tolist() == want
 
     def test_checkpoint_relative_error_is_linalg_norm(self):
         Xt = np.random.default_rng(2).standard_normal((3, 4))
@@ -409,14 +415,14 @@ class TestRun:
         norms = np.linalg.norm(Xt, axis=1)
         for i, t in enumerate(trajs):
             s_i = i % 3
-            assert [cp.relative_error for cp in t.checkpoints] == [
+            assert t.checkpoints.relative_error.tolist() == [
                 float(np.linalg.norm(Xt[s_i] - x) / norms[s_i]) for x in t.iterates
             ]
 
     def test_checkpoint_spacing(self):
         x_true = np.ones(4)
         traj = run_batch(_linear_spec(T=250), _stream(), [0], x_true=x_true, checkpoint_every=100)[0]
-        assert [c.k for c in traj.checkpoints] == [0, 100, 200, 250]
+        assert traj.checkpoints.k.tolist() == [0, 100, 200, 250]
 
 
 class TestSubstreamIsolation:
@@ -577,9 +583,7 @@ class TestLanes:
         for lane, solo in self._pairs(*self._setup(corruption, dataset)):
             assert (lane.solver, lane.seed) == (solo.solver, solo.seed)
             assert np.array_equal(lane.x_final, solo.x_final)
-            assert [(c.k, c.relative_error, c.clean_loss) for c in lane.checkpoints] == [
-                (c.k, c.relative_error, c.clean_loss) for c in solo.checkpoints
-            ]
+            assert _columns(lane.checkpoints) == _columns(solo.checkpoints)
             assert np.array_equal(lane.iterates, solo.iterates)
             assert (lane.step_law_violations, lane.relu_gate_violations) == (
                 solo.step_law_violations,
@@ -667,7 +671,7 @@ class TestBlocks:
             traj.seed,
             traj.x_final.tobytes(),
             traj.iterates.tobytes(),
-            [(c.k, c.relative_error, c.clean_loss) for c in traj.checkpoints],
+            _columns(traj.checkpoints),
             traj.step_law_violations,
             traj.relu_gate_violations,
         )
@@ -709,7 +713,7 @@ class TestBlocks:
         assert len(batch) == len(groups) * len(seeds)
         assert batch == solo
         assert batch == numpy_body
-        assert [cp[0] for cp in batch[0][4]] == sorted({*range(0, T, every), T})
+        assert batch[0][4][0] == sorted({*range(0, T, every), T})
 
     def test_concurrent_calls_under_fast_switching(self):
         """Two calls at once (two seed owners each, four threads on a small
@@ -751,12 +755,12 @@ class _FailingGaussian(Gaussian):
     threads: list = None
     failing: str = "both"  # "caller", "worker" or "both"
 
-    def draw(self, rng, size=None):
+    def draw(self, rng, size=None, out=None):
         here = threading.current_thread()
         self.threads.append(here)
         if self.failing == "both" or (here is threading.main_thread()) == (self.failing == "caller"):
             raise _DrawFailed("noise draw failed")
-        return super().draw(rng, size)
+        return super().draw(rng, size, out)
 
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH to build the kernel")
@@ -869,3 +873,119 @@ class TestSeedOwners:
         finally:
             tracemalloc.stop()
         assert peak < 8 * solvers_mod.BLOCK_VALUES + 2 * 2**20
+
+
+_TABLE_D, _TABLE_SEEDS = 8, list(range(5, 15))
+
+
+class TestCheckpointTable:
+    """The checkpoint table holds, bit for bit, what the recording it replaced
+    held: at each checkpoint, the relative errors of every lane from one
+    matmul and their clean losses from one evaluate_clean_loss call.  The
+    table's buffer is evaluated one checkpoint at a time, a few at a time
+    with a partial last buffer, exactly full, and all at once."""
+
+    @staticmethod
+    def _per_checkpoint(trajs, G, x_true, data, relu):
+        """Each lane's (relative_error, clean_loss) per checkpoint, recorded one checkpoint at a
+        time from the record_iterates snapshots; None where not measured."""
+        S, d = x_true.shape
+        snaps = np.stack([t.iterates for t in trajs], axis=1).reshape(-1, G, S, d)
+        norms = np.tile(np.linalg.norm(x_true, axis=1), G)
+        rows = []
+        for x in snaps:
+            diff = x_true - x
+            dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+            rel = [float(r / n) if n > 0 else None for r, n in zip(dist.ravel(), norms)]
+            loss = [None] * (G * S) if data is None else evaluate_clean_loss(x, data, relu=relu).ravel().tolist()
+            rows.append(list(zip(rel, loss)))
+        return [[row[i] for row in rows] for i in range(G * S)]
+
+    @staticmethod
+    def _hex(cells):
+        return [tuple(None if v is None else float(v).hex() for v in cell) for cell in cells]
+
+    @pytest.mark.parametrize("per_buffer", [1, 3, 5, None], ids=["each", "three", "exactly_full", "all"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
+    def test_table_is_the_per_checkpoint_record(self, dataset, relu, per_buffer, monkeypatch):
+        rng = np.random.default_rng(8)
+        x_true = rng.standard_normal((len(_TABLE_SEEDS), _TABLE_D))
+        x_true[3] = 0.0  # no relative error for this seed's lanes
+        sgd_exp = SolverSpec("sgd_exp_relu" if relu else "sgd_exp_linear", _TABLE_D, 2500, lam=1.001, G=1.0)
+        second = dict(method="glmtron", schedule="root", m=2) if relu else dict(method="sgd_root_linear", gamma=0.5)
+        specs = [sgd_exp, SolverSpec(d=_TABLE_D, T=2500, **second)]
+        data = None
+        if dataset:
+            rows = rng.standard_normal((50, _TABLE_D))
+            responses = rows @ rng.standard_normal(_TABLE_D)
+            data = DatasetMatrix(rows, np.maximum(responses, 0.0) if relu else responses)
+            stream = StreamSpec(DatasetRows(rows), SignFlip(0.2), relu=relu, responses=data.responses)
+        else:
+            stream = StreamSpec(GaussianSphere(_TABLE_D), SignFlip(0.2), relu=relu)
+        # Blocks of 666-714 steps, the last one partial, so stretches of 300 steps cross them.
+        monkeypatch.setattr(solvers_mod, "BLOCK_VALUES", 100_000)
+        if per_buffer is not None:
+            lane_values = len(specs) * len(_TABLE_SEEDS) * (_TABLE_D + (50 if dataset else 0))
+            monkeypatch.setattr(solvers_mod, "CHECKPOINT_VALUES", per_buffer * lane_values)
+        calls = []
+        counted = lambda *args, **kwargs: calls.append(1) or evaluate_clean_loss(*args, **kwargs)  # noqa: E731
+        monkeypatch.setattr(solvers_mod, "evaluate_clean_loss", counted)
+        lanes = Lanes((spec, 0.2, None) for spec in specs)
+        trajs = run_batch(lanes, stream, _TABLE_SEEDS, x_true=x_true, checkpoint_every=300, record_iterates=True)
+        # Checkpoints 0, 300, ..., 2400 and 2500.
+        assert len(calls) == (-(-10 // (per_buffer or 10)) if dataset else 0)
+        # The snapshots are the iterates at each checkpoint: the final iterates of calls that stop there.
+        for c, k in enumerate([*range(0, 2500, 300), 2500]):
+            stop = Lanes((replace(spec, T=k), 0.2, None) for spec in specs)
+            finals = run_batch(stop, stream, _TABLE_SEEDS, x_true=x_true, checkpoint_every=300)
+            assert all(np.array_equal(t.iterates[c], f.x_final) for t, f in zip(trajs, finals))
+        want = self._per_checkpoint(trajs, len(specs), x_true, data, relu)
+        for traj, cells in zip(trajs, want):
+            assert traj.checkpoints.k.tolist() == [*range(0, 2500, 300), 2500]
+            assert np.all(np.diff(traj.checkpoints.elapsed_seconds) >= 0.0)
+            got = [(row.relative_error, row.clean_loss) for row in traj.checkpoints]
+            assert self._hex(got) == self._hex(cells)
+        assert [t.checkpoints.has_relative_error.all() for t in trajs] == [s != 3 for _ in specs for s in range(10)]
+
+    @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
+    def test_results_csv_reads_back_as_the_table_and_plots_as_run(self, dataset, tmp_path):
+        from sgdexp.cli import main
+        from sgdexp.config import load_config
+        from sgdexp.experiment import run_experiment
+        from sgdexp.results import read_results_csv
+
+        config = {
+            "dimension": _TABLE_D,
+            "horizon": 1000,
+            "seeds": [1, 2, 3],
+            "checkpoint_every": 150,
+            "corruption": {"kind": "sign_flip", "p": 0.2},
+            "solvers": [
+                {"name": "sgd-exp", "method": "sgd_exp_linear", "lam": 1.001, "G": 1.0},
+                {"name": "sgd-root", "method": "sgd_root_linear", "gamma": 0.5},
+            ],
+        }
+        if dataset:
+            rows = np.random.default_rng(4).standard_normal((40, _TABLE_D))
+            lines = [",".join(f"f{j}" for j in range(_TABLE_D)) + ",y"]
+            lines += [",".join(format(v, ".17g") for v in (*row, row.sum())) for row in rows]
+            (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+            features = [f"f{j}" for j in range(_TABLE_D)]
+            data = dict(kind="dataset_rows", path=str(tmp_path / "data.csv"), features=features, response="y")
+            config["measurement"] = data
+            config["metrics"] = ["clean_l2_loss"]
+        else:
+            config["measurement"] = {"kind": "gaussian_sphere"}
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out-dir", str(out), "--quiet"]) == 0
+        back = {(t.solver, t.seed): t.checkpoints for t in read_results_csv(out / "results.csv")}
+        trajs = run_experiment(load_config(path))
+        assert len(back) == len(trajs) == 6
+        for t in trajs:
+            assert _columns(back[(t.solver, t.seed)]) == _columns(t.checkpoints)
+        metric = "clean_l2_loss" if dataset else "relative_error"
+        plot = ["plot", str(out / "results.csv"), "-o", str(tmp_path / "plot.svg"), "--metric", metric, "--quiet"]
+        assert main(plot) == 0
+        assert (tmp_path / "plot.svg").read_bytes() == (out / "results.svg").read_bytes()
