@@ -3,15 +3,14 @@
 
 One block of steps in each of three shapes, the step function's share of
 the three benchmark workloads, at the engine's block length for the
-shape (block arrays of at most ``solvers.BLOCK_VALUES`` values):
+shape (``solvers.BLOCK_VALUES`` measurement values, at most 1024 steps):
 
 - sweep:   G 8, S 10, d 100.  Per corruption level, one gated sign group
            (step-law and gate audits on) and three GLM-Tron groups, under
-           sign flips; 222 steps.
-- dataset: G 1, S 10, d 10.  One audited sign group; 1638 steps, the
-           block of the red-wine run (oblivious noise, row indices).
+           sign flips; 262 steps.
+- dataset: G 1, S 10, d 10.  One audited sign group; 1024 steps.
 - hitting: G 1, S 100, d 20.  One sign group under the residual-sign
-           adversary, with hitting times and no audit; 113 steps.
+           adversary, with hitting times and no audit; 131 steps.
 
 Inputs come from a fixed seed, the block is stepped on the calling thread
 over all seeds (``sk_advance``'s seed range [0, S)) from the same starting
@@ -48,7 +47,6 @@ from sgdexp.solvers import (
     AUDIT_GATE,
     AUDIT_STEP_LAW,
     BLOCK_VALUES,
-    CHECKPOINT_VALUES,
     GATED_SIGN,
     GLMTRON,
     SIGN,
@@ -57,6 +55,7 @@ from sgdexp.solvers import (
     _set_responses,
     _step_numpy,
     _step_state,
+    checkpoints_per_buffer,
 )
 
 LAM = 1.00003
@@ -86,29 +85,23 @@ def _state(kinds, audits, ps, S, d, n, relu, adversary, hitting, seed=0):
     return st
 
 
-#: Per shape: S, d and the values a step of a seed holds in the engine's block arrays
-#: (d + 2 + G, G more for responses, one each for oblivious noise and dataset row indices).
-BLOCKS = {"sweep": (10, 100, 100 + 2 + 16), "dataset": (10, 10, 10 + 2 + 2 + 2), "hitting": (100, 20, 20 + 2 + 1)}
-
-
-def _block(name):
-    """The engine's block length on a shape of BLOCKS."""
-    S, _, per_step = BLOCKS[name]
-    return BLOCK_VALUES // (S * per_step)
+def _block(S, d):
+    """The engine's block length for S seeds of dimension d."""
+    return min(1024, BLOCK_VALUES // (S * d))
 
 
 def _shapes():
     sweep_kinds = [GATED_SIGN, GLMTRON, GLMTRON, GLMTRON] * 2
     sweep_audits = [AUDIT_STEP_LAW | AUDIT_GATE, 0, 0, 0] * 2
-    sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, _block("sweep"), True, False, False)
-    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, _block("dataset"), False, False, False)
-    hitting = _state([SIGN], [0], [0.4], 100, 20, _block("hitting"), False, True, True)
+    sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, _block(10, 100), True, False, False)
+    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, _block(10, 10), False, False, False)
+    hitting = _state([SIGN], [0], [0.4], 100, 20, _block(100, 20), False, True, True)
     return {"sweep": sweep, "dataset": dataset, "hitting": hitting}
 
 
-def _draw_ns(name, repeat):
+def _draw_ns(S, d, repeat):
     """Best ns per measurement value of one ``sample_seeds`` block: S seeds' rows of d and their uniforms."""
-    (S, d, _), n = BLOCKS[name], _block(name)
+    n = _block(S, d)
     A, XI = np.empty((S, n, d)), np.empty((S, n))
     rngs = [np.random.default_rng(seed) for seed in range(2 * S)]
     model = GaussianSphere(d)
@@ -177,13 +170,11 @@ def main():
         kernel_ns, numpy_ns = 1e9 * kernel_s / lane_steps, 1e9 * numpy_s / lane_steps
         print(f"{name:8} {G:3d} {S:4d} {d:4d} {n:5d} {kernel_ns:10.1f} {numpy_ns:10.1f} {numpy_ns / kernel_ns:6.1f}")
     print(f"Gaussian fill: {_kernel.status()['Gaussian fill']}")
-    for name in ("sweep", "hitting"):
-        S, d, _ = BLOCKS[name]
-        print(f"{name} draw (S {S}, d {d}, n {_block(name)}): {_draw_ns(name, args.repeat):.2f} ns per value")
+    for name, S, d in (("sweep", 10, 100), ("hitting", 100, 20)):
+        print(f"{name} draw (S {S}, d {d}, n {_block(S, d)}): {_draw_ns(S, d, args.repeat):.2f} ns per value")
     print(f"drift pass (d 100, n {DRIFT_CHUNK}): {_drift_ns(100, args.repeat):.2f} ns per value")
     print(f"clean loss: {_kernel.status()['clean loss']}")
-    buffered = CHECKPOINT_VALUES // (10 * (10 + 1599))  # the engine's checkpoints per buffer on this shape
-    for checkpoints in (1, buffered):
+    for checkpoints in (1, checkpoints_per_buffer(10, 10 + 1599)):
         compiled_us, numpy_us = _clean_loss_us(checkpoints, args.repeat)
         print(
             f"clean loss per checkpoint, {checkpoints} per call (G 1, S 10, n 1599, d 10): "

@@ -159,7 +159,13 @@ def _run_lanes(config: ExperimentConfig, p_grid) -> list:
         for p in p_grid
         for spec, per_g, per_gamma in resolved
     ]
-    trajectories = run_batch(Lanes(groups), stream, config.seeds, signals, config.checkpoint_every)
+    trajectories = run_batch(
+        Lanes(groups),
+        stream,
+        config.seeds,
+        x_true=signals,
+        checkpoint_every=config.checkpoint_every,
+    )
     fingerprint = config.fingerprint()
     ls_loss = None
     if stream.responses is not None and not stream.relu:
@@ -240,10 +246,20 @@ def run_sweep(config: ExperimentConfig, p_grid, seed_grid=None) -> list:
     if len(set(p_grid)) < len(p_grid):
         raise ConfigError(f"--p: a probability is repeated in {p_grid}")
     trajs = _run_lanes(config, p_grid)
-    cell = len(config.solvers) * (n_seeds := len(config.seeds))
+    cell = len(config.solvers) * len(config.seeds)
     rows = []
     for i, p in enumerate(p_grid):
         lanes = trajs[i * cell : (i + 1) * cell]
         for solver, (ks, means) in aggregate_mean(lanes, metric).items():
-            rows += [SweepRow(solver, float(p), int(k), float(v), n_seeds, metric) for k, v in zip(ks, means)]
+            for k, v in zip(ks, means):
+                rows.append(
+                    SweepRow(
+                        solver=solver,
+                        p=float(p),
+                        k=int(k),
+                        mean_value=float(v),
+                        n_seeds=len(config.seeds),
+                        metric=metric,
+                    )
+                )
     return rows

@@ -8,8 +8,8 @@ import io
 import json
 import math
 import os
-from itertools import chain
 import xml.etree.ElementTree as ET
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +79,24 @@ def emit_results(trajectories, out_dir):
     with replaced(csv_path) as fh:
         fh.write(_csv_line(CSV_HEADER))
         for traj in ordered:
-            # One format per trajectory: the solver and seed cells, quoted once, then
-            # "%.17g" for a column measured throughout and "" for one never measured.
-            cps, formats, columns = traj.checkpoints, [], [traj.checkpoints.k.tolist()]
+            # One % format per trajectory: the solver and seed cells, quoted once, then
+            # "%.17g" for a column measured throughout, "" for one never measured, and
+            # "%s" of ready cells for one measured in part.
+            cps = traj.checkpoints
+            formats, columns = ["%d"], [cps.k.tolist()]
             for name in (*METRIC_COLUMNS, "elapsed_seconds"):
-                has, values = np.broadcast_to(getattr(cps, f"has_{name}", True), len(cps)), getattr(cps, name).tolist()
-                formats.append("%.17g" if has.all() else "%s" if has.any() else "")
-                if has.any():
-                    columns.append(values if has.all() else [_fmt(v) if h else "" for v, h in zip(values, has)])
-            row = _csv_line([traj.solver, traj.seed])[:-1].replace("%", "%%") + ",%d," + ",".join(formats) + "\n"
+                values = getattr(cps, name).tolist()
+                has = getattr(cps, f"has_{name}", np.ones(len(cps), dtype=bool))
+                if has.all():
+                    formats.append("%.17g")
+                    columns.append(values)
+                elif has.any():
+                    formats.append("%s")
+                    columns.append([_fmt(v) if h else "" for v, h in zip(values, has)])
+                else:
+                    formats.append("")
+            lead = _csv_line([traj.solver, traj.seed])[:-1].replace("%", "%%")
+            row = ",".join([lead, *formats]) + "\n"
             fh.write((row * len(cps)) % tuple(chain.from_iterable(zip(*columns))))
 
     # Each mean is the last point of the plotted mean, when that point is the final k;
@@ -182,11 +191,12 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     def sy(log_y):
         return top + (hi - log_y) / (hi - lo) * plot_h
 
-    def text(parent, content, attrib=None, **xy):
-        ET.SubElement(parent, "text", attrib=attrib or {}, **xy).text = content
-
     svg = ET.Element(
-        "svg", xmlns="http://www.w3.org/2000/svg", width=str(width), height=str(height), viewBox=f"0 0 {width} {height}"
+        "svg",
+        xmlns="http://www.w3.org/2000/svg",
+        width=str(width),
+        height=str(height),
+        viewBox=f"0 0 {width} {height}",
     )
     ET.SubElement(svg, "rect", x="0", y="0", width=str(width), height=str(height), fill="white")
     axes = ET.SubElement(svg, "g", attrib={"class": "axes", "stroke": "#333"})
@@ -194,30 +204,68 @@ def emit_plot(trajectories, path, metric: str = "relative_error", title: str = "
     ET.SubElement(axes, "line", x1=str(left), y1=str(top), x2=str(left), y2=str(top + plot_h))
 
     labels = ET.SubElement(svg, "g", attrib={"font-family": "sans-serif", "font-size": "13"})
-    end, middle = {"text-anchor": "end"}, {"text-anchor": "middle"}
     for decade in range(lo, hi + 1):
         py = sy(decade)
-        ET.SubElement(svg, "line", x1=str(left), y1=f"{py:.2f}", x2=str(left + plot_w), y2=f"{py:.2f}", stroke="#ddd")
-        text(labels, f"1e{decade}", end, x=str(left - 8), y=f"{py + 4:.2f}")
+        ET.SubElement(
+            svg, "line", x1=str(left), y1=f"{py:.2f}", x2=str(left + plot_w), y2=f"{py:.2f}",
+            stroke="#ddd",
+        )
+        tick = ET.SubElement(labels, "text", x=str(left - 8), y=f"{py + 4:.2f}", attrib={"text-anchor": "end"})
+        tick.text = f"1e{decade}"
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = x_lo + frac * (x_hi - x_lo)
-        text(labels, f"{x:.0f}", middle, x=f"{sx(x):.2f}", y=str(top + plot_h + 18))
-    text(labels, "iteration k", middle, x=str(left + plot_w // 2), y=str(height - 12))
-    turned = {**middle, "transform": f"rotate(-90 18 {top + plot_h // 2})"}
-    text(labels, metric.replace("_", " "), turned, x="18", y=str(top + plot_h // 2))
+        tick = ET.SubElement(
+            labels, "text", x=f"{sx(x):.2f}", y=str(top + plot_h + 18), attrib={"text-anchor": "middle"}
+        )
+        tick.text = f"{x:.0f}"
+    xlabel = ET.SubElement(
+        labels, "text", x=str(left + plot_w // 2), y=str(height - 12), attrib={"text-anchor": "middle"}
+    )
+    xlabel.text = "iteration k"
+    ylabel = ET.SubElement(
+        labels,
+        "text",
+        x="18",
+        y=str(top + plot_h // 2),
+        attrib={"text-anchor": "middle", "transform": f"rotate(-90 18 {top + plot_h // 2})"},
+    )
+    ylabel.text = metric.replace("_", " ")
     if title:
-        text(labels, title, middle, x=str(left + plot_w // 2), y="22")
+        t = ET.SubElement(
+            labels, "text", x=str(left + plot_w // 2), y="22", attrib={"text-anchor": "middle"}
+        )
+        t.text = title
 
     legend = ET.SubElement(svg, "g", attrib={"class": "legend", "font-family": "sans-serif", "font-size": "13"})
     for i, (solver, (ks, vals)) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(k):.2f},{sy(math.log10(v)):.2f}" for k, v in zip(ks, np.maximum(vals, floor)))
-        line = {"points": pts, "fill": "none", "stroke": color, "stroke-width": "1.6", "class": f"series-{solver}"}
-        ET.SubElement(svg, "polyline", attrib=line)
-        ly, lx = top + 10 + 20 * i, left + plot_w
-        ends = dict(x1=str(lx + 12), y1=str(ly), x2=str(lx + 36), y2=str(ly))
-        ET.SubElement(legend, "line", {"stroke-width": "2"}, **ends, stroke=color)
-        text(legend, solver, x=str(lx + 42), y=str(ly + 4))
+        pts = " ".join(
+            f"{sx(k):.2f},{sy(math.log10(v)):.2f}" for k, v in zip(ks, np.maximum(vals, floor))
+        )
+        ET.SubElement(
+            svg,
+            "polyline",
+            attrib={
+                "points": pts,
+                "fill": "none",
+                "stroke": color,
+                "stroke-width": "1.6",
+                "class": f"series-{solver}",
+            },
+        )
+        ly = top + 10 + 20 * i
+        ET.SubElement(
+            legend,
+            "line",
+            x1=str(left + plot_w + 12),
+            y1=str(ly),
+            x2=str(left + plot_w + 36),
+            y2=str(ly),
+            stroke=color,
+            attrib={"stroke-width": "2"},
+        )
+        label = ET.SubElement(legend, "text", x=str(left + plot_w + 42), y=str(ly + 4))
+        label.text = solver
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

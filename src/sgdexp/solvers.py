@@ -145,12 +145,11 @@ CheckpointRow = namedtuple("CheckpointRow", "k relative_error clean_loss elapsed
 
 @dataclass(frozen=True, eq=False)
 class CheckpointTable:
-    """Checkpoints as columns: a row per checkpoint and, in a run's table, a column per lane.
+    """One lane's checkpoints as columns: each field is a (checkpoints,) array or view.
 
-    Each field is a (checkpoints, lanes) array or a view broadcast to that shape;
     ``has_relative_error`` and ``has_clean_loss`` mark the metric cells measured,
-    and a cell not measured is NaN.  ``lane(i)`` is lane i's table of (checkpoints,)
-    views: its ``len`` counts checkpoints, and its row ``[j]`` is a CheckpointRow.
+    and a cell not measured is NaN.  ``len`` counts checkpoints, and row ``[j]``
+    is a CheckpointRow.
     """
 
     k: np.ndarray
@@ -167,9 +166,6 @@ class CheckpointTable:
         has = (np.array([v is not None for v in c]) for c in (rel, loss))
         return cls(np.array(k, dtype=np.int64), *(np.array(c, dtype=float) for c in (elapsed, rel, loss)), *has)
 
-    def lane(self, i: int) -> "CheckpointTable":
-        return CheckpointTable(*(column[:, i] for column in vars(self).values()))
-
     def __len__(self) -> int:
         return len(self.k)
 
@@ -185,7 +181,7 @@ class CheckpointTable:
 class Trajectory:
     solver: str
     seed: int
-    checkpoints: CheckpointTable  # the lane's
+    checkpoints: CheckpointTable
     x_final: np.ndarray
     fingerprint: str = ""
     least_squares_clean_loss: Optional[float] = None  # of a linear dataset run
@@ -366,12 +362,17 @@ AUDIT_STEP_LAW, AUDIT_GATE = 1, 2
 
 #: Seeds per tile of the step kernel (``TILE`` of ``_stepkernel.c``).
 TILE = 4
-#: Values in the engine's block arrays (2 MiB), so that a seed owner's half of a
-#: block is still in L2 when it is stepped.
+#: Doubles in the engine's one block buffer of measurements (2 MiB), so that a
+#: seed owner's half of a block is still in L2 when it is stepped.
 BLOCK_VALUES = 1 << 18
 #: Doubles of the checkpoints evaluated together (1 MiB): each holds its (G, S, d)
 #: lanes and, on a dataset stream, the clean-loss residual of every lane.
 CHECKPOINT_VALUES = 1 << 17
+
+
+def checkpoints_per_buffer(lanes: int, values: int) -> int:
+    """Checkpoints evaluated together, at ``values`` per lane: d, plus the rows of a dataset stream."""
+    return max(1, CHECKPOINT_VALUES // (lanes * values))
 
 
 class _StepState(SimpleNamespace):
@@ -584,7 +585,8 @@ def run_batch(
     lane is bitwise identical to a one-group, one-seed call of its solver
     at its p.
     Returns one Trajectory per lane, group-major, whose ``checkpoints`` is
-    that lane's view of the call's one CheckpointTable.  ``x_true`` may be
+    that lane's CheckpointTable: views of the call's (checkpoints, G, S)
+    columns.  ``x_true`` may be
     (d,) shared or (S, d) per seed; it is required for synthetic streams
     (it generates the clean responses) and ignored for dataset streams
     except as the relative-error reference.
@@ -606,8 +608,8 @@ def run_batch(
     ReLU methods).  The steps between two checkpoints are one call of the
     step function: the compiled kernel where it loads, else its numpy body.
 
-    The seeds are drawn and stepped in blocks whose arrays hold at most
-    BLOCK_VALUES values, so that a block is still in cache when it is
+    The seeds are drawn and stepped in blocks of at most BLOCK_VALUES
+    measurement values, so that a block is still in cache when it is
     stepped.  With the compiled kernel, a synthetic stream of more than
     four seeds has two seed owners, the calling thread and one worker
     thread, split at a multiple of the kernel's four-seed tiles.  Each
@@ -683,10 +685,8 @@ def run_batch(
         _check_horizon("T", T, scales[0], xt_norms, specs[0].lam)
 
     # One block layout for the whole call: each seed's block of up to `block`
-    # steps has a fixed place in the step function's block arrays.  A seed's step
-    # holds A, clean, XI and steps, G more values for Y, and one each for NU and idx.
-    per_step = d + 2 + G * (1 + (not isinstance(corr, ResidualSignAdversary))) + is_oblivious + is_dataset
-    block = max(1, min(T, BLOCK_VALUES // (S * per_step)))
+    # steps has a fixed place in the step function's block arrays.
+    block = max(1, min(1024, T, BLOCK_VALUES // (S * d)))
     sign_kind, gate_bit = (GATED_SIGN, AUDIT_GATE) if relu_response else (SIGN, 0)
     audited = ~is_tron & validate_steps
     track_hit = hitting_level is not None
@@ -711,7 +711,7 @@ def run_batch(
     # Checkpoints k = 0, each multiple of checkpoint_every below T, and T, buffered
     # `per_buffer` at a time; the relative errors of seeds whose x_true is missing or 0 stay NaN.
     n_cp = 1 + -(-T // checkpoint_every)
-    per_buffer = min(n_cp, max(1, CHECKPOINT_VALUES // (L * (d + (stream.model.n_rows if is_dataset else 0)))))
+    per_buffer = min(n_cp, checkpoints_per_buffer(L, d + (stream.model.n_rows if is_dataset else 0)))
     snaps = np.empty((per_buffer, G, S, d))
     ks, elapsed = np.empty(n_cp, dtype=np.int64), np.empty(n_cp)
     rel, loss = np.full((n_cp, G, S), np.nan), np.full((n_cp, G, S), np.nan)
@@ -778,17 +778,17 @@ def run_batch(
                 dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
                 np.divide(dist, xt_norms, out=rel[rows], where=has_rel)
 
-    table = CheckpointTable(
-        *(np.broadcast_to(col[:, None], (n_cp, L)) for col in (ks, elapsed)),
-        rel.reshape(n_cp, L),
-        loss.reshape(n_cp, L),
-        *(np.broadcast_to(has, (n_cp, L)) for has in (np.tile(has_rel, G), is_dataset)),
-    )
     return [
         Trajectory(
             solver=specs[g].method,
             seed=seeds[s_i],
-            checkpoints=table.lane(g * S + s_i),
+            checkpoints=CheckpointTable(
+                ks,
+                elapsed,
+                rel[:, g, s_i],
+                loss[:, g, s_i],
+                *(np.broadcast_to(has, n_cp) for has in (has_rel[s_i], is_dataset)),
+            ),
             x_final=x[g, s_i].copy(),
             step_law_violations=int(st.step_viol[g, s_i]),
             relu_gate_violations=int(st.gate_viol[g, s_i]),

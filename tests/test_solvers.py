@@ -525,9 +525,9 @@ class TestEngineMatchesOracle:
         assert np.array_equal(traj.iterates, oracle.replay(spec, stream, x_true, seed=7))
 
 
-# At d = 100 the mixed call over 12 groups x 2 seeds draws blocks of 833
-# steps and each single-group call blocks of 1024, so the comparison also
-# covers draws that are chunked differently.
+# At d = 100 the mixed call over 12 groups x 2 seeds and each single-group
+# call draw blocks of 1024 steps (2100 = 1024 + 1024 + 52), so checkpoints
+# every 300 steps fall inside blocks and stretches between them cross blocks.
 _LANE_D, _LANE_T = 100, 2100
 # (spec, per-seed step scale or None): the sign rule with and without the
 # step-law audit, and GLM-Tron with a constant and a decaying step.
@@ -647,6 +647,23 @@ _PIPE_GROUPS = [
 ]
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """BLOCK_VALUES cut so that a horizon of 2500 steps at d = 8 spans several blocks, the last
+    one partial, for 1 to 13 seeds (1024 steps for one seed, 182 for 13); the block length of
+    each run_batch call is appended to the returned list."""
+    monkeypatch.setattr(solvers_mod, "BLOCK_VALUES", 19_000)
+    lengths, step_state = [], solvers_mod._step_state
+
+    def spy(*args, **kwargs):
+        st = step_state(*args, **kwargs)
+        lengths.append(st.A.shape[1])
+        return st
+
+    monkeypatch.setattr(solvers_mod, "_step_state", spy)
+    return lengths
+
+
 class TestBlocks:
     """Streams drawn and stepped in blocks give every lane the bits of a
     solo call and of the numpy body: for one seed and three, horizons of
@@ -682,7 +699,7 @@ class TestBlocks:
         "T, every", [(0, 100), (300, 100), (2500, 700)], ids=["T0", "T300", "T2500_every700"]
     )
     @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]], ids=["S1", "S3"])
-    def test_lanes_match_solo_calls_and_numpy_body(self, seeds, T, every, mixed, dataset, monkeypatch):
+    def test_lanes_match_solo_calls_and_numpy_body(self, seeds, T, every, mixed, dataset, small_blocks, monkeypatch):
         if mixed:
             groups = [(replace(spec, T=T), p, None) for spec, p in _PIPE_GROUPS]
             stream = self._stream(ResidualSignAdversary(0.0), dataset)
@@ -714,11 +731,15 @@ class TestBlocks:
         assert batch == solo
         assert batch == numpy_body
         assert batch[0][4][0] == sorted({*range(0, T, every), T})
+        if T == 2500:
+            assert all(n < T and T % n for n in small_blocks)
+        elif T == 300:
+            assert set(small_blocks) == {T}
 
-    def test_concurrent_calls_under_fast_switching(self):
+    def test_concurrent_calls_under_fast_switching(self, small_blocks):
         """Two calls at once (two seed owners each, four threads on a small
         machine), switching threads every microsecond, give the bits of one
-        call alone."""
+        call alone, over several blocks."""
         seeds = [5, 6, 7, 8, 9, 10]
         x_true = np.vstack([signal_rng(s).standard_normal(_PIPE_D) for s in seeds])
         spec = replace(_PIPE_GROUPS[0][0], T=2500)
@@ -742,6 +763,7 @@ class TestBlocks:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert got == [want, want]
+        assert all(n < 2500 and 2500 % n for n in small_blocks)
 
 
 class _DrawFailed(Exception):
@@ -818,8 +840,8 @@ class TestSeedOwners:
         "corruption", [ResidualSignAdversary(0.0), AdditiveOblivious(0.0, Gaussian(2.0))], ids=["residual_sign", "oblivious"]
     )
     @pytest.mark.parametrize("S", [2, 3, 5, 10, 13])
-    def test_lanes_match_one_seed_calls(self, S, corruption):
-        # Odd counts, short tiles and uneven splits; checkpoints inside blocks.
+    def test_lanes_match_one_seed_calls(self, S, corruption, small_blocks):
+        # Odd counts, short tiles and uneven splits; checkpoints inside blocks, stretches across them.
         seeds = list(range(5, 5 + S))
         groups = [(replace(spec, T=2500), p, None) for spec, p in _PIPE_GROUPS]
         stream = StreamSpec(model=GaussianSphere(_PIPE_D), corruption=corruption)
@@ -840,6 +862,7 @@ class TestSeedOwners:
             )
         ]
         assert batch == solo
+        assert all(n < 2500 and 2500 % n for n in small_blocks)
 
     def test_hitting_times_match_one_seed_calls(self):
         d, seeds = 8, list(range(5, 10))
@@ -908,7 +931,7 @@ class TestCheckpointTable:
     @pytest.mark.parametrize("per_buffer", [1, 3, 5, None], ids=["each", "three", "exactly_full", "all"])
     @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
     @pytest.mark.parametrize("dataset", [False, True], ids=["synthetic", "dataset"])
-    def test_table_is_the_per_checkpoint_record(self, dataset, relu, per_buffer, monkeypatch):
+    def test_table_is_the_per_checkpoint_record(self, dataset, relu, per_buffer, small_blocks, monkeypatch):
         rng = np.random.default_rng(8)
         x_true = rng.standard_normal((len(_TABLE_SEEDS), _TABLE_D))
         x_true[3] = 0.0  # no relative error for this seed's lanes
@@ -923,8 +946,6 @@ class TestCheckpointTable:
             stream = StreamSpec(DatasetRows(rows), SignFlip(0.2), relu=relu, responses=data.responses)
         else:
             stream = StreamSpec(GaussianSphere(_TABLE_D), SignFlip(0.2), relu=relu)
-        # Blocks of 666-714 steps, the last one partial, so stretches of 300 steps cross them.
-        monkeypatch.setattr(solvers_mod, "BLOCK_VALUES", 100_000)
         if per_buffer is not None:
             lane_values = len(specs) * len(_TABLE_SEEDS) * (_TABLE_D + (50 if dataset else 0))
             monkeypatch.setattr(solvers_mod, "CHECKPOINT_VALUES", per_buffer * lane_values)
@@ -933,8 +954,9 @@ class TestCheckpointTable:
         monkeypatch.setattr(solvers_mod, "evaluate_clean_loss", counted)
         lanes = Lanes((spec, 0.2, None) for spec in specs)
         trajs = run_batch(lanes, stream, _TABLE_SEEDS, x_true=x_true, checkpoint_every=300, record_iterates=True)
-        # Checkpoints 0, 300, ..., 2400 and 2500.
+        # Checkpoints 0, 300, ..., 2400 and 2500, in blocks of 237 steps that stretches of 300 cross.
         assert len(calls) == (-(-10 // (per_buffer or 10)) if dataset else 0)
+        assert small_blocks == [237]
         # The snapshots are the iterates at each checkpoint: the final iterates of calls that stop there.
         for c, k in enumerate([*range(0, 2500, 300), 2500]):
             stop = Lanes((replace(spec, T=k), 0.2, None) for spec in specs)
