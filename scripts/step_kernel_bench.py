@@ -8,7 +8,8 @@ shape (``solvers.BLOCK_VALUES`` measurement values, at most 1024 steps):
 - sweep:   G 8, S 10, d 100.  Per corruption level, one gated sign group
            (step-law and gate audits on) and three GLM-Tron groups, under
            sign flips; 262 steps.
-- dataset: G 1, S 10, d 10.  One audited sign group; 1024 steps.
+- dataset: G 1, S 10, d 10.  One audited sign group, under additive
+           uniform noise; 1024 steps.
 - hitting: G 1, S 100, d 20.  One sign group under the residual-sign
            adversary, with hitting times and no audit; 131 steps.
 
@@ -39,10 +40,10 @@ import timeit
 import numpy as np
 
 from sgdexp import _kernel
-from sgdexp.corruption import ResidualSignAdversary, SignFlip
-from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
+from sgdexp.corruption import AdditiveOblivious, ResidualSignAdversary, SignFlip, Uniform
+from sgdexp.datasets import evaluate_clean_loss
 from sgdexp.drift import DRIFT_CHUNK
-from sgdexp.measurement import GaussianSphere, sample_block, sample_drift_terms, sample_seeds
+from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block, sample_drift_terms, sample_seeds
 from sgdexp.solvers import (
     AUDIT_GATE,
     AUDIT_STEP_LAW,
@@ -52,7 +53,6 @@ from sgdexp.solvers import (
     SIGN,
     _bind_c,
     _decays,
-    _set_responses,
     _step_numpy,
     _step_state,
     checkpoints_per_buffer,
@@ -61,8 +61,8 @@ from sgdexp.solvers import (
 LAM = 1.00003
 
 
-def _state(kinds, audits, ps, S, d, n, relu, adversary, hitting, seed=0):
-    """The step function's inputs for one block: G = len(kinds) groups of S seeds."""
+def _state(kinds, audits, ps, S, d, n, relu, corr, hitting, seed=0):
+    """The step function's inputs for one block: G = len(kinds) groups of S seeds under the channel ``corr``."""
     rng = np.random.default_rng(seed)
     G = len(kinds)
     Xt = rng.standard_normal((S, d))
@@ -75,13 +75,13 @@ def _state(kinds, audits, ps, S, d, n, relu, adversary, hitting, seed=0):
     steps = np.empty((G, S, n))
     for g in range(G):
         steps[g] = decay if kinds[g] == GLMTRON else 2.0 * decay
-    corr = (ResidualSignAdversary if adversary else SignFlip)(max(ps))
     st = _step_state(
         np.zeros((G, S, d)), kinds, audits, relu, corr, P, n,
         hitting=(Xt, np.full(S, 4.0), 1e300, LAM) if hitting else None,
     )
     st.A[...], st.clean[...], st.XI[...], st.steps[...] = A, clean, XI, steps
-    _set_responses(st, slice(None), n)
+    if st.NU is not None:
+        corr.law.draw(rng, (S, n), out=st.NU)
     return st
 
 
@@ -93,9 +93,10 @@ def _block(S, d):
 def _shapes():
     sweep_kinds = [GATED_SIGN, GLMTRON, GLMTRON, GLMTRON] * 2
     sweep_audits = [AUDIT_STEP_LAW | AUDIT_GATE, 0, 0, 0] * 2
-    sweep = _state(sweep_kinds, sweep_audits, [0.2] * 4 + [0.4] * 4, 10, 100, _block(10, 100), True, False, False)
-    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.3], 10, 10, _block(10, 10), False, False, False)
-    hitting = _state([SIGN], [0], [0.4], 100, 20, _block(100, 20), False, True, True)
+    sweep_ps, additive = [0.2] * 4 + [0.4] * 4, AdditiveOblivious(0.2, Uniform(300.0))
+    sweep = _state(sweep_kinds, sweep_audits, sweep_ps, 10, 100, _block(10, 100), True, SignFlip(0.4), False)
+    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.2], 10, 10, _block(10, 10), False, additive, False)
+    hitting = _state([SIGN], [0], [0.4], 100, 20, _block(100, 20), False, ResidualSignAdversary(0.4), True)
     return {"sweep": sweep, "dataset": dataset, "hitting": hitting}
 
 
@@ -125,7 +126,7 @@ def _clean_loss_us(checkpoints, repeat):
     """Best µs per checkpoint of the clean loss of ``checkpoints`` checkpoints in one call, on the
     dataset shape: (compiled residual, numpy body)."""
     rng = np.random.default_rng(0)
-    data = DatasetMatrix(features=rng.standard_normal((1599, 10)), responses=rng.standard_normal(1599))
+    data = DatasetRows(rng.standard_normal((1599, 10)), rng.standard_normal(1599))
     x = rng.standard_normal((checkpoints, 1, 10, 10))
 
     def best_us():

@@ -365,11 +365,11 @@ PARTS = {
         source=Path(__file__).with_name("_stepkernel.c"),
         functions={
             "sk_dots": (None, [_i64, _i64, _ptr, _ptr, _ptr]),
-            # G, S, n, d, s_lo, s_hi, j0, j1; x, A, Y, clean, XI, P; the relu link;
+            # G, S, n, d, s_lo, s_hi, j0, j1; x, A, clean, XI, NU, P; the channel and the relu link;
             # steps, kind, audit, step_viol, gate_viol; then the hitting-time state.
             "sk_advance": (
                 None,
-                [_i64] * 8 + [_ptr] * 6 + [ctypes.c_int] + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _i64, _ptr],
+                [_i64] * 8 + [_ptr] * 6 + [ctypes.c_int] * 2 + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _i64, _ptr],
             ),
             # schedule, lam, k, n, out
             "sk_decays": (None, [ctypes.c_int, _f64, _i64, _i64, _ptr]),

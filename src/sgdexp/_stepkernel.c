@@ -16,6 +16,7 @@
 enum { SIGN = 0, GATED_SIGN = 1, GLMTRON = 2 };
 enum { AUDIT_STEP_LAW = 1, AUDIT_GATE = 2 };
 enum { CONST = 0, ROOT = 1, EXP = 2 };
+enum { NONE = 0, SIGN_FLIP = 1, RESIDUAL_SIGN = 2, ADDITIVE = 3 };
 /* Seeds stepped together: the dots of a tile's lanes run as one pass. */
 enum { TILE = 4 };
 
@@ -110,6 +111,26 @@ static double sign(double v)
     return v == 0.0 ? 0.0 : v;
 }
 
+/* Entry sj's response after the channel, as corruption.apply_channel gives
+ * it: a draw XI < p corrupts clean into -clean, 2 pred - clean or clean + NU,
+ * and an additive lane at p > 0 adds 0.0 where the draw does not corrupt
+ * (turning -0.0 into +0.0, as numpy's clean + where(hit, nu, 0.0) does).
+ * NU is read only on the additive channel.  An if chain, not a switch: a jump
+ * table in the lane loop measured ~8% slower on the sweep and hitting
+ * shapes of scripts/step_kernel_bench.py. */
+static double respond(int channel, double p, const double *clean, const double *XI, const double *NU, int64_t sj,
+                      double pred)
+{
+    const double c = clean[sj];
+    if (channel == NONE)
+        return c;
+    if (channel == SIGN_FLIP)
+        return XI[sj] < p ? -c : c;
+    if (channel == RESIDUAL_SIGN)
+        return XI[sj] < p ? 2.0 * pred - c : c;
+    return p > 0.0 ? c + (XI[sj] < p ? NU[sj] : 0.0) : c;
+}
+
 /* Step decays at steps k..k+n-1 into out: 1 (const), (k+j+1)^{-1/2} (root)
  * or lam^{-(k+j)} (exp), one libm pow per step, the call math.pow makes for
  * finite arguments.  A vectorized pow differs from it in the last bit. */
@@ -148,9 +169,12 @@ void sk_dots(int64_t m, int64_t d, const int64_t *pairs, const double *buf, doub
  *
  * x      (G, S, d)  lane iterates, advanced in place
  * A      (S, n, d)  measurements of the block
- * Y      (G, S, n)  responses; NULL for the residual-sign adversary, which
- *                   reads clean and XI (S, n) and each group's p in P (G,),
- *                   and reflects about the prediction
+ * clean, XI (S, n)  clean responses and corruption indicator draws
+ * NU     (S, n)     the additive channel's noise; NULL on the others
+ * P      (G,)       each group's corruption probability
+ * channel           NONE, SIGN_FLIP, RESIDUAL_SIGN or ADDITIVE (respond),
+ *                   applied at each step, where the residual-sign adversary
+ *                   reads the prediction: relu(<x, a>) with relu_link
  * steps  (G, S, n)  step sizes
  * kind, audit (G,)  rule and audit flags of each group
  * step_viol, gate_viol (G, S)  audit counts, added to
@@ -168,8 +192,8 @@ void sk_dots(int64_t m, int64_t d, const int64_t *pairs, const double *buf, doub
 void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t s_lo, int64_t s_hi,
                 int64_t j0, int64_t j1,
                 double *x, const double *A,
-                const double *Y,
-                const double *clean, const double *XI, const double *P, int relu_link,
+                const double *clean, const double *XI, const double *NU, const double *P,
+                int channel, int relu_link,
                 const double *steps, const int32_t *kind, const int32_t *audit,
                 int64_t *step_viol, int64_t *gate_viol,
                 const double *Xt, const double *g_sq, double level, double lam2,
@@ -203,13 +227,7 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t s_lo, int64_
                 for (int t = 0; t < w; t++) {
                     const int64_t s = s0 + t, lane = g * S + s, sj = s * n + j;
                     const double dt = dts[t];
-                    double y;
-                    if (Y != NULL) {
-                        y = Y[lane * n + j];
-                    } else {
-                        const double pred = relu_link ? relu(dt) : dt;
-                        y = XI[sj] < P[g] ? 2.0 * pred - clean[sj] : clean[sj];
-                    }
+                    const double y = respond(channel, P[g], clean, XI, NU, sj, relu_link ? relu(dt) : dt);
                     const double step = steps[lane * n + j];
                     double coef;
                     if (kind[g] == GLMTRON)

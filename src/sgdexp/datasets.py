@@ -145,8 +145,8 @@ def _residual(x, F, y, relu: bool):
     return out
 
 
-def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False):
-    """Mean squared loss (1/m) sum (<a_i, x> - y_i)^2 against the stored responses.
+def evaluate_clean_loss(x, model, relu: bool = False):
+    """Mean squared loss (1/m) sum (<a_i, x> - y_i)^2 over a ``measurement.DatasetRows``' rows and responses.
 
     With ``relu`` the prediction is max(0, <a_i, x>).  ``x`` is one (d,)
     iterate, giving a float, or a (..., d) stack, giving an array of shape
@@ -156,16 +156,16 @@ def evaluate_clean_loss(x, data: DatasetMatrix, relu: bool = False):
     same bits (``_residual``); the sum of squares is numpy's.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (data.d,):
-        raise ValueError(f"dimension mismatch: x has shape {x.shape}, data d = {data.d}")
-    resid = _residual(x, data.features, data.responses, relu)
-    loss = np.matmul(resid[..., None, :], resid[..., :, None])[..., 0, 0] / data.m
+    if x.shape[-1:] != (model.d,):
+        raise ValueError(f"dimension mismatch: x has shape {x.shape}, data d = {model.d}")
+    resid = _residual(x, model.rows, model.responses, relu)
+    loss = np.matmul(resid[..., None, :], resid[..., :, None])[..., 0, 0] / model.n_rows
     return float(loss) if x.ndim == 1 else loss
 
 
-def least_squares_baseline(data: DatasetMatrix) -> np.ndarray:
-    """Minimum-norm minimizer of the clean loss, for any feature matrix.
+def least_squares_baseline(model) -> np.ndarray:
+    """Minimum-norm minimizer of the clean loss of a ``measurement.DatasetRows``, for any feature matrix.
 
     Singular values below 1e-12 of the largest count as zero.
     """
-    return np.linalg.lstsq(data.features, data.responses, rcond=1e-12)[0]
+    return np.linalg.lstsq(model.rows, model.responses, rcond=1e-12)[0]

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import corruption as corr_mod
 from .config import ConfigError, ExperimentConfig
-from .datasets import DatasetMatrix, evaluate_clean_loss, least_squares_baseline, load_csv
+from .datasets import evaluate_clean_loss, least_squares_baseline, load_csv
 from .measurement import (
     DatasetRows,
     GaussianSphere,
@@ -34,11 +34,11 @@ def synthetic_measurement(kind: str, d: int, base: Optional[str]):
 
 
 def build_measurement(config: ExperimentConfig):
-    """Instantiate the measurement model; returns (model, dataset-or-None)."""
+    """Instantiate the measurement model: a synthetic one, or the CSV's rows and responses."""
     spec = config.measurement
     model = synthetic_measurement(spec["kind"], config.dimension, spec.get("base"))
     if model is not None:
-        return model, None
+        return model
     data = load_csv(
         spec["path"],
         spec["features"],
@@ -54,7 +54,7 @@ def build_measurement(config: ExperimentConfig):
             f"measurement.path: dataset has {data.d} features, config dimension is "
             f"{config.dimension}"
         )
-    return DatasetRows(data.features), data
+    return DatasetRows(data.features, data.responses)
 
 
 #: Constructor of each corruption kind and noise law; config fields are their arguments.
@@ -80,12 +80,10 @@ def build_corruption(config: ExperimentConfig):
 
 def build_stream(config: ExperimentConfig) -> StreamSpec:
     """The config's measurement model, corruption channel and response link."""
-    model, data = build_measurement(config)
     return StreamSpec(
-        model=model,
+        model=build_measurement(config),
         corruption=build_corruption(config),
         relu=(config.response == "relu"),
-        responses=data.responses if data is not None else None,
     )
 
 
@@ -168,9 +166,8 @@ def _run_lanes(config: ExperimentConfig, p_grid) -> list:
     )
     fingerprint = config.fingerprint()
     ls_loss = None
-    if stream.responses is not None and not stream.relu:
-        data = DatasetMatrix(stream.model.rows, stream.responses)
-        ls_loss = evaluate_clean_loss(least_squares_baseline(data), data)
+    if isinstance(stream.model, DatasetRows) and not stream.relu:
+        ls_loss = evaluate_clean_loss(least_squares_baseline(stream.model), stream.model)
     for i, traj in enumerate(trajectories):
         traj.solver = config.solvers[i // len(config.seeds) % len(config.solvers)]["name"]
         traj.fingerprint = fingerprint

@@ -76,14 +76,15 @@ class NormalizedIIDSubGaussian:
 
 
 class DatasetRows:
-    """Measurement vectors drawn from the rows of a fixed matrix.
+    """Measurement vectors drawn from the rows of a fixed matrix, with each row's response.
 
     Rows are normalized to unit norm at sampling time; ``row_norms``
     holds the original norms so responses can be rescaled to keep the
     regression system unchanged.  Sampling is uniform with replacement.
+    ``responses`` must be a finite (n_rows,) vector.
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, responses):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("dataset has no rows")
@@ -92,7 +93,14 @@ class DatasetRows:
             raise ValueError("dataset contains a zero row; cannot normalize")
         if not np.all(np.isfinite(norms)):
             raise ValueError("dataset contains a non-finite row; cannot normalize")
+        responses = np.asarray(responses, dtype=float)
+        if responses.shape != rows.shape[:1]:
+            raise ValueError(f"responses: expected shape ({len(rows)},), one per dataset row, got {responses.shape}")
+        bad = np.flatnonzero(~np.isfinite(responses))
+        if bad.size:
+            raise ValueError(f"responses: entry {bad[0]} is {responses[bad[0]]}, expected a finite number")
         self.rows = rows
+        self.responses = responses
         self.row_norms = norms
         self.unit_rows = rows / norms[:, None]
         self.d = rows.shape[1]
@@ -247,7 +255,7 @@ _ENTRY_DRAWS = {"rademacher": _rademacher, "uniform": _uniform}
 
 
 def sample_block(model: MeasurementModel, rng: np.random.Generator, n: int, out=None):
-    """Draw ``n`` measurement vectors.
+    """Draw ``n`` measurement vectors: ``sample_seeds`` of one seed.
 
     Returns ``(A, idx)`` where ``A`` is an (n, d) array of unit-norm
     rows and ``idx`` is the (n,) array of source row indices for
@@ -258,27 +266,19 @@ def sample_block(model: MeasurementModel, rng: np.random.Generator, n: int, out=
     if not isinstance(model, MeasurementModel):
         raise TypeError(f"unknown measurement model {model!r}")
     A = np.empty((n, model.d)) if out is None else out
-    if isinstance(model, DatasetRows):
-        idx = rng.integers(0, model.n_rows, size=n)
-        # mode="raise" would gather through a temporary; idx is in range.
-        return np.take(model.unit_rows, idx, axis=0, out=A, mode="clip"), idx
-    if isinstance(model, NormalizedRademacher):
-        return np.divide(_rademacher(rng, A), math.sqrt(model.d), out=A), None
-    if isinstance(model, GaussianSphere) or model.base == "gaussian":
-        return _gaussian_rows(rng, A), None
-    draw = _ENTRY_DRAWS[model.base]
-    return _normalize_rows(draw(rng, A), rng, draw), None
+    idx = sample_seeds(model, [rng], A[None])
+    return A, None if idx is None else idx[0]
 
 
 def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
-    """Draw one block for each of several seeds: ``out[i]`` gets ``sample_block(model, rngs[i], n, out=out[i])``.
+    """Draw one block for each of several seeds: ``out[i]`` gets ``rngs[i]``'s n unit-norm rows.
 
     ``out`` is (m, n, d), and each ``out[i]`` C-contiguous: a slice along
     the second axis of a larger (m, cap, d) buffer serves.  With
     ``uniforms = (xi_rngs, XI)``, ``XI[i]`` of the (m, n) ``XI`` also gets
     ``xi_rngs[i].random(out=XI[i])``.  Returns the (m, n) source row indices
-    of DatasetRows models, else None.  Each generator is drawn as those
-    calls draw it, bit for bit.
+    of DatasetRows models, else None.  Each seed gets the bits of a call for
+    it alone, whatever the other seeds.
 
     For GaussianSphere (and Gaussian-base) models where the compiled fill
     loads, one call without the interpreter lock draws every seed's rows
@@ -305,9 +305,14 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
     idx = np.empty((m, n), dtype=int) if isinstance(model, DatasetRows) else None
     for i, rng in enumerate(rngs):
         if idx is not None:
-            idx[i] = rng.integers(0, model.n_rows, size=n)  # sample_block's draw of the rows' indices
+            idx[i] = rng.integers(0, model.n_rows, size=n)
+        elif isinstance(model, NormalizedRademacher):
+            np.divide(_rademacher(rng, out[i]), math.sqrt(model.d), out=out[i])
+        elif gaussian:
+            _gaussian_rows(rng, out[i])
         else:
-            sample_block(model, rng, n, out=out[i])
+            draw = _ENTRY_DRAWS[model.base]
+            _normalize_rows(draw(rng, out[i]), rng, draw)
         if XI is not None:
             xi_rngs[i].random(out=XI[i])
     if idx is not None:

@@ -31,9 +31,10 @@ from .corruption import (
     CorruptionSpec,
     NoCorruption,
     ResidualSignAdversary,
+    SignFlip,
     apply_channel,
 )
-from .datasets import DatasetMatrix, evaluate_clean_loss
+from .datasets import evaluate_clean_loss
 from .measurement import DatasetRows, MeasurementModel, sample_seeds
 
 #: Each method's step-scale field and response link.  The field names the
@@ -107,23 +108,14 @@ class ParamRecommendation:
 class StreamSpec:
     """Measurement model + corruption channel + response link.
 
-    For DatasetRows models, ``responses`` holds the raw responses
-    aligned with the matrix rows; the engine rescales each drawn pair by
-    the row norm so the solver always sees unit-norm measurements of an
-    equivalent system.
+    A DatasetRows model holds its rows' responses; the engine rescales each
+    drawn pair by the row norm so the solver always sees unit-norm
+    measurements of an equivalent system.
     """
 
     model: MeasurementModel
     corruption: CorruptionSpec = field(default_factory=NoCorruption)
     relu: bool = False
-    responses: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if isinstance(self.model, DatasetRows):
-            if self.responses is None:
-                raise ValueError("DatasetRows stream requires responses")
-            if len(self.responses) != self.model.n_rows:
-                raise ValueError("responses length must match dataset rows")
 
 
 class Lanes(tuple):
@@ -358,6 +350,8 @@ def _schedule(method: str, schedule: Optional[str]) -> str:
 #: Rule kinds and audit bits of the step function, as the enums of ``_stepkernel.c``.
 SIGN, GATED_SIGN, GLMTRON = 0, 1, 2
 AUDIT_STEP_LAW, AUDIT_GATE = 1, 2
+#: Corruption channels, as the enum of ``_stepkernel.c``.
+CHANNELS = {NoCorruption: 0, SignFlip: 1, ResidualSignAdversary: 2, AdditiveOblivious: 3}
 
 
 #: Seeds per tile of the step kernel (``TILE`` of ``_stepkernel.c``).
@@ -380,15 +374,15 @@ class _StepState(SimpleNamespace):
 
     ``x`` holds the (G, S, d) lanes, advanced in place.  Per group:
     ``kind`` (int32 SIGN / GATED_SIGN / GLMTRON), ``audit`` (int32
-    AUDIT_STEP_LAW | AUDIT_GATE bits) and, for the residual-sign adversary,
-    the (G, 1) probabilities ``P``; per lane, the (G, S) int64 counts
-    ``step_viol`` and ``gate_viol``.  ``relu`` is the response link and
-    ``corr`` the corruption channel.  The block arrays hold ``cap`` steps
-    per seed, each block in their first n: the (S, cap, d) measurements
-    ``A``, the (S, cap) ``clean`` responses and indicator draws ``XI``, the
-    (G, S, cap) ``steps`` and, for every channel but the residual-sign
-    adversary (which leaves ``Y`` None), responses ``Y``.  ``hit_k`` (S,)
-    is None unless hitting times are tracked: then ``Xt``, ``g_sq``,
+    AUDIT_STEP_LAW | AUDIT_GATE bits) and the (G, 1) corruption
+    probabilities ``P``; per lane, the (G, S) int64 counts ``step_viol``
+    and ``gate_viol``.  ``relu`` is the response link and ``corr`` the
+    corruption channel, which every step applies to its draws.  The block
+    arrays hold ``cap`` steps per seed, each block in their first n: the
+    (S, cap, d) measurements ``A``, the (S, cap) ``clean`` responses and
+    indicator draws ``XI``, the additive channel's (S, cap) noise ``NU``
+    (None on the others) and the (G, S, cap) ``steps``.  ``hit_k`` (S,) is
+    None unless hitting times are tracked: then ``Xt``, ``g_sq``,
     ``level``, ``lam2`` and ``lam2k``, which holds each seed's lam^{2k} at
     its current step.
     """
@@ -415,8 +409,8 @@ def _step_state(x, kind, audit, relu: bool, corr, P, cap: int, hitting=None) -> 
         A=np.empty((S, cap, d)),
         clean=np.empty((S, cap)),
         XI=np.empty((S, cap)),
+        NU=np.empty((S, cap)) if isinstance(corr, AdditiveOblivious) else None,
         steps=np.empty((G, S, cap)),
-        Y=None if isinstance(corr, ResidualSignAdversary) else np.empty((G, S, cap)),
         hit_k=None,
     )
     if hitting is not None:
@@ -426,19 +420,6 @@ def _step_state(x, kind, audit, relu: bool, corr, P, cap: int, hitting=None) -> 
         st.hit_k = np.full(S, -1, dtype=np.int64)
         st.hit_k[_dots(diff[None], diff)[0] / st.g_sq >= st.level] = 0
     return st
-
-
-def _set_responses(st: _StepState, rows: slice, n: int, NU=None) -> None:
-    """The responses ``Y`` of the seeds in ``rows`` for a block of ``n`` steps.
-
-    Every channel but the residual-sign adversary, which reads the iterate
-    (``Y`` None), gives them here from the block's ``clean`` and ``XI``,
-    once per block; ``NU`` (the seeds' (S', n)) is the additive channel's
-    noise.
-    """
-    if st.Y is not None:
-        # Without corruption the channel gives the (S', n) clean responses, the same for every group.
-        st.Y[:, rows, :n] = apply_channel(st.corr, st.clean[rows, :n], st.XI[rows, :n], NU, p=st.P[..., None])
 
 
 def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
@@ -460,11 +441,9 @@ def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
     for j in range(j0, j1):
         a = st.A[:, j, :]
         dot = _dots(x, a)
-        if st.Y is None:
-            pred = np.maximum(dot, 0.0) if st.relu else dot
-            y = apply_channel(st.corr, st.clean[:, j], st.XI[:, j], pred=pred, p=st.P)
-        else:
-            y = st.Y[..., j]
+        pred = np.maximum(dot, 0.0) if st.relu else dot
+        nu = None if st.NU is None else st.NU[:, j]
+        y = apply_channel(st.corr, st.clean[:, j], st.XI[:, j], nu, pred=pred, p=st.P)
         step = st.steps[..., j]
         coef = _coef(dot, y, step, tron, gate)
         if audited:
@@ -514,18 +493,19 @@ def _bind_c(lib, st: _StepState, seeds: range):
     hit = st.hit_k is not None
     diff = np.empty(4 * d) if hit else None  # scratch: the hitting-time distances of a tile of four seeds
     hit_f64 = (st.Xt, st.g_sq, st.lam2k, diff) if hit else (None,) * 4
-    f64 = (st.x, st.A, st.Y, st.clean, st.XI, st.P, st.steps) + hit_f64
-    x, A, Y, clean, XI, P, steps, Xt, g_sq, lam2k, diff_ = (_address(a, np.float64) for a in f64)
+    f64 = (st.x, st.A, st.clean, st.XI, st.NU, st.P, st.steps) + hit_f64
+    x, A, clean, XI, NU, P, steps, Xt, g_sq, lam2k, diff_ = (_address(a, np.float64) for a in f64)
     kind, audit = (_address(a, np.int32) for a in (st.kind, st.audit))
     step_viol, gate_viol, hit_k = (
         _address(a, np.int64) for a in (st.step_viol, st.gate_viol, st.hit_k)
     )
     level, lam2 = (st.level, st.lam2) if hit else (0.0, 0.0)
+    channel = CHANNELS[type(st.corr)]
 
     def advance(j0: int, j1: int, k: int, _keep=f64) -> None:
         # _keep holds the arrays whose addresses the call passes.
         lib.sk_advance(
-            G, S, n, d, seeds.start, seeds.stop, j0, j1, x, A, Y, clean, XI, P, int(st.relu),
+            G, S, n, d, seeds.start, seeds.stop, j0, j1, x, A, clean, XI, NU, P, channel, int(st.relu),
             steps, kind, audit, step_viol, gate_viol,
             Xt, g_sq, level, lam2, lam2k, hit_k, k, diff_,
         )
@@ -664,14 +644,11 @@ def run_batch(
         x[...] = x0  # (d,) or (S, d)
 
     corr = stream.corruption
-    is_oblivious = isinstance(corr, AdditiveOblivious)
     P = np.array(ps, dtype=float)[:, None]  # (G, 1)
 
     if is_dataset:
-        resp = np.asarray(stream.responses, dtype=float)
         row_norms = stream.model.row_norms
-        unit_resp = resp / row_norms  # in unit-row space; each block gathers its rows of it
-        data = DatasetMatrix(features=stream.model.rows, responses=resp)
+        unit_resp = stream.model.responses / row_norms  # in unit-row space; each block gathers its rows of it
 
     # Step sizes: per-seed scale times decay for the sign family, decay / m for GLM-Tron.
     schedules, scales = [(_schedule(s.method, s.schedule), s.lam) for s in specs], []
@@ -702,7 +679,6 @@ def run_batch(
             (np.ascontiguousarray(Xt), scales[0] * scales[0], hitting_level, specs[0].lam) if track_hit else None
         ),
     )
-    NU = np.empty((S, block)) if is_oblivious else None
     _, meas_rngs, xi_rngs, noise_rngs = zip(*(_spawn_streams(s) for s in seeds))
     from . import _kernel  # on the first engine call, not at import
 
@@ -722,14 +698,14 @@ def run_batch(
         """Draw the seeds in ``rows``: a block of ``n`` steps into their rows of the block arrays."""
         A, clean = st.A[rows, :n], st.clean[rows, :n]
         idx = sample_seeds(stream.model, meas_rngs[rows], A, uniforms=(xi_rngs[rows], st.XI[rows, :n]))
-        if is_oblivious:
-            for nu, rng in zip(NU[rows, :n], noise_rngs[rows]):
+        if st.NU is not None:
+            for nu, rng in zip(st.NU[rows, :n], noise_rngs[rows]):
                 corr.law.draw(rng, n, out=nu)
         if is_dataset:
             # Responses and noise in unit-row space.
             np.take(unit_resp, idx, out=clean, mode="clip")
-            if is_oblivious:
-                NU[rows, :n] /= row_norms[idx]
+            if st.NU is not None:
+                st.NU[rows, :n] /= row_norms[idx]
         else:
             clean[...] = np.einsum("snd,sd->sn", A, Xt[rows])
             if relu_response:
@@ -746,7 +722,6 @@ def run_batch(
             decay = {key: decays(*key, k, n) for key in set(schedules)}
             for g, (s, tron, key, scale) in enumerate(zip(specs, is_tron, schedules, scales)):
                 st.steps[g, rows, :n] = decay[key] / s.m if tron else scale[rows, None] * decay[key]
-            _set_responses(st, rows, n, NU[rows, :n] if is_oblivious else None)
             # One call per stretch between checkpoints.
             j = 0
             while j < n:
@@ -771,7 +746,7 @@ def run_batch(
             if record_iterates:
                 iterates[rows] = x_
             if is_dataset:
-                loss[rows] = evaluate_clean_loss(x_, data, relu=relu_response)
+                loss[rows] = evaluate_clean_loss(x_, stream.model, relu=relu_response)
             if Xt is not None:
                 # ||x* - x|| per lane as np.linalg.norm takes it: the sqrt of one dot (x* - x in place).
                 diff = np.subtract(Xt, x_, out=x_)

@@ -88,7 +88,7 @@ def replay(spec, stream, x_true, seed):
     else:
         # A dataset row and its response, rescaled to the unit row the solver sees.
         norms = stream.model.row_norms[idx]
-        clean, nu = stream.responses[idx] / norms, nu / norms
+        clean, nu = stream.model.responses[idx] / norms, nu / norms
     xs = [np.zeros(spec.d)]
     for k, a in enumerate(A):
         z = dot(xs[-1], a)

@@ -16,7 +16,7 @@ import pytest
 from sgdexp.cli import main
 from sgdexp.config import load_config, validate_config
 from sgdexp.corruption import AdditiveOblivious, ResidualSignAdversary, Uniform
-from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss, least_squares_baseline, load_csv
+from sgdexp.datasets import evaluate_clean_loss, least_squares_baseline, load_csv
 from sgdexp.drift import (
     drift_params,
     find_nonvacuous_hitting_config,
@@ -24,7 +24,7 @@ from sgdexp.drift import (
     mc_drift_linear_term,
 )
 from sgdexp.experiment import run_experiment
-from sgdexp.measurement import GaussianSphere, estimate_ctilde, exact_sphere_constant
+from sgdexp.measurement import DatasetRows, GaussianSphere, estimate_ctilde, exact_sphere_constant
 
 CT = math.sqrt(2.0 / math.pi)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -303,7 +303,7 @@ def test_c09_dataset_pipeline(tmp_path):
         rng = np.random.default_rng(99)
         A = rng.standard_normal((400, 10))
         x_star = rng.standard_normal(10)
-        data = DatasetMatrix(features=A, responses=A @ x_star)
+        data = DatasetRows(A, A @ x_star)
         x_hat = least_squares_baseline(data)
         rel = float(np.linalg.norm(x_hat - x_star) / np.linalg.norm(x_star))
         ok = rel <= 1e-8 and evaluate_clean_loss(x_hat, data) <= 1e-12
@@ -329,8 +329,9 @@ def test_c09_dataset_pipeline(tmp_path):
     corrupted = data.responses.copy()
     mask = rng.random(data.m) < 0.2
     corrupted[mask] += rng.uniform(-300.0, 300.0, size=int(mask.sum()))
-    corrupted_data = DatasetMatrix(features=data.features, responses=corrupted)
-    corrupted_ls_loss = evaluate_clean_loss(least_squares_baseline(corrupted_data), data)
+    corrupted_ls_loss = evaluate_clean_loss(
+        least_squares_baseline(DatasetRows(data.features, corrupted)), DatasetRows(data.features, data.responses)
+    )
 
     ok = abs(clean_ls - 0.4220) <= 0.021 and corrupted_ls_loss > 10.0 and sgd_loss <= 0.55
     _report(

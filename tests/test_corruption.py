@@ -122,10 +122,9 @@ def _engine_adversary_response(relu):
     so the corrupted y is the realized step along a = e1.
     """
     stream = StreamSpec(
-        model=DatasetRows(np.array([[1.0, 0.0]])),
+        model=DatasetRows(np.array([[1.0, 0.0]]), np.array([1.5])),
         corruption=ResidualSignAdversary(1.0),
         relu=relu,
-        responses=np.array([1.5]),
     )
     spec = SolverSpec(method="glmtron", d=2, T=1, schedule="const", m=1)
     x0 = np.array([-2.0, 0.0])

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss, least_squares_baseline, load_csv
+from sgdexp.datasets import evaluate_clean_loss, least_squares_baseline, load_csv
+from sgdexp.measurement import DatasetRows
 
 REDWINE = json.loads((Path(__file__).resolve().parent.parent / "configs" / "redwine.json").read_text())
 WINE_PATHS = [
@@ -117,12 +118,12 @@ def test_z_score_idempotent(tmp_path):
 
 class TestEvaluateCleanLoss:
     def test_exact_fit_zero(self):
-        data = DatasetMatrix(features=np.eye(2), responses=np.array([2.0, 3.0]))
+        data = DatasetRows(np.eye(2), np.array([2.0, 3.0]))
         assert evaluate_clean_loss(np.array([2.0, 3.0]), data) == 0.0
 
     def test_zero_vector(self):
         y = np.array([1.0, -2.0, 2.0])
-        data = DatasetMatrix(features=np.eye(3), responses=y)
+        data = DatasetRows(np.eye(3), y)
         assert evaluate_clean_loss(np.zeros(3), data) == pytest.approx(
             float(y @ y) / 3, rel=1e-15
         )
@@ -132,13 +133,13 @@ class TestEvaluateCleanLoss:
         A = rng.standard_normal((5, 3))
         y = rng.standard_normal(5)
         x = rng.standard_normal(3)
-        data = DatasetMatrix(features=A, responses=y)
+        data = DatasetRows(A, y)
         manual = sum((float(A[i] @ x) - y[i]) ** 2 for i in range(5)) / 5
         assert evaluate_clean_loss(x, data) == pytest.approx(manual, rel=1e-12)
 
     def test_relu_mode(self):
         A = np.array([[1.0], [-1.0]])
-        data = DatasetMatrix(features=A, responses=np.array([1.0, 0.0]))
+        data = DatasetRows(A, np.array([1.0, 0.0]))
         x = np.array([1.0])
         # predictions relu(1) = 1 and relu(-1) = 0: exact fit
         assert evaluate_clean_loss(x, data, relu=True) == 0.0
@@ -150,20 +151,20 @@ class TestEvaluateCleanLoss:
         # The reference is the one-iterate expression: a gemv, then a dot.
         d = 10
         rng = np.random.default_rng(m)
-        data = DatasetMatrix(features=rng.standard_normal((m, d)), responses=rng.standard_normal(m))
+        data = DatasetRows(rng.standard_normal((m, d)), rng.standard_normal(m))
         X = rng.standard_normal(lead + (d,))
         losses = evaluate_clean_loss(X, data, relu=relu)
         for i in np.ndindex(lead):
-            pred = data.features @ X[i]
+            pred = data.rows @ X[i]
             if relu:
                 pred = np.maximum(pred, 0.0)
             resid = pred - data.responses
-            expected = float(resid @ resid / data.m)
+            expected = float(resid @ resid / data.n_rows)
             assert (losses[i] if lead else losses) == expected
         assert isinstance(losses, float) == (lead == ())
 
     def test_dimension_mismatch(self):
-        data = DatasetMatrix(features=np.eye(2), responses=np.zeros(2))
+        data = DatasetRows(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate_clean_loss(np.zeros(3), data)
 
@@ -171,14 +172,14 @@ class TestEvaluateCleanLoss:
 class TestLeastSquares:
     def test_exactly_determined(self):
         A = np.array([[2.0, 0.0], [0.0, 4.0]])
-        data = DatasetMatrix(features=A, responses=np.array([2.0, 2.0]))
+        data = DatasetRows(A, np.array([2.0, 2.0]))
         assert np.allclose(least_squares_baseline(data), [1.0, 0.5], rtol=1e-12)
 
     def test_planted_recovery(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((200, 8))
         x_star = rng.standard_normal(8)
-        data = DatasetMatrix(features=A, responses=A @ x_star)
+        data = DatasetRows(A, A @ x_star)
         x_hat = least_squares_baseline(data)
         assert np.linalg.norm(x_hat - x_star) <= 1e-8 * np.linalg.norm(x_star)
 
@@ -186,7 +187,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((50, 4))
         y = rng.standard_normal(50)
-        data = DatasetMatrix(features=A, responses=y)
+        data = DatasetRows(A, y)
         x_hat = least_squares_baseline(data)
         assert np.max(np.abs(A.T @ (A @ x_hat - y))) <= 1e-8
 

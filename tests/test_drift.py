@@ -322,7 +322,7 @@ class TestPrecisionHorizon:
     def test_engine_hitting_needs_x_true(self):
         params, spec, _, _, _ = self._setup()
         rows = np.random.default_rng(1).standard_normal((30, self.D))
-        stream = StreamSpec(model=DatasetRows(rows), responses=np.zeros(30))
+        stream = StreamSpec(model=DatasetRows(rows, np.zeros(30)))
         with pytest.raises(ValueError, match="requires one sgd_exp lane group and x_true"):
             run_batch(spec, stream, [0], hitting_level=params.b)
 

@@ -24,7 +24,7 @@ from sgdexp.cli import main
 from sgdexp.config import validate_config
 from sgdexp.datasets import evaluate_clean_loss, least_squares_baseline, load_csv
 from sgdexp.experiment import run_experiment, run_sweep
-from sgdexp.measurement import GaussianSphere, estimate_ctilde
+from sgdexp.measurement import DatasetRows, GaussianSphere, estimate_ctilde
 from sgdexp.results import emit_plot, emit_results, emit_sweep_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -179,7 +179,8 @@ def test_redwine_least_squares_reference(tmp_path, monkeypatch):
     m = config.measurement
     preprocessing = ("center", "z_score", "row_normalize", "center_response", "delimiter")
     data = load_csv(m["path"], m["features"], m["response"], **{k: m[k] for k in preprocessing})
-    want = evaluate_clean_loss(least_squares_baseline(data), data)
+    model = DatasetRows(data.features, data.responses)
+    want = evaluate_clean_loss(least_squares_baseline(model), model)
     assert json.loads(manifest_path.read_text())["least_squares_clean_loss"] == want
 
 

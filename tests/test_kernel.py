@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import functools
+import importlib.util
 import json
 import os
 import re
@@ -20,7 +21,7 @@ import pytest
 import sgdexp.datasets as datasets_mod
 import sgdexp.measurement as measurement_mod
 from sgdexp import _kernel
-from sgdexp.corruption import NoCorruption, ResidualSignAdversary, SignFlip
+from sgdexp.corruption import AdditiveOblivious, NoCorruption, ResidualSignAdversary, SignFlip, Uniform
 from sgdexp.drift import mc_drift_linear_term
 from sgdexp.measurement import (
     DatasetRows,
@@ -40,7 +41,6 @@ from sgdexp.solvers import (
     SolverSpec,
     StreamSpec,
     _bind_c,
-    _set_responses,
     _step_numpy,
     _step_state,
     run_batch,
@@ -331,11 +331,17 @@ TILE_DIMS = (1, 2, 7, 8, 9, 16, 17, 100)
 def _block_state(S, d, kinds, channel, hitting, n=24):
     """The step function's inputs for one block of G = len(kinds) groups x S seeds.
 
-    Every group has both audit bits.  A third of the rows, drawn per seed,
-    lie off the unit sphere by 1e-9, so the step-law audit counts their
-    moves; the gate audit counts the moves at <x, a> < 0 of the sign and
-    GLM-Tron lanes.  With ``hitting``, lam^{2k} grows by 1.2 a step, and
-    most seeds hit midway.
+    The groups' corruption probabilities are 0.2, 0.4, 0 and 0 in turn.
+    Every group has both audit bits.  A third of the rows, drawn per seed, lie
+    off the unit sphere by 1e-9, so the step-law audit counts their moves;
+    the gate audit counts the moves at <x, a> < 0 of the sign and GLM-Tron
+    lanes.  With S > 1 the last seed is a dataset stream of positive rows
+    whose responses are all -0.0 and whose draws never corrupt, from lanes
+    at x = -0.0: there <x, a> is +0.0, and a GLM-Tron lane moves by
+    (y - 0.0) a, so it stays at -0.0 while each response y is -0.0, and
+    turns to +0.0 at the first +0.0 (an additive lane at p > 0 adds 0.0).
+    With ``hitting``, lam^{2k} grows by 1.2 a step, and most seeds hit
+    midway.  The draws do not depend on ``channel``.
     """
     rng = np.random.default_rng([S, d, len(kinds), hitting])
     G, relu = len(kinds), GATED_SIGN in kinds
@@ -346,9 +352,12 @@ def _block_state(S, d, kinds, channel, hitting, n=24):
     clean = np.einsum("snd,sd->sn", A, Xt)
     if relu:
         np.maximum(clean, 0.0, out=clean)
-    XI, P = rng.random((S, n)), np.linspace(0.2, 0.4, G)[:, None]
+    XI, NU, P = rng.random((S, n)), rng.uniform(-1.0, 1.0, (S, n)), np.array([0.2, 0.4, 0.0, 0.0][:G])[:, None]
+    x = 0.1 * rng.standard_normal((G, S, d))
+    if S > 1:
+        x[:, -1], clean[-1], A[-1], XI[-1] = -0.0, -0.0, np.abs(A[-1]), 0.5 + XI[-1] / 2
     st = _step_state(
-        0.1 * rng.standard_normal((G, S, d)),
+        x,
         kinds,
         [AUDIT_STEP_LAW | AUDIT_GATE] * G,
         relu,
@@ -358,8 +367,9 @@ def _block_state(S, d, kinds, channel, hitting, n=24):
         hitting=(Xt, rng.uniform(0.5, 2.0, S), 10.0 * d, np.sqrt(1.2)) if hitting else None,
     )
     st.A[...], st.clean[...], st.XI[...] = A, clean, XI
+    if st.NU is not None:
+        st.NU[...] = NU
     st.steps[...] = rng.uniform(0.01, 0.1, (G, S, n))
-    _set_responses(st, slice(None), n)
     return st
 
 
@@ -378,8 +388,17 @@ def _stepped(st, advance):
     return [arr.tobytes() for arr in kept]
 
 
+#: Every corruption channel, as the step function applies it at the step.
+BLOCK_CHANNELS = {
+    "none": NoCorruption(),
+    "sign_flip": SignFlip(0.3),
+    "residual_sign": ResidualSignAdversary(0.3),
+    "additive": AdditiveOblivious(0.3, Uniform(1.0)),
+}
+
+
 @needs_gcc
-@pytest.mark.parametrize("channel", [SignFlip(0.3), ResidualSignAdversary(0.3)], ids=["sign_flip", "residual_sign"])
+@pytest.mark.parametrize("channel", list(BLOCK_CHANNELS.values()), ids=list(BLOCK_CHANNELS))
 @pytest.mark.parametrize("S", range(1, 10))
 def test_seed_tiles_match_numpy_body(S, channel):
     # S = 1..9 has 0, 1 or 2 full tiles of four seeds, and 0..3 seeds in a
@@ -389,7 +408,7 @@ def test_seed_tiles_match_numpy_body(S, channel):
     assert lib is not None
     counts = np.zeros(3, dtype=np.int64)  # step-law and gate violations, hits
     for d in TILE_DIMS:
-        for kinds in ([SIGN, GLMTRON], [GATED_SIGN, GLMTRON], [SIGN], [GATED_SIGN]):
+        for kinds in ([SIGN, GLMTRON, SIGN, GLMTRON], [GATED_SIGN, GLMTRON, GATED_SIGN, GLMTRON], [SIGN], [GATED_SIGN]):
             hitting = len(kinds) == 1
             st, ref, halves = (_block_state(S, d, kinds, channel, hitting) for _ in range(3))
             want = _stepped(ref, functools.partial(_step_numpy, ref))
@@ -397,6 +416,12 @@ def test_seed_tiles_match_numpy_body(S, channel):
             # Two seed ranges, split anywhere, step their seeds alone.
             assert _stepped(halves, _split(lib, halves, S // 2)) == want, (d, kinds)
             counts += [st.step_viol.sum(), st.gate_viol.sum(), 0 if st.hit_k is None else np.sum(st.hit_k >= 0)]
+            if not hitting:
+                # The groups at p = 0 are stepped as if uncorrupted.
+                clean = _block_state(S, d, kinds, NoCorruption(), hitting)
+                _stepped(clean, _bind_c(lib, clean, range(S)))
+                for arr, want_arr in zip((st.x, st.step_viol, st.gate_viol), (clean.x, clean.step_viol, clean.gate_viol)):
+                    assert np.array_equal(_bits(arr[2:]), _bits(want_arr[2:])), (d, kinds)
     assert np.all(counts > 0)
 
 
@@ -967,10 +992,25 @@ class TestCleanLoss:
         for relu in (False, True):
             method = "sgd_exp_relu" if relu else "sgd_exp_linear"
             spec = SolverSpec(method=method, d=10, T=300, lam=1.01, G=0.5)
-            stream = StreamSpec(model=DatasetRows(rows), relu=relu, responses=rng.standard_normal(1599))
+            stream = StreamSpec(model=DatasetRows(rows, rng.standard_normal(1599)), relu=relu)
             for part in (_kernel.load(CLEAN), "turned off"):
                 monkeypatch.setitem(_kernel._libs, CLEAN, part)
                 trajectories = run_batch(spec, stream, range(3), checkpoint_every=50)
                 losses.setdefault(relu, []).append(np.concatenate([t.checkpoints.clean_loss for t in trajectories]))
         for got, want in losses.values():
             assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_step_kernel_bench_runs(monkeypatch, capsys):
+    # scripts/step_kernel_bench.py reads the engine's private step state and
+    # bindings; one repeat of its main keeps it in step with them.
+    path = SRC.parent / "scripts" / "step_kernel_bench.py"
+    spec = importlib.util.spec_from_file_location("step_kernel_bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(sys, "argv", [str(path), "--repeat", "1"])
+    bench.main()
+    out = capsys.readouterr().out
+    for shape in ("sweep", "dataset", "hitting"):
+        assert re.search(rf"^{shape} ", out, re.M), out
+    assert "clean loss per checkpoint" in out

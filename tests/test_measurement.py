@@ -139,7 +139,7 @@ class _ZeroFirstRow:
 class TestInPlaceSampling:
     """Drawing into caller buffers keeps every bit of the allocating draw."""
 
-    ALL_MODELS = MODELS + [DatasetRows(np.random.default_rng(2).standard_normal((30, 7)))]
+    ALL_MODELS = MODELS + [DatasetRows(np.random.default_rng(2).standard_normal((30, 7)), np.zeros(30))]
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__ + getattr(m, "base", ""))
     @pytest.mark.parametrize("n", [1, 97])
@@ -176,23 +176,36 @@ class TestInPlaceSampling:
 
 def test_dataset_rows_empty_errors():
     with pytest.raises(ValueError, match="no rows"):
-        DatasetRows(np.empty((0, 3)))
+        DatasetRows(np.empty((0, 3)), np.empty(0))
 
 
 def test_dataset_rows_zero_row_errors():
     with pytest.raises(ValueError, match="zero row"):
-        DatasetRows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        DatasetRows(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_dataset_rows_non_finite_row_errors(bad):
     with pytest.raises(ValueError, match="non-finite row"):
-        DatasetRows(np.array([[1.0, 0.0], [bad, 1.0]]))
+        DatasetRows(np.array([[1.0, 0.0], [bad, 1.0]]), np.zeros(2))
+
+
+def test_dataset_rows_responses_of_another_shape_error():
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for responses in (np.zeros((3, 2)), np.zeros(2), np.zeros(4), 1.0):
+        with pytest.raises(ValueError, match=r"responses: expected shape \(3,\), one per dataset row"):
+            DatasetRows(rows, responses)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dataset_rows_non_finite_response_errors(bad):
+    with pytest.raises(ValueError, match="responses: entry 1 is .*, expected a finite number"):
+        DatasetRows(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.5, bad, bad]))
 
 
 def test_dataset_rows_samples_unit_rows():
     rows = np.array([[3.0, 4.0], [1.0, 1.0], [0.5, 2.0]])
-    model = DatasetRows(rows)
+    model = DatasetRows(rows, np.zeros(3))
     rng = np.random.default_rng(11)
     A, idx = sample_block(model, rng, 500)
     assert np.allclose(np.linalg.norm(A, axis=1), 1.0, rtol=1e-9, atol=0)
@@ -305,7 +318,7 @@ _CHUNK_MODELS = {
     "sphere-numpy-fill": (GaussianSphere(20), False),
     "sphere-d64": (GaussianSphere(64), True),  # d >= 32: a short block takes OpenBLAS's small-matrix kernels
     "rademacher": (NormalizedRademacher(20), True),
-    "dataset": (DatasetRows(np.random.default_rng(4).standard_normal((37, 20))), True),
+    "dataset": (DatasetRows(np.random.default_rng(4).standard_normal((37, 20)), np.zeros(37)), True),
 }
 
 

@@ -20,7 +20,7 @@ from sgdexp.corruption import (
 )
 import sgdexp.solvers as solvers_mod
 from sgdexp import _kernel
-from sgdexp.datasets import DatasetMatrix, evaluate_clean_loss
+from sgdexp.datasets import evaluate_clean_loss
 from sgdexp.measurement import DatasetRows, GaussianSphere, sample_block, sample_seeds
 from sgdexp.solvers import (
     METRIC_COLUMNS,
@@ -398,13 +398,10 @@ class TestRun:
             responses = np.maximum(responses, 0.0)
         method = "sgd_exp_relu" if relu else "sgd_exp_linear"
         spec = SolverSpec(method=method, d=3, T=250, lam=1.01, G=1.0)
-        stream = StreamSpec(
-            model=DatasetRows(rows), corruption=SignFlip(0.2), relu=relu, responses=responses
-        )
-        data = DatasetMatrix(features=rows, responses=responses)
+        stream = StreamSpec(model=DatasetRows(rows, responses), corruption=SignFlip(0.2), relu=relu)
         for traj in run_batch(spec, stream, [1, 2], checkpoint_every=100, record_iterates=True):
             assert traj.checkpoints.k.tolist() == [0, 100, 200, 250]
-            want = [evaluate_clean_loss(x, data, relu=relu) for x in traj.iterates]
+            want = [evaluate_clean_loss(x, stream.model, relu=relu) for x in traj.iterates]
             assert traj.checkpoints.clean_loss.tolist() == want
 
     def test_checkpoint_relative_error_is_linalg_norm(self):
@@ -511,12 +508,8 @@ class TestEngineMatchesOracle:
         x_true = rng.standard_normal(spec.d)
         if dataset:
             rows = rng.standard_normal((30, spec.d))
-            stream = StreamSpec(
-                model=DatasetRows(rows),
-                corruption=corruption,
-                relu=relu,
-                responses=np.maximum(rows @ x_true, 0.0) if relu else rows @ x_true,
-            )
+            responses = np.maximum(rows @ x_true, 0.0) if relu else rows @ x_true
+            stream = StreamSpec(model=DatasetRows(rows, responses), corruption=corruption, relu=relu)
         else:
             stream = StreamSpec(model=GaussianSphere(spec.d), corruption=corruption, relu=relu)
         traj = run_batch(
@@ -552,10 +545,7 @@ class TestLanes:
         if dataset:
             rows = rng.standard_normal((300, _LANE_D))
             stream = StreamSpec(
-                model=DatasetRows(rows),
-                corruption=corruption,
-                relu=True,
-                responses=np.maximum(rows @ x_true, 0.0),
+                model=DatasetRows(rows, np.maximum(rows @ x_true, 0.0)), corruption=corruption, relu=True
             )
         else:
             stream = StreamSpec(model=GaussianSphere(_LANE_D), corruption=corruption, relu=True)
@@ -677,9 +667,7 @@ class TestBlocks:
             return StreamSpec(model=GaussianSphere(_PIPE_D), corruption=corruption)
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((50, _PIPE_D))
-        return StreamSpec(
-            model=DatasetRows(rows), corruption=corruption, responses=rows @ np.ones(_PIPE_D)
-        )
+        return StreamSpec(model=DatasetRows(rows, rows @ np.ones(_PIPE_D)), corruption=corruption)
 
     @staticmethod
     def _summary(traj):
@@ -828,7 +816,7 @@ class TestSeedOwners:
             seeds = range(1, 1 + int(case[1:]))
         elif case == "dataset":
             rows = np.random.default_rng(2).standard_normal((50, 4))
-            stream = StreamSpec(model=DatasetRows(rows), corruption=SignFlip(0.2), responses=rows @ np.ones(4))
+            stream = StreamSpec(model=DatasetRows(rows, rows @ np.ones(4)), corruption=SignFlip(0.2))
         else:
             monkeypatch.setitem(_kernel._libs, "step kernel", "turned off")
         started = self._starts(monkeypatch)
@@ -942,8 +930,8 @@ class TestCheckpointTable:
         if dataset:
             rows = rng.standard_normal((50, _TABLE_D))
             responses = rows @ rng.standard_normal(_TABLE_D)
-            data = DatasetMatrix(rows, np.maximum(responses, 0.0) if relu else responses)
-            stream = StreamSpec(DatasetRows(rows), SignFlip(0.2), relu=relu, responses=data.responses)
+            data = DatasetRows(rows, np.maximum(responses, 0.0) if relu else responses)
+            stream = StreamSpec(data, SignFlip(0.2), relu=relu)
         else:
             stream = StreamSpec(GaussianSphere(_TABLE_D), SignFlip(0.2), relu=relu)
         if per_buffer is not None:
