@@ -7,7 +7,9 @@ shape (``solvers.BLOCK_VALUES`` measurement values, at most 1024 steps):
 
 - sweep:   G 8, S 10, d 100.  Per corruption level, one gated sign group
            (step-law and gate audits on) and three GLM-Tron groups, under
-           sign flips; 262 steps.
+           sign flips; 262 steps.  Also its first 1, 2, 3 and 4 groups, at
+           one corruption level: the lane groups the kernel puts one, two,
+           and four to a vector where it runs its AVX-512 build.
 - dataset: G 1, S 10, d 10.  One audited sign group, under additive
            uniform noise; 1024 steps.
 - hitting: G 1, S 100, d 20.  One sign group under the residual-sign
@@ -91,13 +93,20 @@ def _block(S, d):
 
 
 def _shapes():
+    """Each shape's (name, step state): the sweep at G 1, 2, 3, 4 and 8, then the dataset and hitting shapes."""
     sweep_kinds = [GATED_SIGN, GLMTRON, GLMTRON, GLMTRON] * 2
     sweep_audits = [AUDIT_STEP_LAW | AUDIT_GATE, 0, 0, 0] * 2
     sweep_ps, additive = [0.2] * 4 + [0.4] * 4, AdditiveOblivious(0.2, Uniform(300.0))
-    sweep = _state(sweep_kinds, sweep_audits, sweep_ps, 10, 100, _block(10, 100), True, SignFlip(0.4), False)
-    dataset = _state([SIGN], [AUDIT_STEP_LAW], [0.2], 10, 10, _block(10, 10), False, additive, False)
-    hitting = _state([SIGN], [0], [0.4], 100, 20, _block(100, 20), False, ResidualSignAdversary(0.4), True)
-    return {"sweep": sweep, "dataset": dataset, "hitting": hitting}
+    shapes = [
+        ("sweep", _state(sweep_kinds[:G], sweep_audits[:G], sweep_ps[:G], 10, 100, _block(10, 100), True,
+                         SignFlip(0.4), False))
+        for G in (1, 2, 3, 4, 8)
+    ]
+    shapes.append(("dataset", _state([SIGN], [AUDIT_STEP_LAW], [0.2], 10, 10, _block(10, 10), False, additive, False)))
+    shapes.append(
+        ("hitting", _state([SIGN], [0], [0.4], 100, 20, _block(100, 20), False, ResidualSignAdversary(0.4), True))
+    )
+    return shapes
 
 
 def _draw_ns(S, d, repeat):
@@ -163,7 +172,7 @@ def main():
     lib = _kernel.load("step kernel")
     print(f"step kernel: {_kernel.status()['step kernel']}")
     print(f"{'shape':8} {'G':>3} {'S':>4} {'d':>4} {'n':>5} {'kernel ns':>10} {'numpy ns':>10} {'ratio':>6}")
-    for name, st in _shapes().items():
+    for name, st in _shapes():
         (G, S, d), n = st.x.shape, st.A.shape[1]
         lane_steps = G * S * n
         numpy_s = _time(st, lambda j0, j1, k: _step_numpy(st, j0, j1, k), max(1, args.repeat // 3))

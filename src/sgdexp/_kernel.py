@@ -7,8 +7,12 @@ loads it through ctypes, which releases the interpreter lock for the length of
 each call, and self-tests it against numpy bit for bit: the orders of summation
 it copies belong to this numpy build, not to numpy's contract.
 
-- ``_stepkernel.c``, the engine's step, tested on its einsum-order dot, and
-  the step decays of a block, tested against ``math.pow``.
+- ``_stepkernel.c``, the engine's step, tested on its einsum-order dots at
+  every vector width it steps lane groups with, and the step decays of a
+  block, tested against ``math.pow``.  Where its base build finds AVX-512F
+  (``sk_cpu_wide``), a second build with ``-mavx512f``, which puts up to
+  four lane groups in a vector, is tested and used in its place; ``status``
+  names the instruction set of the build in use (``sk_isa``).
 - ``_normalfill.c``, rows of ``Generator.standard_normal`` by numpy's own
   ziggurat (linked from numpy's ``random/lib/libnpyrandom.a``), each divided by
   its norm in the same pass.  It has two draw entries.  ``sk_sphere_fill``
@@ -50,6 +54,8 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 #: The directory of ``numpy/random/bitgen.h``, the bit generator struct.
 NUMPY_INCLUDE = Path(np.get_include())
+#: Lane groups of the dot self-test: four, two and one to a vector in the wide build.
+DOT_TEST_GROUPS = 7
 #: Row lengths of the sphere pass's self-test: every branch of numpy's pairwise sum.
 SPHERE_TEST_DIMS = (*range(1, 131), 257, 1000)
 #: Row lengths of the drift pass's self-test: each branch of the einsum loop, and a split norm.
@@ -78,6 +84,9 @@ class Part:
     archive: Path | None = None  # a static library to link
     needs: tuple = ()  # numpy files the build reads, besides the archive
     init: str | None = None  # called once when the library opens
+    isa: str | None = None  # names the instruction set of the build, for ``status``
+    # (probe, gcc flags): where the base build's probe() is 1, a build with these flags replaces it
+    wide: tuple | None = None
 
 
 def cache_dir() -> Path:
@@ -140,30 +149,32 @@ def bitgens(rngs):
 
 
 def dot_self_test(lib) -> None:
-    """Raise KernelUnavailable unless the kernel's dot equals np.einsum on every entry.
+    """Raise KernelUnavailable unless the kernel's dots equal np.einsum on every entry.
 
     Covers d = 1..130 in the two einsums of the numpy body: (G, S, d) lanes
     against a strided column of an (S, n, d) block, and the audit's row
-    norms (the block against itself).  Per d, one kernel call over one
-    buffer takes the 12 dots in three passes of four.
+    norms (the block against itself), by ``sk_dots``, which copies the lanes
+    and takes the dots as ``sk_advance`` does.  One call per d, of
+    DOT_TEST_GROUPS groups, so every vector width the build steps with, and
+    S = 5, 6 or 7 seeds, so a tile of four seeds and then one of 1, 2 or 3:
+    every chain count of a pass.
     """
-    R, W, dims = 3, 2, np.arange(1, 131)
-    # Per d, a (2, R, d) lane array X, then an (R, W, d) block A: buf's first 12 d doubles.
-    buf = np.random.default_rng(20240501).standard_normal(12 * dims[-1])
-    x_at = dims[:, None] * np.arange(2 * R)  # X[g, s], g-major
-    a_at = dims[:, None] * (2 * R + np.arange(R) * W + 1)  # A[s, 1]
-    rows_at = dims[:, None] * (2 * R + np.arange(R * W))  # A[s, j], s-major
-    first = np.concatenate([x_at, rows_at], axis=1)
-    second = np.concatenate([np.tile(a_at, 2), rows_at], axis=1)
-    table = np.ascontiguousarray(np.stack([first, second], axis=2), dtype=np.int64)
-    want, got = np.empty(first.shape), np.empty(first.shape)
-    m, at = want.shape[1], (table.ctypes.data, buf.ctypes.data, got.ctypes.data)
-    for i, (d, row) in enumerate(zip(dims.tolist(), want)):
-        X = buf[: 2 * R * d].reshape(2, R, d)
-        A = buf[2 * R * d : 4 * R * d].reshape(R, W, d)
-        np.einsum("gsd,sd->gs", X, A[:, 1, :], out=row[: 2 * R].reshape(2, R))
-        np.einsum("snd,snd->sn", A, A, out=row[2 * R :].reshape(R, W))
-        lib.sk_dots(m, d, at[0] + 16 * m * i, at[1], at[2] + 8 * m * i)
+    G, dims, n, j = DOT_TEST_GROUPS, range(1, 131), 2, 1
+    rng = np.random.default_rng(20240501)
+    X_buf, A_buf = rng.standard_normal(G * 7 * dims[-1]), rng.standard_normal(7 * n * dims[-1])
+    lanes, work = np.empty(7 * (dims[-1] + 1) * G), np.empty(lib.sk_work_size(G, dims[-1]))
+    # Per d, the (G, S) dots and then the S norms, zero-padded to 7 seeds.
+    got, want = np.zeros((len(dims), (G + 1) * 7)), np.zeros((len(dims), (G + 1) * 7))
+    norms = np.empty((7, n))
+    at = (lanes.ctypes.data, work.ctypes.data, X_buf.ctypes.data, A_buf.ctypes.data, got.ctypes.data)
+    for i, (d, row) in enumerate(zip(dims, want)):
+        S = 5 + d % 3
+        X, A = X_buf[: G * S * d].reshape(G, S, d), A_buf[: S * n * d].reshape(S, n, d)
+        np.einsum("gsd,sd->gs", X, A[:, j, :], out=row[: G * S].reshape(G, S))
+        np.einsum("snd,snd->sn", A, A, out=norms[:S])
+        row[G * S : G * S + S] = norms[:S, j]
+        dots = at[4] + 8 * i * (G + 1) * 7
+        lib.sk_dots(G, S, n, d, j, at[2], at[0], at[3], at[1], dots, dots + 8 * G * S)
     if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
         bad = int(np.sum(got.view(np.uint64) != want.view(np.uint64)))
         raise KernelUnavailable(
@@ -364,17 +375,25 @@ PARTS = {
         stem="stepkernel",
         source=Path(__file__).with_name("_stepkernel.c"),
         functions={
-            "sk_dots": (None, [_i64, _i64, _ptr, _ptr, _ptr]),
-            # G, S, n, d, s_lo, s_hi, j0, j1; x, A, clean, XI, NU, P; the channel and the relu link;
-            # steps, kind, audit, step_viol, gate_viol; then the hitting-time state.
+            # G, S, n, d, j; x, lanes, A, work, dots, norms.
+            "sk_dots": (None, [_i64] * 5 + [_ptr] * 6),
+            # G, S, n, d, s_lo, s_hi; x, lanes, A, clean, XI, NU, P; the channel and the relu link;
+            # steps, kind, audit, step_viol, gate_viol; the hitting-time state; work; then j0, j1, k.
             "sk_advance": (
                 None,
-                [_i64] * 8 + [_ptr] * 6 + [ctypes.c_int] * 2 + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _i64, _ptr],
+                [_i64] * 6 + [_ptr] * 7 + [ctypes.c_int] * 2 + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _ptr]
+                + [_i64] * 3,
             ),
             # schedule, lam, k, n, out
             "sk_decays": (None, [ctypes.c_int, _f64, _i64, _i64, _ptr]),
+            "sk_isa": (ctypes.c_char_p, []),
+            "sk_cpu_wide": (ctypes.c_int, []),
+            # G, d
+            "sk_work_size": (_i64, [_i64, _i64]),
         },
         self_test=step_kernel_self_test,
+        isa="sk_isa",
+        wide=("sk_cpu_wide", ("-mavx512f",)),
     ),
     "Gaussian fill": Part(
         stem="normalfill",
@@ -412,8 +431,19 @@ _libs = {}
 _lock = threading.Lock()
 
 
+def wide_build(part: Part) -> Part:
+    """The wide build of ``part``: its gcc flags plus the wide ones, with no further wide build."""
+    return dataclasses.replace(part, args=part.args + part.wide[1], wide=None)
+
+
 def _open(part: Part):
-    """``part`` built (in a temp directory when the cache is unwritable), opened and self-tested."""
+    """``part`` built (in a temp directory when the cache is unwritable), opened and self-tested.
+
+    Where the part has a wide build and the base one's probe says the CPU
+    runs it, the wide build is opened and self-tested too and returned in
+    its place; if it fails, one RuntimeWarning says so and the base build
+    is returned.
+    """
     for path in (part.archive, *part.needs):
         if path is not None and not path.is_file():
             raise KernelUnavailable(f"numpy's {path.name} not found at {path}")
@@ -424,6 +454,11 @@ def _open(part: Part):
         with tempfile.TemporaryDirectory(prefix="sgdexp-") as tmp:
             lib = open_library(part, build(part, Path(tmp)))
     part.self_test(lib)
+    if part.wide is not None and getattr(lib, part.wide[0])():
+        try:
+            return _open(wide_build(part))
+        except (KernelUnavailable, OSError) as exc:
+            warnings.warn(f"sgdexp {part.stem} build with {' '.join(part.wide[1])} unavailable: {exc}", RuntimeWarning)
     return lib
 
 
@@ -444,8 +479,19 @@ def load(name: str):
 
 
 def status() -> dict:
-    """Each part's state, loading it first without its warning: "loaded", or "numpy: <reason>"."""
+    """Each part's state, loading it first without its warning.
+
+    "loaded", "loaded (<instruction set>)" for a part that names the
+    instruction set of its build (``Part.isa``), or "numpy: <reason>".
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         libs = {name: load(name) for name in PARTS}
-    return {name: "loaded" if lib is not None else f"numpy: {_libs[name]}" for name, lib in libs.items()}
+    states = {}
+    for name, lib in libs.items():
+        isa = PARTS[name].isa
+        if lib is None:
+            states[name] = f"numpy: {_libs[name]}"
+        else:
+            states[name] = "loaded" if isa is None else f"loaded ({getattr(lib, isa)().decode()})"
+    return states

@@ -7,7 +7,27 @@
  * and every update is x[i] + coef * a[i], including coef == 0.  Build with
  * -ffp-contract=off and without -ffast-math, so that no multiply-add is
  * fused and no operation is reordered.
+ *
+ * Lane groups sit in the vector lanes.  sk_advance copies its seeds' lanes
+ * into a scratch where each vector's Q groups are interleaved by element
+ * pair (copy_lanes): one vector of 2Q doubles holds the two-lane einsum
+ * accumulators of Q groups, and one broadcast of the measurement pair serves
+ * all of them.  Built with -mavx512f (sgdexp._kernel does so where the base
+ * build's sk_cpu_wide() is 1) the groups go four to a 512-bit vector, then
+ * two to a 256-bit one, then one to a 128-bit one; built without, every
+ * group has a 128-bit vector of its own.  The code is written once over the
+ * vector type (WIDTH, PASS), and so is the rule: each vector's coefficients
+ * are worked out in its lanes, each group's in both of its lanes.  A chain
+ * is one vector of lanes of one seed.  A tile's chains go four at a time
+ * (a pass, so that four dependency chains overlap) through the whole
+ * stretch of steps, each step's update fused with the next step's dot; a
+ * short tile has fewer chains, and G = 1 steps a tile of four seeds as four
+ * 128-bit chains.  Each lane still does exactly its own arithmetic, in its
+ * own order.
  */
+#ifdef __AVX__
+#include <immintrin.h>
+#endif
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -17,118 +37,631 @@ enum { SIGN = 0, GATED_SIGN = 1, GLMTRON = 2 };
 enum { AUDIT_STEP_LAW = 1, AUDIT_GATE = 2 };
 enum { CONST = 0, ROOT = 1, EXP = 2 };
 enum { NONE = 0, SIGN_FLIP = 1, RESIDUAL_SIGN = 2, ADDITIVE = 3 };
-/* Seeds stepped together: the dots of a tile's lanes run as one pass. */
+/* Seeds stepped together at most, and the chains of one pass of the dot. */
 enum { TILE = 4 };
+/* Bytes of lanes a tile holds at most, a third of a 48 KiB L1 data cache,
+ * so that they stay in it from one step to the next: at G 8 and d 100 to
+ * 400 (scripts/step_kernel_bench.py's sweep shape) twice the bound measured
+ * up to 1.1x slower per lane-step, no bound up to 1.5x slower. */
+enum { TILE_BYTES = 16 << 10 };
 
-/* Two doubles, added and multiplied lanewise: IEEE in each lane. */
+#ifdef __x86_64__
+#define BASE_ISA "sse2"
+#else
+#define BASE_ISA "generic"
+#endif
+
+/* The loops of a pass are inlined with their chain count a constant, into
+ * one tile function per vector type: inlined into every caller as well, the
+ * two builds took gcc 5 s and 17 s of CPU time instead of 1.7 s and 3.1 s,
+ * and stepped no faster. */
+#define INLINE static inline __attribute__((always_inline))
+#define NOINLINE __attribute__((noinline))
+
+/* 2, 4 and 8 doubles, added and multiplied lanewise: IEEE in each lane; and
+ * the masks their comparisons give, -1 where true and 0 where false. */
 typedef double v2 __attribute__((vector_size(16)));
+typedef double v4 __attribute__((vector_size(32)));
+typedef double v8 __attribute__((vector_size(64)));
+typedef int64_t m2 __attribute__((vector_size(16)));
+typedef int64_t m4 __attribute__((vector_size(32)));
+typedef int64_t m8 __attribute__((vector_size(64)));
 
-static v2 load2(const double *p)
+/* 1 in the AVX-512 build, which puts up to four groups in a vector. */
+INLINE int wide(void)
+{
+#ifdef __AVX512F__
+    return 1;
+#else
+    return 0;
+#endif
+}
+
+/* The instruction set this build steps lanes with: "avx512f", or the base one. */
+const char *sk_isa(void)
+{
+    return wide() ? "avx512f" : BASE_ISA;
+}
+
+/* 1 where the CPU runs AVX-512F, so that the AVX-512 build of this file can
+ * load: the base build answers it. */
+int sk_cpu_wide(void)
+{
+#ifdef __x86_64__
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f");
+#else
+    return 0;
+#endif
+}
+
+/* spread: the pair p[0], p[1] in every two lanes.  pairs: strided values,
+ * each in a pair.  swap: the two lanes of every pair swapped.  evens: each
+ * pair's first lane in both. */
+INLINE v2 spread_v2(const double *p)
 {
     v2 v;
     memcpy(&v, p, sizeof v);
     return v;
 }
 
-static void store2(double *p, v2 v)
+/* In the AVX-512 build each is one broadcast load (vbroadcastf128,
+ * vbroadcastf32x4): GCC 12 makes shuffles of the generic form, one or two
+ * per measurement pair and chain. */
+INLINE v4 spread_v4(const double *p)
 {
-    memcpy(p, &v, sizeof v);
+#ifdef __AVX__
+    return (v4)_mm256_broadcast_pd((const __m128d *)p);
+#else
+    return (v4){p[0], p[1], p[0], p[1]};
+#endif
 }
 
-/* c[t] = x[t][i, i+1] * a[t][i, i+1] + c[t], two-wide, for each of four pairs. */
-static inline void add4(v2 *c, const double *const *x, const double *const *a, int64_t i)
+INLINE v8 spread_v8(const double *p)
 {
-#pragma GCC unroll 4
-    for (int t = 0; t < TILE; t++)
-        c[t] = load2(x[t] + i) * load2(a[t] + i) + c[t];
+#ifdef __AVX512F__
+    return (v8)_mm512_castps_pd(_mm512_broadcast_f32x4(_mm_loadu_ps((const float *)p)));
+#else
+    const v4 h = spread_v4(p);
+    return __builtin_shufflevector(h, h, 0, 1, 2, 3, 0, 1, 2, 3);
+#endif
 }
 
-/* out[t] = <x[t], a[t]> for four pairs of length d in one pass.  Each pair
- * adds as numpy's einsum sum-of-products loop on two SSE2 lanes: one
- * two-wide accumulator (c0 over the even elements, c1 over the odd), 8
- * elements per iteration added as p + c in the order 6-7, 4-5, 2-3, 0-1, a
- * zero-filled 2-wide tail, then 0.0 + (c0 + c1) as einsum adds into its
- * zeroed output.  The four chains are independent, so they overlap.  Fewer
- * than four pairs repeat a pair in the unused slots and drop its outputs.
- * Inlined at each call: a called dot4 measured up to ~10% slower on the
- * hitting shape of scripts/step_kernel_bench.py. */
-static inline __attribute__((always_inline)) void dot4(const double *const *x, const double *const *a, int64_t d, double *out)
+/* p[0], p[stride], ... each in both lanes of a pair. */
+INLINE v2 pairs_v2(const double *p, int64_t stride)
 {
-    v2 c[TILE] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
-    int64_t i = 0;
-    for (; i + 8 <= d; i += 8) {
-        add4(c, x, a, i + 6);
-        add4(c, x, a, i + 4);
-        add4(c, x, a, i + 2);
-        add4(c, x, a, i);
+    (void)stride;
+    return (v2){p[0], p[0]};
+}
+
+INLINE v4 pairs_v4(const double *p, int64_t stride)
+{
+    const v2 lo = pairs_v2(p, stride), hi = pairs_v2(p + stride, stride);
+    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
+}
+
+INLINE v8 pairs_v8(const double *p, int64_t stride)
+{
+    const v4 lo = pairs_v4(p, stride), hi = pairs_v4(p + 2 * stride, stride);
+    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+}
+
+INLINE v2 swap_v2(v2 v)
+{
+    return __builtin_shufflevector(v, v, 1, 0);
+}
+
+INLINE v4 swap_v4(v4 v)
+{
+    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
+}
+
+INLINE v8 swap_v8(v8 v)
+{
+    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
+}
+
+INLINE v2 evens_v2(v2 v)
+{
+    return __builtin_shufflevector(v, v, 0, 0);
+}
+
+INLINE v4 evens_v4(v4 v)
+{
+    return __builtin_shufflevector(v, v, 0, 0, 2, 2);
+}
+
+INLINE v8 evens_v8(v8 v)
+{
+    return __builtin_shufflevector(v, v, 0, 0, 2, 2, 4, 4, 6, 6);
+}
+
+/* What the passes of a block read and write besides the lanes.  Per group,
+ * in both lanes of its pair: p2 its corruption probability, the masks tron2
+ * (GLMTRON) and gated2 (GATED_SIGN), and law2 and gate2, 1.0 where it has
+ * that audit, else 0.0.  diff holds each seed of a tile its hitting-time
+ * difference. */
+struct block {
+    int64_t G, S, n, d;
+    int64_t gs, ss; /* doubles of the scratch per group and per seed */
+    const double *A, *clean, *XI, *NU, *steps;
+    int channel, relu_link, audited, need_norm;
+    const double *p2, *law2, *gate2;
+    const int64_t *tron2, *gated2;
+    int64_t *step_viol, *gate_viol;
+    const double *Xt, *g_sq;
+    double level, lam2, *lam2k;
+    int64_t *hit_k, k_base;
+    double *diff;
+};
+
+/* The dot, rule and update of one vector type V of W = 2Q doubles (masks M).
+ *
+ * A chain is one vector of lanes along the d elements: element pair p of
+ * its Q groups at x + p W, against the measurement pair a[2p], a[2p + 1]
+ * in every pair of lanes (spread_V).
+ *
+ * dots_V takes K chains in one pass; each lane adds as numpy's einsum
+ * sum-of-products loop on two SSE2 lanes: a two-wide accumulator (c0 over
+ * the even elements, c1 over the odd), 8 elements per iteration added as
+ * p + c in the order 6-7, 4-5, 2-3, 0-1, a zero-filled two-wide tail, then
+ * 0.0 + (c0 + c1) as einsum adds into its zeroed output, which it returns
+ * in both lanes of the pair.  The tail reads only the even lanes of x and of
+ * a, so the odd lanes of an odd d's last pair (padding, which the update
+ * moves by coef * 0.0) never reach a dot.
+ *
+ * coef_V is each lane's coefficient from its dot, lanewise as the scalar
+ * rule (solvers._coef after corruption.apply_channel): the lanes work out
+ * every rule and channel branch and select theirs, so no branch follows a
+ * lane's data.  It adds the lanes' audit counts to law and gate.
+ *
+ * axpy_V is x[i] = x[i] + coef * a[i] for one chain; axpy_dots_V is that
+ * update of K chains and, in the same pass over their pairs, the dots of
+ * the updated lanes against the next step's measurement a1, as dots_V takes
+ * them. */
+#define WIDTH(V, M)                                                                                \
+    enum { W_##V = sizeof(V) / sizeof(double) };                                                   \
+                                                                                                   \
+    INLINE V load_##V(const double *p)                                                             \
+    {                                                                                              \
+        V v;                                                                                       \
+        memcpy(&v, p, sizeof v);                                                                   \
+        return v;                                                                                  \
+    }                                                                                              \
+                                                                                                   \
+    INLINE void store_##V(double *p, V v)                                                          \
+    {                                                                                              \
+        memcpy(p, &v, sizeof v);                                                                   \
+    }                                                                                              \
+                                                                                                   \
+    INLINE M load_##M(const int64_t *p)                                                            \
+    {                                                                                              \
+        M v;                                                                                       \
+        memcpy(&v, p, sizeof v);                                                                   \
+        return v;                                                                                  \
+    }                                                                                              \
+                                                                                                   \
+    /* s in every lane */                                                                          \
+    INLINE V fill_##V(double s)                                                                    \
+    {                                                                                              \
+        V v;                                                                                       \
+        for (int l = 0; l < W_##V; l++)                                                            \
+            v[l] = s;                                                                              \
+        return v;                                                                                  \
+    }                                                                                              \
+                                                                                                   \
+    /* where m, a; elsewhere b */                                                                  \
+    INLINE V select_##V(M m, V a, V b)                                                             \
+    {                                                                                              \
+        return (V)(((M)a & m) | ((M)b & ~m));                                                      \
+    }                                                                                              \
+                                                                                                   \
+    /* np.maximum(v, 0.0): NaN propagates, ties (+-0) give the second operand. */                  \
+    INLINE V relu_##V(V v)                                                                         \
+    {                                                                                              \
+        return select_##V(v > 0.0, v, select_##V(v == v, (V){0.0}, v));                            \
+    }                                                                                              \
+                                                                                                   \
+    /* np.sign: 0.0 on +-0, NaN propagates. */                                                     \
+    INLINE V sign_##V(V v)                                                                         \
+    {                                                                                              \
+        const V zero = {0.0};                                                                      \
+        const V s = select_##V(v > 0.0, fill_##V(1.0), select_##V(v < 0.0, fill_##V(-1.0), zero)); \
+        return select_##V(v == v, s, v);                                                           \
+    }                                                                                              \
+                                                                                                   \
+    INLINE V fabs_##V(V v)                                                                         \
+    {                                                                                              \
+        return (V)((M)v & INT64_MAX);                                                              \
+    }                                                                                              \
+                                                                                                   \
+    /* The lanes of chain t at pair p, times the measurement pair, added to c[t]. */               \
+    INLINE void add_##V(int K, V *c, double *const *x, const double *const *a, int64_t p)          \
+    {                                                                                              \
+        _Pragma("GCC unroll 4")                                                                    \
+        for (int t = 0; t < K; t++)                                                                \
+            c[t] = load_##V(x[t] + p * W_##V) * spread_##V(a[t] + 2 * p) + c[t];                   \
+    }                                                                                              \
+                                                                                                   \
+    /* As add_V, after updating the lanes at pair p by coef[t] times the pair of a[t]. */          \
+    INLINE void step_##V(int K, V *c, double *const *x, const V *coef, const double *const *a,     \
+                         const double *const *a1, int64_t p)                                       \
+    {                                                                                              \
+        _Pragma("GCC unroll 4")                                                                    \
+        for (int t = 0; t < K; t++) {                                                              \
+            const V xv = load_##V(x[t] + p * W_##V) + coef[t] * spread_##V(a[t] + 2 * p);          \
+            store_##V(x[t] + p * W_##V, xv);                                                       \
+            c[t] = xv * spread_##V(a1[t] + 2 * p) + c[t];                                          \
+        }                                                                                          \
+    }                                                                                              \
+                                                                                                   \
+    /* The zero-filled tail of an odd d: the lanes' even halves times (a[t][d-1], 0.0). */         \
+    INLINE V tail_##V(V c, const double *x, const double *a, int64_t p)                            \
+    {                                                                                              \
+        const double last[2] = {a[2 * p], 0.0};                                                    \
+        V v;                                                                                       \
+        for (int l = 0; l < W_##V; l += 2)                                                         \
+            v[l] = x[p * W_##V + l], v[l + 1] = 0.0;                                               \
+        return v * spread_##V(last) + c;                                                           \
+    }                                                                                              \
+                                                                                                   \
+    /* Each chain's dots, from its accumulator, in both lanes of each pair. */                     \
+    INLINE void sums_##V(int K, const V *c, V *dt)                                                 \
+    {                                                                                              \
+        _Pragma("GCC unroll 4")                                                                    \
+        for (int t = 0; t < K; t++)                                                                \
+            dt[t] = evens_##V(0.0 + (c[t] + swap_##V(c[t])));                                      \
+    }                                                                                              \
+                                                                                                   \
+    INLINE void dots_##V(int K, double *const *x, const double *const *a, int64_t d, V *dt)        \
+    {                                                                                              \
+        V c[TILE];                                                                                 \
+        _Pragma("GCC unroll 4")                                                                    \
+        for (int t = 0; t < K; t++)                                                                \
+            c[t] = (V){0.0};                                                                       \
+        const int64_t pairs = d / 2;                                                               \
+        int64_t p = 0;                                                                             \
+        for (; p + 4 <= pairs; p += 4) {                                                           \
+            add_##V(K, c, x, a, p + 3);                                                            \
+            add_##V(K, c, x, a, p + 2);                                                            \
+            add_##V(K, c, x, a, p + 1);                                                            \
+            add_##V(K, c, x, a, p);                                                                \
+        }                                                                                          \
+        for (; p < pairs; p++)                                                                     \
+            add_##V(K, c, x, a, p);                                                                \
+        if (d % 2) {                                                                               \
+            _Pragma("GCC unroll 4")                                                                \
+            for (int t = 0; t < K; t++)                                                            \
+                c[t] = tail_##V(c[t], x[t], a[t], p);                                              \
+        }                                                                                          \
+        sums_##V(K, c, dt);                                                                        \
+    }                                                                                              \
+                                                                                                   \
+    INLINE void axpy_dots_##V(int K, double *const *x, const V *coef, const double *const *a,      \
+                              const double *const *a1, int64_t d, V *dt)                           \
+    {                                                                                              \
+        V c[TILE];                                                                                 \
+        _Pragma("GCC unroll 4")                                                                    \
+        for (int t = 0; t < K; t++)                                                                \
+            c[t] = (V){0.0};                                                                       \
+        const int64_t pairs = d / 2;                                                               \
+        int64_t p = 0;                                                                             \
+        for (; p + 4 <= pairs; p += 4) {                                                           \
+            step_##V(K, c, x, coef, a, a1, p + 3);                                                 \
+            step_##V(K, c, x, coef, a, a1, p + 2);                                                 \
+            step_##V(K, c, x, coef, a, a1, p + 1);                                                 \
+            step_##V(K, c, x, coef, a, a1, p);                                                     \
+        }                                                                                          \
+        for (; p < pairs; p++)                                                                     \
+            step_##V(K, c, x, coef, a, a1, p);                                                     \
+        if (d % 2) {                                                                               \
+            _Pragma("GCC unroll 4")                                                                \
+            for (int t = 0; t < K; t++) {                                                          \
+                const double last[2] = {a[t][2 * p], 0.0};                                         \
+                double *xt = x[t] + p * W_##V;                                                     \
+                store_##V(xt, load_##V(xt) + coef[t] * spread_##V(last));                          \
+                c[t] = tail_##V(c[t], x[t], a1[t], p);                                             \
+            }                                                                                      \
+        }                                                                                          \
+        sums_##V(K, c, dt);                                                                        \
+    }                                                                                              \
+                                                                                                   \
+    INLINE void axpy_##V(double *x, V coef, const double *a, int64_t d)                            \
+    {                                                                                              \
+        const int64_t pairs = d / 2;                                                               \
+        for (int64_t p = 0; p < pairs; p++)                                                        \
+            store_##V(x + p * W_##V, load_##V(x + p * W_##V) + coef * spread_##V(a + 2 * p));      \
+        if (d % 2) {                                                                               \
+            const double last[2] = {a[2 * pairs], 0.0};                                            \
+            store_##V(x + pairs * W_##V, load_##V(x + pairs * W_##V) + coef * spread_##V(last));   \
+        }                                                                                          \
+    }                                                                                              \
+                                                                                                   \
+    /* dots_V and axpy_dots_V of K <= TILE chains, K a constant in each call. */                   \
+    INLINE void dotsk_##V(int K, double *const *x, const double *const *a, int64_t d, V *dt)       \
+    {                                                                                              \
+        if (K == 4)                                                                                \
+            dots_##V(4, x, a, d, dt);                                                              \
+        else if (K == 3)                                                                           \
+            dots_##V(3, x, a, d, dt);                                                              \
+        else if (K == 2)                                                                           \
+            dots_##V(2, x, a, d, dt);                                                              \
+        else                                                                                       \
+            dots_##V(1, x, a, d, dt);                                                              \
+    }                                                                                              \
+                                                                                                   \
+    INLINE void axpy_dotsk_##V(int K, double *const *x, const V *coef, const double *const *a,     \
+                               const double *const *a1, int64_t d, V *dt)                          \
+    {                                                                                              \
+        if (K == 4)                                                                                \
+            axpy_dots_##V(4, x, coef, a, a1, d, dt);                                               \
+        else if (K == 3)                                                                           \
+            axpy_dots_##V(3, x, coef, a, a1, d, dt);                                               \
+        else if (K == 2)                                                                           \
+            axpy_dots_##V(2, x, coef, a, a1, d, dt);                                               \
+        else                                                                                       \
+            axpy_dots_##V(1, x, coef, a, a1, d, dt);                                               \
+    }                                                                                              \
+                                                                                                   \
+    /* The coefficients of seed s's lanes of groups [g, g + Q) at step j, from their dots and the  \
+     * norm of the seed's row. */                                                                  \
+    INLINE V coef_##V(const struct block *b, int64_t g, int64_t s, int64_t j, V dt, double norm,   \
+                      V *law, V *gate)                                                             \
+    {                                                                                              \
+        const V zero = {0.0};                                                                      \
+        const V p = load_##V(b->p2 + 2 * g);                                                       \
+        const int64_t sj = s * b->n + j;                                                           \
+        const V step = pairs_##V(b->steps + (g * b->S + s) * b->n + j, b->S * b->n);               \
+        const V rdt = relu_##V(dt), pred = b->relu_link ? rdt : dt, c = fill_##V(b->clean[sj]);    \
+        const V xi = fill_##V(b->XI[sj]);                                                          \
+        V y = c;                                                                                   \
+        if (b->channel == SIGN_FLIP)                                                               \
+            y = select_##V(xi < p, -c, c);                                                         \
+        else if (b->channel == RESIDUAL_SIGN)                                                      \
+            y = select_##V(xi < p, 2.0 * pred - c, c);                                             \
+        else if (b->channel == ADDITIVE)                                                           \
+            y = select_##V(p > 0.0, c + select_##V(xi < p, fill_##V(b->NU[sj]), zero), c);         \
+        const V tron = step * (y - rdt);                                                           \
+        const V gated = step * (sign_##V(y - rdt) * select_##V(dt >= 0.0, fill_##V(1.0), zero));   \
+        const V sgn = step * sign_##V(y - dt);                                                     \
+        const V coef = select_##V(load_##M(b->tron2 + 2 * g), tron,                                \
+                                  select_##V(load_##M(b->gated2 + 2 * g), gated, sgn));            \
+        if (b->audited) {                                                                          \
+            const V off = fabs_##V(fabs_##V(coef) * norm - step);                                  \
+            const V law_hit = select_##V(off > 1e-12 * step, load_##V(b->law2 + 2 * g), zero);     \
+            const V gate_hit = select_##V(dt < 0.0, load_##V(b->gate2 + 2 * g), zero);             \
+            *law += select_##V(coef == 0.0, zero, law_hit);                                        \
+            *gate += select_##V(coef == 0.0, zero, gate_hit);                                      \
+        }                                                                                          \
+        return coef;                                                                               \
     }
-    for (; i + 2 <= d; i += 2)
-        add4(c, x, a, i);
-    if (i < d) {
-#pragma GCC unroll 4
-        for (int t = 0; t < TILE; t++)
-            c[t] = (v2){x[t][i] * a[t][i], 0.0 * 0.0} + c[t];
-    }
-#pragma GCC unroll 4
-    for (int t = 0; t < TILE; t++)
-        out[t] = 0.0 + (c[t][0] + c[t][1]);
+
+WIDTH(v2, m2)
+WIDTH(v4, m4)
+WIDTH(v8, m8)
+
+/* Each group's vector: groups [0, g4) four to one, [g4, g2) two, [g2, G) one. */
+INLINE void widths(int64_t G, int64_t *g4, int64_t *g2)
+{
+    const int on = wide();
+    *g4 = on ? G - G % 4 : 0;
+    *g2 = on ? G - G % 2 : 0;
 }
 
-/* x[i] = x[i] + coef * a[i], two elements at a time. */
-static void axpy(double *x, double coef, const double *a, int64_t d)
+/* out[t] = <u[t], u[t]> for w <= TILE rows of length d, as the einsum of two
+ * rows: rows are chains whose element pairs are adjacent. */
+static NOINLINE void self_dots(int w, const double *const *u, int64_t d, double *out)
 {
-    const v2 c = {coef, coef};
-    int64_t i = 0;
-    for (; i + 2 <= d; i += 2)
-        store2(x + i, load2(x + i) + c * load2(a + i));
-    if (i < d)
-        x[i] = x[i] + coef * a[i];
+    v2 dt[TILE];
+    dotsk_v2(w, (double *const *)u, u, d, dt);
+    for (int t = 0; t < w; t++)
+        out[t] = dt[t][0];
+}
+
+/* norms[k] = ||a_j|| for the m <= TILE rows of seed s from step j: a seed's
+ * next rows are independent chains, so four steps' norms take one pass. */
+INLINE void row_norms(const struct block *b, int64_t s, int64_t j, int m, double *norms)
+{
+    const double *rows[TILE];
+    for (int k = 0; k < m; k++)
+        rows[k] = b->A + (s * b->n + j + k) * b->d;
+    self_dots(m, rows, b->d, norms);
+    for (int k = 0; k < m; k++)
+        norms[k] = sqrt(norms[k]);
 }
 
 /* out[i] = u[i] - v[i], two elements at a time. */
-static void sub(double *out, const double *u, const double *v, int64_t d)
+INLINE void sub(double *out, const double *u, const double *v, int64_t d)
 {
     int64_t i = 0;
     for (; i + 2 <= d; i += 2)
-        store2(out + i, load2(u + i) - load2(v + i));
+        store_v2(out + i, load_v2(u + i) - load_v2(v + i));
     if (i < d)
         out[i] = u[i] - v[i];
 }
 
-/* np.maximum(v, 0.0): NaN propagates, ties (+-0) give the second operand. */
-static double relu(double v)
+/* Hitting times after step j of the K one-group chains of seeds s0 + tc[k]
+ * (G == 1), lk being lam^{2(k_base + j + 1)}. */
+static NOINLINE void hits(const struct block *b, int K, double *const *xc, const int *tc, int64_t s0, int64_t j,
+                          double lk)
 {
-    return (v > 0.0 || isnan(v)) ? v : 0.0;
+    const double *df[TILE];
+    double dist[TILE];
+    for (int k = 0; k < K; k++) {
+        double *diff = b->diff + tc[k] * (b->d + 1);
+        sub(diff, b->Xt + (s0 + tc[k]) * b->d, xc[k], b->d);
+        df[k] = diff;
+    }
+    self_dots(K, df, b->d, dist);
+    for (int k = 0; k < K; k++) {
+        const int64_t s = s0 + tc[k];
+        if (b->hit_k[s] < 0 && (lk * dist[k]) / b->g_sq[s] >= b->level)
+            b->hit_k[s] = b->k_base + j + 1;
+    }
 }
 
-/* np.sign: 0.0 on +-0, NaN propagates. */
-static double sign(double v)
+/* The passes of one vector type V (Q groups to a vector).
+ *
+ * pass_V steps K chains of a tile through the steps j0 <= j < j1: chain k
+ * holds groups [gc[k], gc[k] + Q) of the tile's seed tc[k] (seed s0 +
+ * tc[k]), its lanes at xc[k].  Each step, every chain's coefficients from
+ * its dots, then its update fused with the next step's dots; the chains'
+ * audit counts and, with hitting times tracked (one group, so the pass
+ * holds the tile's seeds), lam^{2k} stay in registers over the stretch.
+ * With out non-NULL it takes only the dots at step j0, into out (G, S).
+ *
+ * tile_V steps the groups [g_lo, g_hi) of the tile's w seeds: their
+ * chains, group by group and seed by seed, four to a pass. */
+#define PASS(V)                                                                                    \
+    INLINE void pass_##V(const struct block *b, int K, double *const *xc,                          \
+                                  const int64_t *gc, const int *tc, int64_t s0, int64_t j0,        \
+                                  int64_t j1, double *out)                                         \
+    {                                                                                              \
+        const double *a[TILE], *a1[TILE];                                                          \
+        V dt[TILE], coef[TILE], law[TILE], gate[TILE];                                             \
+        double norms[TILE][TILE] = {{0.0}}; /* seed t's row norms at steps j, j + 1, ... */        \
+        unsigned seeds = 0;                                                                        \
+        for (int k = 0; k < K; k++)                                                                \
+            seeds |= 1u << tc[k];                                                                  \
+        for (int k = 0; k < K; k++) {                                                              \
+            a[k] = b->A + ((s0 + tc[k]) * b->n + j0) * b->d;                                       \
+            law[k] = gate[k] = (V){0.0};                                                           \
+        }                                                                                          \
+        dotsk_##V(K, xc, a, b->d, dt);                                                             \
+        if (out != NULL) {                                                                         \
+            for (int k = 0; k < K; k++)                                                            \
+                for (int l = 0; l < W_##V; l += 2)                                                 \
+                    out[(gc[k] + l / 2) * b->S + s0 + tc[k]] = dt[k][l];                           \
+            return;                                                                                \
+        }                                                                                          \
+        double lk = b->Xt != NULL ? b->lam2k[s0 + tc[0]] : 0.0;                                    \
+        for (int64_t j = j0; j < j1; j++) {                                                        \
+            if (b->need_norm && (j - j0) % TILE == 0)                                              \
+                for (int t = 0; t < TILE; t++)                                                     \
+                    if (seeds >> t & 1)                                                            \
+                        row_norms(b, s0 + t, j, j1 - j < TILE ? (int)(j1 - j) : TILE, norms[t]);   \
+            for (int k = 0; k < K; k++)                                                            \
+                coef[k] = coef_##V(b, gc[k], s0 + tc[k], j, dt[k], norms[tc[k]][(j - j0) % TILE],  \
+                                   law + k, gate + k);                                             \
+            if (j + 1 < j1) {                                                                      \
+                for (int k = 0; k < K; k++)                                                        \
+                    a1[k] = a[k] + b->d;                                                           \
+                axpy_dotsk_##V(K, xc, coef, a, a1, b->d, dt);                                      \
+                for (int k = 0; k < K; k++)                                                        \
+                    a[k] = a1[k];                                                                  \
+            } else {                                                                               \
+                for (int k = 0; k < K; k++)                                                        \
+                    axpy_##V(xc[k], coef[k], a[k], b->d);                                          \
+            }                                                                                      \
+            if (b->Xt != NULL) {                                                                   \
+                lk *= b->lam2;                                                                     \
+                hits(b, K, xc, tc, s0, j, lk);                                                     \
+            }                                                                                      \
+        }                                                                                          \
+        for (int k = 0; k < K; k++) {                                                              \
+            const int64_t s = s0 + tc[k];                                                          \
+            if (b->Xt != NULL)                                                                     \
+                b->lam2k[s] = lk;                                                                  \
+            for (int l = 0; l < W_##V; l += 2) {                                                   \
+                b->step_viol[(gc[k] + l / 2) * b->S + s] += (int64_t)law[k][l];                    \
+                b->gate_viol[(gc[k] + l / 2) * b->S + s] += (int64_t)gate[k][l];                   \
+            }                                                                                      \
+        }                                                                                          \
+    }                                                                                              \
+                                                                                                   \
+    static NOINLINE void tile_##V(const struct block *b, int64_t g_lo, int64_t g_hi, int w,        \
+                                  double *x, int64_t s0, int64_t j0, int64_t j1, double *out)      \
+    {                                                                                              \
+        double *xc[TILE];                                                                          \
+        int64_t gc[TILE];                                                                          \
+        int tc[TILE], K = 0;                                                                       \
+        for (int64_t g = g_lo; g < g_hi; g += W_##V / 2)                                           \
+            for (int t = 0; t < w; t++) {                                                          \
+                xc[K] = x + t * b->ss + g * b->gs;                                                 \
+                gc[K] = g;                                                                         \
+                tc[K] = t;                                                                         \
+                if (++K == TILE) {                                                                 \
+                    pass_##V(b, TILE, xc, gc, tc, s0, j0, j1, out);                                \
+                    K = 0;                                                                         \
+                }                                                                                  \
+            }                                                                                      \
+        if (K > 0)                                                                                 \
+            pass_##V(b, K, xc, gc, tc, s0, j0, j1, out);                                           \
+    }
+
+PASS(v2)
+PASS(v4)
+PASS(v8)
+
+/* Steps j0 <= j < j1 of every lane of the w seeds from s0 of a tile whose
+ * lanes start at x, or with out non-NULL only their dots at step j0. */
+INLINE void tile_steps(const struct block *b, int64_t g4, int64_t g2, int w, double *x, int64_t s0, int64_t j0,
+                       int64_t j1, double *out)
 {
-    if (v > 0.0)
-        return 1.0;
-    if (v < 0.0)
-        return -1.0;
-    return v == 0.0 ? 0.0 : v;
+    tile_v8(b, 0, g4, w, x, s0, j0, j1, out);
+    tile_v4(b, g4, g2, w, x, s0, j0, j1, out);
+    tile_v2(b, g2, b->G, w, x, s0, j0, j1, out);
 }
 
-/* Entry sj's response after the channel, as corruption.apply_channel gives
- * it: a draw XI < p corrupts clean into -clean, 2 pred - clean or clean + NU,
- * and an additive lane at p > 0 adds 0.0 where the draw does not corrupt
- * (turning -0.0 into +0.0, as numpy's clean + where(hit, nu, 0.0) does).
- * NU is read only on the additive channel.  An if chain, not a switch: a jump
- * table in the lane loop measured ~8% slower on the sweep and hitting
- * shapes of scripts/step_kernel_bench.py. */
-static double respond(int channel, double p, const double *clean, const double *XI, const double *NU, int64_t sj,
-                      double pred)
+/* Copy the lanes of seeds s_lo <= s < s_hi between x (G, S, d) and the
+ * scratch: into it with in, else back.  Per seed the scratch holds G
+ * (ceil(d / 2), 2) blocks of lanes, one per group, and interleaves each
+ * vector's Q groups: the chunk of groups [c, c + Q) is (ceil(d / 2), Q, 2)
+ * at 2 c ceil(d / 2).  The odd lanes of an odd d's last pair start at 0.0
+ * and are not copied back. */
+INLINE void copy_lanes(int in, int64_t G, int64_t S, int64_t d, int64_t s_lo, int64_t s_hi, int64_t g4,
+                       int64_t g2, double *x, double *lanes)
 {
-    const double c = clean[sj];
-    if (channel == NONE)
-        return c;
-    if (channel == SIGN_FLIP)
-        return XI[sj] < p ? -c : c;
-    if (channel == RESIDUAL_SIGN)
-        return XI[sj] < p ? 2.0 * pred - c : c;
-    return p > 0.0 ? c + (XI[sj] < p ? NU[sj] : 0.0) : c;
+    const int64_t gs = d + d % 2, ss = gs * G;
+    for (int64_t s = s_lo; s < s_hi; s++)
+        for (int64_t g = 0; g < G; g++) {
+            const int64_t q = g < g4 ? 4 : g < g2 ? 2 : 1, c = g - g % q;
+            double *v = x + (g * S + s) * d, *l = lanes + (s - s_lo) * ss + gs * c + 2 * (g - c);
+            for (int64_t i = 0; i < d; i++) {
+                double *li = l + i / 2 * 2 * q + i % 2;
+                if (in)
+                    *li = v[i];
+                else
+                    v[i] = *li;
+            }
+            if (in && d % 2)
+                l[d / 2 * 2 * q + 1] = 0.0;
+        }
+}
+
+/* Doubles of the work scratch of sk_advance and sk_dots: the group constants
+ * of struct block (10 G), and per seed of a tile its hitting-time
+ * difference (d + 1). */
+int64_t sk_work_size(int64_t G, int64_t d)
+{
+    return 10 * G + TILE * (d + 1);
+}
+
+/* b's group constants in work, for kind, audit and P (G,), which the
+ * self-test, stepping nothing, passes as NULL, and its differences. */
+INLINE void setup_block(struct block *b, double *work, const int32_t *kind, const int32_t *audit, const double *P)
+{
+    const int64_t G = b->G;
+    double *p2 = work, *law2 = p2 + 2 * G, *gate2 = law2 + 2 * G;
+    int64_t *tron2 = (int64_t *)(gate2 + 2 * G), *gated2 = tron2 + 2 * G;
+    b->audited = b->need_norm = 0;
+    for (int64_t g = 0; g < G && kind != NULL; g++) {
+        for (int e = 0; e < 2; e++) {
+            p2[2 * g + e] = P[g];
+            tron2[2 * g + e] = -(int64_t)(kind[g] == GLMTRON);
+            gated2[2 * g + e] = -(int64_t)(kind[g] == GATED_SIGN);
+            law2[2 * g + e] = (audit[g] & AUDIT_STEP_LAW) ? 1.0 : 0.0;
+            gate2[2 * g + e] = (audit[g] & AUDIT_GATE) ? 1.0 : 0.0;
+        }
+        b->audited |= audit[g] != 0;
+        b->need_norm |= (audit[g] & AUDIT_STEP_LAW) != 0;
+    }
+    b->p2 = p2;
+    b->law2 = law2;
+    b->gate2 = gate2;
+    b->tron2 = tron2;
+    b->gated2 = gated2;
+    b->diff = (double *)(gated2 + 2 * G);
 }
 
 /* Step decays at steps k..k+n-1 into out: 1 (const), (k+j+1)^{-1/2} (root)
@@ -146,21 +679,26 @@ void sk_decays(int schedule, double lam, int64_t k, int64_t n, double *out)
     }
 }
 
-/* out[i] = <buf + pairs[2i], buf + pairs[2i+1]> of length d, four at a time
- * by dot4.  The load-time self-test compares it with np.einsum. */
-void sk_dots(int64_t m, int64_t d, const int64_t *pairs, const double *buf, double *out)
+/* The dots sk_advance takes at step j of a block of n steps, for the
+ * load-time self-test: dots (G, S) of the lanes x (G, S, d) against the rows
+ * A[s, j], and norms (S,) the rows' <a, a>, by the same passes in tiles of
+ * four seeds.  lanes and work are as sk_advance's, for seeds [0, S). */
+void sk_dots(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j, double *x, double *lanes, const double *A,
+             double *work, double *dots, double *norms)
 {
-    for (int64_t i = 0; i < m; i += TILE) {
-        const double *x[TILE], *a[TILE];
-        double got[TILE];
-        for (int t = 0; t < TILE; t++) {
-            const int64_t *p = pairs + 2 * (i + t < m ? i + t : i);
-            x[t] = buf + p[0];
-            a[t] = buf + p[1];
-        }
-        dot4(x, a, d, got);
-        for (int t = 0; t < TILE && i + t < m; t++)
-            out[i + t] = got[t];
+    const int64_t gs = d + d % 2;
+    struct block b = {.G = G, .S = S, .n = n, .d = d, .gs = gs, .ss = gs * G, .A = A};
+    int64_t g4, g2;
+    setup_block(&b, work, NULL, NULL, NULL);
+    widths(G, &g4, &g2);
+    copy_lanes(1, G, S, d, 0, S, g4, g2, x, lanes);
+    for (int64_t s0 = 0; s0 < S; s0 += TILE) {
+        const int w = S - s0 < TILE ? (int)(S - s0) : TILE;
+        const double *a[TILE];
+        for (int t = 0; t < w; t++)
+            a[t] = A + ((s0 + t) * n + j) * d;
+        self_dots(w, a, d, norms + s0);
+        tile_steps(&b, g4, g2, w, lanes + s0 * b.ss, s0, j, j + 1, dots);
     }
 }
 
@@ -168,99 +706,56 @@ void sk_dots(int64_t m, int64_t d, const int64_t *pairs, const double *buf, doub
  * for G lane groups x S seeds.
  *
  * x      (G, S, d)  lane iterates, advanced in place
+ * lanes  (s_hi - s_lo) G 2 ceil(d / 2) doubles of scratch: the seeds' lanes
+ *                   while they are stepped (copy_lanes)
  * A      (S, n, d)  measurements of the block
  * clean, XI (S, n)  clean responses and corruption indicator draws
  * NU     (S, n)     the additive channel's noise; NULL on the others
  * P      (G,)       each group's corruption probability
- * channel           NONE, SIGN_FLIP, RESIDUAL_SIGN or ADDITIVE (respond),
- *                   applied at each step, where the residual-sign adversary
- *                   reads the prediction: relu(<x, a>) with relu_link
+ * channel           NONE, SIGN_FLIP, RESIDUAL_SIGN or ADDITIVE, applied at
+ *                   each step, where the residual-sign adversary reads the
+ *                   prediction: relu(<x, a>) with relu_link
  * steps  (G, S, n)  step sizes
  * kind, audit (G,)  rule and audit flags of each group
  * step_viol, gate_viol (G, S)  audit counts, added to
  * Xt (S, d) non-NULL tracks hitting times (G == 1): lam2k (S,) is lam^{2k}
  * at the block's step j0 and is returned at step j1, hit_k (S,) is set at
- * the first k = k_base + j + 1 with lam^{2k} ||Xt - x||^2 / g_sq >= level,
- * and diff holds TILE * d doubles of scratch.
+ * the first k = k_base + j + 1 with lam^{2k} ||Xt - x||^2 / g_sq >= level
+ * work   sk_work_size(G, d) doubles of scratch
  *
  * Only the seeds s_lo <= s < s_hi are stepped, and only their entries of
  * x, the audit counts, lam2k and hit_k are written, so two threads with
- * disjoint seed ranges and their own diff can step one block at once.
- * Seeds are walked in tiles of TILE from s_lo, each tile step by step and
- * group by group, so the dots of a tile's lanes run as one pass.  Each
- * lane still does exactly its own arithmetic, in its own order. */
+ * disjoint seed ranges and their own lanes and work can step one block at
+ * once.  Seeds are walked in tiles of up to TILE from s_lo, as many as
+ * TILE_BYTES holds, each in passes over the stretch. */
 void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t s_lo, int64_t s_hi,
-                int64_t j0, int64_t j1,
-                double *x, const double *A,
+                double *x, double *lanes, const double *A,
                 const double *clean, const double *XI, const double *NU, const double *P,
                 int channel, int relu_link,
                 const double *steps, const int32_t *kind, const int32_t *audit,
                 int64_t *step_viol, int64_t *gate_viol,
                 const double *Xt, const double *g_sq, double level, double lam2,
-                double *lam2k, int64_t *hit_k, int64_t k_base, double *diff)
+                double *lam2k, int64_t *hit_k, double *work,
+                int64_t j0, int64_t j1, int64_t k_base)
 {
-    int need_norm = 0;
-    for (int64_t g = 0; g < G; g++)
-        need_norm |= audit[g] & AUDIT_STEP_LAW;
+    const int64_t gs = d + d % 2;
+    struct block b = {
+        .G = G, .S = S, .n = n, .d = d, .gs = gs, .ss = gs * G,
+        .A = A, .clean = clean, .XI = XI, .NU = NU, .steps = steps, .channel = channel, .relu_link = relu_link,
+        .step_viol = step_viol, .gate_viol = gate_viol,
+        .Xt = Xt, .g_sq = g_sq, .level = level, .lam2 = lam2, .lam2k = lam2k, .hit_k = hit_k, .k_base = k_base,
+    };
+    int64_t g4, g2;
+    setup_block(&b, work, kind, audit, P);
+    widths(G, &g4, &g2);
+    int tile = TILE;
+    while (tile > 1 && tile * 8 * gs * G > TILE_BYTES)
+        tile /= 2;
 
-    for (int64_t s0 = s_lo; s0 < s_hi; s0 += TILE) {
-        /* The tile's w seeds; a short tile's unused slots repeat its first. */
-        const int w = s_hi - s0 < TILE ? (int)(s_hi - s0) : TILE;
-        int64_t seed[TILE];
-        for (int t = 0; t < TILE; t++)
-            seed[t] = s0 + (t < w ? t : 0);
-        double lk = Xt != NULL ? lam2k[s0] : 0.0;
-        for (int64_t j = j0; j < j1; j++) {
-            const double *a[TILE], *xs[TILE];
-            double norm[TILE] = {0.0}, dts[TILE];
-            for (int t = 0; t < TILE; t++)
-                a[t] = A + (seed[t] * n + j) * d;
-            if (need_norm) {
-                dot4(a, a, d, norm);
-                for (int t = 0; t < w; t++)
-                    norm[t] = sqrt(norm[t]);
-            }
-            for (int64_t g = 0; g < G; g++) {
-                for (int t = 0; t < TILE; t++)
-                    xs[t] = x + (g * S + seed[t]) * d;
-                dot4(xs, a, d, dts);
-                for (int t = 0; t < w; t++) {
-                    const int64_t s = s0 + t, lane = g * S + s, sj = s * n + j;
-                    const double dt = dts[t];
-                    const double y = respond(channel, P[g], clean, XI, NU, sj, relu_link ? relu(dt) : dt);
-                    const double step = steps[lane * n + j];
-                    double coef;
-                    if (kind[g] == GLMTRON)
-                        coef = step * (y - relu(dt));
-                    else if (kind[g] == GATED_SIGN)
-                        coef = step * (sign(y - relu(dt)) * (dt >= 0.0 ? 1.0 : 0.0));
-                    else
-                        coef = step * sign(y - dt);
-                    if (coef != 0.0) {
-                        if ((audit[g] & AUDIT_STEP_LAW) && fabs(fabs(coef) * norm[t] - step) > 1e-12 * step)
-                            step_viol[lane]++;
-                        if ((audit[g] & AUDIT_GATE) && dt < 0.0)
-                            gate_viol[lane]++;
-                    }
-                    axpy(x + lane * d, coef, a[t], d);
-                }
-            }
-            if (Xt != NULL) {
-                const double *df[TILE];
-                double dist[TILE];
-                lk *= lam2;
-                for (int t = 0; t < w; t++)
-                    sub(diff + t * d, Xt + (s0 + t) * d, x + (s0 + t) * d, d);
-                for (int t = 0; t < TILE; t++)
-                    df[t] = diff + (seed[t] - s0) * d;
-                dot4(df, df, d, dist);
-                for (int t = 0; t < w; t++)
-                    if (hit_k[s0 + t] < 0 && (lk * dist[t]) / g_sq[s0 + t] >= level)
-                        hit_k[s0 + t] = k_base + j + 1;
-            }
-        }
-        if (Xt != NULL)
-            for (int t = 0; t < w; t++)
-                lam2k[s0 + t] = lk;
+    copy_lanes(1, G, S, d, s_lo, s_hi, g4, g2, x, lanes);
+    for (int64_t s0 = s_lo; s0 < s_hi && j0 < j1; s0 += tile) {
+        const int w = s_hi - s0 < tile ? (int)(s_hi - s0) : tile;
+        tile_steps(&b, g4, g2, w, lanes + (s0 - s_lo) * b.ss, s0, j0, j1, NULL);
     }
+    copy_lanes(0, G, S, d, s_lo, s_hi, g4, g2, x, lanes);
 }

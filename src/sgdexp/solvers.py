@@ -484,31 +484,34 @@ def _bind_c(lib, st: _StepState, seeds: range):
     """The kernel call for the seeds in ``seeds``: (j0, j1, k) -> None.
 
     Advances steps j0 <= j < j1 of the block that starts at step k, for
-    those seeds alone.  The arrays are checked and their addresses taken
-    once, here; the hitting-time scratch is this binding's own, so two
-    bindings of disjoint seeds can run at once.
+    those seeds alone.  The arrays are checked, and every argument but j0,
+    j1 and k made a ctypes value, once, here.  The scratch is this
+    binding's own, so two bindings of disjoint seeds can run at once: the
+    ``lanes`` each call copies its seeds' lanes into, with the groups of
+    each vector side by side per element pair, and back out of (so ``x``
+    keeps its (G, S, d) layout), and the kernel's ``work``.
     """
     G, S = st.step_viol.shape
     n, d = st.A.shape[1:]
     hit = st.hit_k is not None
-    diff = np.empty(4 * d) if hit else None  # scratch: the hitting-time distances of a tile of four seeds
-    hit_f64 = (st.Xt, st.g_sq, st.lam2k, diff) if hit else (None,) * 4
-    f64 = (st.x, st.A, st.clean, st.XI, st.NU, st.P, st.steps) + hit_f64
-    x, A, clean, XI, NU, P, steps, Xt, g_sq, lam2k, diff_ = (_address(a, np.float64) for a in f64)
+    lanes, work = np.empty(len(seeds) * G * 2 * -(-d // 2)), np.empty(lib.sk_work_size(G, d))
+    hit_f64 = (st.Xt, st.g_sq) if hit else (None, None)
+    f64 = (st.x, lanes, st.A, st.clean, st.XI, st.NU, st.P, st.steps) + hit_f64 + (st.lam2k if hit else None, work)
+    x, lanes_, A, clean, XI, NU, P, steps, Xt, g_sq, lam2k, work_ = (_address(a, np.float64) for a in f64)
     kind, audit = (_address(a, np.int32) for a in (st.kind, st.audit))
     step_viol, gate_viol, hit_k = (
         _address(a, np.int64) for a in (st.step_viol, st.gate_viol, st.hit_k)
     )
     level, lam2 = (st.level, st.lam2) if hit else (0.0, 0.0)
-    channel = CHANNELS[type(st.corr)]
+    fixed = (
+        G, S, n, d, seeds.start, seeds.stop, x, lanes_, A, clean, XI, NU, P, CHANNELS[type(st.corr)], int(st.relu),
+        steps, kind, audit, step_viol, gate_viol, Xt, g_sq, level, lam2, lam2k, hit_k, work_,
+    )
+    call = functools.partial(lib.sk_advance, *(t(v) for t, v in zip(lib.sk_advance.argtypes, fixed)))
 
     def advance(j0: int, j1: int, k: int, _keep=f64) -> None:
         # _keep holds the arrays whose addresses the call passes.
-        lib.sk_advance(
-            G, S, n, d, seeds.start, seeds.stop, j0, j1, x, A, clean, XI, NU, P, channel, int(st.relu),
-            steps, kind, audit, step_viol, gate_viol,
-            Xt, g_sq, level, lam2, lam2k, hit_k, k, diff_,
-        )
+        call(j0, j1, k)
 
     return advance
 
@@ -590,15 +593,18 @@ def run_batch(
 
     The seeds are drawn and stepped in blocks of at most BLOCK_VALUES
     measurement values, so that a block is still in cache when it is
-    stepped.  With the compiled kernel, a synthetic stream of more than
-    four seeds has two seed owners, the calling thread and one worker
-    thread, split at a multiple of the kernel's four-seed tiles.  Each
+    stepped.  With the compiled kernel, a synthetic stream has two seed
+    owners, the calling thread and one worker thread: split at S / 2 when
+    there are two lane groups or more, whose tiles cost only their own
+    seeds, else at the multiple of the kernel's four-seed tiles nearest
+    S / 2, when there are more than four seeds.  Each
     owner draws a block of its seeds (one compiled call for a sphere's
     rows and the corruption indicators) and steps it at once; the owners
     meet only at checkpoints, where every lane is copied.  A seed's
     generators are used by its owner alone, in block order, so every lane
     gets the bits of a sequential draw.  Dataset streams, the numpy body,
-    T = 0 and four seeds or fewer run on the calling thread alone.  An
+    T = 0, one seed and one group of four seeds or fewer run on the
+    calling thread alone.  An
     exception raised in either owner is raised here once, after the
     worker has stopped.
     """
@@ -731,11 +737,12 @@ def run_batch(
                 if (k + j) % checkpoint_every == 0 or k + j == T:
                     yield k + j
 
-    # Seed owners.  With the compiled kernel, a synthetic stream of more than
-    # one tile of seeds is split between this thread and one worker at the
-    # multiple of TILE nearest S / 2; each draws and steps its own seeds, and
-    # they meet at checkpoints.
-    split = 0 if lib is None or is_dataset or T == 0 else TILE * round(S / (2 * TILE))
+    # Seed owners.  With the compiled kernel, a synthetic stream is split
+    # between this thread and one worker: at S / 2 for two groups or more,
+    # whose groups share a seed's vectors, else at the multiple of TILE
+    # nearest S / 2, since one group steps four seeds' lanes in a pass.
+    # Each draws and steps its own seeds, and they meet at checkpoints.
+    split = 0 if lib is None or is_dataset or T == 0 else S // 2 if G >= 2 else TILE * round(S / (2 * TILE))
     owners = [own(part) for part in (range(0, split), range(split, S)) if part]
     t0 = time.perf_counter()
     for i, k in enumerate(chain([0], owners[0] if len(owners) == 1 else _in_step(*owners))):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -221,10 +222,13 @@ def _version_lines(capsys):
 def test_version_names_each_compiled_part(capsys, monkeypatch, tmp_path):
     from sgdexp import _kernel
 
-    monkeypatch.setattr(_kernel, "_libs", {name: object() for name in ("step kernel", "Gaussian fill", "clean loss")})
+    # The step kernel names the instruction set of its build in use.
+    step_kernel = types.SimpleNamespace(sk_isa=lambda: b"avx512f")
+    libs = {"step kernel": step_kernel, "Gaussian fill": object(), "clean loss": object()}
+    monkeypatch.setattr(_kernel, "_libs", libs)
     assert _version_lines(capsys) == [
         f"sgdexp {sgdexp.__version__}",
-        "step kernel: loaded",
+        "step kernel: loaded (avx512f)",
         "Gaussian fill: loaded",
         "clean loss: loaded",
     ]

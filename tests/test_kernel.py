@@ -54,19 +54,20 @@ needs_npyrandom = pytest.mark.skipif(
     reason="this numpy ships no libnpyrandom.a or bitgen.h to build the Gaussian fill",
 )
 KERNEL, FILL, CLEAN = "step kernel", "Gaussian fill", "clean loss"
-GATE = "(dt >= 0.0 ? 1.0 : 0.0)"
-DOT_ORDER = (
-    "static inline __attribute__((always_inline)) void dot4("
-    "const double *const *x, const double *const *a, int64_t d, double *out)\n{\n"
-)
-SEQUENTIAL_DOT = DOT_ORDER + (
-    "    for (int t = 0; t < TILE; t++) {\n        double c = 0.0;\n"
-    "        for (int64_t i = 0; i < d; i++)\n            c += x[t][i] * a[t][i];\n"
-    "        out[t] = c;\n    }\n    return;\n"
-)
-#: The first two chain steps of the four-wide dot, and the same two swapped.
-DOT4_ORDER = "        add4(c, x, a, i + 6);\n        add4(c, x, a, i + 4);\n"
-DOT4_SWAPPED = "        add4(c, x, a, i + 4);\n        add4(c, x, a, i + 6);\n"
+#: The ReLU gate of the sign rule, and the rule without it.
+GATE, UNGATED = "select_##V(dt >= 0.0, fill_##V(1.0), zero)", "fill_##V(1.0)"
+
+
+def _macro_lines(*statements):
+    """``statements`` as lines of the kernel's WIDTH macro: indented, a backslash at column 100."""
+    return "".join(("            " + s).ljust(99) + "\\\n" for s in statements)
+
+
+#: The dot's pair steps per 8 elements, as einsum takes them (6-7, 4-5, 2-3, 0-1), and in sequence.
+_DOT_STEPS = [f"add_##V(K, c, x, a, p{offset});" for offset in (" + 3", " + 2", " + 1", "")]
+DOT_ORDER, SEQUENTIAL_DOT = _macro_lines(*_DOT_STEPS), _macro_lines(*reversed(_DOT_STEPS))
+#: The first two pair steps of the dot, and the same two swapped.
+DOT4_ORDER, DOT4_SWAPPED = _macro_lines(*_DOT_STEPS[:2]), _macro_lines(*_DOT_STEPS[1::-1])
 
 
 def _bits(arr):
@@ -120,6 +121,11 @@ def fresh_fill(monkeypatch, tmp_path):
     """
     monkeypatch.setattr(_kernel, "_libs", {name: lib for name, lib in _kernel._libs.items() if name != FILL})
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+
+def _cpu_wide():
+    """Whether the step kernel's base build reports AVX-512F, so that its wide build is the one in use."""
+    return bool(_opened(_kernel.PARTS[KERNEL], Path(os.environ["XDG_CACHE_HOME"]) / "sgdexp").sk_cpu_wide())
 
 
 def _relu_gate_violations():
@@ -188,8 +194,9 @@ def test_unwritable_cache_builds_in_a_temp_dir(fresh_load, monkeypatch, tmp_path
 
 @needs_gcc
 def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
-    cache = tmp_path / "cache"
-    built = _kernel.build(_kernel.PARTS[KERNEL], cache / "sgdexp")
+    # Both builds the loader opens on this CPU: the base one, and the wide one where it reports AVX-512F.
+    cache, part = tmp_path / "cache", _kernel.PARTS[KERNEL]
+    built = sorted({_kernel.build(p, cache / "sgdexp") for p in (part, _kernel.wide_build(part))[: 1 + _cpu_wide()]})
     load = (
         "import warnings; warnings.simplefilter('error', RuntimeWarning);"
         "from sgdexp import _kernel; assert _kernel.load('step kernel') is not None"
@@ -197,12 +204,12 @@ def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
     env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(cache), PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", load], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert list((cache / "sgdexp").iterdir()) == [built]
+    assert sorted((cache / "sgdexp").iterdir()) == built
 
 
 @needs_gcc
 def test_gateless_kernel_reports_gate_violations(monkeypatch, tmp_path):
-    mutant = _mutant(tmp_path, KERNEL, GATE, "1.0")
+    mutant = _mutant(tmp_path, KERNEL, GATE, UNGATED)
     lib = _opened(mutant, tmp_path)
     mutant.self_test(lib)  # the dot is untouched
     monkeypatch.setitem(_kernel._libs, KERNEL, lib)
@@ -402,8 +409,8 @@ BLOCK_CHANNELS = {
 @pytest.mark.parametrize("S", range(1, 10))
 def test_seed_tiles_match_numpy_body(S, channel):
     # S = 1..9 has 0, 1 or 2 full tiles of four seeds, and 0..3 seeds in a
-    # short tile whose unused slots repeat its first seed; split at S // 2,
-    # each range has tiles of its own.
+    # short tile, whose passes have fewer chains; split at S // 2, each range
+    # has tiles of its own.
     lib = _kernel.load(KERNEL)
     assert lib is not None
     counts = np.zeros(3, dtype=np.int64)  # step-law and gate violations, hits
@@ -423,6 +430,80 @@ def test_seed_tiles_match_numpy_body(S, channel):
                 for arr, want_arr in zip((st.x, st.step_viol, st.gate_viol), (clean.x, clean.step_viol, clean.gate_viol)):
                     assert np.array_equal(_bits(arr[2:]), _bits(want_arr[2:])), (d, kinds)
     assert np.all(counts > 0)
+
+
+#: The grid of lane groups (four, two and one to a vector, and their mixes), lengths (every pair and
+#: tail case of the dot, twice) and seeds (one tile of four, and short tiles of one to three) of
+#: test_group_vectors_match_numpy_body.
+GRID_GROUPS, GRID_DIMS, GRID_SEEDS = (1, 2, 3, 4, 5, 8), (1, 2, 7, 8, 9, 100, 101), (1, 3, 5, 10)
+
+
+def _grid_state(G, S, d, channel, n=12):
+    """The step function's inputs for G groups x S seeds, every audit on, with non-finite entries.
+
+    Odd G runs the ReLU link with a gated sign group, then GLM-Tron groups;
+    even G the linear link with sign and GLM-Tron groups in turn.  The groups'
+    corruption probabilities are 0.2, 0.4, 0 and 0 in turn.  Lane (0, 0) has
+    an infinite step at step 3, and the last seed a NaN clean response at
+    step 5, so that lane and that seed's lanes get non-finite coefficients,
+    which move the padding of an odd d's last pair by coef * 0.0 = NaN next
+    to other groups' finite lanes.
+    """
+    rng = np.random.default_rng([G, S, d])
+    relu = G % 2 == 1
+    kinds = [GATED_SIGN, GLMTRON, GLMTRON, GLMTRON] if relu else [SIGN, GLMTRON]
+    A = rng.standard_normal((S, n, d))
+    A /= np.linalg.norm(A, axis=2, keepdims=True)
+    Xt = rng.standard_normal((S, d))
+    clean = np.einsum("snd,sd->sn", A, Xt)
+    if relu:
+        np.maximum(clean, 0.0, out=clean)
+    clean[-1, 5] = np.nan
+    st = _step_state(
+        0.1 * rng.standard_normal((G, S, d)),
+        np.resize(kinds, G),
+        [AUDIT_STEP_LAW | AUDIT_GATE] * G,
+        relu,
+        channel,
+        np.resize([0.2, 0.4, 0.0, 0.0], G)[:, None],
+        n,
+    )
+    st.A[...], st.clean[...], st.XI[...] = A, clean, rng.random((S, n))
+    if st.NU is not None:
+        st.NU[...] = rng.uniform(-1.0, 1.0, (S, n))
+    st.steps[...] = rng.uniform(0.01, 0.1, (G, S, n))
+    st.steps[0, 0, 3] = np.inf
+    return st
+
+
+def _stepped_nan(st, advance):
+    """``_stepped``, every NaN of the lanes made one NaN.
+
+    Where two NaNs meet, the one an add keeps follows its operand order,
+    which neither numpy nor the C compiler fixes; the kernel before lane
+    groups shared vectors differed from numpy's NaN signs too.
+    """
+    stepped = _stepped(st, advance)
+    return [np.where(np.isnan(st.x), np.nan, st.x).tobytes()] + stepped[1:]
+
+
+@needs_gcc
+@pytest.mark.parametrize("channel", list(BLOCK_CHANNELS.values()), ids=list(BLOCK_CHANNELS))
+@pytest.mark.parametrize("G", GRID_GROUPS)
+def test_group_vectors_match_numpy_body(G, channel):
+    # Every lane's bits but NaN payloads, audit counts included, from the
+    # compiled kernel in use (AVX-512 where the CPU has it) on one seed range
+    # and on two, split as run_batch splits them, against the numpy body.
+    lib = _kernel.load(KERNEL)
+    assert lib is not None
+    for S in GRID_SEEDS:
+        for d in GRID_DIMS:
+            st, ref, halves = (_grid_state(G, S, d, channel) for _ in range(3))
+            with np.errstate(invalid="ignore"):
+                want = _stepped_nan(ref, functools.partial(_step_numpy, ref))
+            assert not np.isfinite(ref.x).all(), (S, d)
+            assert _stepped_nan(st, _bind_c(lib, st, range(S))) == want, (S, d)
+            assert _stepped_nan(halves, _split(lib, halves, S // 2)) == want, (S, d)
 
 
 #: The fill's fast-path test and sign flip, the targets of the mutation checks.
