@@ -354,7 +354,8 @@ AUDIT_STEP_LAW, AUDIT_GATE = 1, 2
 CHANNELS = {NoCorruption: 0, SignFlip: 1, ResidualSignAdversary: 2, AdditiveOblivious: 3}
 
 
-#: Seeds per tile of the step kernel (``TILE`` of ``_stepkernel.c``).
+#: Seeds per tile of the step kernel at most (``TILE`` of ``_stepkernel.c``): with one lane group, four
+#: seeds' lanes make one pass, so the two seed owners split at a multiple of it.
 TILE = 4
 #: Doubles in the engine's one block buffer of measurements (2 MiB), so that a
 #: seed owner's half of a block is still in L2 when it is stepped.
