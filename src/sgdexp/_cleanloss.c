@@ -33,23 +33,16 @@
  * columns, taking an explicit FMA per four columns; the four rows' sums
  * are then formed together by two cross-lane adds and one horizontal add.
  * The d % 4 last columns of the block are transposed once into a vector
- * per column.  It uses AVX2 and FMA instructions, so it must be called
- * only where sk_cpu_ok() is 1.  Build with -ffp-contract=off and without
- * -ffast-math, so that the unfused sums stay unfused and nothing is
- * reordered.
+ * per column.  It uses AVX2 and FMA instructions, so sgdexp._kernel builds
+ * it only where numpy's CPU features list AVX2 and FMA3.  Build with
+ * -ffp-contract=off and without -ffast-math, so that the unfused sums stay
+ * unfused and nothing is reordered.
  */
 #include <immintrin.h>
 #include <math.h>
 #include <stdint.h>
 
 #define AVX2 __attribute__((target("avx2,fma")))
-
-/* 1 where the CPU has AVX2 and FMA, else 0: sk_resid runs only where it is 1. */
-int sk_cpu_ok(void)
-{
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
 
 /* np.maximum(v, 0.0) lanewise: v where v > 0 or v is NaN, else +0.0. */
 static inline AVX2 __m256d relu4(__m256d v)

@@ -9,10 +9,10 @@ it copies belong to this numpy build, not to numpy's contract.
 
 - ``_stepkernel.c``, the engine's step, tested on its einsum-order dots at
   every vector width it steps lane groups with, and the step decays of a
-  block, tested against ``math.pow``.  Where its base build finds AVX-512F
-  (``sk_cpu_wide``), a second build with ``-mavx512f``, which puts up to
-  four lane groups in a vector, is tested and used in its place; ``status``
-  names the instruction set of the build in use (``sk_isa``).
+  block, tested against ``math.pow``.  Where the CPU has AVX-512F it is
+  built with ``-mavx512f``, which puts up to four lane groups in a vector,
+  and elsewhere without; ``status`` names the instruction set of the build
+  in use (``sk_isa``).
 - ``_normalfill.c``, rows of ``Generator.standard_normal`` by numpy's own
   ziggurat (linked from numpy's ``random/lib/libnpyrandom.a``), each divided by
   its norm in the same pass.  It has two draw entries.  ``sk_sphere_fill``
@@ -22,21 +22,24 @@ it copies belong to this numpy build, not to numpy's contract.
   three einsum-order sums of the drift validators.  Both are tested on values
   and on the state each generator ends in.
 - ``_cleanloss.c``, the residual ``F x - y`` of the dataset clean loss in
-  the order of this build's OpenBLAS ``dgemv_t``, in AVX2 with FMA.  It is
-  tested against ``np.matmul`` for every row length it is used for, and
-  only where the CPU reports both instruction sets.  It sums the rows as
+  the order of this build's OpenBLAS ``dgemv_t``, in AVX2 with FMA, so it
+  is built only where the CPU has both.  It is tested against ``np.matmul``
+  for every row length it is used for.  It sums the rows as
   one OpenBLAS thread does, so each shape of F is also probed once for
   numpy splitting its rows among BLAS threads (``cleanloss_rows_agree``).
 
-When gcc, the archive or numpy's ``bitgen.h`` is missing, the build fails
-or a self-test finds a difference, that part alone is turned off, with one
-warning naming it, and its numpy counterpart runs instead.
+Each part's one build is chosen before gcc runs from the CPU feature table
+numpy's SIMD dispatch reads (``cpu_features``).  When gcc, the archive or
+numpy's ``bitgen.h`` is missing, the CPU lacks a feature the part requires,
+the build fails or a self-test finds a difference, that part alone is turned
+off, with one warning naming it, and its numpy counterpart runs instead.
 """
 
 from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -85,8 +88,28 @@ class Part:
     needs: tuple = ()  # numpy files the build reads, besides the archive
     init: str | None = None  # called once when the library opens
     isa: str | None = None  # names the instruction set of the build, for ``status``
-    # (probe, gcc flags): where the base build's probe() is 1, a build with these flags replaces it
+    requires: tuple = ()  # the CPU features, by numpy's names, without any of which the part is off
+    # (CPU feature, gcc flags): where the CPU has the feature, the part is built with these flags too
     wide: tuple | None = None
+
+
+@functools.cache
+def cpu_features() -> dict:
+    """This CPU's features by numpy's names ("AVX2", "AVX512F", ...): the table numpy's SIMD dispatch reads."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def for_cpu(part: Part) -> Part:
+    """``part`` as this CPU builds it: wide where it can; KernelUnavailable where it lacks a required feature."""
+    missing = [name for name in part.requires if not cpu_features().get(name)]
+    if missing:
+        raise KernelUnavailable(f"this CPU lacks {' and '.join(missing)}")
+    wide = part.wide is not None and cpu_features().get(part.wide[0])
+    return dataclasses.replace(part, args=part.args + part.wide[1]) if wide else part
 
 
 def cache_dir() -> Path:
@@ -286,16 +309,13 @@ def fill_self_test(lib) -> None:
 def cleanloss_self_test(lib) -> None:
     """Raise KernelUnavailable unless ``sk_resid`` gives numpy's clean-loss residual bit for bit.
 
-    Nothing runs on a CPU without AVX2 and FMA (``sk_cpu_ok``).  Per d in
-    CLEANLOSS_TEST_DIMS, two calls of three lanes, one with the ReLU link and
-    one without: one of n = 4..7 rows (a block of four, then every n % 4)
-    and one of n = 2 or 3 (no block), each n and link met with every d % 4,
-    against ``np.matmul(F, x[..., None])[..., 0]``, ``np.maximum(., 0.0)``
-    and the subtraction.  Up to d = 5, row 0 of F against lane 0 sums to
+    Per d in CLEANLOSS_TEST_DIMS, two calls of three lanes, one with the
+    ReLU link and one without: one of n = 4..7 rows (a block of four, then
+    every n % 4) and one of n = 2 or 3 (no block), each n and link met with
+    every d % 4, against ``np.matmul(F, x[..., None])[..., 0]``,
+    ``np.maximum(., 0.0)`` and the subtraction.  Up to d = 5, row 0 of F against lane 0 sums to
     -0.0 before the output's +0.0 is added.
     """
-    if not lib.sk_cpu_ok():
-        raise KernelUnavailable("this CPU lacks AVX2 or FMA")
     lanes, dims, rows = 3, CLEANLOSS_TEST_DIMS, 7
     rng = np.random.default_rng(20240508)
     F_buf, X_buf, y = (rng.standard_normal(size) for size in (5 + rows * dims[-1], lanes * dims[-1], rows))
@@ -387,13 +407,12 @@ PARTS = {
             # schedule, lam, k, n, out
             "sk_decays": (None, [ctypes.c_int, _f64, _i64, _i64, _ptr]),
             "sk_isa": (ctypes.c_char_p, []),
-            "sk_cpu_wide": (ctypes.c_int, []),
             # G, d
             "sk_work_size": (_i64, [_i64, _i64]),
         },
         self_test=step_kernel_self_test,
         isa="sk_isa",
-        wide=("sk_cpu_wide", ("-mavx512f",)),
+        wide=("AVX512F", ("-mavx512f",)),
     ),
     "Gaussian fill": Part(
         stem="normalfill",
@@ -417,11 +436,11 @@ PARTS = {
         stem="cleanloss",
         source=Path(__file__).with_name("_cleanloss.c"),
         functions={
-            "sk_cpu_ok": (ctypes.c_int, []),
             # L, n, d; F, X, y; the relu link; out.
             "sk_resid": (None, [_i64, _i64, _i64, _ptr, _ptr, _ptr, ctypes.c_int, _ptr]),
         },
         self_test=cleanloss_self_test,
+        requires=("AVX2", "FMA3"),
     ),
 }
 
@@ -431,22 +450,12 @@ _libs = {}
 _lock = threading.Lock()
 
 
-def wide_build(part: Part) -> Part:
-    """The wide build of ``part``: its gcc flags plus the wide ones, with no further wide build."""
-    return dataclasses.replace(part, args=part.args + part.wide[1], wide=None)
-
-
 def _open(part: Part):
-    """``part`` built (in a temp directory when the cache is unwritable), opened and self-tested.
-
-    Where the part has a wide build and the base one's probe says the CPU
-    runs it, the wide build is opened and self-tested too and returned in
-    its place; if it fails, one RuntimeWarning says so and the base build
-    is returned.
-    """
+    """``part`` built for this CPU (in a temp directory when the cache is unwritable), opened and self-tested."""
     for path in (part.archive, *part.needs):
         if path is not None and not path.is_file():
             raise KernelUnavailable(f"numpy's {path.name} not found at {path}")
+    part = for_cpu(part)
     try:
         lib = open_library(part, build(part, cache_dir()))
     except OSError:
@@ -454,11 +463,6 @@ def _open(part: Part):
         with tempfile.TemporaryDirectory(prefix="sgdexp-") as tmp:
             lib = open_library(part, build(part, Path(tmp)))
     part.self_test(lib)
-    if part.wide is not None and getattr(lib, part.wide[0])():
-        try:
-            return _open(wide_build(part))
-        except (KernelUnavailable, OSError) as exc:
-            warnings.warn(f"sgdexp {part.stem} build with {' '.join(part.wide[1])} unavailable: {exc}", RuntimeWarning)
     return lib
 
 

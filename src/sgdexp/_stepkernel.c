@@ -4,16 +4,19 @@
  * Bit for bit the arithmetic of the numpy body (solvers._step_numpy): the
  * dot product follows the order of numpy's einsum sum-of-products loop on
  * two SSE2 lanes, max / sign keep numpy's signed-zero and NaN semantics,
- * and every update is x[i] + coef * a[i], including coef == 0.  Build with
- * -ffp-contract=off and without -ffast-math, so that no multiply-add is
- * fused and no operation is reordered.
+ * and every update is x[i] + coef * a[i], including coef == 0.  That holds
+ * for every value but NaN: NaN positions and audit counts match, but where
+ * two NaNs meet in an add the sign of the NaN kept may differ (x86 keeps
+ * the first operand's, and neither numpy nor gcc fixes the order).  Build
+ * with -ffp-contract=off and without -ffast-math, so that no multiply-add
+ * is fused and no operation is reordered.
  *
  * Lane groups sit in the vector lanes.  sk_advance copies its seeds' lanes
  * into a scratch where each vector's Q groups are interleaved by element
  * pair (copy_lanes): one vector of 2Q doubles holds the two-lane einsum
  * accumulators of Q groups, and one broadcast of the measurement pair serves
- * all of them.  Built with -mavx512f (sgdexp._kernel does so where the base
- * build's sk_cpu_wide() is 1) the groups go four to a 512-bit vector, then
+ * all of them.  Built with -mavx512f (sgdexp._kernel does so where numpy's
+ * CPU features list AVX512F) the groups go four to a 512-bit vector, then
  * two to a 256-bit one, then one to a 128-bit one; built without, every
  * group has a 128-bit vector of its own.  The code is written once over the
  * vector type (WIDTH, PASS), and so is the rule: each vector's coefficients
@@ -81,18 +84,6 @@ INLINE int wide(void)
 const char *sk_isa(void)
 {
     return wide() ? "avx512f" : BASE_ISA;
-}
-
-/* 1 where the CPU runs AVX-512F, so that the AVX-512 build of this file can
- * load: the base build answers it. */
-int sk_cpu_wide(void)
-{
-#ifdef __x86_64__
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f");
-#else
-    return 0;
-#endif
 }
 
 /* spread: the pair p[0], p[1] in every two lanes.  pairs: strided values,

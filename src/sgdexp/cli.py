@@ -174,12 +174,18 @@ def _cmd_drift_check(args) -> int:
 
 
 def _cmd_ctilde(args) -> int:
-    model = synthetic_measurement(args.model, args.d, args.base)
+    _check_flags(
+        ("--d", args.d, 1),
+        ("--seed", args.seed, 0),
+        ("--directions", args.directions, 1),
+        ("--samples", args.samples, 100),
+    )
+    try:
+        model = synthetic_measurement(args.model, args.d, args.base)
+    except ValueError as exc:  # the base: --d is checked above
+        raise ConfigError(f"--base: {exc}") from None
     if model is None:
         raise ConfigError(f"--model: unknown model {args.model!r}")
-    _check_flags(
-        ("--seed", args.seed, 0), ("--directions", args.directions, 1), ("--samples", args.samples, 100)
-    )
     rng = np.random.default_rng(args.seed or 0)
     est = estimate_ctilde(model, args.samples, rng, n_directions=args.directions)
     report = {"model": args.model, "d": args.d, **dataclasses.asdict(est)}

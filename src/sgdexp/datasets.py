@@ -93,6 +93,8 @@ def load_csv(
     if center:
         X = X - X.mean(axis=0)
     if z_score:
+        if m < 2:
+            raise ValueError(f"{path}: z-scoring needs at least two data rows")
         std = X.std(axis=0, ddof=1)
         zero = np.flatnonzero(std == 0.0)
         if zero.size:

@@ -426,7 +426,8 @@ def _step_state(x, kind, audit, relu: bool, corr, P, cap: int, hitting=None) -> 
 def _step_numpy(st: _StepState, j0: int, j1: int, k: int) -> None:
     """Steps j0 <= j < j1 of the block that starts at step k, in numpy.
 
-    The reference body: ``_stepkernel.c`` computes the same bits.
+    The reference body: ``_stepkernel.c`` computes the same bits, but for
+    NaNs: where two meet in an add, the sign of the NaN kept may differ.
     """
     x, n = st.x, j1 - j0
     tron = (st.kind == GLMTRON)[:, None]

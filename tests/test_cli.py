@@ -150,8 +150,10 @@ def test_ctilde_json(capsys):
         (["--seed", "-1"], "--seed: expected an integer of at least 0, got -1"),
         (["--directions", "0"], "--directions: expected an integer of at least 1, got 0"),
         (["--samples", "99"], "--samples: expected an integer of at least 100, got 99"),
+        (["--d", "0"], "--d: expected an integer of at least 1, got 0"),
+        (["--model", "normalized_iid_subgaussian", "--base", "foo"], "--base: unknown sub-Gaussian base 'foo'"),
     ],
-    ids=["seed", "directions", "samples"],
+    ids=["seed", "directions", "samples", "d", "base"],
 )
 def test_ctilde_bad_flag_names_itself(capsys, flags, message):
     args = ["ctilde", "--model", "gaussian_sphere", "--d", "5", "--samples", "1000", *flags]
@@ -420,6 +422,33 @@ def test_run_on_a_row_shorter_than_header(tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
     assert _error_line(capsys) == f"error: {src}: line 3 has 2 cells, the header has 3"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dataset", "run"])
+def test_one_row_cannot_z_score(command, tmp_path, capsys):
+    src, out = tmp_path / "raw.csv", tmp_path / "out"
+    src.write_text("a,b,y\n1,2,3\n")
+    config = {
+        "dimension": 2,
+        "horizon": 10,
+        "seeds": [1],
+        "measurement": {
+            "kind": "dataset_rows", "path": str(src), "features": ["a", "b"], "response": "y", "z_score": True,
+        },
+        "corruption": {"kind": "none"},
+        "solvers": [{"method": "sgd_exp_linear", "lam": 1.001, "G": 1.0}],
+        "metrics": ["clean_l2_loss"],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = {
+        "dataset": ["dataset", "prep", str(src), "--features", "a,b", "--response", "y", "--z-score", "-o", str(out)],
+        "run": ["run", str(tmp_path / "config.json"), "--out-dir", str(out)],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    assert _error_line(capsys) == f"error: {src}: z-scoring needs at least two data rows"
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,16 @@ def test_constant_column_cannot_z_score(tmp_path):
     path.write_text("a,y\n5,1\n5,2\n5,3\n")
     with pytest.raises(ValueError, match="constant column 'a'"):
         load_csv(path, ["a"], "y", z_score=True)
+
+
+def test_one_row_cannot_z_score(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("a,b,y\n1,2,3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: z-scoring needs at least two data rows$"):
+            load_csv(path, ["a", "b"], "y", z_score=True)
+    assert load_csv(path, ["a", "b"], "y").m == 1
 
 
 def test_z_score_idempotent(tmp_path):

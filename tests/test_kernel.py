@@ -123,9 +123,10 @@ def fresh_fill(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
 
-def _cpu_wide():
-    """Whether the step kernel's base build reports AVX-512F, so that its wide build is the one in use."""
-    return bool(_opened(_kernel.PARTS[KERNEL], Path(os.environ["XDG_CACHE_HOME"]) / "sgdexp").sk_cpu_wide())
+def _report_features(monkeypatch, **features):
+    """The loader reads this CPU's features with ``features`` (numpy's names) set as given."""
+    reported = {**_kernel.cpu_features(), **features}
+    monkeypatch.setattr(_kernel, "cpu_features", lambda: reported)
 
 
 def _relu_gate_violations():
@@ -194,9 +195,9 @@ def test_unwritable_cache_builds_in_a_temp_dir(fresh_load, monkeypatch, tmp_path
 
 @needs_gcc
 def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
-    # Both builds the loader opens on this CPU: the base one, and the wide one where it reports AVX-512F.
-    cache, part = tmp_path / "cache", _kernel.PARTS[KERNEL]
-    built = sorted({_kernel.build(p, cache / "sgdexp") for p in (part, _kernel.wide_build(part))[: 1 + _cpu_wide()]})
+    # The one build the loader picks on this CPU.
+    cache = tmp_path / "cache"
+    built = [_kernel.build(_kernel.for_cpu(_kernel.PARTS[KERNEL]), cache / "sgdexp")]
     load = (
         "import warnings; warnings.simplefilter('error', RuntimeWarning);"
         "from sgdexp import _kernel; assert _kernel.load('step kernel') is not None"
@@ -205,6 +206,25 @@ def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
     proc = subprocess.run([sys.executable, "-c", load], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert sorted((cache / "sgdexp").iterdir()) == built
+
+
+@needs_gcc
+@pytest.mark.parametrize("wide", [False, True], ids=["base", "avx512f"])
+def test_one_build_chosen_from_the_cpu_is_built_and_opened(wide, fresh_load, monkeypatch):
+    if wide and not _kernel.cpu_features().get("AVX512F"):
+        pytest.skip("this CPU cannot run the AVX-512 build")
+    _report_features(monkeypatch, AVX512F=wide)
+    opened, open_library = [], _kernel.open_library
+    monkeypatch.setattr(_kernel, "open_library", lambda part, path: opened.append(path) or open_library(part, path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lib = _kernel.load(KERNEL)
+    assert lib.sk_isa() in ((b"avx512f",) if wide else (b"sse2", b"generic"))
+    # The wide build's name key is its source and the one flag -mavx512f.
+    key = _kernel.cache_key(_kernel.PARTS[KERNEL].source.read_text(), ("-mavx512f",) if wide else ())
+    cache = Path(os.environ["XDG_CACHE_HOME"]) / "sgdexp"
+    assert opened == [cache / f"stepkernel-{key}.so"]
+    assert list(cache.glob("stepkernel-*.so")) == opened
 
 
 @needs_gcc
@@ -1048,22 +1068,17 @@ class TestCleanLoss:
         assert "sgdexp clean loss unavailable, using numpy: self-test" in str(warning.message)
         assert _kernel.load(CLEAN) is None
 
-    def test_failed_cpu_probe_turns_the_part_off_before_any_avx2(self, fresh_clean, monkeypatch, tmp_path):
-        def without_avx2(part, path):
-            lib = open_library(part, path)
-            if part.stem == "cleanloss":
-                monkeypatch.setattr(lib, "sk_cpu_ok", lambda: 0)
-                monkeypatch.setattr(lib, "sk_resid", lambda *args: pytest.fail("sk_resid ran"))
-            return lib
-
-        open_library = _kernel.open_library
-        monkeypatch.setattr(_kernel, "open_library", without_avx2)
+    @pytest.mark.parametrize("missing", [("AVX2",), ("FMA3",), ("AVX2", "FMA3")], ids=["avx2", "fma3", "both"])
+    def test_cpu_without_avx2_or_fma3_turns_the_part_off_before_gcc(self, missing, fresh_clean, monkeypatch, tmp_path):
+        _report_features(monkeypatch, **dict.fromkeys(missing, False))
         with pytest.warns(RuntimeWarning) as record:
             digests = emit_digests("redwine", tmp_path / "out")
         assert digests == DIGESTS["redwine"]
         (warning,) = record
-        assert str(warning.message) == "sgdexp clean loss unavailable, using numpy: this CPU lacks AVX2 or FMA"
+        lacks = " and ".join(missing)
+        assert str(warning.message) == f"sgdexp clean loss unavailable, using numpy: this CPU lacks {lacks}"
         assert _kernel.load(CLEAN) is None
+        assert list((tmp_path / "cache" / "sgdexp").glob("cleanloss-*.so")) == []
 
     def test_engine_losses_match_numpy_body(self, monkeypatch):
         # A ReLU stream of 1599 rows (n % 4 = 3) and a linear one, over both bodies.
