@@ -28,7 +28,8 @@ floor; then the engine's clean loss per checkpoint on the dataset shape (G 1,
 S 10, n 1599 rows, d 10), in µs, with the compiled residual and with its
 numpy body, for one checkpoint alone and for the checkpoints the engine's
 buffer evaluates in one call; last, the best time of each compiled part's load-time
-self-test, from ``_kernel.PARTS``.
+self-test, from ``_kernel.PARTS``, and the gcc CPU time of the part's build for
+this CPU (``_kernel.for_cpu``) into an empty temp directory.
 
     PYTHONPATH=src python scripts/step_kernel_bench.py [--repeat 7]
 """
@@ -36,8 +37,11 @@ self-test, from ``_kernel.PARTS``.
 from __future__ import annotations
 
 import argparse
+import resource
+import tempfile
 import time
 import timeit
+from pathlib import Path
 
 import numpy as np
 
@@ -149,6 +153,15 @@ def _clean_loss_us(checkpoints, repeat):
     return compiled_us, numpy_us
 
 
+def _build_cpu_s(part):
+    """gcc's CPU seconds for ``part`` as this CPU builds it, into an empty temp directory."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    with tempfile.TemporaryDirectory(prefix="sgdexp-bench-") as tmp:
+        _kernel.build(_kernel.for_cpu(part), Path(tmp))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+
 def _time(st, advance, repeat):
     """Best seconds for the whole block over ``repeat`` runs from the same inputs."""
     x0 = st.x.copy()
@@ -195,6 +208,11 @@ def main():
         if part_lib is not None:
             best = min(timeit.repeat(lambda: part.self_test(part_lib), number=1, repeat=args.repeat))
             print(f"{name} self-test: {1e3 * best:.2f} ms")
+    for name, part in _kernel.PARTS.items():
+        try:
+            print(f"{name} build: {_build_cpu_s(part):.2f} s of gcc CPU time")
+        except _kernel.KernelUnavailable as exc:
+            print(f"{name} build: none, {exc}")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ each call, and self-tests it against numpy bit for bit: the orders of summation
 it copies belong to this numpy build, not to numpy's contract.
 
 - ``_stepkernel.c``, the engine's step, tested on its einsum-order dots at
-  every vector width it steps lane groups with, and the step decays of a
-  block, tested against ``math.pow``.  Where the CPU has AVX-512F it is
-  built with ``-mavx512f``, which puts up to four lane groups in a vector,
-  and elsewhere without; ``status`` names the instruction set of the build
-  in use (``sk_isa``).
+  every vector width it steps lane groups with and every pass size (4, 2
+  and 1 chains), and the step decays of a block, tested against
+  ``math.pow``.  Where the CPU has AVX-512F it is built with ``-mavx512f``,
+  which puts up to four lane groups in a vector, and elsewhere without, as
+  128-bit code alone; ``status`` names the instruction set of the build in
+  use (``sk_isa``).  It sizes its own scratch (``sk_work_size``).
 - ``_normalfill.c``, rows of ``Generator.standard_normal`` by numpy's own
   ziggurat (linked from numpy's ``random/lib/libnpyrandom.a``), each divided by
   its norm in the same pass.  It has two draw entries.  ``sk_sphere_fill``
@@ -180,24 +181,24 @@ def dot_self_test(lib) -> None:
     and takes the dots as ``sk_advance`` does.  One call per d, of
     DOT_TEST_GROUPS groups, so every vector width the build steps with, and
     S = 5, 6 or 7 seeds, so a tile of four seeds and then one of 1, 2 or 3:
-    every chain count of a pass.
+    every pass size, 4, 2 and 1 chains, and three chains as 2 + 1.
     """
     G, dims, n, j = DOT_TEST_GROUPS, range(1, 131), 2, 1
     rng = np.random.default_rng(20240501)
     X_buf, A_buf = rng.standard_normal(G * 7 * dims[-1]), rng.standard_normal(7 * n * dims[-1])
-    lanes, work = np.empty(7 * (dims[-1] + 1) * G), np.empty(lib.sk_work_size(G, dims[-1]))
+    work = np.empty(lib.sk_work_size(G, 7, dims[-1]))
     # Per d, the (G, S) dots and then the S norms, zero-padded to 7 seeds.
     got, want = np.zeros((len(dims), (G + 1) * 7)), np.zeros((len(dims), (G + 1) * 7))
     norms = np.empty((7, n))
-    at = (lanes.ctypes.data, work.ctypes.data, X_buf.ctypes.data, A_buf.ctypes.data, got.ctypes.data)
+    at = (work.ctypes.data, X_buf.ctypes.data, A_buf.ctypes.data, got.ctypes.data)
     for i, (d, row) in enumerate(zip(dims, want)):
         S = 5 + d % 3
         X, A = X_buf[: G * S * d].reshape(G, S, d), A_buf[: S * n * d].reshape(S, n, d)
         np.einsum("gsd,sd->gs", X, A[:, j, :], out=row[: G * S].reshape(G, S))
         np.einsum("snd,snd->sn", A, A, out=norms[:S])
         row[G * S : G * S + S] = norms[:S, j]
-        dots = at[4] + 8 * i * (G + 1) * 7
-        lib.sk_dots(G, S, n, d, j, at[2], at[0], at[3], at[1], dots, dots + 8 * G * S)
+        dots = at[3] + 8 * i * (G + 1) * 7
+        lib.sk_dots(G, S, n, d, j, at[1], at[2], at[0], dots, dots + 8 * G * S)
     if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
         bad = int(np.sum(got.view(np.uint64) != want.view(np.uint64)))
         raise KernelUnavailable(
@@ -395,20 +396,20 @@ PARTS = {
         stem="stepkernel",
         source=Path(__file__).with_name("_stepkernel.c"),
         functions={
-            # G, S, n, d, j; x, lanes, A, work, dots, norms.
-            "sk_dots": (None, [_i64] * 5 + [_ptr] * 6),
-            # G, S, n, d, s_lo, s_hi; x, lanes, A, clean, XI, NU, P; the channel and the relu link;
+            # G, S, n, d, j; x, A, work, dots, norms.
+            "sk_dots": (None, [_i64] * 5 + [_ptr] * 5),
+            # G, S, n, d, s_lo, s_hi; x, A, clean, XI, NU, P; the channel and the relu link;
             # steps, kind, audit, step_viol, gate_viol; the hitting-time state; work; then j0, j1, k.
             "sk_advance": (
                 None,
-                [_i64] * 6 + [_ptr] * 7 + [ctypes.c_int] * 2 + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _ptr]
+                [_i64] * 6 + [_ptr] * 6 + [ctypes.c_int] * 2 + [_ptr] * 7 + [_f64, _f64, _ptr, _ptr, _ptr]
                 + [_i64] * 3,
             ),
             # schedule, lam, k, n, out
             "sk_decays": (None, [ctypes.c_int, _f64, _i64, _i64, _ptr]),
             "sk_isa": (ctypes.c_char_p, []),
-            # G, d
-            "sk_work_size": (_i64, [_i64, _i64]),
+            # G, S, d
+            "sk_work_size": (_i64, [_i64] * 3),
         },
         self_test=step_kernel_self_test,
         isa="sk_isa",

@@ -12,25 +12,23 @@
  * is fused and no operation is reordered.
  *
  * Lane groups sit in the vector lanes.  sk_advance copies its seeds' lanes
- * into a scratch where each vector's Q groups are interleaved by element
+ * into its scratch, where each vector's Q groups are interleaved by element
  * pair (copy_lanes): one vector of 2Q doubles holds the two-lane einsum
  * accumulators of Q groups, and one broadcast of the measurement pair serves
  * all of them.  Built with -mavx512f (sgdexp._kernel does so where numpy's
  * CPU features list AVX512F) the groups go four to a 512-bit vector, then
  * two to a 256-bit one, then one to a 128-bit one; built without, every
- * group has a 128-bit vector of its own.  The code is written once over the
- * vector type (WIDTH, PASS), and so is the rule: each vector's coefficients
- * are worked out in its lanes, each group's in both of its lanes.  A chain
- * is one vector of lanes of one seed.  A tile's chains go four at a time
- * (a pass, so that four dependency chains overlap) through the whole
- * stretch of steps, each step's update fused with the next step's dot; a
- * short tile has fewer chains, and G = 1 steps a tile of four seeds as four
- * 128-bit chains.  Each lane still does exactly its own arithmetic, in its
- * own order.
+ * group has a 128-bit vector of its own, and only 128-bit code is compiled.
+ * The code is written once over the vector type (WIDTH, PASS), and so is the
+ * rule: each vector's coefficients are worked out in its lanes, each
+ * group's in both of its lanes.  A chain is one vector of lanes of one seed.
+ * A tile's chains go four at a time (a pass, so that four dependency chains
+ * overlap) through the whole stretch of steps, each step's update fused
+ * with the next step's dot; the one to three left over go as a pass of two
+ * and one of one, and G = 1 steps a tile of four seeds as four 128-bit
+ * chains.  Each lane still does exactly its own arithmetic, in its own
+ * order.
  */
-#ifdef __AVX__
-#include <immintrin.h>
-#endif
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -48,42 +46,32 @@ enum { TILE = 4 };
  * up to 1.1x slower per lane-step, no bound up to 1.5x slower. */
 enum { TILE_BYTES = 16 << 10 };
 
-#ifdef __x86_64__
-#define BASE_ISA "sse2"
+#ifdef __AVX512F__
+#include <immintrin.h>
+#define ISA "avx512f"
+#elif defined(__x86_64__)
+#define ISA "sse2"
 #else
-#define BASE_ISA "generic"
+#define ISA "generic"
 #endif
 
-/* The loops of a pass are inlined with their chain count a constant, into
- * one tile function per vector type: inlined into every caller as well, the
- * two builds took gcc 5 s and 17 s of CPU time instead of 1.7 s and 3.1 s,
- * and stepped no faster. */
+/* The loops of a pass are inlined with their chain count a constant, 4, 2
+ * or 1, into one tile function per vector type: inlined into every caller as
+ * well, the two builds took gcc 5 s and 17 s of CPU time instead of 1.7 s
+ * and 3.1 s, and stepped no faster. */
 #define INLINE static inline __attribute__((always_inline))
 #define NOINLINE __attribute__((noinline))
 
-/* 2, 4 and 8 doubles, added and multiplied lanewise: IEEE in each lane; and
- * the masks their comparisons give, -1 where true and 0 where false. */
+/* 2 doubles, added and multiplied lanewise: IEEE in each lane; and the masks
+ * their comparisons give, -1 where true and 0 where false.  The AVX-512 build
+ * adds 256- and 512-bit ones below. */
 typedef double v2 __attribute__((vector_size(16)));
-typedef double v4 __attribute__((vector_size(32)));
-typedef double v8 __attribute__((vector_size(64)));
 typedef int64_t m2 __attribute__((vector_size(16)));
-typedef int64_t m4 __attribute__((vector_size(32)));
-typedef int64_t m8 __attribute__((vector_size(64)));
-
-/* 1 in the AVX-512 build, which puts up to four groups in a vector. */
-INLINE int wide(void)
-{
-#ifdef __AVX512F__
-    return 1;
-#else
-    return 0;
-#endif
-}
 
 /* The instruction set this build steps lanes with: "avx512f", or the base one. */
 const char *sk_isa(void)
 {
-    return wide() ? "avx512f" : BASE_ISA;
+    return ISA;
 }
 
 /* spread: the pair p[0], p[1] in every two lanes.  pairs: strided values,
@@ -96,45 +84,10 @@ INLINE v2 spread_v2(const double *p)
     return v;
 }
 
-/* In the AVX-512 build each is one broadcast load (vbroadcastf128,
- * vbroadcastf32x4): GCC 12 makes shuffles of the generic form, one or two
- * per measurement pair and chain. */
-INLINE v4 spread_v4(const double *p)
-{
-#ifdef __AVX__
-    return (v4)_mm256_broadcast_pd((const __m128d *)p);
-#else
-    return (v4){p[0], p[1], p[0], p[1]};
-#endif
-}
-
-INLINE v8 spread_v8(const double *p)
-{
-#ifdef __AVX512F__
-    return (v8)_mm512_castps_pd(_mm512_broadcast_f32x4(_mm_loadu_ps((const float *)p)));
-#else
-    const v4 h = spread_v4(p);
-    return __builtin_shufflevector(h, h, 0, 1, 2, 3, 0, 1, 2, 3);
-#endif
-}
-
-/* p[0], p[stride], ... each in both lanes of a pair. */
 INLINE v2 pairs_v2(const double *p, int64_t stride)
 {
     (void)stride;
     return (v2){p[0], p[0]};
-}
-
-INLINE v4 pairs_v4(const double *p, int64_t stride)
-{
-    const v2 lo = pairs_v2(p, stride), hi = pairs_v2(p + stride, stride);
-    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
-}
-
-INLINE v8 pairs_v8(const double *p, int64_t stride)
-{
-    const v4 lo = pairs_v4(p, stride), hi = pairs_v4(p + 2 * stride, stride);
-    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
 }
 
 INLINE v2 swap_v2(v2 v)
@@ -142,29 +95,9 @@ INLINE v2 swap_v2(v2 v)
     return __builtin_shufflevector(v, v, 1, 0);
 }
 
-INLINE v4 swap_v4(v4 v)
-{
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
-}
-
-INLINE v8 swap_v8(v8 v)
-{
-    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
-}
-
 INLINE v2 evens_v2(v2 v)
 {
     return __builtin_shufflevector(v, v, 0, 0);
-}
-
-INLINE v4 evens_v4(v4 v)
-{
-    return __builtin_shufflevector(v, v, 0, 0, 2, 2);
-}
-
-INLINE v8 evens_v8(v8 v)
-{
-    return __builtin_shufflevector(v, v, 0, 0, 2, 2, 4, 4, 6, 6);
 }
 
 /* What the passes of a block read and write besides the lanes.  Per group,
@@ -175,6 +108,7 @@ INLINE v8 evens_v8(v8 v)
 struct block {
     int64_t G, S, n, d;
     int64_t gs, ss; /* doubles of the scratch per group and per seed */
+    int64_t g4, g2; /* groups [0, g4) go four to a vector, [g4, g2) two, [g2, G) one */
     const double *A, *clean, *XI, *NU, *steps;
     int channel, relu_link, audited, need_norm;
     const double *p2, *law2, *gate2;
@@ -368,32 +302,6 @@ struct block {
         }                                                                                          \
     }                                                                                              \
                                                                                                    \
-    /* dots_V and axpy_dots_V of K <= TILE chains, K a constant in each call. */                   \
-    INLINE void dotsk_##V(int K, double *const *x, const double *const *a, int64_t d, V *dt)       \
-    {                                                                                              \
-        if (K == 4)                                                                                \
-            dots_##V(4, x, a, d, dt);                                                              \
-        else if (K == 3)                                                                           \
-            dots_##V(3, x, a, d, dt);                                                              \
-        else if (K == 2)                                                                           \
-            dots_##V(2, x, a, d, dt);                                                              \
-        else                                                                                       \
-            dots_##V(1, x, a, d, dt);                                                              \
-    }                                                                                              \
-                                                                                                   \
-    INLINE void axpy_dotsk_##V(int K, double *const *x, const V *coef, const double *const *a,     \
-                               const double *const *a1, int64_t d, V *dt)                          \
-    {                                                                                              \
-        if (K == 4)                                                                                \
-            axpy_dots_##V(4, x, coef, a, a1, d, dt);                                               \
-        else if (K == 3)                                                                           \
-            axpy_dots_##V(3, x, coef, a, a1, d, dt);                                               \
-        else if (K == 2)                                                                           \
-            axpy_dots_##V(2, x, coef, a, a1, d, dt);                                               \
-        else                                                                                       \
-            axpy_dots_##V(1, x, coef, a, a1, d, dt);                                               \
-    }                                                                                              \
-                                                                                                   \
     /* The coefficients of seed s's lanes of groups [g, g + Q) at step j, from their dots and the  \
      * norm of the seed's row. */                                                                  \
     INLINE V coef_##V(const struct block *b, int64_t g, int64_t s, int64_t j, V dt, double norm,   \
@@ -428,23 +336,20 @@ struct block {
     }
 
 WIDTH(v2, m2)
-WIDTH(v4, m4)
-WIDTH(v8, m8)
-
-/* Each group's vector: groups [0, g4) four to one, [g4, g2) two, [g2, G) one. */
-INLINE void widths(int64_t G, int64_t *g4, int64_t *g2)
-{
-    const int on = wide();
-    *g4 = on ? G - G % 4 : 0;
-    *g2 = on ? G - G % 2 : 0;
-}
 
 /* out[t] = <u[t], u[t]> for w <= TILE rows of length d, as the einsum of two
- * rows: rows are chains whose element pairs are adjacent. */
+ * rows: rows are chains whose element pairs are adjacent.  Four rows take one
+ * pass, and fewer a pass of two and one of one, as they have them. */
 static NOINLINE void self_dots(int w, const double *const *u, int64_t d, double *out)
 {
+    double *const *x = (double *const *)u;
     v2 dt[TILE];
-    dotsk_v2(w, (double *const *)u, u, d, dt);
+    if (w == TILE)
+        dots_v2(TILE, x, u, d, dt);
+    if (w & 2)
+        dots_v2(2, x, u, d, dt);
+    if (w & 1)
+        dots_v2(1, x + (w & 2), u + (w & 2), d, dt + (w & 2));
     for (int t = 0; t < w; t++)
         out[t] = dt[t][0];
 }
@@ -502,7 +407,8 @@ static NOINLINE void hits(const struct block *b, int K, double *const *xc, const
  * With out non-NULL it takes only the dots at step j0, into out (G, S).
  *
  * tile_V steps the groups [g_lo, g_hi) of the tile's w seeds: their
- * chains, group by group and seed by seed, four to a pass. */
+ * chains, group by group and seed by seed, four to a pass; the one to three
+ * left over take a pass of two and one of one, as they have them. */
 #define PASS(V)                                                                                    \
     INLINE void pass_##V(const struct block *b, int K, double *const *xc,                          \
                                   const int64_t *gc, const int *tc, int64_t s0, int64_t j0,        \
@@ -518,7 +424,7 @@ static NOINLINE void hits(const struct block *b, int K, double *const *xc, const
             a[k] = b->A + ((s0 + tc[k]) * b->n + j0) * b->d;                                       \
             law[k] = gate[k] = (V){0.0};                                                           \
         }                                                                                          \
-        dotsk_##V(K, xc, a, b->d, dt);                                                             \
+        dots_##V(K, xc, a, b->d, dt);                                                              \
         if (out != NULL) {                                                                         \
             for (int k = 0; k < K; k++)                                                            \
                 for (int l = 0; l < W_##V; l += 2)                                                 \
@@ -537,7 +443,7 @@ static NOINLINE void hits(const struct block *b, int K, double *const *xc, const
             if (j + 1 < j1) {                                                                      \
                 for (int k = 0; k < K; k++)                                                        \
                     a1[k] = a[k] + b->d;                                                           \
-                axpy_dotsk_##V(K, xc, coef, a, a1, b->d, dt);                                      \
+                axpy_dots_##V(K, xc, coef, a, a1, b->d, dt);                                       \
                 for (int k = 0; k < K; k++)                                                        \
                     a[k] = a1[k];                                                                  \
             } else {                                                                               \
@@ -576,23 +482,96 @@ static NOINLINE void hits(const struct block *b, int K, double *const *xc, const
                     K = 0;                                                                         \
                 }                                                                                  \
             }                                                                                      \
-        if (K > 0)                                                                                 \
-            pass_##V(b, K, xc, gc, tc, s0, j0, j1, out);                                           \
+        if (K & 2)                                                                                 \
+            pass_##V(b, 2, xc, gc, tc, s0, j0, j1, out);                                           \
+        if (K & 1)                                                                                 \
+            pass_##V(b, 1, xc + (K & 2), gc + (K & 2), tc + (K & 2), s0, j0, j1, out);             \
     }
 
 PASS(v2)
+
+#ifdef __AVX512F__
+/* The 256- and 512-bit vectors, and their masks. */
+typedef double v4 __attribute__((vector_size(32)));
+typedef double v8 __attribute__((vector_size(64)));
+typedef int64_t m4 __attribute__((vector_size(32)));
+typedef int64_t m8 __attribute__((vector_size(64)));
+
+/* Each one broadcast load (vbroadcastf128, vbroadcastf32x4): GCC 12 makes
+ * shuffles of the generic form, one or two per measurement pair and chain. */
+INLINE v4 spread_v4(const double *p)
+{
+    return (v4)_mm256_broadcast_pd((const __m128d *)p);
+}
+
+INLINE v8 spread_v8(const double *p)
+{
+    return (v8)_mm512_castps_pd(_mm512_broadcast_f32x4(_mm_loadu_ps((const float *)p)));
+}
+
+INLINE v4 pairs_v4(const double *p, int64_t stride)
+{
+    const v2 lo = pairs_v2(p, stride), hi = pairs_v2(p + stride, stride);
+    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
+}
+
+INLINE v8 pairs_v8(const double *p, int64_t stride)
+{
+    const v4 lo = pairs_v4(p, stride), hi = pairs_v4(p + 2 * stride, stride);
+    return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+}
+
+INLINE v4 swap_v4(v4 v)
+{
+    return __builtin_shufflevector(v, v, 1, 0, 3, 2);
+}
+
+INLINE v8 swap_v8(v8 v)
+{
+    return __builtin_shufflevector(v, v, 1, 0, 3, 2, 5, 4, 7, 6);
+}
+
+INLINE v4 evens_v4(v4 v)
+{
+    return __builtin_shufflevector(v, v, 0, 0, 2, 2);
+}
+
+INLINE v8 evens_v8(v8 v)
+{
+    return __builtin_shufflevector(v, v, 0, 0, 2, 2, 4, 4, 6, 6);
+}
+
+WIDTH(v4, m4)
+WIDTH(v8, m8)
 PASS(v4)
 PASS(v8)
 
+INLINE void widths(struct block *b)
+{
+    b->g4 = b->G - b->G % 4;
+    b->g2 = b->G - b->G % 2;
+}
+
 /* Steps j0 <= j < j1 of every lane of the w seeds from s0 of a tile whose
  * lanes start at x, or with out non-NULL only their dots at step j0. */
-INLINE void tile_steps(const struct block *b, int64_t g4, int64_t g2, int w, double *x, int64_t s0, int64_t j0,
-                       int64_t j1, double *out)
+INLINE void tile_steps(const struct block *b, int w, double *x, int64_t s0, int64_t j0, int64_t j1, double *out)
 {
-    tile_v8(b, 0, g4, w, x, s0, j0, j1, out);
-    tile_v4(b, g4, g2, w, x, s0, j0, j1, out);
-    tile_v2(b, g2, b->G, w, x, s0, j0, j1, out);
+    tile_v8(b, 0, b->g4, w, x, s0, j0, j1, out);
+    tile_v4(b, b->g4, b->g2, w, x, s0, j0, j1, out);
+    tile_v2(b, b->g2, b->G, w, x, s0, j0, j1, out);
 }
+#else
+/* Every group has a vector of its own. */
+INLINE void widths(struct block *b)
+{
+    b->g4 = b->g2 = 0;
+}
+
+INLINE void tile_steps(const struct block *b, int w, double *x, int64_t s0, int64_t j0, int64_t j1, double *out)
+{
+    tile_v2(b, 0, b->G, w, x, s0, j0, j1, out);
+}
+#endif
 
 /* Copy the lanes of seeds s_lo <= s < s_hi between x (G, S, d) and the
  * scratch: into it with in, else back.  Per seed the scratch holds G
@@ -600,14 +579,13 @@ INLINE void tile_steps(const struct block *b, int64_t g4, int64_t g2, int w, dou
  * vector's Q groups: the chunk of groups [c, c + Q) is (ceil(d / 2), Q, 2)
  * at 2 c ceil(d / 2).  The odd lanes of an odd d's last pair start at 0.0
  * and are not copied back. */
-INLINE void copy_lanes(int in, int64_t G, int64_t S, int64_t d, int64_t s_lo, int64_t s_hi, int64_t g4,
-                       int64_t g2, double *x, double *lanes)
+INLINE void copy_lanes(const struct block *b, int in, int64_t s_lo, int64_t s_hi, double *x, double *lanes)
 {
-    const int64_t gs = d + d % 2, ss = gs * G;
+    const int64_t d = b->d;
     for (int64_t s = s_lo; s < s_hi; s++)
-        for (int64_t g = 0; g < G; g++) {
-            const int64_t q = g < g4 ? 4 : g < g2 ? 2 : 1, c = g - g % q;
-            double *v = x + (g * S + s) * d, *l = lanes + (s - s_lo) * ss + gs * c + 2 * (g - c);
+        for (int64_t g = 0; g < b->G; g++) {
+            const int64_t q = g < b->g4 ? 4 : g < b->g2 ? 2 : 1, c = g - g % q;
+            double *v = x + (g * b->S + s) * d, *l = lanes + (s - s_lo) * b->ss + b->gs * c + 2 * (g - c);
             for (int64_t i = 0; i < d; i++) {
                 double *li = l + i / 2 * 2 * q + i % 2;
                 if (in)
@@ -620,20 +598,27 @@ INLINE void copy_lanes(int in, int64_t G, int64_t S, int64_t d, int64_t s_lo, in
         }
 }
 
-/* Doubles of the work scratch of sk_advance and sk_dots: the group constants
- * of struct block (10 G), and per seed of a tile its hitting-time
- * difference (d + 1). */
-int64_t sk_work_size(int64_t G, int64_t d)
+/* Doubles of the work scratch of an sk_advance or sk_dots call that steps S
+ * seeds: their lanes (copy_lanes, S G 2 ceil(d / 2)), the group constants of
+ * struct block (10 G), and per seed of a tile its hitting-time difference
+ * (d + 1). */
+int64_t sk_work_size(int64_t G, int64_t S, int64_t d)
 {
-    return 10 * G + TILE * (d + 1);
+    return S * G * (d + d % 2) + 10 * G + TILE * (d + 1);
 }
 
-/* b's group constants in work, for kind, audit and P (G,), which the
- * self-test, stepping nothing, passes as NULL, and its differences. */
-INLINE void setup_block(struct block *b, double *work, const int32_t *kind, const int32_t *audit, const double *P)
+/* b's scratch sizes and vector widths, and work laid out for the lanes of S
+ * seeds, which it returns, then b's group constants, for kind, audit and P
+ * (G,), which the self-test, stepping nothing, passes as NULL, and its
+ * differences. */
+INLINE double *setup_block(struct block *b, double *work, int64_t S, const int32_t *kind, const int32_t *audit,
+                           const double *P)
 {
     const int64_t G = b->G;
-    double *p2 = work, *law2 = p2 + 2 * G, *gate2 = law2 + 2 * G;
+    b->gs = b->d + b->d % 2;
+    b->ss = b->gs * G;
+    widths(b);
+    double *p2 = work + S * b->ss, *law2 = p2 + 2 * G, *gate2 = law2 + 2 * G;
     int64_t *tron2 = (int64_t *)(gate2 + 2 * G), *gated2 = tron2 + 2 * G;
     b->audited = b->need_norm = 0;
     for (int64_t g = 0; g < G && kind != NULL; g++) {
@@ -653,6 +638,7 @@ INLINE void setup_block(struct block *b, double *work, const int32_t *kind, cons
     b->tron2 = tron2;
     b->gated2 = gated2;
     b->diff = (double *)(gated2 + 2 * G);
+    return work;
 }
 
 /* Step decays at steps k..k+n-1 into out: 1 (const), (k+j+1)^{-1/2} (root)
@@ -673,23 +659,20 @@ void sk_decays(int schedule, double lam, int64_t k, int64_t n, double *out)
 /* The dots sk_advance takes at step j of a block of n steps, for the
  * load-time self-test: dots (G, S) of the lanes x (G, S, d) against the rows
  * A[s, j], and norms (S,) the rows' <a, a>, by the same passes in tiles of
- * four seeds.  lanes and work are as sk_advance's, for seeds [0, S). */
-void sk_dots(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j, double *x, double *lanes, const double *A,
-             double *work, double *dots, double *norms)
+ * four seeds.  work is as sk_advance's, for seeds [0, S). */
+void sk_dots(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j, double *x, const double *A, double *work,
+             double *dots, double *norms)
 {
-    const int64_t gs = d + d % 2;
-    struct block b = {.G = G, .S = S, .n = n, .d = d, .gs = gs, .ss = gs * G, .A = A};
-    int64_t g4, g2;
-    setup_block(&b, work, NULL, NULL, NULL);
-    widths(G, &g4, &g2);
-    copy_lanes(1, G, S, d, 0, S, g4, g2, x, lanes);
+    struct block b = {.G = G, .S = S, .n = n, .d = d, .A = A};
+    double *lanes = setup_block(&b, work, S, NULL, NULL, NULL);
+    copy_lanes(&b, 1, 0, S, x, lanes);
     for (int64_t s0 = 0; s0 < S; s0 += TILE) {
         const int w = S - s0 < TILE ? (int)(S - s0) : TILE;
         const double *a[TILE];
         for (int t = 0; t < w; t++)
             a[t] = A + ((s0 + t) * n + j) * d;
         self_dots(w, a, d, norms + s0);
-        tile_steps(&b, g4, g2, w, lanes + s0 * b.ss, s0, j, j + 1, dots);
+        tile_steps(&b, w, lanes + s0 * b.ss, s0, j, j + 1, dots);
     }
 }
 
@@ -697,8 +680,6 @@ void sk_dots(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j, double *x, d
  * for G lane groups x S seeds.
  *
  * x      (G, S, d)  lane iterates, advanced in place
- * lanes  (s_hi - s_lo) G 2 ceil(d / 2) doubles of scratch: the seeds' lanes
- *                   while they are stepped (copy_lanes)
  * A      (S, n, d)  measurements of the block
  * clean, XI (S, n)  clean responses and corruption indicator draws
  * NU     (S, n)     the additive channel's noise; NULL on the others
@@ -712,15 +693,16 @@ void sk_dots(int64_t G, int64_t S, int64_t n, int64_t d, int64_t j, double *x, d
  * Xt (S, d) non-NULL tracks hitting times (G == 1): lam2k (S,) is lam^{2k}
  * at the block's step j0 and is returned at step j1, hit_k (S,) is set at
  * the first k = k_base + j + 1 with lam^{2k} ||Xt - x||^2 / g_sq >= level
- * work   sk_work_size(G, d) doubles of scratch
+ * work   sk_work_size(G, s_hi - s_lo, d) doubles of scratch, which holds the
+ *                   seeds' lanes while they are stepped (copy_lanes)
  *
  * Only the seeds s_lo <= s < s_hi are stepped, and only their entries of
  * x, the audit counts, lam2k and hit_k are written, so two threads with
- * disjoint seed ranges and their own lanes and work can step one block at
- * once.  Seeds are walked in tiles of up to TILE from s_lo, as many as
- * TILE_BYTES holds, each in passes over the stretch. */
+ * disjoint seed ranges and their own work can step one block at once.
+ * Seeds are walked in tiles of up to TILE from s_lo, as many as TILE_BYTES
+ * holds, each in passes over the stretch. */
 void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t s_lo, int64_t s_hi,
-                double *x, double *lanes, const double *A,
+                double *x, const double *A,
                 const double *clean, const double *XI, const double *NU, const double *P,
                 int channel, int relu_link,
                 const double *steps, const int32_t *kind, const int32_t *audit,
@@ -729,24 +711,20 @@ void sk_advance(int64_t G, int64_t S, int64_t n, int64_t d, int64_t s_lo, int64_
                 double *lam2k, int64_t *hit_k, double *work,
                 int64_t j0, int64_t j1, int64_t k_base)
 {
-    const int64_t gs = d + d % 2;
     struct block b = {
-        .G = G, .S = S, .n = n, .d = d, .gs = gs, .ss = gs * G,
-        .A = A, .clean = clean, .XI = XI, .NU = NU, .steps = steps, .channel = channel, .relu_link = relu_link,
+        .G = G, .S = S, .n = n, .d = d, .A = A, .clean = clean, .XI = XI, .NU = NU, .steps = steps, .channel = channel, .relu_link = relu_link,
         .step_viol = step_viol, .gate_viol = gate_viol,
         .Xt = Xt, .g_sq = g_sq, .level = level, .lam2 = lam2, .lam2k = lam2k, .hit_k = hit_k, .k_base = k_base,
     };
-    int64_t g4, g2;
-    setup_block(&b, work, kind, audit, P);
-    widths(G, &g4, &g2);
+    double *lanes = setup_block(&b, work, s_hi - s_lo, kind, audit, P);
     int tile = TILE;
-    while (tile > 1 && tile * 8 * gs * G > TILE_BYTES)
+    while (tile > 1 && tile * 8 * b.ss > TILE_BYTES)
         tile /= 2;
 
-    copy_lanes(1, G, S, d, s_lo, s_hi, g4, g2, x, lanes);
+    copy_lanes(&b, 1, s_lo, s_hi, x, lanes);
     for (int64_t s0 = s_lo; s0 < s_hi && j0 < j1; s0 += tile) {
         const int w = s_hi - s0 < tile ? (int)(s_hi - s0) : tile;
-        tile_steps(&b, g4, g2, w, lanes + (s0 - s_lo) * b.ss, s0, j0, j1, NULL);
+        tile_steps(&b, w, lanes + (s0 - s_lo) * b.ss, s0, j0, j1, NULL);
     }
-    copy_lanes(0, G, S, d, s_lo, s_hi, g4, g2, x, lanes);
+    copy_lanes(&b, 0, s_lo, s_hi, x, lanes);
 }

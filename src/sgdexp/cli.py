@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--d", type=int, required=True)
     p_ct.add_argument("--samples", type=int, required=True)
     p_ct.add_argument("--directions", type=int, default=32)
-    p_ct.add_argument("--base", default="uniform")
+    p_ct.add_argument("--base", default=None, help="normalized_iid_subgaussian's entries (default uniform)")
     p_ct.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     p_ct.set_defaults(func=_cmd_ctilde)
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from .measurement import SUBGAUSSIAN_BASES
 from .solvers import GLMTRON_SCHEDULES, METHODS, RELU_METHODS, _schedule
 
 METRICS = ("relative_error", "clean_l2_loss")
@@ -163,7 +164,7 @@ def _signal_norm(v, path):
 MEASUREMENT_KINDS = {
     "gaussian_sphere": ({}, {}),
     "normalized_rademacher": ({}, {}),
-    "normalized_iid_subgaussian": ({}, {"base": (_string(("gaussian", "rademacher", "uniform")), "uniform")}),
+    "normalized_iid_subgaussian": ({}, {"base": (_string(SUBGAUSSIAN_BASES), "uniform")}),
     "dataset_rows": (
         {"path": _string(), "features": _string_list, "response": _string()},
         {

@@ -22,14 +22,17 @@ from .solvers import METHODS, Lanes, SolverSpec, StreamSpec, recommend_G, run_ba
 def synthetic_measurement(kind: str, d: int, base: Optional[str]):
     """Model of a synthetic measurement kind, or None for any other kind.
 
-    ``base`` only applies to normalized_iid_subgaussian.
+    ``base`` is normalized_iid_subgaussian's entry distribution, None for
+    its default; any other synthetic kind given one raises ValueError.
     """
+    if kind == "normalized_iid_subgaussian":
+        return NormalizedIIDSubGaussian(d) if base is None else NormalizedIIDSubGaussian(d, base=base)
+    if base is not None and kind in ("gaussian_sphere", "normalized_rademacher"):
+        raise ValueError(f"only normalized_iid_subgaussian takes a base, not {kind}")
     if kind == "gaussian_sphere":
         return GaussianSphere(d)
     if kind == "normalized_rademacher":
         return NormalizedRademacher(d)
-    if kind == "normalized_iid_subgaussian":
-        return NormalizedIIDSubGaussian(d, base=base)
     return None
 
 

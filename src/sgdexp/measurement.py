@@ -58,12 +58,16 @@ class NormalizedRademacher:
         _check_dimension(self.d)
 
 
+#: The entry distributions of NormalizedIIDSubGaussian.
+SUBGAUSSIAN_BASES = ("gaussian", "rademacher", "uniform")
+
+
 @dataclass(frozen=True)
 class NormalizedIIDSubGaussian:
     """IID mean-zero unit-variance entries, normalized to the sphere.
 
-    ``base`` selects the entry distribution: "gaussian", "rademacher",
-    or "uniform" (uniform on [-sqrt(3), sqrt(3)]).
+    ``base`` selects the entry distribution, one of SUBGAUSSIAN_BASES:
+    "gaussian", "rademacher", or "uniform" (uniform on [-sqrt(3), sqrt(3)]).
     """
 
     d: int
@@ -71,7 +75,7 @@ class NormalizedIIDSubGaussian:
 
     def __post_init__(self):
         _check_dimension(self.d)
-        if self.base not in ("gaussian", "rademacher", "uniform"):
+        if self.base not in SUBGAUSSIAN_BASES:
             raise ValueError(f"unknown sub-Gaussian base {self.base!r}")
 
 

@@ -487,26 +487,24 @@ def _bind_c(lib, st: _StepState, seeds: range):
 
     Advances steps j0 <= j < j1 of the block that starts at step k, for
     those seeds alone.  The arrays are checked, and every argument but j0,
-    j1 and k made a ctypes value, once, here.  The scratch is this
-    binding's own, so two bindings of disjoint seeds can run at once: the
-    ``lanes`` each call copies its seeds' lanes into, with the groups of
-    each vector side by side per element pair, and back out of (so ``x``
-    keeps its (G, S, d) layout), and the kernel's ``work``.
+    j1 and k made a ctypes value, once, here.  The kernel's scratch
+    ``work``, sized by the kernel for these seeds, is this binding's own, so
+    two bindings of disjoint seeds can run at once.
     """
     G, S = st.step_viol.shape
     n, d = st.A.shape[1:]
     hit = st.hit_k is not None
-    lanes, work = np.empty(len(seeds) * G * 2 * -(-d // 2)), np.empty(lib.sk_work_size(G, d))
+    work = np.empty(lib.sk_work_size(G, len(seeds), d))
     hit_f64 = (st.Xt, st.g_sq) if hit else (None, None)
-    f64 = (st.x, lanes, st.A, st.clean, st.XI, st.NU, st.P, st.steps) + hit_f64 + (st.lam2k if hit else None, work)
-    x, lanes_, A, clean, XI, NU, P, steps, Xt, g_sq, lam2k, work_ = (_address(a, np.float64) for a in f64)
+    f64 = (st.x, st.A, st.clean, st.XI, st.NU, st.P, st.steps) + hit_f64 + (st.lam2k if hit else None, work)
+    x, A, clean, XI, NU, P, steps, Xt, g_sq, lam2k, work_ = (_address(a, np.float64) for a in f64)
     kind, audit = (_address(a, np.int32) for a in (st.kind, st.audit))
     step_viol, gate_viol, hit_k = (
         _address(a, np.int64) for a in (st.step_viol, st.gate_viol, st.hit_k)
     )
     level, lam2 = (st.level, st.lam2) if hit else (0.0, 0.0)
     fixed = (
-        G, S, n, d, seeds.start, seeds.stop, x, lanes_, A, clean, XI, NU, P, CHANNELS[type(st.corr)], int(st.relu),
+        G, S, n, d, seeds.start, seeds.stop, x, A, clean, XI, NU, P, CHANNELS[type(st.corr)], int(st.relu),
         steps, kind, audit, step_viol, gate_viol, Xt, g_sq, level, lam2, lam2k, hit_k, work_,
     )
     call = functools.partial(lib.sk_advance, *(t(v) for t, v in zip(lib.sk_advance.argtypes, fixed)))

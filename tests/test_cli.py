@@ -152,8 +152,13 @@ def test_ctilde_json(capsys):
         (["--samples", "99"], "--samples: expected an integer of at least 100, got 99"),
         (["--d", "0"], "--d: expected an integer of at least 1, got 0"),
         (["--model", "normalized_iid_subgaussian", "--base", "foo"], "--base: unknown sub-Gaussian base 'foo'"),
+        (["--base", "gaussian"], "--base: only normalized_iid_subgaussian takes a base, not gaussian_sphere"),
+        (
+            ["--model", "normalized_rademacher", "--base", "uniform"],
+            "--base: only normalized_iid_subgaussian takes a base, not normalized_rademacher",
+        ),
     ],
-    ids=["seed", "directions", "samples", "d", "base"],
+    ids=["seed", "directions", "samples", "d", "base", "base-on-sphere", "base-on-rademacher"],
 )
 def test_ctilde_bad_flag_names_itself(capsys, flags, message):
     args = ["ctilde", "--model", "gaussian_sphere", "--d", "5", "--samples", "1000", *flags]

@@ -129,6 +129,16 @@ def _report_features(monkeypatch, **features):
     monkeypatch.setattr(_kernel, "cpu_features", lambda: reported)
 
 
+def _base_build_in_cache(monkeypatch, part):
+    """``part``'s base build, opened from the cache ``load`` reads, for a CPU reported without AVX512F.
+
+    ``load`` then opens this same library, so a mutant's self-test and its
+    fallback through the loader take one gcc run.
+    """
+    _report_features(monkeypatch, AVX512F=False)
+    return _opened(part, _kernel.cache_dir())
+
+
 def _relu_gate_violations():
     spec = SolverSpec(method="sgd_exp_relu", d=4, T=300, lam=1.01, G=1.0)
     stream = StreamSpec(model=GaussianSphere(4), corruption=SignFlip(0.4), relu=True)
@@ -228,6 +238,14 @@ def test_one_build_chosen_from_the_cpu_is_built_and_opened(wide, fresh_load, mon
 
 
 @needs_gcc
+def test_base_build_compiles_without_warnings(tmp_path):
+    # The base build compiles no 256- or 512-bit code, whose vector arguments
+    # gcc warns would change the ABI without AVX (-Wpsabi).
+    part = _kernel.PARTS[KERNEL]
+    _kernel.build(dataclasses.replace(part, args=part.args + ("-Wall", "-Werror")), tmp_path)
+
+
+@needs_gcc
 def test_gateless_kernel_reports_gate_violations(monkeypatch, tmp_path):
     mutant = _mutant(tmp_path, KERNEL, GATE, UNGATED)
     lib = _opened(mutant, tmp_path)
@@ -242,7 +260,7 @@ def test_gateless_kernel_reports_gate_violations(monkeypatch, tmp_path):
 def test_sequential_dot_fails_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
     mutant = _mutant(tmp_path, KERNEL, DOT_ORDER, SEQUENTIAL_DOT)
     with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-        mutant.self_test(_opened(mutant, tmp_path))
+        mutant.self_test(_base_build_in_cache(monkeypatch, mutant))
 
     monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
@@ -295,7 +313,7 @@ def test_zero_coefficient_updates_match_numpy_body(monkeypatch):
 def test_swapped_dot4_steps_fail_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
     mutant = _mutant(tmp_path, KERNEL, DOT4_ORDER, DOT4_SWAPPED)
     with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-        mutant.self_test(_opened(mutant, tmp_path))
+        mutant.self_test(_base_build_in_cache(monkeypatch, mutant))
 
     monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
@@ -311,7 +329,7 @@ def test_reciprocal_decays_fail_self_test_and_engine_falls_back(fresh_load, monk
     # 1 / lam^(k+j) is within an ulp of lam^-(k+j), and not always equal.
     mutant = _mutant(tmp_path, KERNEL, "pow(lam, (double)(-k - j))", "1.0 / pow(lam, (double)(k + j))")
     with pytest.raises(_kernel.KernelUnavailable, match="self-test: the step decays differ from math.pow"):
-        mutant.self_test(_opened(mutant, tmp_path))
+        mutant.self_test(_base_build_in_cache(monkeypatch, mutant))
 
     monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
