@@ -381,7 +381,7 @@ INLINE void sub(double *out, const double *u, const double *v, int64_t d)
 static NOINLINE void hits(const struct block *b, int K, double *const *xc, const int *tc, int64_t s0, int64_t j,
                           double lk)
 {
-    const double *df[TILE];
+    const double *df[TILE] = {NULL};
     double dist[TILE];
     for (int k = 0; k < K; k++) {
         double *diff = b->diff + tc[k] * (b->d + 1);
@@ -599,18 +599,21 @@ INLINE void copy_lanes(const struct block *b, int in, int64_t s_lo, int64_t s_hi
 }
 
 /* Doubles of the work scratch of an sk_advance or sk_dots call that steps S
- * seeds: their lanes (copy_lanes, S G 2 ceil(d / 2)), the group constants of
- * struct block (10 G), and per seed of a tile its hitting-time difference
- * (d + 1). */
+ * seeds: their lanes (copy_lanes, S G 2 ceil(d / 2)) and up to 7 before them
+ * to align them, the group constants of struct block (10 G), and per seed of
+ * a tile its hitting-time difference (d + 1). */
 int64_t sk_work_size(int64_t G, int64_t S, int64_t d)
 {
-    return S * G * (d + d % 2) + 10 * G + TILE * (d + 1);
+    return 7 + S * G * (d + d % 2) + 10 * G + TILE * (d + 1);
 }
 
 /* b's scratch sizes and vector widths, and work laid out for the lanes of S
  * seeds, which it returns, then b's group constants, for kind, audit and P
  * (G,), which the self-test, stepping nothing, passes as NULL, and its
- * differences. */
+ * differences.  The lanes start on a 64-byte boundary, so that where a
+ * seed's lanes fill whole cache lines (G a multiple of 4, at any d) no
+ * 512-bit load or store of them spans two: 16, 32 or 48 bytes past one,
+ * sweep G 4 and G 8 (scripts/step_kernel_bench.py) stepped 1.1-1.2x slower. */
 INLINE double *setup_block(struct block *b, double *work, int64_t S, const int32_t *kind, const int32_t *audit,
                            const double *P)
 {
@@ -618,7 +621,8 @@ INLINE double *setup_block(struct block *b, double *work, int64_t S, const int32
     b->gs = b->d + b->d % 2;
     b->ss = b->gs * G;
     widths(b);
-    double *p2 = work + S * b->ss, *law2 = p2 + 2 * G, *gate2 = law2 + 2 * G;
+    double *lanes = (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63);
+    double *p2 = lanes + S * b->ss, *law2 = p2 + 2 * G, *gate2 = law2 + 2 * G;
     int64_t *tron2 = (int64_t *)(gate2 + 2 * G), *gated2 = tron2 + 2 * G;
     b->audited = b->need_norm = 0;
     for (int64_t g = 0; g < G && kind != NULL; g++) {
@@ -638,7 +642,7 @@ INLINE double *setup_block(struct block *b, double *work, int64_t S, const int32
     b->tron2 = tron2;
     b->gated2 = gated2;
     b->diff = (double *)(gated2 + 2 * G);
-    return work;
+    return lanes;
 }
 
 /* Step decays at steps k..k+n-1 into out: 1 (const), (k+j+1)^{-1/2} (root)

@@ -27,13 +27,10 @@ def synthetic_measurement(kind: str, d: int, base: Optional[str]):
     """
     if kind == "normalized_iid_subgaussian":
         return NormalizedIIDSubGaussian(d) if base is None else NormalizedIIDSubGaussian(d, base=base)
-    if base is not None and kind in ("gaussian_sphere", "normalized_rademacher"):
+    model = {"gaussian_sphere": GaussianSphere, "normalized_rademacher": NormalizedRademacher}.get(kind)
+    if model is not None and base is not None:
         raise ValueError(f"only normalized_iid_subgaussian takes a base, not {kind}")
-    if kind == "gaussian_sphere":
-        return GaussianSphere(d)
-    if kind == "normalized_rademacher":
-        return NormalizedRademacher(d)
-    return None
+    return None if model is None else model(d)
 
 
 def build_measurement(config: ExperimentConfig):

@@ -129,14 +129,13 @@ def _report_features(monkeypatch, **features):
     monkeypatch.setattr(_kernel, "cpu_features", lambda: reported)
 
 
-def _base_build_in_cache(monkeypatch, part):
-    """``part``'s base build, opened from the cache ``load`` reads, for a CPU reported without AVX512F.
+def _cpu_build_in_cache(part):
+    """``part`` as this CPU builds it, opened from the cache ``load`` reads.
 
     ``load`` then opens this same library, so a mutant's self-test and its
     fallback through the loader take one gcc run.
     """
-    _report_features(monkeypatch, AVX512F=False)
-    return _opened(part, _kernel.cache_dir())
+    return _opened(_kernel.for_cpu(part), _kernel.cache_dir())
 
 
 def _relu_gate_violations():
@@ -259,8 +258,9 @@ def test_gateless_kernel_reports_gate_violations(monkeypatch, tmp_path):
 @needs_gcc
 def test_sequential_dot_fails_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
     mutant = _mutant(tmp_path, KERNEL, DOT_ORDER, SEQUENTIAL_DOT)
+    _report_features(monkeypatch, AVX512F=False)  # the base build, the quicker gcc run
     with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-        mutant.self_test(_base_build_in_cache(monkeypatch, mutant))
+        mutant.self_test(_cpu_build_in_cache(mutant))
 
     monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
@@ -311,9 +311,11 @@ def test_zero_coefficient_updates_match_numpy_body(monkeypatch):
 
 @needs_gcc
 def test_swapped_dot4_steps_fail_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
+    # Built as this CPU builds it: with AVX-512F, the -mavx512f build's
+    # self-test must catch the wrong order in its 256- and 512-bit passes too.
     mutant = _mutant(tmp_path, KERNEL, DOT4_ORDER, DOT4_SWAPPED)
     with pytest.raises(_kernel.KernelUnavailable, match="self-test"):
-        mutant.self_test(_base_build_in_cache(monkeypatch, mutant))
+        mutant.self_test(_cpu_build_in_cache(mutant))
 
     monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
@@ -328,8 +330,9 @@ def test_swapped_dot4_steps_fail_self_test_and_engine_falls_back(fresh_load, mon
 def test_reciprocal_decays_fail_self_test_and_engine_falls_back(fresh_load, monkeypatch, tmp_path):
     # 1 / lam^(k+j) is within an ulp of lam^-(k+j), and not always equal.
     mutant = _mutant(tmp_path, KERNEL, "pow(lam, (double)(-k - j))", "1.0 / pow(lam, (double)(k + j))")
+    _report_features(monkeypatch, AVX512F=False)  # the base build, the quicker gcc run
     with pytest.raises(_kernel.KernelUnavailable, match="self-test: the step decays differ from math.pow"):
-        mutant.self_test(_base_build_in_cache(monkeypatch, mutant))
+        mutant.self_test(_cpu_build_in_cache(mutant))
 
     monkeypatch.setitem(_kernel.PARTS, KERNEL, mutant)
     with pytest.warns(RuntimeWarning) as record:
