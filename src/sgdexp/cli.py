@@ -9,7 +9,9 @@ directory; --out-dir overrides both.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -34,6 +36,8 @@ from .experiment import (
 from .measurement import estimate_ctilde
 from .results import emit_plot, emit_results, emit_sweep_csv, read_results_csv, replaced
 from .solvers import METHODS
+
+atexit.register(gc.freeze)  # the interpreter's last collections skip what is alive at exit
 
 
 def _common_flags(parser, seed=True):

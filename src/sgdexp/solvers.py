@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -519,23 +520,33 @@ def _bind_c(lib, st: _StepState, seeds: range):
 def _in_step(caller, worker):
     """Each k that the owner generators ``caller`` and ``worker`` yield, once both have reached it.
 
-    ``worker`` runs on the one thread of a pool that lives as long as this
-    generator.  An exception raised in either owner is raised here, once,
-    after the worker has stopped.
+    ``worker`` steps on one thread that this joins; either owner's exception is raised here once, after it stops.
     """
-    from concurrent.futures import ThreadPoolExecutor  # on the first engine call, not at import
+    import queue  # on the first two-owner call, not at import
+    go, done = queue.SimpleQueue(), queue.SimpleQueue()
 
-    with ThreadPoolExecutor(1) as pool:
-        while True:
-            theirs = pool.submit(next, worker, None)
+    def work():
+        while go.get():
             try:
-                k = next(caller, None)
-            finally:
-                theirs.exception()  # waits for the worker
-            theirs.result()
+                done.put(next(worker, None))
+            except BaseException as exc:
+                done.put(exc)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    try:
+        while True:
+            go.put(True)
+            k = next(caller, None)
+            theirs = done.get()  # waits for the worker
+            if isinstance(theirs, BaseException):
+                raise theirs
             if k is None:
                 return
             yield k
+    finally:
+        go.put(False)  # queued behind any step the worker is still taking
+        thread.join()
 
 
 def _spawn_streams(seed: int):
@@ -737,11 +748,6 @@ def run_batch(
                 if (k + j) % checkpoint_every == 0 or k + j == T:
                     yield k + j
 
-    # Seed owners.  With the compiled kernel, a synthetic stream is split
-    # between this thread and one worker: at S / 2 for two groups or more,
-    # whose groups share a seed's vectors, else at the multiple of TILE
-    # nearest S / 2, since one group steps four seeds' lanes in a pass.
-    # Each draws and steps its own seeds, and they meet at checkpoints.
     split = 0 if lib is None or is_dataset or T == 0 else S // 2 if G >= 2 else TILE * round(S / (2 * TILE))
     owners = [own(part) for part in (range(0, split), range(split, S)) if part]
     t0 = time.perf_counter()

@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -69,32 +71,77 @@ def test_invalid_config_nonzero_with_diagnostic(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_cli_import_loads_no_scipy():
-    # every sgdexp process starts by importing the CLI; keep that import numpy-only
+def _python(*args) -> str:
+    """Standard output of this interpreter run on ``args``, with this checkout's sgdexp first on the path."""
     src = str(Path(sgdexp.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # every sgdexp process starts by importing the CLI; keep that import numpy-only
     code = "import sys, sgdexp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    assert _python("-c", code).strip() == "[]"
 
 
 def test_cli_import_starts_no_thread():
-    # the engine's draw pool lives inside run_batch; importing must not start it
-    src = str(Path(sgdexp.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    # run_batch starts its one worker thread itself; importing must not start a thread
     code = (
         "import threading; n = threading.active_count(); import sgdexp.cli; "
         "print(n, threading.active_count())"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    before, after = proc.stdout.split()
+    before, after = _python("-c", code).split()
     assert after == before
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH to build the kernel")
+def test_process_pays_for_no_pool_and_no_exit_collection():
+    # A two-owner engine call hands off to one plain thread, so it imports
+    # neither concurrent.futures nor, through it, logging; and the CLI's exit
+    # hook freezes what is alive, so the interpreter's last collections skip it.
+    code = """
+import atexit, gc, sys, threading
+import numpy as np
+import sgdexp.cli
+from sgdexp import _kernel
+from sgdexp.corruption import SignFlip
+from sgdexp.measurement import GaussianSphere
+from sgdexp.solvers import SolverSpec, StreamSpec, run_batch
+
+assert _kernel.load("step kernel") is not None
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda t: (started.append(t), start(t))[1]
+spec = SolverSpec(method="sgd_exp_linear", d=4, T=3000, lam=1.01, G=1.0)
+run_batch(spec, StreamSpec(GaussianSphere(4), SignFlip(0.2)), range(1, 9), x_true=np.ones(4))
+print(len(started), sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+frozen = gc.get_freeze_count()
+atexit._run_exitfuncs()
+print(frozen, gc.get_freeze_count() > 0)
+"""
+    owners, frozen = _python("-c", code).splitlines()
+    assert owners == "1 []"
+    assert frozen == "0 True"
+
+
+def test_cli_run_outputs_survive_the_exit_hook(tmp_path):
+    # Every output is closed and renamed before the exit hook runs: a run's
+    # files are the ones test_frozen_outputs pins for the library path.
+    from test_frozen_outputs import DIGESTS, SMALL
+
+    data = json.loads((CONFIGS / "oblivious_high_p.json").read_text())
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({**data, **SMALL}))
+    out = tmp_path / "out"
+    _python("-m", "sgdexp.cli", "run", str(config), "--out-dir", str(out), "--quiet")
+    rows = (out / "results.csv").read_text().splitlines()
+    assert rows[0].endswith(",elapsed_seconds")
+    got = {
+        "results": "\n".join(r.rsplit(",", 1)[0] for r in rows).encode(),
+        "manifest": (out / "results.manifest.json").read_bytes(),
+        "svg": (out / "results.svg").read_bytes(),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == DIGESTS["oblivious_high_p"]
 
 
 def test_missing_file_nonzero(capsys):

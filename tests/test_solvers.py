@@ -3,8 +3,10 @@ import math
 import shutil
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -758,6 +760,10 @@ class _DrawFailed(Exception):
     pass
 
 
+class _CheckpointFailed(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class _FailingGaussian(Gaussian):
     """A noise law whose draw notes the thread it runs on, and raises on the ``failing`` owner's."""
@@ -793,6 +799,26 @@ class TestSeedOwners:
         workers = {t for t in law.threads if t is not threading.main_thread()}
         assert len(workers) == 1 and threading.main_thread() in law.threads
         assert not any(t.is_alive() for t in workers)
+
+    def test_checkpoint_error_raised_once_after_the_worker_stops(self, monkeypatch):
+        # A failure on the calling thread between two yields of the handoff:
+        # in run_batch's checkpoint loop, while the worker waits for its next step.
+        calls, threads = [], []
+
+        def perf_counter():
+            calls.append(None)
+            if len(calls) == 3:  # t0, k = 0, then the first k both owners reached
+                threads.append(threading.active_count())
+                raise _CheckpointFailed("checkpoint failed")
+            return time.perf_counter()
+
+        monkeypatch.setattr(solvers_mod, "time", SimpleNamespace(perf_counter=perf_counter))
+        before = threading.active_count()
+        with pytest.raises(_CheckpointFailed, match="checkpoint failed") as info:
+            run_batch(_linear_spec(T=3000), _stream(p=0.2), range(1, 9), x_true=np.ones(4))
+        assert info.value.__context__ is None
+        assert len(calls) == 3 and threads == [before + 1]
+        assert threading.active_count() == before
 
     @staticmethod
     def _starts(monkeypatch):
