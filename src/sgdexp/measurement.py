@@ -18,6 +18,8 @@ from typing import Union
 
 import numpy as np
 
+from .corruption import Uniform
+
 #: Large-d limit of the sphere constant, sqrt(2/pi).
 GAUSSIAN_LIMIT_CONSTANT = math.sqrt(2.0 / math.pi)
 
@@ -163,7 +165,7 @@ def _normalize_rows(g: np.ndarray, rng: np.random.Generator, draw) -> np.ndarray
     norms = _row_norms(g)
     while np.any(norms == 0.0):  # measure-zero event in exact arithmetic
         bad = norms == 0.0
-        g[bad] = draw(rng, np.empty((int(bad.sum()), g.shape[1])))
+        g[bad] = draw(rng, out=np.empty((int(bad.sum()), g.shape[1])))
         norms = _row_norms(g)
     g /= norms[:, None]
     return g
@@ -213,7 +215,9 @@ def _sphere_pass(lib, rngs, g, uniforms=None) -> None:
     if lost:
         for i in np.flatnonzero(zeros):
             rows = g[i]
-            rows[_row_norms(rows) == 0.0] = _gaussian_rows(rngs[i], np.empty((int(zeros[i]), d)))
+            redrawn = np.empty((1, int(zeros[i]), d))
+            _sphere_pass(lib, rngs[i : i + 1], redrawn)
+            rows[_row_norms(rows) == 0.0] = redrawn[0]
 
 
 def _seed_major(a) -> bool:
@@ -227,35 +231,14 @@ def _seed_major(a) -> bool:
     )
 
 
-def _gaussian_rows(rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
-    """``_normalize_rows(_standard_normal(rng, g), rng, _standard_normal)`` bit for bit.
-
-    Where the compiled fill loads, and for a Generator and a C-contiguous,
-    aligned, writable float ``g``, one compiled pass draws each row and
-    divides it by its norm (``_sphere_pass`` with one generator).
-    """
-    lib = _fill_library([rng]) if g.flags.carray and g.dtype == np.float64 else None
-    if lib is None:
-        return _normalize_rows(_standard_normal(rng, g), rng, _standard_normal)
-    _sphere_pass(lib, [rng], g[None])
-    return g
-
-
 def _rademacher(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     np.copyto(out, rng.integers(0, 2, size=out.shape) * 2 - 1)
     return out
 
 
-def _uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """rng.uniform(-sqrt(3), sqrt(3)) bit for bit: numpy draws it as low + (high - low) u."""
-    low, high = -math.sqrt(3.0), math.sqrt(3.0)
-    rng.random(out=out)
-    out *= high - low
-    out += low
-    return out
-
-
-_ENTRY_DRAWS = {"rademacher": _rademacher, "uniform": _uniform}
+#: Each entry draw of NormalizedIIDSubGaussian but the Gaussian, as ``draw(rng, out=...)``; the
+#: uniform base is rng.uniform(-sqrt(3), sqrt(3)) bit for bit.
+_ENTRY_DRAWS = {"rademacher": _rademacher, "uniform": Uniform(math.sqrt(3.0)).draw}
 
 
 def sample_block(model: MeasurementModel, rng: np.random.Generator, n: int, out=None):
@@ -299,11 +282,10 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
         )
     everyone = [*rngs, *xi_rngs]
     gaussian = isinstance(model, GaussianSphere) or getattr(model, "base", None) == "gaussian"
-    # One call holds each generator's lock once and draws a seed's zero-norm rows after the other seeds'.
-    distinct = len({id(rng) for rng in everyone}) == len(everyone)
     fits = _seed_major(out) and (XI is None or _seed_major(XI))
-    lib = _fill_library(everyone) if gaussian and fits and distinct else None
-    if lib is not None:
+    lib = _fill_library(everyone) if gaussian and fits else None
+    # One call holds each generator's lock once and draws a seed's zero-norm rows after the other seeds'.
+    if lib is not None and len({id(rng) for rng in everyone}) == len(everyone):
         _sphere_pass(lib, rngs, out, uniforms)
         return None
     idx = np.empty((m, n), dtype=int) if isinstance(model, DatasetRows) else None
@@ -312,11 +294,11 @@ def sample_seeds(model: MeasurementModel, rngs, out, uniforms=None):
             idx[i] = rng.integers(0, model.n_rows, size=n)
         elif isinstance(model, NormalizedRademacher):
             np.divide(_rademacher(rng, out[i]), math.sqrt(model.d), out=out[i])
-        elif gaussian:
-            _gaussian_rows(rng, out[i])
+        elif lib is not None:  # a generator passed twice: one seed's rows per call, in order
+            _sphere_pass(lib, rngs[i : i + 1], out[i : i + 1])
         else:
-            draw = _ENTRY_DRAWS[model.base]
-            _normalize_rows(draw(rng, out[i]), rng, draw)
+            draw = _standard_normal if gaussian else _ENTRY_DRAWS[model.base]
+            _normalize_rows(draw(rng, out=out[i]), rng, draw)
         if XI is not None:
             xi_rngs[i].random(out=XI[i])
     if idx is not None:
@@ -357,7 +339,8 @@ def sample_drift_terms(model: MeasurementModel, rng: np.random.Generator, u, out
         )
     if lost:
         bad = np.flatnonzero(minus < 0.0)  # the rows of norm 0, as the pass marks them
-        A = _gaussian_rows(rng, np.empty((lost, u.size)))
+        A = np.empty((lost, u.size))
+        _sphere_pass(lib, [rng], A[None])
         dots[bad] = np.einsum("ij,j->i", A, u)
         for sums, W in ((minus, u - A), (plus, u + A)):
             sums[bad] = np.einsum("ij,ij->i", W, W)

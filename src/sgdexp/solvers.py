@@ -21,7 +21,7 @@ import threading
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Optional, Union
 
@@ -517,38 +517,6 @@ def _bind_c(lib, st: _StepState, seeds: range):
     return advance
 
 
-def _in_step(caller, worker):
-    """Each k that the owner generators ``caller`` and ``worker`` yield, once both have reached it.
-
-    ``worker`` steps on one thread that this joins; either owner's exception is raised here once, after it stops.
-    """
-    import queue  # on the first two-owner call, not at import
-    go, done = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def work():
-        while go.get():
-            try:
-                done.put(next(worker, None))
-            except BaseException as exc:
-                done.put(exc)
-
-    thread = threading.Thread(target=work)
-    thread.start()
-    try:
-        while True:
-            go.put(True)
-            k = next(caller, None)
-            theirs = done.get()  # waits for the worker
-            if isinstance(theirs, BaseException):
-                raise theirs
-            if k is None:
-                return
-            yield k
-    finally:
-        go.put(False)  # queued behind any step the worker is still taking
-        thread.join()
-
-
 def _spawn_streams(seed: int):
     """Per-seed substreams: [signal, measurement, xi, noise]."""
     children = np.random.SeedSequence(seed).spawn(4)
@@ -571,7 +539,7 @@ def run_batch(
     x0: Optional[np.ndarray] = None,
     hitting_level: Optional[float] = None,
 ) -> list:
-    """Run every lane (lane group, seed) over one stream in lockstep.
+    """Run every lane (lane group, seed) over one stream.
 
     ``spec`` is ``Lanes``, or one SolverSpec run as one group at the
     stream's corruption probability.  Each seed owns its substreams;
@@ -591,12 +559,14 @@ def run_batch(
     horizon or past the overflow of lam^{2k} (``_check_horizon``) is a
     ValueError.
 
-    At each checkpoint the lanes and the elapsed time are copied into a
-    buffer of snapshots, at most CHECKPOINT_VALUES values with a dataset
-    stream's residuals; each full buffer, and the last, is evaluated at
-    once: every relative error in one matmul and, for DatasetRows streams,
-    every clean loss against the stream's rows and responses in one
-    ``evaluate_clean_loss`` call, each with the bits of its own call.  With
+    At each checkpoint a seed's lanes and elapsed time, the time its owner
+    reached k, are copied into its columns of a buffer of snapshots, at
+    most CHECKPOINT_VALUES values with a dataset stream's residuals; each
+    full buffer, and the last, is evaluated at once per owner: its seeds'
+    relative errors in one matmul and, for DatasetRows streams, whose one
+    owner holds every seed, every clean loss against the stream's rows
+    and responses in one ``evaluate_clean_loss`` call, each with the bits
+    of its own call.  With
     ``validate_steps`` the sign methods count steps whose length differs
     from the scheduled step (sgd_exp) and steps taken at <x, a> < 0 (the
     ReLU methods).  The steps between two checkpoints are one call of the
@@ -610,14 +580,15 @@ def run_batch(
     seeds, else at the multiple of the kernel's four-seed tiles nearest
     S / 2, when there are more than four seeds.  Each
     owner draws a block of its seeds (one compiled call for a sphere's
-    rows and the corruption indicators) and steps it at once; the owners
-    meet only at checkpoints, where every lane is copied.  A seed's
-    generators are used by its owner alone, in block order, so every lane
-    gets the bits of a sequential draw.  Dataset streams, the numpy body,
-    T = 0, one seed and one group of four seeds or fewer run on the
-    calling thread alone.  An
-    exception raised in either owner is raised here once, after the
-    worker has stopped.
+    rows and the corruption indicators), steps it at once and records its
+    seeds' checkpoints, from k = 0 to T; the owners never wait for each
+    other, and the worker is joined before this returns or raises.  A
+    seed's generators are used by its owner alone, in block order, so
+    every lane gets the bits of a sequential draw.  Dataset streams, the
+    numpy body, T = 0, one seed and one group of four seeds or fewer run
+    on the calling thread alone.  An exception raised in either owner
+    stops the other before its next block and is raised here once, after
+    the worker has stopped.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
@@ -703,10 +674,11 @@ def run_batch(
 
     # Checkpoints k = 0, each multiple of checkpoint_every below T, and T, buffered
     # `per_buffer` at a time; the relative errors of seeds whose x_true is missing or 0 stay NaN.
-    n_cp = 1 + -(-T // checkpoint_every)
+    ks = np.array([*range(0, T, checkpoint_every), T], dtype=np.int64)
+    n_cp = len(ks)
     per_buffer = min(n_cp, checkpoints_per_buffer(L, d + (stream.model.n_rows if is_dataset else 0)))
     snaps = np.empty((per_buffer, G, S, d))
-    ks, elapsed = np.empty(n_cp, dtype=np.int64), np.empty(n_cp)
+    elapsed = np.empty((n_cp, S))
     rel, loss = np.full((n_cp, G, S), np.nan), np.full((n_cp, G, S), np.nan)
     has_rel = np.zeros(S, dtype=bool) if Xt is None else xt_norms > 0.0
     iterates = np.empty((n_cp, G, S, d)) if record_iterates else None
@@ -728,12 +700,34 @@ def run_batch(
             if relu_response:
                 np.maximum(clean, 0.0, out=clean)
 
-    def own(part: range):
-        """Draw and step the seeds in ``part`` block by block; yield each checkpoint's k on reaching it."""
+    def record(rows: slice, i: int) -> None:
+        """Checkpoint ``i`` of the seeds in ``rows``: their lanes into the buffer, evaluated when full or last."""
+        elapsed[i, rows] = time.perf_counter() - t0
+        b = i % per_buffer
+        snaps[b, :, rows] = x[:, rows]
+        if b == per_buffer - 1 or i == n_cp - 1:
+            x_, cps = snaps[: b + 1, :, rows], slice(i - b, i + 1)
+            if record_iterates:
+                iterates[cps, :, rows] = x_
+            if is_dataset:
+                loss[cps, :, rows] = evaluate_clean_loss(x_, stream.model, relu=relu_response)
+            if Xt is not None:
+                # ||x* - x|| per lane as np.linalg.norm takes it: the sqrt of one dot (x* - x in place).
+                diff = np.subtract(Xt[rows], x_, out=x_)
+                dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+                np.divide(dist, xt_norms[rows], out=rel[cps, :, rows], where=has_rel[rows])
+
+    errors = []  # the owners' exceptions: each owner stops before its next block once one is here
+
+    def own(part: range) -> None:
+        """Draw, step and record the seeds in ``part`` from k = 0 to T, block by block, until an owner fails."""
         rows = slice(part.start, part.stop)
         advance = functools.partial(_step_numpy, st) if lib is None else _bind_c(lib, st, part)
         decays = _decays if lib is None else functools.partial(_decays_c, lib)
+        record(rows, 0)
         for k in range(0, T, block):
+            if errors:
+                return
             n = min(block, T - k)
             draw(rows, n)
             decay = {key: decays(*key, k, n) for key in set(schedules)}
@@ -746,25 +740,25 @@ def run_batch(
                 advance(j, j1, k)
                 j = j1
                 if (k + j) % checkpoint_every == 0 or k + j == T:
-                    yield k + j
+                    record(rows, -(-(k + j) // checkpoint_every))
+
+    def run(part: range) -> None:
+        try:
+            own(part)
+        except BaseException as exc:  # raised below, once both owners have stopped
+            errors.append(exc)
 
     split = 0 if lib is None or is_dataset or T == 0 else S // 2 if G >= 2 else TILE * round(S / (2 * TILE))
-    owners = [own(part) for part in (range(0, split), range(split, S)) if part]
+    first, *second = [part for part in (range(0, split), range(split, S)) if part]
     t0 = time.perf_counter()
-    for i, k in enumerate(chain([0], owners[0] if len(owners) == 1 else _in_step(*owners))):
-        ks[i], elapsed[i] = k, time.perf_counter() - t0
-        snaps[i % per_buffer] = x
-        if i % per_buffer == per_buffer - 1 or i == n_cp - 1:
-            x_, rows = snaps[: i % per_buffer + 1], slice(i - i % per_buffer, i + 1)
-            if record_iterates:
-                iterates[rows] = x_
-            if is_dataset:
-                loss[rows] = evaluate_clean_loss(x_, stream.model, relu=relu_response)
-            if Xt is not None:
-                # ||x* - x|| per lane as np.linalg.norm takes it: the sqrt of one dot (x* - x in place).
-                diff = np.subtract(Xt, x_, out=x_)
-                dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
-                np.divide(dist, xt_norms, out=rel[rows], where=has_rel)
+    workers = [threading.Thread(target=run, args=(part,)) for part in second]
+    for worker in workers:
+        worker.start()
+    run(first)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
 
     return [
         Trajectory(
@@ -772,7 +766,7 @@ def run_batch(
             seed=seeds[s_i],
             checkpoints=CheckpointTable(
                 ks,
-                elapsed,
+                elapsed[:, s_i],
                 rel[:, g, s_i],
                 loss[:, g, s_i],
                 *(np.broadcast_to(has, n_cp) for has in (has_rel[s_i], is_dataset)),

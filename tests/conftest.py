@@ -5,10 +5,11 @@ import pytest
 
 @pytest.fixture(autouse=True, scope="session")
 def kernel_cache(tmp_path_factory):
-    """Build the compiled step kernel into a directory of this session, not the user's cache."""
+    """Build the compiled step kernel into a directory of this session, not the user's cache; yields its path."""
+    cache = tmp_path_factory.mktemp("cache")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        yield
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        yield cache
 
 
 @pytest.fixture(autouse=True)

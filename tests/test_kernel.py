@@ -138,6 +138,28 @@ def _cpu_build_in_cache(part):
     return _opened(_kernel.for_cpu(part), _kernel.cache_dir())
 
 
+@pytest.fixture(scope="session")
+def session_kernel(kernel_cache):
+    """The step kernel as this CPU builds it, in the session's cache (built there on first use)."""
+    return _kernel.build(_kernel.for_cpu(_kernel.PARTS[KERNEL]), kernel_cache / "sgdexp")
+
+
+def _copy_into(lib, directory):
+    """A copy of the library ``lib`` in ``directory``, under its own file name: no gcc."""
+    directory.mkdir(parents=True, exist_ok=True)
+    return Path(shutil.copy(lib, directory / lib.name))
+
+
+def _copying_build(monkeypatch, lib):
+    """``_kernel.build`` copies ``lib`` into the directory it is given for the part ``lib`` was built from."""
+    build, built_from = _kernel.build, _kernel.for_cpu(_kernel.PARTS[KERNEL])
+
+    def copying_build(part, directory):
+        return _copy_into(lib, directory) if part == built_from else build(part, directory)
+
+    monkeypatch.setattr(_kernel, "build", copying_build)
+
+
 def _relu_gate_violations():
     spec = SolverSpec(method="sgd_exp_relu", d=4, T=300, lam=1.01, G=1.0)
     stream = StreamSpec(model=GaussianSphere(4), corruption=SignFlip(0.4), relu=True)
@@ -191,7 +213,8 @@ def test_missing_gcc_runs_numpy_with_one_warning_per_part(monkeypatch, tmp_path)
 
 
 @needs_gcc
-def test_unwritable_cache_builds_in_a_temp_dir(fresh_load, monkeypatch, tmp_path):
+def test_unwritable_cache_builds_in_a_temp_dir(fresh_load, session_kernel, monkeypatch, tmp_path):
+    _copying_build(monkeypatch, session_kernel)
     # A file where the cache directory should be: no user can create it.
     (tmp_path / "not-a-dir").write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not-a-dir"))
@@ -203,10 +226,10 @@ def test_unwritable_cache_builds_in_a_temp_dir(fresh_load, monkeypatch, tmp_path
 
 
 @needs_gcc
-def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
+def test_second_process_loads_the_cached_library_without_gcc(session_kernel, tmp_path):
     # The one build the loader picks on this CPU.
     cache = tmp_path / "cache"
-    built = [_kernel.build(_kernel.for_cpu(_kernel.PARTS[KERNEL]), cache / "sgdexp")]
+    built = [_copy_into(session_kernel, cache / "sgdexp")]
     load = (
         "import warnings; warnings.simplefilter('error', RuntimeWarning);"
         "from sgdexp import _kernel; assert _kernel.load('step kernel') is not None"
@@ -219,9 +242,10 @@ def test_second_process_loads_the_cached_library_without_gcc(tmp_path):
 
 @needs_gcc
 @pytest.mark.parametrize("wide", [False, True], ids=["base", "avx512f"])
-def test_one_build_chosen_from_the_cpu_is_built_and_opened(wide, fresh_load, monkeypatch):
+def test_one_build_chosen_from_the_cpu_is_built_and_opened(wide, fresh_load, session_kernel, monkeypatch):
     if wide and not _kernel.cpu_features().get("AVX512F"):
         pytest.skip("this CPU cannot run the AVX-512 build")
+    _copying_build(monkeypatch, session_kernel)  # the build this CPU chooses; the other runs gcc
     _report_features(monkeypatch, AVX512F=wide)
     opened, open_library = [], _kernel.open_library
     monkeypatch.setattr(_kernel, "open_library", lambda part, path: opened.append(path) or open_library(part, path))
@@ -913,8 +937,9 @@ class TestSpherePass:
 
 
 @needs_gcc
-def test_missing_archive_turns_off_only_the_fill(fresh_fill, monkeypatch, tmp_path):
+def test_missing_archive_turns_off_only_the_fill(fresh_fill, session_kernel, monkeypatch, tmp_path):
     monkeypatch.delitem(_kernel._libs, KERNEL, raising=False)
+    _copy_into(session_kernel, _kernel.cache_dir())
     missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
     monkeypatch.setitem(_kernel.PARTS, FILL, dataclasses.replace(_kernel.PARTS[FILL], archive=missing))
     with pytest.warns(RuntimeWarning) as record:

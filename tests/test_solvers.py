@@ -779,6 +779,26 @@ class _FailingGaussian(Gaussian):
         return super().draw(rng, size, out)
 
 
+@dataclass(frozen=True)
+class _WaitingGaussian(Gaussian):
+    """A noise law drawn by two owners of four seeds: the worker's draw of its second
+    block waits, 3 s at most, until the calling thread has drawn its third and last."""
+
+    draws: dict = None  # thread -> its draws so far
+    caller_done: threading.Event = None
+
+    def draw(self, rng, size=None, out=None):
+        here = threading.current_thread()
+        drawn = self.draws[here] = self.draws.get(here, 0) + 1
+        caller = here is threading.main_thread()
+        if not caller and drawn == 5 and not self.caller_done.wait(3.0):
+            raise TimeoutError("the worker waited 3 s for the caller's last block")
+        out = super().draw(rng, size, out)
+        if caller and drawn == 12:
+            self.caller_done.set()
+        return out
+
+
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH to build the kernel")
 
 
@@ -801,24 +821,53 @@ class TestSeedOwners:
         assert not any(t.is_alive() for t in workers)
 
     def test_checkpoint_error_raised_once_after_the_worker_stops(self, monkeypatch):
-        # A failure on the calling thread between two yields of the handoff:
-        # in run_batch's checkpoint loop, while the worker waits for its next step.
-        calls, threads = [], []
+        # A failure on the calling thread while it records its checkpoint k = 0, once
+        # the worker is drawing its first block; that draw ends when run_batch joins it.
+        worker_draws, drawing, joining = [], threading.Event(), threading.Event()
+
+        def sample(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                worker_draws.append(None)
+                drawing.set()
+                if not joining.wait(3.0):
+                    raise TimeoutError("run_batch did not join the worker in 3 s")
+            return sample_seeds(*args, **kwargs)
+
+        calls = []
 
         def perf_counter():
-            calls.append(None)
-            if len(calls) == 3:  # t0, k = 0, then the first k both owners reached
-                threads.append(threading.active_count())
-                raise _CheckpointFailed("checkpoint failed")
+            if threading.current_thread() is threading.main_thread():
+                calls.append(None)
+                if len(calls) == 2:  # t0, then the caller's checkpoint k = 0
+                    if not drawing.wait(3.0):
+                        raise TimeoutError("the worker drew no block in 3 s")
+                    raise _CheckpointFailed("checkpoint failed")
             return time.perf_counter()
 
+        join = threading.Thread.join
+        monkeypatch.setattr(threading.Thread, "join", lambda t, timeout=None: (joining.set(), join(t, timeout))[1])
+        monkeypatch.setattr(solvers_mod, "sample_seeds", sample)
         monkeypatch.setattr(solvers_mod, "time", SimpleNamespace(perf_counter=perf_counter))
         before = threading.active_count()
         with pytest.raises(_CheckpointFailed, match="checkpoint failed") as info:
-            run_batch(_linear_spec(T=3000), _stream(p=0.2), range(1, 9), x_true=np.ones(4))
+            run_batch(_linear_spec(T=100_000), _stream(p=0.2), range(1, 9), x_true=np.ones(4))
         assert info.value.__context__ is None
-        assert len(calls) == 3 and threads == [before + 1]
         assert threading.active_count() == before
+        # The worker stops after the block it was drawing at the failure: one of its 98.
+        assert len(worker_draws) == 1
+
+    def test_owners_never_wait_for_each_other(self):
+        # The worker's second block is drawn only after the caller has drawn its
+        # last: an owner that waited for the other at a checkpoint would time out.
+        law = _WaitingGaussian(1.0, draws={}, caller_done=threading.Event())
+        spec, x_true = _linear_spec(T=3000), np.ones(4)
+        stream = StreamSpec(model=GaussianSphere(4), corruption=AdditiveOblivious(0.3, law))
+        got = run_batch(spec, stream, range(1, 9), x_true=x_true, checkpoint_every=1000)
+        plain = replace(stream, corruption=AdditiveOblivious(0.3, Gaussian(1.0)))
+        want = run_batch(spec, plain, range(1, 9), x_true=x_true)
+        assert all(np.array_equal(g.x_final, w.x_final) for g, w in zip(got, want))
+        # Four seeds per owner, three blocks each.
+        assert sorted(law.draws.values()) == [12, 12] and law.caller_done.is_set()
 
     @staticmethod
     def _starts(monkeypatch):
